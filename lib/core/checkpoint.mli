@@ -2,20 +2,30 @@
 
     Serialises the full simulation state (step counter, every field
     component, every species, both RNG streams) to a single file per
-    rank.  The file carries a magic, a format version and three
-    CRC-32-checksummed sections (meta, fields, species); checksums are
-    verified {e before} any byte is unmarshalled, so a corrupted or
-    truncated file is a typed {!Corrupt} error, never undefined
-    behaviour.  Writes are atomic: the bytes land under a temporary name
-    and are renamed into place, so a crash mid-save never clobbers the
-    previous checkpoint.
+    rank.  The file (format v8) carries a magic, a format version and
+    three sections (meta, fields, species), each with its length and
+    CRC-32.  The payloads are an explicit little-endian encoding, not
+    [Marshal]:
+    - meta: each field in turn — ints as int64, floats as IEEE-754 bits,
+      the RNG states field by field, the pusher as a tag byte, options
+      behind a presence byte;
+    - fields: per component a length-prefixed name, the voxel count and
+      the float64 values, read straight from the field's bigarray;
+    - species: per species its name, [q], [m] and [np], then the int32
+      voxel indices and the seven float32 arrays — the store's first
+      [np] elements, 32 bytes per particle as in memory.
 
-    Particle data is written as the store's own Float32/Int32 bigarrays
-    (trimmed to the live count) — 32 bytes per particle on disk,
-    restored by blitting straight back into the store.  Both the push
-    RNG and (in parallel runs) the coupler's refluxing re-emission RNG
-    are saved and restored in place, so a resumed run is bitwise
-    identical to an uninterrupted one.
+    Checksums are verified {e before} any payload byte is interpreted,
+    and every length and count is bounds-checked against the remaining
+    bytes and the grid's voxel count, so a corrupted or truncated file is
+    a typed {!Corrupt} error, never a crash.  Decoding writes straight
+    into the stores and fields of a fresh simulation, so a restart is
+    bitwise identical.  Writes are atomic: the bytes land under a
+    temporary name and are renamed into place, so a crash mid-save never
+    clobbers the previous checkpoint.  Both the push RNG and (in parallel
+    runs) the coupler's refluxing re-emission RNG are saved and restored
+    in place, so a resumed run is bitwise identical to an uninterrupted
+    one.
 
     Limitation (stated, not hidden): laser antennas are closures and are
     not saved — re-attach them after {!load}; the coupler is
@@ -48,8 +58,9 @@ exception Version_mismatch of { path : string; found : int; expected : int }
     simulation into bytes, ship them, {!decode} on the receiver. *)
 
 (** Serialise to the full wire image (magic, version, checksummed
-    sections).  [block_id]/[nblocks] (default 0/1) stamp the
-    over-decomposition identity into the meta section. *)
+    sections), sized exactly and allocated once.  [block_id]/[nblocks]
+    (default 0/1) stamp the over-decomposition identity into the meta
+    section. *)
 val encode : ?block_id:int -> ?nblocks:int -> Simulation.t -> bytes
 
 (** Rebuild a simulation from a wire image.  [expect_block] cross-checks
@@ -83,7 +94,7 @@ val save_attempts : int
     Raises {!Corrupt} or {!Version_mismatch}. *)
 val load : coupler:Coupler.t -> string -> Simulation.t
 
-(** Checksum-verify a file without unmarshalling or building a
+(** Checksum-verify a file without decoding it or building a
     simulation; [Error reason] on any structural, checksum, version or
     I/O problem. *)
 val verify : string -> (unit, string) result

@@ -91,7 +91,10 @@ let global_value gi gj gk =
 let test_fill_ghosts_matches_global_wrap () =
   let d = Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx:8 ~gny:4 ~gnz:4 ~lx:8. ~ly:4. ~lz:4. in
   let dt = 0.1 in
-  let _ =
+  (* Rank bodies only observe — (label, expected, actual) triples — and
+     the checks run here on the calling domain: Alcotest is not
+     domain-safe. *)
+  let results =
     Comm.run ~ranks:2 (fun c ->
         let rank = Comm.rank c in
         let g = Decomp.local_grid d ~dt ~rank in
@@ -105,23 +108,26 @@ let test_fill_ghosts_matches_global_wrap () =
         let ports = Exchange.create c bc g in
         Exchange.fill_ghosts ports [ f ];
         (* ghost at i=0 must hold the global value of the wrapped x-neighbour *)
+        let seen = ref [] in
         for k = 1 to 4 do
           for j = 1 to 4 do
             let expect_lo =
               global_value (if x_off + 0 < 1 then 8 else x_off) j k
             in
-            check_close "lo ghost" expect_lo (Sf.get f 0 j k);
+            seen := ("lo ghost", expect_lo, Sf.get f 0 j k) :: !seen;
             let expect_hi =
               global_value (if x_off + 5 > 8 then 1 else x_off + 5) j k
             in
-            check_close "hi ghost" expect_hi (Sf.get f 5 j k)
+            seen := ("hi ghost", expect_hi, Sf.get f 5 j k) :: !seen
           done
         done;
         (* y is local periodic (py = 1): wraps within the rank *)
-        check_close "y ghost local wrap" (global_value (x_off + 2) 4 2)
-          (Sf.get f 2 0 2))
+        ("y ghost local wrap", global_value (x_off + 2) 4 2, Sf.get f 2 0 2)
+        :: !seen)
   in
-  ()
+  Array.iter
+    (List.iter (fun (label, expected, actual) -> check_close label expected actual))
+    results
 
 let test_fold_ghosts_accumulates_across () =
   let d = Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx:8 ~gny:4 ~gnz:4 ~lx:8. ~ly:4. ~lz:4. in
@@ -255,26 +261,36 @@ let test_migration_conserves () =
         let ports = Exchange.create c bc grid in
         let movers = Push.Movers.create () in
         let st = Push.advance ~movers s f bc in
-        check_true "some went outbound" (st.Push.outbound > 0);
-        Alcotest.(check int) "movers match outbound count"
-          st.Push.outbound (Push.Movers.count movers);
+        let movers_after_push = Push.Movers.count movers in
         let mig = Migrate.exchange ports s f movers in
-        (* the caller's mover buffer must drain to zero *)
-        Alcotest.(check int) "movers drained" 0 (Push.Movers.count movers);
-        (* every mover must have settled somewhere *)
-        Species.iter s (fun n -> check_true "interior" (not (Species.in_ghost s n)));
+        let all_interior = ref true in
+        Species.iter s (fun n ->
+            if Species.in_ghost s n then all_interior := false);
         let mom = Species.momentum s in
         let charge = ref 0. in
         Species.iter s (fun n -> charge := !charge +. (Species.get s n).Particle.w);
-        ( float_of_int (Species.count s),
+        ( (st.Push.outbound, movers_after_push, Push.Movers.count movers,
+           !all_interior),
+          float_of_int (Species.count s),
           mom,
           s.Species.q *. !charge,
           mig.Migrate.sent,
           mig.Migrate.received,
           mig.Migrate.settled ))
   in
-  let n0, m0, q0, s0, r0, f0 = results.(0)
-  and n1, m1, q1, s1, r1, f1 = results.(1) in
+  (* Checked here, on the calling domain (Alcotest is not domain-safe). *)
+  Array.iter
+    (fun ((outbound, movers_after_push, movers_left, all_interior), _, _, _, _, _, _) ->
+      check_true "some went outbound" (outbound > 0);
+      Alcotest.(check int) "movers match outbound count" outbound
+        movers_after_push;
+      (* the caller's mover buffer must drain to zero *)
+      Alcotest.(check int) "movers drained" 0 movers_left;
+      (* every mover must have settled somewhere *)
+      check_true "interior" all_interior)
+    results;
+  let _, n0, m0, q0, s0, r0, f0 = results.(0)
+  and _, n1, m1, q1, s1, r1, f1 = results.(1) in
   check_close "total count conserved" 16. (n0 +. n1);
   Alcotest.(check int) "sent = received globally" (s0 + s1) (r0 + r1);
   Alcotest.(check int) "all arrivals settled" (r0 + r1) (f0 + f1);
