@@ -20,7 +20,6 @@ module Species = Vpic_particle.Species
 module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
-module Interp = Vpic_particle.Interp
 module Interpolator = Vpic_particle.Interpolator
 module Accumulator = Vpic_particle.Accumulator
 module Sort = Vpic_particle.Sort
@@ -591,306 +590,27 @@ let v2_plasma_oscillation () =
   in
   pf "measured omega = %.4f omega_pe | theory 1.0000\n" omega
 
-(* ------------------------------------------- push layout: f32 vs f64 *)
+(* ------------------------------------------------------- push bench *)
 
-(* The PR's headline claim, measured: the 32-byte Float32 store pushes
-   at least as fast as the 80-byte float64 layout it replaced.  Both
-   layouts run the identical micro-kernel — trilinear gather, Boris
-   kick, periodic streaming (no deposition) — with f64 arithmetic in
-   registers; only the particle loads/stores differ.  Sorted order lets
-   the f32 path amortise its voxel decode over the run of particles
-   sharing a cell, exactly as the SPE pipeline does. *)
-let push_layout_bench ?(quick = false) () =
-  pf "\n###### push layout: f32 store (32 B) vs f64 arrays (80 B) ######\n";
-  (* The paper's regime is memory-resident: 1e12 particles over 1.36e8
-     voxels (~7350 per voxel), so particle data streams from DRAM while
-     the fields stay cache-hot.  Mirror that balance: a deep-ppc
-     population large enough that both layouts stream from memory. *)
-  let n = 32 in
-  let l = 16. in
-  let dx = l /. float_of_int n in
-  let dt = Grid.courant_dt ~dx ~dy:dx ~dz:dx () in
-  let g = Grid.make ~nx:n ~ny:n ~nz:n ~lx:l ~ly:l ~lz:l ~dt () in
-  let f = Em_field.create g in
-  let rng = Rng.of_int 42 in
-  List.iter
-    (fun sf -> Sf.map_inplace sf (fun _ -> 0.05 *. (Rng.uniform rng -. 0.5)))
-    (Em_field.em_components f);
-  Boundary.fill_em Bc.periodic f;
-  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
-  ignore (Loader.maxwellian rng s ~ppc:384 ~uth:0.08 ());
-  Sort.by_voxel s;
-  let np = Species.count s in
-  let st = s.Species.store in
-  (* mirror into the legacy layout: int cell triple + 7 x float64 *)
-  let ci = Array.make np 0 and cj = Array.make np 0 and ck = Array.make np 0 in
-  let lfx = Array.make np 0. and lfy = Array.make np 0. and lfz = Array.make np 0. in
-  let lux = Array.make np 0. and luy = Array.make np 0. and luz = Array.make np 0. in
-  let lw = Array.make np 0. in
-  let open Bigarray.Array1 in
-  for m = 0 to np - 1 do
-    let i, j, k =
-      Grid.cell_of_voxel g (Int32.to_int (unsafe_get st.Store.voxel m))
-    in
-    ci.(m) <- i; cj.(m) <- j; ck.(m) <- k;
-    lfx.(m) <- unsafe_get st.Store.fx m;
-    lfy.(m) <- unsafe_get st.Store.fy m;
-    lfz.(m) <- unsafe_get st.Store.fz m;
-    lux.(m) <- unsafe_get st.Store.ux m;
-    luy.(m) <- unsafe_get st.Store.uy m;
-    luz.(m) <- unsafe_get st.Store.uz m;
-    lw.(m) <- unsafe_get st.Store.w m
-  done;
-  let qdt_2m = -0.5 *. g.Grid.dt in
-  let move = 0.05 in
-  (* Before/after mirrors of the two pushes this repo has shipped.
-     The f32 pass is the inner loop of this PR's Push.advance fast path:
-     the stored linear voxel indexes the field arrays directly and the
-     staggered trilinear gather (Interp.gather_into's arithmetic) plus
-     the Boris rotation run as one straight-line block per particle --
-     zero calls and zero allocation, the shape of VPIC's unrolled SPE
-     push.  The f64 pass is the seed kernel the 80-byte layout shipped
-     with: per-particle cross-module Interp.gather_into / Push.boris
-     calls with out-array parameters (every float argument is boxed at
-     those call sites on this toolchain) over a three-int cell triple
-     plus seven float64 arrays.  Both passes perform the identical f64
-     gather/Boris/streaming arithmetic on the same particles. *)
-  let dex = Sf.data f.Em_field.ex and dey = Sf.data f.Em_field.ey in
-  let dez = Sf.data f.Em_field.ez and dbx = Sf.data f.Em_field.bx in
-  let dby = Sf.data f.Em_field.by and dbz = Sf.data f.Em_field.bz in
-  let gx = g.Grid.gx and gy = g.Grid.gy in
-  let gxy = gx * gy in
-  let nx = g.Grid.nx and ny = g.Grid.ny and nz = g.Grid.nz in
-  let f32_pass () =
-    (* the stored linear voxel indexes the field arrays directly; offsets
-       are clamped on the f64 side (any double below f32_pred_one rounds
-       to <= it, so the test is exactly the round-then-fixup clamp); the
-       Int32 voxel write happens only on a cell change *)
-    let sv = st.Store.voxel in
-    let sfx = st.Store.fx and sfy = st.Store.fy and sfz = st.Store.fz in
-    let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
-    let pred1 = Store.f32_pred_one in
-    (* run-cached cell decode carried in registers: particles are
-       voxel-sorted, so the decode divides run once per run change *)
-    let rec go m last_vox i j k =
-      if m >= np then ()
-      else
-        let v = Int32.to_int (unsafe_get sv m) in
-        if v <> last_vox then
-          let r = v / gx in
-          step m v (v mod gx) (r mod gy) (r / gy)
-        else step m v i j k
-    and step m v i j k =
-      let fx = unsafe_get sfx m
-      and fy = unsafe_get sfy m
-      and fz = unsafe_get sfz m in
-      let ux = unsafe_get sux m
-      and uy = unsafe_get suy m
-      and uz = unsafe_get suz m in
-      (* gather (staggered trilinear, as Interp.gather_into) *)
-      let dxs = if fx >= 0.5 then 0 else -1 in
-      let txs = if fx >= 0.5 then fx -. 0.5 else fx +. 0.5 in
-      let dys = if fy >= 0.5 then 0 else -1 in
-      let tys = if fy >= 0.5 then fy -. 0.5 else fy +. 0.5 in
-      let dzs = if fz >= 0.5 then 0 else -1 in
-      let tzs = if fz >= 0.5 then fz -. 0.5 else fz +. 0.5 in
-      let oy = gx * dys and oz = gxy * dzs in
-      let cxs = 1. -. txs and cx = 1. -. fx in
-      let cys = 1. -. tys and cy = 1. -. fy in
-      let czs = 1. -. tzs and cz = 1. -. fz in
-      let b = v + dxs in
-      let c00 = (cxs *. unsafe_get dex b) +. (txs *. unsafe_get dex (b + 1)) in
-      let c10 = (cxs *. unsafe_get dex (b + gx)) +. (txs *. unsafe_get dex (b + gx + 1)) in
-      let c01 = (cxs *. unsafe_get dex (b + gxy)) +. (txs *. unsafe_get dex (b + gxy + 1)) in
-      let c11 = (cxs *. unsafe_get dex (b + gxy + gx)) +. (txs *. unsafe_get dex (b + gxy + gx + 1)) in
-      let e_x = (cz *. ((cy *. c00) +. (fy *. c10))) +. (fz *. ((cy *. c01) +. (fy *. c11))) in
-      let b = v + oy in
-      let c00 = (cx *. unsafe_get dey b) +. (fx *. unsafe_get dey (b + 1)) in
-      let c10 = (cx *. unsafe_get dey (b + gx)) +. (fx *. unsafe_get dey (b + gx + 1)) in
-      let c01 = (cx *. unsafe_get dey (b + gxy)) +. (fx *. unsafe_get dey (b + gxy + 1)) in
-      let c11 = (cx *. unsafe_get dey (b + gxy + gx)) +. (fx *. unsafe_get dey (b + gxy + gx + 1)) in
-      let e_y = (cz *. ((cys *. c00) +. (tys *. c10))) +. (fz *. ((cys *. c01) +. (tys *. c11))) in
-      let b = v + oz in
-      let c00 = (cx *. unsafe_get dez b) +. (fx *. unsafe_get dez (b + 1)) in
-      let c10 = (cx *. unsafe_get dez (b + gx)) +. (fx *. unsafe_get dez (b + gx + 1)) in
-      let c01 = (cx *. unsafe_get dez (b + gxy)) +. (fx *. unsafe_get dez (b + gxy + 1)) in
-      let c11 = (cx *. unsafe_get dez (b + gxy + gx)) +. (fx *. unsafe_get dez (b + gxy + gx + 1)) in
-      let e_z = (czs *. ((cy *. c00) +. (fy *. c10))) +. (tzs *. ((cy *. c01) +. (fy *. c11))) in
-      let b = v + oy + oz in
-      let c00 = (cx *. unsafe_get dbx b) +. (fx *. unsafe_get dbx (b + 1)) in
-      let c10 = (cx *. unsafe_get dbx (b + gx)) +. (fx *. unsafe_get dbx (b + gx + 1)) in
-      let c01 = (cx *. unsafe_get dbx (b + gxy)) +. (fx *. unsafe_get dbx (b + gxy + 1)) in
-      let c11 = (cx *. unsafe_get dbx (b + gxy + gx)) +. (fx *. unsafe_get dbx (b + gxy + gx + 1)) in
-      let b_x = (czs *. ((cys *. c00) +. (tys *. c10))) +. (tzs *. ((cys *. c01) +. (tys *. c11))) in
-      let b = v + dxs + oz in
-      let c00 = (cxs *. unsafe_get dby b) +. (txs *. unsafe_get dby (b + 1)) in
-      let c10 = (cxs *. unsafe_get dby (b + gx)) +. (txs *. unsafe_get dby (b + gx + 1)) in
-      let c01 = (cxs *. unsafe_get dby (b + gxy)) +. (txs *. unsafe_get dby (b + gxy + 1)) in
-      let c11 = (cxs *. unsafe_get dby (b + gxy + gx)) +. (txs *. unsafe_get dby (b + gxy + gx + 1)) in
-      let b_y = (czs *. ((cy *. c00) +. (fy *. c10))) +. (tzs *. ((cy *. c01) +. (fy *. c11))) in
-      let b = v + dxs + oy in
-      let c00 = (cxs *. unsafe_get dbz b) +. (txs *. unsafe_get dbz (b + 1)) in
-      let c10 = (cxs *. unsafe_get dbz (b + gx)) +. (txs *. unsafe_get dbz (b + gx + 1)) in
-      let c01 = (cxs *. unsafe_get dbz (b + gxy)) +. (txs *. unsafe_get dbz (b + gxy + 1)) in
-      let c11 = (cxs *. unsafe_get dbz (b + gxy + gx)) +. (txs *. unsafe_get dbz (b + gxy + gx + 1)) in
-      let b_z = (cz *. ((cys *. c00) +. (tys *. c10))) +. (fz *. ((cys *. c01) +. (tys *. c11))) in
-      (* Boris kick, as Push.boris *)
-      let ux1 = ux +. (qdt_2m *. e_x) in
-      let uy1 = uy +. (qdt_2m *. e_y) in
-      let uz1 = uz +. (qdt_2m *. e_z) in
-      let gamma_m = sqrt (1. +. (ux1 *. ux1) +. (uy1 *. uy1) +. (uz1 *. uz1)) in
-      let h = qdt_2m /. gamma_m in
-      let tx = h *. b_x and ty = h *. b_y and tz = h *. b_z in
-      let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-      let sx = 2. *. tx /. (1. +. t2) in
-      let sy = 2. *. ty /. (1. +. t2) in
-      let sz = 2. *. tz /. (1. +. t2) in
-      let px = ux1 +. ((uy1 *. tz) -. (uz1 *. ty)) in
-      let py = uy1 +. ((uz1 *. tx) -. (ux1 *. tz)) in
-      let pz = uz1 +. ((ux1 *. ty) -. (uy1 *. tx)) in
-      let ux2 = ux1 +. ((py *. sz) -. (pz *. sy)) +. (qdt_2m *. e_x) in
-      let uy2 = uy1 +. ((pz *. sx) -. (px *. sz)) +. (qdt_2m *. e_y) in
-      let uz2 = uz1 +. ((px *. sy) -. (py *. sx)) +. (qdt_2m *. e_z) in
-      (* periodic streaming *)
-      let fx1 = fx +. (move *. ux2) in
-      let fy1 = fy +. (move *. uy2) in
-      let fz1 = fz +. (move *. uz2) in
-      let fxw = if fx1 >= 1. then fx1 -. 1. else if fx1 < 0. then fx1 +. 1. else fx1 in
-      let fyw = if fy1 >= 1. then fy1 -. 1. else if fy1 < 0. then fy1 +. 1. else fy1 in
-      let fzw = if fz1 >= 1. then fz1 -. 1. else if fz1 < 0. then fz1 +. 1. else fz1 in
-      let i1 =
-        if fx1 >= 1. then (if i = nx then 1 else i + 1)
-        else if fx1 < 0. then (if i = 1 then nx else i - 1)
-        else i
-      in
-      let j1 =
-        if fy1 >= 1. then (if j = ny then 1 else j + 1)
-        else if fy1 < 0. then (if j = 1 then ny else j - 1)
-        else j
-      in
-      let k1 =
-        if fz1 >= 1. then (if k = nz then 1 else k + 1)
-        else if fz1 < 0. then (if k = 1 then nz else k - 1)
-        else k
-      in
-      unsafe_set sfx m (if fxw >= pred1 then pred1 else fxw);
-      unsafe_set sfy m (if fyw >= pred1 then pred1 else fyw);
-      unsafe_set sfz m (if fzw >= pred1 then pred1 else fzw);
-      unsafe_set sux m ux2;
-      unsafe_set suy m uy2;
-      unsafe_set suz m uz2;
-      if (i1 - i) lor (j1 - j) lor (k1 - k) <> 0 then begin
-        let v1 = i1 + (gx * (j1 + (gy * k1))) in
-        unsafe_set sv m (Int32.of_int v1);
-        go (m + 1) v1 i1 j1 k1
-      end
-      else go (m + 1) v i j k
-    in
-    go 0 (-1) 0 0 0
-  in
-  let f64_pass () =
-    (* scratch out-arrays, allocated once per pass as the seed's advance
-       did once per call *)
-    let fields = Array.make 6 0. in
-    let u = Array.make 3 0. in
-    for m = 0 to np - 1 do
-      let i = Array.unsafe_get ci m
-      and j = Array.unsafe_get cj m
-      and k = Array.unsafe_get ck m in
-      let fx = Array.unsafe_get lfx m
-      and fy = Array.unsafe_get lfy m
-      and fz = Array.unsafe_get lfz m in
-      Interp.gather_into f ~i ~j ~k ~fx ~fy ~fz ~out:fields;
-      u.(0) <- Array.unsafe_get lux m;
-      u.(1) <- Array.unsafe_get luy m;
-      u.(2) <- Array.unsafe_get luz m;
-      Push.boris ~u ~ex:fields.(0) ~ey:fields.(1) ~ez:fields.(2)
-        ~bx:fields.(3) ~by:fields.(4) ~bz:fields.(5) ~qdt_2m;
-      let ux2 = u.(0) and uy2 = u.(1) and uz2 = u.(2) in
-      (* periodic streaming *)
-      let fx1 = fx +. (move *. ux2) in
-      let fy1 = fy +. (move *. uy2) in
-      let fz1 = fz +. (move *. uz2) in
-      let fxw = if fx1 >= 1. then fx1 -. 1. else if fx1 < 0. then fx1 +. 1. else fx1 in
-      let fyw = if fy1 >= 1. then fy1 -. 1. else if fy1 < 0. then fy1 +. 1. else fy1 in
-      let fzw = if fz1 >= 1. then fz1 -. 1. else if fz1 < 0. then fz1 +. 1. else fz1 in
-      let i1 =
-        if fx1 >= 1. then (if i = nx then 1 else i + 1)
-        else if fx1 < 0. then (if i = 1 then nx else i - 1)
-        else i
-      in
-      let j1 =
-        if fy1 >= 1. then (if j = ny then 1 else j + 1)
-        else if fy1 < 0. then (if j = 1 then ny else j - 1)
-        else j
-      in
-      let k1 =
-        if fz1 >= 1. then (if k = nz then 1 else k + 1)
-        else if fz1 < 0. then (if k = 1 then nz else k - 1)
-        else k
-      in
-      Array.unsafe_set lfx m fxw;
-      Array.unsafe_set lfy m fyw;
-      Array.unsafe_set lfz m fzw;
-      Array.unsafe_set lux m ux2;
-      Array.unsafe_set luy m uy2;
-      Array.unsafe_set luz m uz2;
-      Array.unsafe_set ci m i1;
-      Array.unsafe_set cj m j1;
-      Array.unsafe_set ck m k1
-    done
-  in
-  (* warm both paths once, then time interleaved reps so slow clock /
-     thermal drift cancels instead of biasing whichever pass runs last *)
-  f32_pass ();
-  f64_pass ();
-  let reps = 6 in
-  let d32 = ref 0. and d64 = ref 0. in
-  for r = 1 to reps do
-    (* alternate order so slow drift biases neither layout *)
-    if r land 1 = 1 then begin
-      let _, d = Perf.timed f32_pass in
-      d32 := !d32 +. d;
-      let _, d = Perf.timed f64_pass in
-      d64 := !d64 +. d
-    end
-    else begin
-      let _, d = Perf.timed f64_pass in
-      d64 := !d64 +. d;
-      let _, d = Perf.timed f32_pass in
-      d32 := !d32 +. d
-    end
-  done;
-  let d32 = !d32 and d64 = !d64 in
-  let rate d = float_of_int (np * reps) /. d in
-  let r32 = rate d32 and r64 = rate d64 in
-  let bytes32 = Store.bytes_per_particle in
-  let bytes64 = (3 * 8) + (7 * 8) in
-  let t = Table.create [ "layout"; "bytes/particle"; "Mparticles/s"; "ns/particle" ] in
-  Table.add_row t
-    [ "f32 store (this PR)"; string_of_int bytes32;
-      Printf.sprintf "%.2f" (r32 /. 1e6);
-      Printf.sprintf "%.0f" (1e9 /. r32) ];
-  Table.add_row t
-    [ "f64 arrays (old)"; string_of_int bytes64;
-      Printf.sprintf "%.2f" (r64 /. 1e6);
-      Printf.sprintf "%.0f" (1e9 /. r64) ];
-  Table.print
-    ~title:(Printf.sprintf "push micro-kernel, %d sorted particles" np)
-    t;
-  pf "f32/f64 speedup: %.3fx\n" (r32 /. r64);
+(* Two A/Bs of the production Push.advance on a sorted thermal
+   population in random fields: direct strided gather/scatter against
+   the interpolator/accumulator memory system, then the scalar against
+   the block-vectorized kernel (and its SPE-stream form), closed by a
+   bitwise energy-parity check of the two kernels on a short srs deck. *)
+let push_bench ?(quick = false) () =
   (* -------- A/B: the production Push.advance, direct strided
      gather/scatter vs the interpolator/accumulator memory system.
-     Unlike the micro-kernel above, this times the whole advance
-     (gather, Boris, walk, current deposition) through the public API;
-     the interpolator pass pays its honest per-step overhead — the
-     coefficient load before the push and the accumulator unload after
-     it.  Each timed pass starts from a freshly sorted population so
-     both paths see the same locality the step loop maintains. *)
+     This times the whole advance (gather, Boris, walk, current
+     deposition) through the public API; the interpolator pass pays its
+     honest per-step overhead — the coefficient load before the push and
+     the accumulator unload after it.  Each timed pass starts from a
+     freshly sorted population so both paths see the same locality the
+     step loop maintains. *)
   pf "\n###### push A/B: direct gather/scatter vs interpolator/accumulator ######\n";
   let n2 = if quick then 16 else 64 in
   let ppc2 = if quick then 8 else 40 in
-  let l2 = float_of_int n2 *. (l /. float_of_int n) in
+  (* cells of size 0.5 *)
+  let l2 = float_of_int n2 *. 0.5 in
   let g2 =
     Grid.make ~nx:n2 ~ny:n2 ~nz:n2 ~lx:l2 ~ly:l2 ~lz:l2
       ~dt:(Grid.courant_dt ~dx:(l2 /. float_of_int n2)
@@ -1051,20 +771,9 @@ let push_layout_bench ?(quick = false) () =
   let e_diff = e_block -. e_scalar in
   pf "energy parity over %d srs steps: scalar %.17g | block %.17g | diff %g\n"
     parity_steps e_scalar e_block e_diff;
-  write_bench_json ~file:"BENCH_push.json" ~bench:"push-layout" ~ranks:1
+  write_bench_json ~file:"BENCH_push.json" ~bench:"push" ~ranks:1
     ~results:
-      [ ("particles", string_of_int np);
-        ("reps", string_of_int reps);
-        ( "f32_store",
-          json_obj
-            [ ("bytes_per_particle", string_of_int bytes32);
-              ("particles_per_sec", json_num r32) ] );
-        ( "f64_legacy",
-          json_obj
-            [ ("bytes_per_particle", string_of_int bytes64);
-              ("particles_per_sec", json_num r64) ] );
-        ("speedup", Printf.sprintf "%.4f" (r32 /. r64));
-        ( "interp_accum",
+      [ ( "interp_accum",
           json_obj
             [ ("particles", string_of_int np2);
               ("reps", string_of_int reps2);
@@ -1095,144 +804,6 @@ let push_layout_bench ?(quick = false) () =
               ("energy_scalar", json_num e_scalar);
               ("energy_block", json_num e_block);
               ("energy_diff", json_num e_diff) ] ) ]
-
-(* ------------------------------------------------------ exchange bench *)
-
-(* Data-motion bench on a 2-rank x-split domain.  Two measurements:
-
-   1. One step's worth of ghost traffic (three 6-component EM fills plus
-      one 3-component current fold, the sequence Simulation.step issues)
-      through the persistent ports vs the legacy mailbox path it
-      replaced, interleaved in the same process.
-   2. A real stepped run with particles, reporting the per-step ghost
-      exchange and migration wall time and the payload bytes moved.  *)
-let exchange_bench () =
-  pf "\n###### exchange: persistent ports vs legacy mailbox (2 ranks) ######\n";
-  let module Exchange = Vpic_parallel.Exchange in
-  let ranks = 2 in
-  let reps = 150 in
-  let steps = 40 in
-  let gnx = 2 * 12 in
-  let d =
-    Decomp.make ~px:ranks ~py:1 ~pz:1 ~gnx ~gny:12 ~gnz:12
-      ~lx:(0.5 *. float_of_int gnx) ~ly:6. ~lz:6.
-  in
-  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
-  Trace.reset ();
-  let results =
-    Comm.run ~ranks (fun c ->
-        let rank = Comm.rank c in
-        (* spans (not the deleted phase timers) time the stepped run *)
-        Trace.enable ~rank ();
-        let grid = Decomp.local_grid d ~dt ~rank in
-        let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
-        (* --- microbench: one step's ghost traffic, both paths --- *)
-        let ports = Exchange.create c bc grid in
-        let f = Em_field.create grid in
-        let rng = Rng.of_int (17 + rank) in
-        List.iter
-          (fun sf -> Sf.map_inplace sf (fun _ -> Rng.uniform rng -. 0.5))
-          (Em_field.em_components f);
-        let ems = Em_field.em_components f and js = Em_field.j_components f in
-        let ports_step () =
-          Exchange.fill_ghosts ports ems;
-          Exchange.fill_ghosts ports ems;
-          Exchange.fill_ghosts ports ems;
-          Exchange.fold_ghosts ports js
-        in
-        let legacy_step () =
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fold_ghosts c bc js
-        in
-        (* warm both paths, then time alternating blocks so clock and
-           scheduler drift cancels instead of biasing the later path *)
-        ports_step ();
-        legacy_step ();
-        let b0 = Exchange.bytes_moved ports in
-        let block = 25 in
-        let rounds = reps / block in
-        let d_ports = ref 0. and d_legacy = ref 0. in
-        let timed_block f acc =
-          Comm.barrier c;
-          let (), d = Perf.timed (fun () -> for _ = 1 to block do f () done) in
-          acc := !acc +. d
-        in
-        for r = 1 to rounds do
-          if r land 1 = 1 then begin
-            timed_block ports_step d_ports;
-            timed_block legacy_step d_legacy
-          end
-          else begin
-            timed_block legacy_step d_legacy;
-            timed_block ports_step d_ports
-          end
-        done;
-        let nsteps = float_of_int (rounds * block) in
-        let t_ports = Comm.allreduce_max c (!d_ports /. nsteps) in
-        let t_legacy = Comm.allreduce_max c (!d_legacy /. nsteps) in
-        let ghost_bytes_per_step =
-          (Exchange.bytes_moved ports -. b0) /. (nsteps +. 1.)
-        in
-        (* --- real stepped run: per-step exchange/migrate time + bytes --- *)
-        let coupler = Coupler.parallel c bc ~grid in
-        let sim = Simulation.make ~grid ~coupler () in
-        let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-        ignore (Loader.maxwellian (Rng.of_int (3 + rank)) e ~ppc:24 ~uth:0.1 ());
-        Simulation.run sim ~steps ();
-        let phase_s names =
-          List.fold_left
-            (fun acc n -> acc +. Trace.phase_seconds (Trace.intern n))
-            0. names
-        in
-        let per names = phase_s names /. float_of_int steps in
-        let exch =
-          per
-            [ "exchange.fill_begin"; "exchange.fill_finish"; "exchange.fill";
-              "exchange.fold" ]
-        in
-        let mig = per [ "migrate" ] in
-        ( t_ports, t_legacy, ghost_bytes_per_step,
-          Comm.allreduce_max c exch,
-          Comm.allreduce_max c mig,
-          Comm.allreduce_sum c (coupler.Coupler.comm_bytes () /. float_of_int steps) ))
-  in
-  Trace.reset ();
-  let t_ports, t_legacy, ghost_bytes, t_exch, t_mig, run_bytes = results.(0) in
-  let t = Table.create [ "path"; "us/step (ghost traffic)"; "KiB/step/rank" ] in
-  Table.add_row t
-    [ "persistent ports"; Printf.sprintf "%.1f" (t_ports *. 1e6);
-      Printf.sprintf "%.1f" (ghost_bytes /. 1024.) ];
-  Table.add_row t
-    [ "legacy mailbox"; Printf.sprintf "%.1f" (t_legacy *. 1e6); "(same payload)" ];
-  Table.print ~title:"ghost exchange: 3 EM fills + 1 current fold per step" t;
-  pf "port/mailbox speedup: %.3fx\n" (t_legacy /. t_ports);
-  let t = Table.create [ "phase"; "us/step"; "note" ] in
-  Table.add_row t
-    [ "ghost exchange"; Printf.sprintf "%.1f" (t_exch *. 1e6);
-      "fills + folds, measured in Simulation.step" ];
-  Table.add_row t
-    [ "migration"; Printf.sprintf "%.1f" (t_mig *. 1e6);
-      "mover shipping + finishing" ];
-  Table.add_row t
-    [ "payload"; Printf.sprintf "%.1f KiB" (run_bytes /. 1024.);
-      "all ranks, per step" ];
-  Table.print ~title:(Printf.sprintf "stepped run, %d steps, 2 ranks" steps) t;
-  write_bench_json ~file:"BENCH_exchange.json" ~bench:"exchange" ~ranks
-    ~results:
-      [ ( "ghost_traffic",
-          json_obj
-            [ ("ports_s_per_step", json_num t_ports);
-              ("legacy_s_per_step", json_num t_legacy);
-              ("bytes_per_step_per_rank", Printf.sprintf "%.0f" ghost_bytes);
-              ("speedup", Printf.sprintf "%.4f" (t_legacy /. t_ports)) ] );
-        ( "stepped_run",
-          json_obj
-            [ ("steps", string_of_int steps);
-              ("exchange_s_per_step", json_num t_exch);
-              ("migrate_s_per_step", json_num t_mig);
-              ("payload_bytes_per_step", Printf.sprintf "%.0f" run_bytes) ] ) ]
 
 (* ----------------------------------------------------- whole-step bench *)
 
@@ -1692,17 +1263,16 @@ let () =
     | "v1" -> v1_two_stream ()
     | "v2" -> v2_plasma_oscillation ()
     | "kernels" ->
-        push_layout_bench ~quick ();
+        push_bench ~quick ();
         bechamel_kernels ()
-    | "push" -> push_layout_bench ~quick ()
-    | "exchange" -> exchange_bench ()
+    | "push" -> push_bench ~quick ()
     | "step" -> step_bench ()
     | "rebalance" -> rebalance_bench ()
     | "smp" -> smp_bench ~quick ()
     | "campaign" -> campaign_bench ~quick ()
     | other ->
-        pf "unknown section %s (e1..e6, v1, v2, push, exchange, step, \
-            rebalance, smp, campaign, kernels, figures)\n"
+        pf "unknown section %s (e1..e6, v1, v2, push, step, rebalance, smp, \
+            campaign, kernels, figures)\n"
           other
   in
   List.iter run sections;

@@ -71,7 +71,7 @@ let no_absorbing bc =
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
 let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
-    ?(pusher = Push.Boris) ?(kernel = Push.Scalar) ?region t s f bc =
+    ?(kernel = Push.Scalar) ?region t s f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
      fixed-count DMA block accounting — except over an `Interior region,
      whose particles cannot reach a wall by construction. *)
@@ -103,11 +103,11 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
     let st =
       match region with
       | Some (`Interior d) ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~pusher
-            ~kernel ~region:(`Interior d) s f bc
+          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~kernel
+            ~region:(`Interior d) s f bc
       | None ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~pusher
-            ~kernel s f bc
+          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~kernel
+            s f bc
     in
     assert (st.Push.absorbed = 0);
     totals := Push.sum_stats !totals st;

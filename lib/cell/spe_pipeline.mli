@@ -51,7 +51,7 @@ val ledger : t -> ledger
     particles per voxel used to amortise interpolator/accumulator traffic
     (defaults to the species' actual average over occupied voxels).
 
-    [interp]/[accum]/[rng]/[pusher]/[kernel] pass straight through to
+    [interp]/[accum]/[rng]/[kernel] pass straight through to
     [Push.advance], so the production interpolator fast path (and the
     block kernel) can stream through the pipeline.  [region:(`Interior
     d)] restricts each block to non-shell particles, deferring shell
@@ -64,7 +64,6 @@ val advance_species :
   ?interp:Vpic_particle.Interpolator.t ->
   ?accum:Vpic_particle.Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?pusher:Vpic_particle.Push.kind ->
   ?kernel:Vpic_particle.Push.kernel ->
   ?region:[ `Interior of Vpic_particle.Push.Defer.t ] ->
   t ->

@@ -3,13 +3,12 @@ module Sf = Vpic_grid.Scalar_field
 module Em_field = Vpic_field.Em_field
 module Species = Vpic_particle.Species
 module Store = Vpic_particle.Store
-module Push = Vpic_particle.Push
 module Crc32 = Vpic_util.Crc32
 module Rng = Vpic_util.Rng
 module Fault = Vpic_util.Fault
 module A1 = Bigarray.Array1
 
-let format_version = 8
+let format_version = 9
 
 exception Corrupt of { path : string; reason : string }
 exception Version_mismatch of { path : string; found : int; expected : int }
@@ -43,7 +42,6 @@ type meta_snap = {
   current_filter_passes : int;
   absorber_thickness : int;
   absorber_strength : float;
-  pusher : Push.kind;
   interp_accum : bool;
   push_rng : Rng.state;
   migrate_rng : Rng.state option;
@@ -70,8 +68,8 @@ type meta_snap = {
 
      meta     nstep; nx ny nz; lx ly lz dt x0 y0 z0; sort_interval;
               clean_div_interval; marder_passes; current_filter_passes;
-              absorber_thickness; absorber_strength; pusher tag (u8);
-              interp_accum (u8); push RNG {st; sp; has_sp (u8)};
+              absorber_thickness; absorber_strength; interp_accum (u8);
+              push RNG {st; sp; has_sp (u8)};
               migrate RNG presence byte, then its state if present;
               block_id; nblocks; workers
      fields   component count (int32), then per component its name, its
@@ -178,8 +176,6 @@ let put_i32s w (a : Store.i32) n =
     set32u b (p + (4 * i)) (le32 (A1.unsafe_get a i))
   done
 
-let pusher_tag = function Push.Boris -> 0 | Push.Vay -> 1 | Push.Higuera_cary -> 2
-
 let snap_meta ~block_id ~nblocks (t : Simulation.t) =
   let g = t.Simulation.grid in
   let lx, ly, lz = Grid.extent g in
@@ -201,7 +197,6 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     current_filter_passes = t.Simulation.current_filter_passes;
     absorber_thickness = t.Simulation.absorber_thickness;
     absorber_strength = t.Simulation.absorber_strength;
-    pusher = t.Simulation.pusher;
     interp_accum = t.Simulation.interp_accum <> None;
     push_rng = Rng.state t.Simulation.push_rng;
     migrate_rng =
@@ -211,8 +206,8 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     workers = (Simulation.pool t).Vpic_util.Pool.lanes }
 
 let meta_bytes m =
-  (* 12 ints, 7 grid floats + absorber_strength, 3 tag/flag bytes *)
-  (12 * 8) + (8 * 8) + 3 + rng_bytes
+  (* 12 ints, 7 grid floats + absorber_strength, 2 flag bytes *)
+  (12 * 8) + (8 * 8) + 2 + rng_bytes
   + (match m.migrate_rng with Some _ -> rng_bytes | None -> 0)
 
 let put_meta w m =
@@ -224,7 +219,6 @@ let put_meta w m =
     [ m.sort_interval; m.clean_div_interval; m.marder_passes;
       m.current_filter_passes; m.absorber_thickness ];
   put_f64 w m.absorber_strength;
-  put_u8 w (pusher_tag m.pusher);
   put_bool w m.interp_accum;
   put_rng w m.push_rng;
   (match m.migrate_rng with
@@ -480,13 +474,6 @@ let get_meta r =
   let current_filter_passes = int "current_filter_passes" in
   let absorber_thickness = int "absorber_thickness" in
   let absorber_strength = flt "absorber_strength" in
-  let pusher =
-    match get_u8 r "pusher" with
-    | 0 -> Push.Boris
-    | 1 -> Push.Vay
-    | 2 -> Push.Higuera_cary
-    | v -> corrupt r.path "unknown pusher tag %d" v
-  in
   let interp_accum = get_bool r "interp_accum" in
   let push_rng = get_rng r "push_rng" in
   let migrate_rng =
@@ -507,7 +494,9 @@ let get_meta r =
     (sort_interval >= 0 && clean_div_interval >= 0 && marder_passes >= 0
    && current_filter_passes >= 0)
     "step intervals";
-  check (current_filter_passes = 0 || clean_div_interval > 0) "current filter";
+  check
+    (current_filter_passes = 0 || (clean_div_interval > 0 && interp_accum))
+    "current filter";
   check (absorber_thickness >= 1) "absorber_thickness";
   check (absorber_strength > 0. && absorber_strength < 1.) "absorber_strength";
   check (nblocks >= 1 && block_id >= 0 && block_id < nblocks) "block identity";
@@ -520,7 +509,6 @@ let get_meta r =
     current_filter_passes;
     absorber_thickness;
     absorber_strength;
-    pusher;
     interp_accum;
     push_rng;
     migrate_rng;
@@ -629,7 +617,7 @@ let decode_image ?expect_block ?perf ~coupler ~path data =
       ~marder_passes:meta.marder_passes
       ~absorber_thickness:meta.absorber_thickness
       ~absorber_strength:meta.absorber_strength
-      ~current_filter_passes:meta.current_filter_passes ~pusher:meta.pusher
+      ~current_filter_passes:meta.current_filter_passes
       ~interp_accum:meta.interp_accum ?perf ~grid ~coupler ()
   in
   t.Simulation.nstep <- meta.nstep;

@@ -2,13 +2,12 @@
 
     Serialises the full simulation state (step counter, every field
     component, every species, both RNG streams) to a single file per
-    rank.  The file (format v8) carries a magic, a format version and
+    rank.  The file (format v9) carries a magic, a format version and
     three sections (meta, fields, species), each with its length and
     CRC-32.  The payloads are an explicit little-endian encoding, not
     [Marshal]:
     - meta: each field in turn — ints as int64, floats as IEEE-754 bits,
-      the RNG states field by field, the pusher as a tag byte, options
-      behind a presence byte;
+      the RNG states field by field, options behind a presence byte;
     - fields: per component a length-prefixed name, the voxel count and
       the float64 values, read straight from the field's bigarray;
     - species: per species its name, [q], [m] and [np], then the int32

@@ -87,7 +87,6 @@ type t = {
   clean_div_interval : int;
   marder_passes : int;
   current_filter_passes : int;
-  pusher : Push.kind;
   mutable push_backend : push_backend;
       (* interior-push engine; mutable so restores and relocated blocks
          can re-apply the run's selection (never serialised) *)
@@ -123,10 +122,14 @@ let spe_pipeline_for = function
 
 let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     ?(absorber_thickness = 8) ?(absorber_strength = 0.15)
-    ?(current_filter_passes = 0) ?(pusher = Push.Boris)
-    ?(push_backend = Host_scalar) ?(interp_accum = true) ?perf
-    ?(pool = Vpic_util.Pool.serial) ~grid ~coupler () =
+    ?(current_filter_passes = 0) ?(push_backend = Host_scalar)
+    ?(interp_accum = true) ?perf ?(pool = Vpic_util.Pool.serial) ~grid
+    ~coupler () =
   assert (current_filter_passes = 0 || clean_div_interval > 0);
+  if current_filter_passes > 0 && not interp_accum then
+    invalid_arg
+      "Simulation.make: current_filter_passes > 0 needs interp_accum (the \
+       smoothed fields are gathered through the interpolator)";
   let perf = match perf with Some p -> p | None -> Perf.create () in
   { grid;
     fields = Em_field.create grid;
@@ -142,7 +145,6 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     clean_div_interval;
     marder_passes;
     current_filter_passes;
-    pusher;
     push_backend;
     spe = spe_pipeline_for push_backend;
     interp_accum =
@@ -279,9 +281,8 @@ let phase_push_interior t species_scratch =
         (fun (s, sc) ->
           let st =
             Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ?interp
-              ?accum ~rng:t.push_rng ~pusher:t.pusher ~kernel
-              ~region:(`Interior sc.defer) pipe s t.fields
-              t.coupler.Coupler.bc
+              ?accum ~rng:t.push_rng ~kernel ~region:(`Interior sc.defer)
+              pipe s t.fields t.coupler.Coupler.bc
           in
           phase := add_stats !phase st)
         species_scratch
@@ -290,8 +291,8 @@ let phase_push_interior t species_scratch =
         (fun (s, sc) ->
           let st =
             Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
-              ~defer:sc.defer ?interp ?accum ~rng:t.push_rng
-              ~pusher:t.pusher ~kernel s t.fields t.coupler.Coupler.bc
+              ~defer:sc.defer ?interp ?accum ~rng:t.push_rng ~kernel s
+              t.fields t.coupler.Coupler.bc
           in
           phase := add_stats !phase st)
         species_scratch);
@@ -319,8 +320,8 @@ let phase_push_boundary t species_scratch =
     (fun (s, sc) ->
       let st =
         Push.advance ~perf:t.perf ~region:(`Deferred sc.defer)
-          ~movers:sc.movers ?interp ?accum ~rng:t.push_rng
-          ~pusher:t.pusher s t.fields t.coupler.Coupler.bc
+          ~movers:sc.movers ?interp ?accum ~rng:t.push_rng s t.fields
+          t.coupler.Coupler.bc
       in
       t.push_stats <- add_stats t.push_stats st)
     species_scratch;
@@ -415,8 +416,9 @@ let step t =
   (match t.smoothed with
   | Some sm ->
       (* When filtering, particles gather from a binomially smoothed copy
-         of E and B: the same symmetric kernel later applied to J makes
-         the force/current coupling adjoint, avoiding secular
+         of E and B, loaded into the interpolator ([make] rejects
+         filtering without one): the same symmetric kernel later applied
+         to J makes the force/current coupling adjoint, avoiding secular
          self-heating.  Building the copy needs complete ghosts, so this
          path finishes the fill first and pushes unsplit. *)
       Trace.begin_span sid_fill_finish;
@@ -441,10 +443,9 @@ let step t =
       List.iter
         (fun (s, sc) ->
           let st =
-            Push.advance ~perf:t.perf ~movers:sc.movers ~gather_from:sm
-              ?interp ?accum ~rng:t.push_rng ~pusher:t.pusher
-              ~kernel:(push_backend_kernel t.push_backend) s t.fields
-              c.Coupler.bc
+            Push.advance ~perf:t.perf ~movers:sc.movers ?interp ?accum
+              ~rng:t.push_rng ~kernel:(push_backend_kernel t.push_backend) s
+              t.fields c.Coupler.bc
           in
           phase := add_stats !phase st)
         species_scratch;

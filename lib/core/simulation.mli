@@ -62,7 +62,6 @@ type t = {
   clean_div_interval : int;
   marder_passes : int;
   current_filter_passes : int;
-  pusher : Vpic_particle.Push.kind;
   mutable push_backend : push_backend;
       (** interior-push engine (see {!push_backend}); set via [make] or
           {!set_push_backend} *)
@@ -100,7 +99,10 @@ type t = {
     particles gather — VPIC's optional noise filter; matched (symmetric)
     smoothing of force and current keeps the coupling energy-consistent.
     Filtered J breaks discrete continuity at the grid scale, so keep the
-    Marder clean enabled when using it.
+    Marder clean enabled when using it.  The smoothed E/B reach the
+    particles through the interpolator, so filtering requires
+    [interp_accum]: [make] raises [Invalid_argument] for
+    [current_filter_passes > 0] with [~interp_accum:false].
     [interp_accum] (default true) routes the push through the VPIC
     interpolator/accumulator memory system: field coefficients load into
     one 72-byte block per voxel before each push and scattered currents
@@ -119,7 +121,6 @@ val make :
   ?absorber_thickness:int ->
   ?absorber_strength:float ->
   ?current_filter_passes:int ->
-  ?pusher:Vpic_particle.Push.kind ->
   ?push_backend:push_backend ->
   ?interp_accum:bool ->
   ?perf:Vpic_util.Perf.counters ->

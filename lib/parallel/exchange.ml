@@ -634,126 +634,3 @@ module Blocks = struct
 
   let deadline t = t.deadline
 end
-
-(* ---------------------------------------------------- legacy (shim) ---- *)
-
-(* The pre-port implementation over the blocking mailbox API, retained so
-   the exchange bench can measure the port path against it in the same
-   process.  Allocates one payload array per message. *)
-module Legacy = struct
-  (* Tag layout shared by fill and fold: purpose, axis, direction of
-     travel — the mailbox analogue of [slot] above.  User tags must stay
-     clear of the reserved collective range (negative). *)
-  let tag ~purpose ~axis ~dir =
-    let t = (purpose * 100000) + (Axis.index axis * 10) + dir in
-    assert (not (Comm.tag_is_reserved t));
-    t
-
-  let pack scalars ~axis ~index =
-    match scalars with
-    | [] -> [||]
-    | first :: _ ->
-        let psize = Sf.plane_size (Sf.grid first) ~axis in
-        let out = Array.make (List.length scalars * psize) 0. in
-        List.iteri
-          (fun slot f ->
-            let p = Sf.extract_plane f ~axis ~index in
-            Array.blit p 0 out (slot * psize) psize)
-          scalars;
-        out
-
-  let unpack scalars ~axis ~index ~accumulate payload =
-    match scalars with
-    | [] -> ()
-    | first :: _ ->
-        let psize = Sf.plane_size (Sf.grid first) ~axis in
-        assert (Array.length payload = List.length scalars * psize);
-        List.iteri
-          (fun slot f ->
-            let p = Array.sub payload (slot * psize) psize in
-            if accumulate then Sf.add_plane f ~axis ~index p
-            else Sf.set_plane f ~axis ~index p)
-          scalars
-
-  let fill_ghosts comm bc scalars =
-    match scalars with
-    | [] -> ()
-    | first :: _ ->
-        let g = Sf.grid first in
-        List.iter
-          (fun axis ->
-            let n = interior_extent g axis in
-            List.iter
-              (fun side ->
-                match Bc.face bc axis side with
-                | Bc.Domain nbr ->
-                    let src_plane, dir =
-                      match side with `Hi -> (n, 1) | `Lo -> (1, 0)
-                    in
-                    Comm.send comm ~dst:nbr
-                      ~tag:(tag ~purpose:purpose_fill ~axis ~dir)
-                      (pack scalars ~axis ~index:src_plane)
-                | _ -> ())
-              sides;
-            List.iter
-              (fun side ->
-                match Bc.face bc axis side with
-                | Bc.Domain nbr ->
-                    let ghost_plane, dir =
-                      match side with `Lo -> (0, 1) | `Hi -> (n + 1, 0)
-                    in
-                    let data =
-                      Comm.recv comm ~src:nbr
-                        ~tag:(tag ~purpose:purpose_fill ~axis ~dir)
-                    in
-                    unpack scalars ~axis ~index:ghost_plane ~accumulate:false
-                      data
-                | kind ->
-                    List.iter
-                      (fun f -> Boundary.fill_face kind f ~axis ~side)
-                      scalars)
-              sides)
-          Axis.all
-
-  let fold_ghosts comm bc scalars =
-    match scalars with
-    | [] -> ()
-    | first :: _ ->
-        let g = Sf.grid first in
-        List.iter
-          (fun axis ->
-            let n = interior_extent g axis in
-            List.iter
-              (fun side ->
-                match Bc.face bc axis side with
-                | Bc.Domain nbr ->
-                    let ghost_plane, dir =
-                      match side with `Lo -> (0, 0) | `Hi -> (n + 1, 1)
-                    in
-                    Comm.send comm ~dst:nbr
-                      ~tag:(tag ~purpose:purpose_fold ~axis ~dir)
-                      (pack scalars ~axis ~index:ghost_plane);
-                    List.iter
-                      (fun f -> Sf.fill_plane f ~axis ~index:ghost_plane 0.)
-                      scalars
-                | _ -> ())
-              sides;
-            List.iter
-              (fun side ->
-                match Bc.face bc axis side with
-                | Bc.Domain nbr ->
-                    let dst_plane, dir =
-                      match side with `Hi -> (n, 0) | `Lo -> (1, 1)
-                    in
-                    let data =
-                      Comm.recv comm ~src:nbr
-                        ~tag:(tag ~purpose:purpose_fold ~axis ~dir)
-                    in
-                    unpack scalars ~axis ~index:dst_plane ~accumulate:true data
-                | kind ->
-                    List.iter
-                      (fun f -> Boundary.fold_face kind f ~axis ~side)
-                      scalars)
-              sides)
-          Axis.all
-end

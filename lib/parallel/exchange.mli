@@ -147,13 +147,3 @@ module Blocks : sig
   val migrate_recv :
     t -> block:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port
 end
-
-(** {1 Legacy blocking path}
-
-    The pre-port implementation over the mailbox API (one allocated
-    payload per message), retained as an in-process baseline for
-    [bench -- exchange]. *)
-module Legacy : sig
-  val fill_ghosts : Comm.t -> Bc.t -> Sf.t list -> unit
-  val fold_ghosts : Comm.t -> Bc.t -> Sf.t list -> unit
-end

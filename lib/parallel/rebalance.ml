@@ -185,8 +185,8 @@ let bytes_of_floats a =
   done;
   out
 
-(* Mailbox tag space for shipped blocks; clear of the Legacy exchange
-   tags (< 300000) and the reserved collective range. *)
+(* Mailbox tag space for shipped blocks, clear of the reserved
+   collective range. *)
 let ship_tag b =
   let t = 7_000_000 + b in
   assert (not (Comm.tag_is_reserved t));

@@ -144,13 +144,6 @@ type stats = {
   block_cleanup : int;
 }
 
-type kind = Boris | Vay | Higuera_cary
-
-let kind_to_string = function
-  | Boris -> "boris"
-  | Vay -> "vay"
-  | Higuera_cary -> "higuera-cary"
-
 let boris ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
   let ux = u.(0) +. (qdt_2m *. ex) in
   let uy = u.(1) +. (qdt_2m *. ey) in
@@ -173,73 +166,6 @@ let boris ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
   u.(0) <- ux +. (qdt_2m *. ex);
   u.(1) <- uy +. (qdt_2m *. ey);
   u.(2) <- uz +. (qdt_2m *. ez)
-
-(* Shared tail of the Vay/Higuera-Cary updates: given the effective
-   momentum [px,py,pz], the new-gamma solution of
-   g^2 = (sigma + sqrt(sigma^2 + 4 (tau^2 + w^2)))/2 with w = p.tau,
-   apply the t = tau/g rotation-projection. *)
-let drift_preserving_tail ~u ~px ~py ~pz ~tx ~ty ~tz =
-  let tau2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-  let w = (px *. tx) +. (py *. ty) +. (pz *. tz) in
-  let gamma_p2 = 1. +. (px *. px) +. (py *. py) +. (pz *. pz) in
-  let sigma = gamma_p2 -. tau2 in
-  let gamma_new =
-    sqrt (0.5 *. (sigma +. sqrt ((sigma *. sigma) +. (4. *. (tau2 +. (w *. w))))))
-  in
-  let tx = tx /. gamma_new and ty = ty /. gamma_new and tz = tz /. gamma_new in
-  let s = 1. /. (1. +. ((tx *. tx) +. (ty *. ty) +. (tz *. tz))) in
-  let pdt = (px *. tx) +. (py *. ty) +. (pz *. tz) in
-  u.(0) <- s *. (px +. (pdt *. tx) +. ((py *. tz) -. (pz *. ty)));
-  u.(1) <- s *. (py +. (pdt *. ty) +. ((pz *. tx) -. (px *. tz)));
-  u.(2) <- s *. (pz +. (pdt *. tz) +. ((px *. ty) -. (py *. tx)))
-
-let vay ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
-  (* Vay (2008): full-E kick plus half v x B using the OLD velocity, then
-     the drift-preserving gamma solve and rotation. *)
-  let ux = u.(0) and uy = u.(1) and uz = u.(2) in
-  let gamma = sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz)) in
-  let vx = ux /. gamma and vy = uy /. gamma and vz = uz /. gamma in
-  let px =
-    ux +. (2. *. qdt_2m *. ex) +. (qdt_2m *. ((vy *. bz) -. (vz *. by)))
-  in
-  let py =
-    uy +. (2. *. qdt_2m *. ey) +. (qdt_2m *. ((vz *. bx) -. (vx *. bz)))
-  in
-  let pz =
-    uz +. (2. *. qdt_2m *. ez) +. (qdt_2m *. ((vx *. by) -. (vy *. bx)))
-  in
-  drift_preserving_tail ~u ~px ~py ~pz ~tx:(qdt_2m *. bx) ~ty:(qdt_2m *. by)
-    ~tz:(qdt_2m *. bz)
-
-let higuera_cary ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
-  (* Higuera & Cary (2017): half-E kick, drift-preserving rotation with
-     gamma from the implicit mid-step solve, rotation applied twice via
-     the closing u+ x t term, then the second half-E kick. *)
-  let px = u.(0) +. (qdt_2m *. ex) in
-  let py = u.(1) +. (qdt_2m *. ey) in
-  let pz = u.(2) +. (qdt_2m *. ez) in
-  drift_preserving_tail ~u ~px ~py ~pz ~tx:(qdt_2m *. bx) ~ty:(qdt_2m *. by)
-    ~tz:(qdt_2m *. bz);
-  (* after the tail, u holds u+ (the half-rotated momentum); close with
-     the u+ x t term at the same mid-step gamma, then the final E
-     half-kick (the published HC2017 update) *)
-  let upx = u.(0) and upy = u.(1) and upz = u.(2) in
-  let tau2 =
-    (qdt_2m *. bx *. qdt_2m *. bx) +. (qdt_2m *. by *. qdt_2m *. by)
-    +. (qdt_2m *. bz *. qdt_2m *. bz)
-  in
-  let w = (px *. qdt_2m *. bx) +. (py *. qdt_2m *. by) +. (pz *. qdt_2m *. bz) in
-  let gamma_m2 = 1. +. (px *. px) +. (py *. py) +. (pz *. pz) in
-  let sigma = gamma_m2 -. tau2 in
-  let gamma_new =
-    sqrt (0.5 *. (sigma +. sqrt ((sigma *. sigma) +. (4. *. (tau2 +. (w *. w))))))
-  in
-  let tx = qdt_2m *. bx /. gamma_new
-  and ty = qdt_2m *. by /. gamma_new
-  and tz = qdt_2m *. bz /. gamma_new in
-  u.(0) <- upx +. (qdt_2m *. ex) +. ((upy *. tz) -. (upz *. ty));
-  u.(1) <- upy +. (qdt_2m *. ey) +. ((upz *. tx) -. (upx *. tz));
-  u.(2) <- upz +. (qdt_2m *. ez) +. ((upx *. ty) -. (upy *. tx))
 
 (* Deposit one straight segment (x1..x2 etc, in-cell coordinates in [0,1])
    of a particle with per-axis current coefficients (cx,cy,cz) into the
@@ -495,9 +421,8 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
   done;
   !status
 
-let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
-    ?interp ?accum ?rng ?(pusher = Boris) ?(kernel = Scalar) ?(region = `All)
-    (s : Species.t) f bc =
+let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
+    ?rng ?(kernel = Scalar) ?(region = `All) (s : Species.t) f bc =
   (match kernel with
   | Scalar -> ()
   | Block { width } ->
@@ -505,8 +430,6 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
         invalid_arg "Push.advance: block width must be in [1,16]");
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
-  let gf = match gather_from with Some gf -> gf | None -> f in
-  assert (g == gf.Vpic_field.Em_field.grid);
   (match interp with
   | Some it -> assert (Interpolator.grid it == g)
   | None -> ());
@@ -530,7 +453,6 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
       ?acc:(Option.map Accumulator.data accum)
       g f bc ~segments ~reflected ~refluxed
   in
-  let fields = Array.make 6 0. in
   let u = Array.make 3 0. in
   let wk = Array.make 6 0. in
   let cell = Array.make 3 0 in
@@ -551,18 +473,18 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
   let sw = st.Store.w in
   let open Bigarray.Array1 in
-  (* Boris fast path: the gather and the rotation are done with local
-     unboxed arithmetic instead of cross-module calls (which box every
-     float argument on this toolchain).  The formulas below are copied
-     verbatim from Interp.tri / Interp.gather_into / boris, in the same
-     evaluation order, so results are bit-identical to the generic
-     path. *)
-  let dex = Sf.data gf.Vpic_field.Em_field.ex
-  and dey = Sf.data gf.Vpic_field.Em_field.ey
-  and dez = Sf.data gf.Vpic_field.Em_field.ez
-  and dbx = Sf.data gf.Vpic_field.Em_field.bx
-  and dby = Sf.data gf.Vpic_field.Em_field.by
-  and dbz = Sf.data gf.Vpic_field.Em_field.bz in
+  (* The gather and the Boris rotation are inlined as local unboxed
+     arithmetic instead of cross-module calls (which box every float
+     argument on this toolchain).  The formulas below are those of
+     Interp.tri / Interp.gather_into / boris, in the same evaluation
+     order, so results are bit-identical to those reference
+     functions. *)
+  let dex = Sf.data f.Vpic_field.Em_field.ex
+  and dey = Sf.data f.Vpic_field.Em_field.ey
+  and dez = Sf.data f.Vpic_field.Em_field.ez
+  and dbx = Sf.data f.Vpic_field.Em_field.bx
+  and dby = Sf.data f.Vpic_field.Em_field.by
+  and dbz = Sf.data f.Vpic_field.Em_field.bz in
   let ggx = env.gx and ggxy = env.gxy in
   let tri8 (a : Sf.data) v tx ty tz =
     let sx0 = 1. -. tx and sy0 = 1. -. ty and sz0 = 1. -. tz in
@@ -671,8 +593,8 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
     cell.(1) <- cj;
     cell.(2) <- ck;
     (* f32 reads widen to f64 losslessly; all arithmetic below is f64. *)
-    (match (pusher, idata) with
-    | Boris, Some _ ->
+    (match idata with
+    | Some _ ->
         (* Interpolator gather: evaluate the run-cached expansion — the
            same arithmetic as Interpolator.gather_into — then the Boris
            rotation exactly as in the direct arm below. *)
@@ -705,7 +627,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
         u.(0) <- ux +. (qdt_2m *. ex);
         u.(1) <- uy +. (qdt_2m *. ey);
         u.(2) <- uz +. (qdt_2m *. ez)
-    | Boris, None ->
+    | None ->
         let fx = unsafe_get sfx n
         and fy = unsafe_get sfy n
         and fz = unsafe_get sfz n in
@@ -740,34 +662,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
         let uz = uz +. ((px *. sy) -. (py *. sx)) in
         u.(0) <- ux +. (qdt_2m *. ex);
         u.(1) <- uy +. (qdt_2m *. ey);
-        u.(2) <- uz +. (qdt_2m *. ez)
-    | (Vay | Higuera_cary), _ ->
-        (match idata with
-        | Some _ ->
-            let fx = unsafe_get sfx n
-            and fy = unsafe_get sfy n
-            and fz = unsafe_get sfz n in
-            let c q = Array.unsafe_get icoef q in
-            fields.(0) <- c 0 +. (fy *. c 1) +. (fz *. (c 2 +. (fy *. c 3)));
-            fields.(1) <- c 4 +. (fz *. c 5) +. (fx *. (c 6 +. (fz *. c 7)));
-            fields.(2) <-
-              c 8 +. (fx *. c 9) +. (fy *. (c 10 +. (fx *. c 11)));
-            fields.(3) <- c 12 +. (fx *. c 13);
-            fields.(4) <- c 14 +. (fy *. c 15);
-            fields.(5) <- c 16 +. (fz *. c 17)
-        | None ->
-            Interp.gather_into gf ~i:ci ~j:cj ~k:ck ~fx:(unsafe_get sfx n)
-              ~fy:(unsafe_get sfy n) ~fz:(unsafe_get sfz n) ~out:fields);
-        u.(0) <- unsafe_get sux n;
-        u.(1) <- unsafe_get suy n;
-        u.(2) <- unsafe_get suz n;
-        (match pusher with
-        | Vay ->
-            vay ~u ~ex:fields.(0) ~ey:fields.(1) ~ez:fields.(2)
-              ~bx:fields.(3) ~by:fields.(4) ~bz:fields.(5) ~qdt_2m
-        | _ ->
-            higuera_cary ~u ~ex:fields.(0) ~ey:fields.(1) ~ez:fields.(2)
-              ~bx:fields.(3) ~by:fields.(4) ~bz:fields.(5) ~qdt_2m));
+        u.(2) <- uz +. (qdt_2m *. ez));
     let inv_gamma =
       1. /. sqrt (1. +. (u.(0) *. u.(0)) +. (u.(1) *. u.(1)) +. (u.(2) *. u.(2)))
     in
@@ -1076,18 +971,18 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   in
   (* An `Interior pass never removes particles (movers and walls need a
      shell cell), so the indices it defers stay valid for the `Deferred
-     pass that follows.  The block kernel needs the Boris/interpolator
-     fast path; other configurations fall back to the scalar loop, and
-     the `Deferred boundary pass is always scalar (its indices are not
-     contiguous, so there are no runs to block over). *)
+     pass that follows.  The block kernel needs the interpolator; without
+     one the scalar loop runs, and the `Deferred boundary pass is always
+     scalar (its indices are not contiguous, so there are no runs to
+     block over). *)
   (match region with
   | `Deferred d ->
       for m = 0 to Defer.count d - 1 do
         push_one (Defer.get d m)
       done
   | `All | `Interior _ -> (
-      match (kernel, pusher, idata) with
-      | Block { width }, Boris, Some _ -> run_blocks width
+      match (kernel, idata) with
+      | Block { width }, Some _ -> run_blocks width
       | _ ->
           for n = first to last do
             push_one n
@@ -1179,18 +1074,16 @@ let sum_stats a b =
    count.  Without an accumulator the tiles would share the J meshes,
    so that configuration (and a 1-tile pool) takes the fused serial
    path. *)
-let advance_team ?(perf = Perf.global) ?gather_from ?interp ?accum ?rng
-    ?(pusher = Boris) ?(kernel = Scalar) ~pool ~scratch ~defer (s : Species.t)
-    f bc =
+let advance_team ?(perf = Perf.global) ?interp ?accum ?rng ?(kernel = Scalar)
+    ~pool ~scratch ~defer (s : Species.t) f bc =
   let module P = Vpic_util.Pool in
   let tiles = pool.P.tiles in
   match accum with
   | _ when tiles <= 1 ->
-      advance ~perf ?gather_from ?interp ?accum ?rng ~pusher ~kernel
-        ~region:(`Interior defer) s f bc
+      advance ~perf ?interp ?accum ?rng ~kernel ~region:(`Interior defer) s f
+        bc
   | None ->
-      advance ~perf ?gather_from ?interp ?rng ~pusher ~kernel
-        ~region:(`Interior defer) s f bc
+      advance ~perf ?interp ?rng ~kernel ~region:(`Interior defer) s f bc
   | Some acc ->
       Team_scratch.sized scratch tiles;
       (* allocate all slabs before the fork: [slab] caches the array on
@@ -1204,9 +1097,9 @@ let advance_team ?(perf = Perf.global) ?gather_from ?interp ?accum ?rng
             stats.(tile) <-
               advance
                 ~perf:scratch.Team_scratch.perfs.(tile)
-                ~first:lo ~count:(hi - lo) ?gather_from ?interp
+                ~first:lo ~count:(hi - lo) ?interp
                 ~accum:(Accumulator.slab acc ~n:tiles ~tile)
-                ?rng ~pusher ~kernel
+                ?rng ~kernel
                 ~region:(`Interior scratch.Team_scratch.defers.(tile))
                 s f bc);
       let total = ref zero_stats in

@@ -57,8 +57,8 @@ val block_pass_flops : unit -> (string * float) list
     voxel run through fused gather/rotate/advance/deposit passes with a
     branch-free cell-crossing mask — flagged lanes fall out to the
     scalar cleanup path, so results are bitwise identical to [Scalar]
-    (only speed differs).  [Block] requires the Boris pusher and an
-    [interp]; other configurations silently run [Scalar]. *)
+    (only speed differs).  [Block] requires an [interp]; without one
+    it silently runs [Scalar]. *)
 type kernel = Scalar | Block of { width : int }
 
 val kernel_to_string : kernel -> string
@@ -98,9 +98,6 @@ module Defer : sig
   val count : t -> int
   val clear : t -> unit
 end
-
-(** Momentum-update kernel selection (see the kernel docs below). *)
-type kind = Boris | Vay | Higuera_cary
 
 type stats = {
   advanced : int;   (** particles pushed *)
@@ -143,23 +140,17 @@ val advance :
   ?first:int ->
   ?count:int ->
   ?movers:Movers.t ->
-  ?gather_from:Vpic_field.Em_field.t ->
   ?interp:Interpolator.t ->
   ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?pusher:kind ->
   ?kernel:kernel ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
   stats
-(** [gather_from] (default: the scatter field itself) supplies the E and B
-    the particles feel — used with binomially smoothed interpolation
-    fields so that force smoothing matches current smoothing (the
-    symmetric kernel makes the coupling energy-consistent).
-
-    [interp] switches the gather to the precomputed {!Interpolator}
+(** Without [interp] the particles feel the E and B of the field they
+    scatter into.  [interp] switches the gather to the precomputed {!Interpolator}
     coefficients (one run-cached 72-byte block per occupied voxel,
     VPIC's expansion — a slightly different scheme from the direct
     staggered gather; the caller must have [load]ed the relevant voxels
@@ -169,7 +160,7 @@ val advance :
     independent.
 
     [kernel] selects the inner-loop shape (see {!kernel}); [Block] is
-    active on the Boris + [interp] configuration over [`All] and
+    active with an [interp] over [`All] and
     [`Interior] regions (the [`Deferred] boundary pass has no
     contiguous runs and always runs scalar) and is bitwise-identical
     to [Scalar].  [stats.block_lanes]/[stats.block_cleanup] report its
@@ -198,11 +189,9 @@ end
     ~region:(`Interior defer)]. *)
 val advance_team :
   ?perf:Vpic_util.Perf.counters ->
-  ?gather_from:Vpic_field.Em_field.t ->
   ?interp:Interpolator.t ->
   ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?pusher:kind ->
   ?kernel:kernel ->
   pool:Vpic_util.Pool.t ->
   scratch:Team_scratch.t ->
@@ -230,31 +219,11 @@ val finish_movers :
 (** [accum] routes the finished movers' deposition into the accumulator
     (must be the one the step's pushes used, unloaded afterwards). *)
 
-(** {1 Momentum-update kernels}
-
-    All three update (ux,uy,uz) in [u] (length 3) in place given the local
-    fields and the half-step coefficient qdt_2m = q dt / 2m.
-    [boris] is VPIC's pusher (volume-preserving rotation); [vay] (2008)
-    and [higuera_cary] (2017) additionally preserve the relativistic
-    E x B drift velocity exactly at any time step. *)
-
-val kind_to_string : kind -> string
-
+(** [boris ~u ...] is VPIC's relativistic Boris update (half E kick,
+    volume-preserving rotation, half E kick) of (ux,uy,uz) in [u]
+    (length 3), in place, given the local fields and the half-step
+    coefficient qdt_2m = q dt / 2m. *)
 val boris :
-  u:float array ->
-  ex:float -> ey:float -> ez:float ->
-  bx:float -> by:float -> bz:float ->
-  qdt_2m:float ->
-  unit
-
-val vay :
-  u:float array ->
-  ex:float -> ey:float -> ez:float ->
-  bx:float -> by:float -> bz:float ->
-  qdt_2m:float ->
-  unit
-
-val higuera_cary :
   u:float array ->
   ex:float -> ey:float -> ez:float ->
   bx:float -> by:float -> bz:float ->

@@ -258,37 +258,49 @@ let test_decoder_fuzz () =
   (* both outcomes occur, so the re-stamped images do reach the decoder *)
   check_true "some payload flips still decode" (!accepted > 0);
   check_true "some payload flips are refused" (!refused > 0);
-  (* a crafted grid shape behind a valid CRC: extents of max_int would
+  (* crafted meta behind a valid CRC.  Grid extents of max_int would
      wrap the voxel-count product, and must be refused before any
-     allocation *)
+     allocation.  A current filter without the interpolator would gather
+     unsmoothed forces, a combination [Simulation.make] also refuses. *)
   let _, meta_lo, meta_hi = List.nth (image_regions image) 1 in
   let payload = meta_lo + 8 in
+  (* meta byte offsets: nstep, nx ny nz, seven grid floats, then
+     sort_interval, clean_div_interval, marder_passes,
+     current_filter_passes, absorber_thickness, absorber_strength and
+     the interp_accum byte *)
+  let int_at off n img = Bytes.set_int64_le img (payload + off) (Int64.of_int n) in
+  let extent axis n = int_at (8 + (8 * axis)) n in
+  let filter_passes n = int_at 112 n in
+  let no_interp_accum img = Bytes.set img (payload + 136) '\000' in
+  let decodes patches =
+    let img = Bytes.copy image in
+    List.iter (fun patch -> patch img) patches;
+    Bytes.set_int32_be img (meta_lo + 4)
+      (Crc32.bytes ~pos:payload ~len:(meta_hi - payload) img);
+    match Checkpoint.decode ~coupler:local img with
+    | _ -> true
+    | exception Checkpoint.Corrupt _ -> false
+  in
   List.iter
-    (fun (label, extents) ->
-      let img = Bytes.copy image in
-      (* meta: nstep, then nx ny nz as int64 *)
-      List.iteri
-        (fun i n ->
-          Bytes.set_int64_le img (payload + 8 + (8 * i)) (Int64.of_int n))
-        extents;
-      Bytes.set_int32_be img (meta_lo + 4)
-        (Crc32.bytes ~pos:payload ~len:(meta_hi - payload) img);
-      check_true label
-        (match Checkpoint.decode ~coupler:local img with
-        | _ -> false
-        | exception Checkpoint.Corrupt _ -> true))
-    [ ("nx = ny = max_int is refused", [ max_int; max_int ]);
-      ("nx = ny = nz = max_int is refused", [ max_int; max_int; max_int ]);
-      ("nx = max_int - 1 is refused", [ max_int - 1 ]) ]
+    (fun (label, patches) -> check_true label (not (decodes patches)))
+    [ ("nx = ny = max_int is refused", [ extent 0 max_int; extent 1 max_int ]);
+      ( "nx = ny = nz = max_int is refused",
+        [ extent 0 max_int; extent 1 max_int; extent 2 max_int ] );
+      ("nx = max_int - 1 is refused", [ extent 0 (max_int - 1) ]);
+      ( "current filter without interp_accum is refused",
+        [ filter_passes 1; no_interp_accum ] ) ];
+  check_true "current filter with interp_accum decodes"
+    (decodes [ filter_passes 1 ])
 
 let test_v7_header_is_version_mismatch () =
   let image = srs_image () in
-  Bytes.set_int32_be image 8 7l;
-  check_true "v7 header"
+  let previous = Checkpoint.format_version - 1 in
+  Bytes.set_int32_be image 8 (Int32.of_int previous);
+  check_true "previous-version header"
     (match Checkpoint.decode ~coupler:local image with
     | _ -> false
-    | exception Checkpoint.Version_mismatch { found = 7; expected = 8; _ } ->
-        true)
+    | exception Checkpoint.Version_mismatch { found; expected; _ } ->
+        found = previous && expected = Checkpoint.format_version)
 
 (* -------------------------------------------------------- generations ---- *)
 

@@ -67,6 +67,22 @@ let test_energy_conservation_thermal_plasma () =
     (Printf.sprintf "total energy drift %.2e < 1%%" drift)
     (drift < 0.01)
 
+let test_filter_needs_interp_accum () =
+  (* the smoothed forces reach the particles only through the
+     interpolator: filtering with direct gathers is refused *)
+  let make ~interp_accum () =
+    Simulation.make ~grid:(small_grid ~n:4 ~l:2. ())
+      ~coupler:(Coupler.local Bc.periodic) ~clean_div_interval:10
+      ~current_filter_passes:1 ~interp_accum ()
+  in
+  check_true "direct gather refused"
+    (try
+       ignore (make ~interp_accum:false ());
+       false
+     with Invalid_argument _ -> true);
+  check_true "interpolator accepted"
+    ((make ~interp_accum:true ()).Simulation.smoothed <> None)
+
 let test_momentum_conservation () =
   let g = small_grid ~n:8 ~l:4. () in
   let sim =
@@ -363,4 +379,5 @@ let suite =
       test_refluxing_box_holds_equilibrium;
     slow_case "sim: truly 1D (single transverse cell)" test_single_cell_transverse;
     case "sim: parallel checkpoint roundtrip" test_parallel_checkpoint_roundtrip;
-    case "species: growth stress" test_species_growth_stress ]
+    case "species: growth stress" test_species_growth_stress;
+    case "sim: current filter needs interp_accum" test_filter_needs_interp_accum ]
