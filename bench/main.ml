@@ -65,20 +65,6 @@ let git_describe () =
     | _ -> "unknown"
   with _ -> "unknown"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
 let json_num v = if Float.is_finite v then Printf.sprintf "%.6e" v else "null"
 
 let json_obj fields =
@@ -96,7 +82,9 @@ let write_bench_json ~file ~bench ~ranks ~results =
     \  \"bench\": %s,\n\
     \  \"meta\": {\"git\": %s, \"date\": %s, \"ranks\": %d},\n\
     \  \"results\": {\n"
-    (json_str bench) (json_str (git_describe ())) (json_str date) ranks;
+    (Vpic_util.Json.quote bench)
+    (Vpic_util.Json.quote (git_describe ()))
+    (Vpic_util.Json.quote date) ranks;
   List.iteri
     (fun i (k, v) ->
       Printf.fprintf oc "    \"%s\": %s%s\n" k v

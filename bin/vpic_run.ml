@@ -244,23 +244,30 @@ let run_srs_blocks config ~blocks ~rebalance_every ~rebalance_threshold
         ~metrics:registry ~perf:(Multiblock.perf mb) ~nranks ~reduce_sum
         ~reduce_max ()
     in
-    let metrics_oc =
-      if root then Option.map open_out metrics_file else None
-    in
-    let emit line =
-      match metrics_oc with
-      | Some oc ->
-          output_string oc (line ^ "\n");
-          flush oc
-      | None -> ()
-    in
     (* The live root: lowest surviving rank.  Identical to [root] until
-       a recovery shrinks the world; console prints follow it so a run
-       that lost rank 0 still reports.  The metrics file stays on the
-       original rank 0 (its channel cannot migrate), so killing rank 0
-       ends metrics.jsonl emission — a documented limitation. *)
+       a recovery shrinks the world; console prints and metrics lines
+       follow it so a run that lost rank 0 still reports. *)
     let live_root () =
       match comm_opt with Some cm -> rank = Comm.root cm | None -> root
+    in
+    (* Rank 0 creates (or truncates) the metrics file; a rank that
+       becomes the live root later opens it for appending. *)
+    let metrics_oc =
+      ref (if root then Option.map open_out metrics_file else None)
+    in
+    let emit line =
+      if live_root () then begin
+        if Option.is_none !metrics_oc then
+          metrics_oc :=
+            Option.map
+              (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644)
+              metrics_file;
+        Option.iter
+          (fun oc ->
+            output_string oc (line ^ "\n");
+            flush oc)
+          !metrics_oc
+      end
     in
     let scoreboard_tail step =
       if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
@@ -332,7 +339,7 @@ let run_srs_blocks config ~blocks ~rebalance_every ~rebalance_threshold
       Report.print report;
       emit (Metrics.snapshot_to_json ~step:steps final_snap);
       emit (Report.to_json report);
-      Option.iter close_out metrics_oc;
+      Option.iter close_out !metrics_oc;
       Printf.printf "final total energy = %.10e at step %d\n"
         en.Simulation.total (Multiblock.nstep mb)
     end

@@ -2,24 +2,19 @@
    blocks instead of one rank-sized domain.  Block geometry comes from
    [Vpic_grid.Block], ghost/mover routing from the block-keyed ports of
    [Vpic_parallel.Exchange.Blocks], and each block is an ordinary
-   [Simulation.t] whose coupler does no communication at all — every
-   fill, fold, migration and reduction is driven from here, fused
-   across the owned blocks.  Because a block's push RNG is salted by
+   [Simulation.t] whose coupler does no communication at all — the
+   owned blocks step through [Simulation.step_world] under a world
+   whose fills, folds, migration and reductions are fused across them
+   here.  Because a block's push RNG is salted by
    its *block id* (its coupler "rank"), trajectories are independent of
    which rank happens to step it, which is what lets the rebalancer
    ship blocks mid-run without perturbing the physics. *)
 
-module Grid = Vpic_grid.Grid
 module Bc = Vpic_grid.Bc
-module Axis = Vpic_grid.Axis
 module Sf = Vpic_grid.Scalar_field
 module Block = Vpic_grid.Block
 module Em_field = Vpic_field.Em_field
-module Boundary = Vpic_field.Boundary
-module Marder = Vpic_field.Marder
-module Diagnostics = Vpic_field.Diagnostics
 module Species = Vpic_particle.Species
-module Moments = Vpic_particle.Moments
 module Comm = Vpic_parallel.Comm
 module Exchange = Vpic_parallel.Exchange
 module Migrate = Vpic_parallel.Migrate
@@ -28,21 +23,14 @@ module Perf = Vpic_util.Perf
 module Trace = Vpic_telemetry.Trace
 module Metrics = Vpic_telemetry.Metrics
 
-let sid_step = Trace.intern "step"
-let sid_fill = Trace.intern "exchange.fill"
-let sid_fold = Trace.intern "exchange.fold"
-let sid_migrate = Trace.intern "migrate"
-let sid_clean = Trace.intern "clean"
 let sid_rebalance = Trace.intern "rebalance"
 
 (* One owned block: its simulation plus memoised component lists (the
-   routing closures are called every step) and a Marder scratch mesh. *)
+   routing closures are called every step). *)
 type block = {
   id : int;
   sim : Simulation.t;
-  err : Sf.t;
   ems : Sf.t list;
-  es : Sf.t list;
   js : Sf.t list;
 }
 
@@ -63,10 +51,6 @@ type t = {
       (* re-install closures (laser antennas) on a freshly decoded sim *)
   mutable views : Exchange.Blocks.view list;
   mutable nstep : int;
-  (* step-loop parameters, mirrored from the block sims at creation *)
-  sort_interval : int;
-  clean_div_interval : int;
-  marder_passes : int;
   (* dynamic load balancing *)
   rebalance_interval : int;
   rebalance_threshold : float;  (* max/mean push cost; 0 = disabled *)
@@ -129,9 +113,7 @@ let owned t =
 let mk_block id sim =
   { id;
     sim;
-    err = Sf.create sim.Simulation.grid;
     ems = Em_field.em_components sim.Simulation.fields;
-    es = Em_field.e_components sim.Simulation.fields;
     js = Em_field.j_components sim.Simulation.fields }
 
 let refresh_views t =
@@ -145,30 +127,6 @@ let refresh_views t =
 
 (* ------------------------------------------------------------- routing ---- *)
 
-let fill_em_all t =
-  Trace.begin_span sid_fill;
-  Exchange.Blocks.fill_ghosts t.ports ~views:t.views
-    ~scalars:(fun id -> (get t id).ems);
-  Trace.end_span ()
-
-let fill_e_all t =
-  Exchange.Blocks.fill_ghosts t.ports ~views:t.views
-    ~scalars:(fun id -> (get t id).es)
-
-let fill_err_all t =
-  Exchange.Blocks.fill_ghosts t.ports ~views:t.views
-    ~scalars:(fun id -> [ (get t id).err ])
-
-let fold_currents_all t =
-  Trace.begin_span sid_fold;
-  Exchange.Blocks.fold_ghosts t.ports ~views:t.views
-    ~scalars:(fun id -> (get t id).js);
-  Trace.end_span ()
-
-let fold_rho_all t =
-  Exchange.Blocks.fold_ghosts t.ports ~views:t.views
-    ~scalars:(fun id -> [ (get t id).sim.Simulation.fields.Em_field.rho ])
-
 let reduce_sum t x =
   match t.comm with Some c -> Comm.allreduce_sum c x | None -> x
 
@@ -176,6 +134,63 @@ let reduce_max t x =
   match t.comm with Some c -> Comm.allreduce_max c x | None -> x
 
 let barrier t = match t.comm with Some c -> Comm.barrier c | None -> ()
+
+(* Movers route by block ownership: local hops finish directly into the
+   sibling block, remote hops ride the block-keyed ports. *)
+let migrate_blocks t pushes =
+  let nspecies = match pushes with (_, ss) :: _ -> List.length ss | [] -> 0 in
+  for si = 0 to nspecies - 1 do
+    let targets = Array.make (Block.count t.layout) None in
+    List.iter
+      (fun ((sim : Simulation.t), ss) ->
+        let s, sc = List.nth ss si in
+        let id = sim.Simulation.coupler.Coupler.rank in
+        targets.(id) <-
+          Some
+            { Migrate.id;
+              bc = sim.Simulation.coupler.Coupler.bc;
+              species = s;
+              fields = sim.Simulation.fields;
+              accum = Option.map snd sim.Simulation.interp_accum;
+              rng = sim.Simulation.coupler.Coupler.migrate_rng;
+              movers = sc.Simulation.movers })
+      pushes;
+    ignore
+      (Migrate.exchange_blocks t.ports ~targets
+         ~extent:(fun b axis -> Block.axis_cells t.layout ~id:b ~axis))
+  done
+
+(* The owned blocks' world.  A lone block routes through its own local
+   coupler, which fills periodic self-ghosts exactly where the block
+   ports would round them through their f32 wire; many blocks route
+   through the fused block ports. *)
+let world t =
+  match owned t with
+  | [ b ] when Block.count t.layout = 1 ->
+      { (Simulation.world b.sim) with
+        reduce_sum = reduce_sum t;
+        reduce_max = reduce_max t;
+        rank = t.rank }
+  | _ ->
+      let fill scalars =
+        Exchange.Blocks.fill_ghosts t.ports ~views:t.views ~scalars
+      in
+      let fill_em () = fill (fun id -> (get t id).ems) in
+      let fold scalars =
+        Exchange.Blocks.fold_ghosts t.ports ~views:t.views ~scalars
+      in
+      let fields id = (get t id).sim.Simulation.fields in
+      { Simulation.fill_em_begin = fill_em;
+        fill_em_finish = ignore;
+        fill_em;
+        fill_e = (fun () -> fill (fun id -> Em_field.e_components (fields id)));
+        fill_scalar = (fun mesh -> fill (fun id -> [ mesh (get t id).sim ]));
+        fold_currents = (fun () -> fold (fun id -> (get t id).js));
+        fold_rho = (fun () -> fold (fun id -> [ (fields id).Em_field.rho ]));
+        migrate = migrate_blocks t;
+        reduce_sum = reduce_sum t;
+        reduce_max = reduce_max t;
+        rank = t.rank }
 
 (* -------------------------------------------------------------- create ---- *)
 
@@ -196,6 +211,10 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       let sim = build ~id ~coupler ~perf in
       if sim.Simulation.coupler != coupler then
         invalid_arg "Multiblock.create: build must use the supplied coupler";
+      (* Filtering fills through the simulation's own coupler, which
+         routes nothing in a world of several blocks. *)
+      if sim.Simulation.current_filter_passes > 0 && nblocks > 1 then
+        invalid_arg "Multiblock.create: current filtering needs one block";
       Simulation.set_pool sim pool;
       blocks.(id) <- Some (mk_block id sim))
     (Block.Ownership.owned ownership ~rank);
@@ -204,13 +223,6 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       ~owner:(Block.Ownership.snapshot ownership)
       ~max_plane:(Block.max_plane_floats layout) ()
   in
-  let first =
-    match blocks.(List.hd (Block.Ownership.owned ownership ~rank)) with
-    | Some b -> b.sim
-    | None -> assert false
-  in
-  if first.Simulation.current_filter_passes > 0 && nblocks > 1 then
-    invalid_arg "Multiblock.create: current filtering not supported";
   let t =
     { comm;
       rank;
@@ -225,9 +237,6 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       reattach;
       views = [];
       nstep = 0;
-      sort_interval = first.Simulation.sort_interval;
-      clean_div_interval = first.Simulation.clean_div_interval;
-      marder_passes = first.Simulation.marder_passes;
       rebalance_interval = max 1 rebalance_interval;
       rebalance_threshold;
       cost_model;
@@ -365,136 +374,29 @@ let maybe_rebalance t =
 
 (* ---------------------------------------------------------------- step ---- *)
 
-let interval_due t interval = interval > 0 && (t.nstep + 1) mod interval = 0
+let particles sim =
+  List.fold_left (fun a s -> a + Species.count s) 0 (Simulation.species sim)
 
-(* Deposit and fold rho across all owned blocks (no filtering: the
-   multiblock world rejects current filtering at creation). *)
-let deposit_rho_all t =
-  List.iter
-    (fun b ->
-      Em_field.clear_rho b.sim.Simulation.fields;
-      List.iter
-        (fun s ->
-          Moments.deposit_rho ~perf:t.perf ~pool:t.pool s
-            ~rho:b.sim.Simulation.fields.Em_field.rho)
-        (Simulation.species b.sim))
-    (owned t);
-  fold_rho_all t
-
-(* The Marder clean, fused across blocks: each relaxation pass needs
-   globally consistent E and err ghosts, so the per-pass fills run over
-   all owned blocks between the per-block stencil sweeps — the same
-   sequence [Marder.clean] performs against a single domain. *)
-let marder_passes_all t ~passes =
-  for _ = 1 to passes do
-    fill_e_all t;
-    List.iter
-      (fun b -> Marder.compute_err ~pool:t.pool b.sim.Simulation.fields b.err)
-      (owned t);
-    fill_err_all t;
-    List.iter
-      (fun b -> Marder.apply_err ~pool:t.pool b.sim.Simulation.fields b.err)
-      (owned t)
-  done;
-  fill_e_all t;
-  List.iter
-    (fun b -> Marder.add_flops ~perf:t.perf ~passes b.sim.Simulation.fields)
-    (owned t)
-
-let step_blocks t =
-  Trace.with_span sid_step @@ fun () ->
-  (* Keyed by *rank* (block couplers carry block ids): the injected
-     death a self-healing run recovers from. *)
-  Vpic_util.Fault.kill_point ~rank:t.rank ~step:(t.nstep + 1);
-  fill_em_all t;
-  let pushes =
-    List.map (fun b -> (b, Simulation.phase_clear_and_load b.sim)) (owned t)
-  in
-  (* The ghosts are already complete, so the interior/boundary split
-     runs back to back per block — same per-particle order as the
-     classic step — and the cost of the trio is the per-block gauge the
-     rebalancer feeds on: wall seconds by default, or the deterministic
-     particle count (classic VPIC choice; immune to timer noise and CPU
-     oversubscription, e.g. many ranks timesharing few cores). *)
-  List.iter
-    (fun (b, ss) ->
-      let t0 = Perf.now () in
-      Simulation.phase_push_interior b.sim ss;
-      Simulation.phase_load_boundary b.sim;
-      Simulation.phase_push_boundary b.sim ss;
+(* The shared step sequence over the owned blocks, then the per-block
+   cost gauge the rebalancer feeds on: wall seconds of each block's push
+   by default, or the deterministic count of particles it pushed
+   (classic VPIC choice; immune to timer noise and CPU oversubscription,
+   e.g. many ranks timesharing few cores). *)
+let step t =
+  let bs = owned t in
+  let pushed = List.map (fun b -> float_of_int (particles b.sim)) bs in
+  Simulation.step_world (world t) (List.map (fun b -> b.sim) bs);
+  List.iter2
+    (fun b n ->
       let cost =
         match t.cost_model with
-        | `Wall -> Perf.now () -. t0
-        | `Particles ->
-            List.fold_left
-              (fun a (s, _) -> a +. float_of_int (Species.count s))
-              0. ss
+        | `Wall -> b.sim.Simulation.push_s
+        | `Particles -> n
       in
       t.push_cost.(b.id) <- t.push_cost.(b.id) +. cost)
-    pushes;
-  List.iter (fun (b, _) -> Simulation.phase_lasers b.sim) pushes;
-  List.iter (fun (_, ss) -> Simulation.mover_metrics ss) pushes;
-  (* Movers route by block ownership: local hops finish directly into
-     the sibling block, remote hops ride the block-keyed ports. *)
-  Trace.begin_span sid_migrate;
-  let nspecies =
-    match pushes with (_, ss) :: _ -> List.length ss | [] -> 0
-  in
-  let nb = nblocks t in
-  for si = 0 to nspecies - 1 do
-    let targets = Array.make nb None in
-    List.iter
-      (fun (b, ss) ->
-        let s, sc = List.nth ss si in
-        targets.(b.id) <-
-          Some
-            { Migrate.id = b.id;
-              bc = b.sim.Simulation.coupler.Coupler.bc;
-              species = s;
-              fields = b.sim.Simulation.fields;
-              accum = Option.map snd b.sim.Simulation.interp_accum;
-              rng = b.sim.Simulation.coupler.Coupler.migrate_rng;
-              movers = sc.Simulation.movers })
-      pushes;
-    ignore
-      (Migrate.exchange_blocks t.ports ~targets
-         ~extent:(fun b axis -> Block.axis_cells t.layout ~id:b ~axis))
-  done;
-  Trace.end_span ();
-  List.iter (fun (b, _) -> Simulation.phase_unload_accum b.sim) pushes;
-  fold_currents_all t;
-  List.iter (fun b -> Simulation.phase_advance_b b.sim ~frac:0.5) (owned t);
-  fill_em_all t;
-  List.iter (fun b -> Simulation.phase_advance_e b.sim) (owned t);
-  if interval_due t t.clean_div_interval then begin
-    Trace.begin_span sid_clean;
-    deposit_rho_all t;
-    marder_passes_all t ~passes:t.marder_passes;
-    Trace.end_span ()
-  end;
-  fill_em_all t;
-  List.iter
-    (fun b ->
-      Simulation.phase_advance_b b.sim ~frac:0.5;
-      Simulation.phase_absorb b.sim)
-    (owned t);
-  if interval_due t t.sort_interval then
-    List.iter (fun b -> Simulation.phase_sort b.sim) (owned t);
-  List.iter
-    (fun b -> b.sim.Simulation.nstep <- b.sim.Simulation.nstep + 1)
-    (owned t);
+    bs pushed;
   ignore (maybe_rebalance t);
   t.nstep <- t.nstep + 1
-
-let step t =
-  (* A 1-block single-rank world is exactly the classic serial loop —
-     delegate, so the over-decomposed path is bitwise identical to
-     [Simulation.step] in that degenerate case. *)
-  if nblocks t = 1 && Option.is_none t.comm then begin
-    Simulation.step (get t 0).sim;
-    t.nstep <- t.nstep + 1
-  end
-  else step_blocks t
 
 let run t ~steps ?(every = 0) ?diag () =
   for _ = 1 to steps do
@@ -506,66 +408,14 @@ let run t ~steps ?(every = 0) ?diag () =
 
 (* --------------------------------------------------------- diagnostics ---- *)
 
-let energies t =
-  let fe = ref 0. and fb = ref 0. in
-  let parts = Hashtbl.create 4 in
-  let names = ref [] in
-  List.iter
-    (fun b ->
-      let e, bm = Diagnostics.field_energy b.sim.Simulation.fields in
-      fe := !fe +. e;
-      fb := !fb +. bm;
-      List.iter
-        (fun s ->
-          let n = s.Species.name in
-          if not (Hashtbl.mem parts n) then names := n :: !names;
-          Hashtbl.replace parts n
-            ((try Hashtbl.find parts n with Not_found -> 0.)
-            +. Species.kinetic_energy s))
-        (Simulation.species b.sim))
-    (owned t);
-  let fe = reduce_sum t !fe and fb = reduce_sum t !fb in
-  let parts =
-    List.rev_map (fun n -> (n, reduce_sum t (Hashtbl.find parts n))) !names
-  in
-  { Simulation.field_e = fe;
-    field_b = fb;
-    particles = parts;
-    total = fe +. fb +. List.fold_left (fun a (_, e) -> a +. e) 0. parts }
-
-let total_particles t =
-  let local =
-    List.fold_left
-      (fun acc b ->
-        List.fold_left
-          (fun acc s -> acc + Species.count s)
-          acc
-          (Simulation.species b.sim))
-      0 (owned t)
-  in
-  int_of_float (reduce_sum t (float_of_int local))
-
-let gauss_residual t =
-  deposit_rho_all t;
-  fill_e_all t;
-  reduce_max t
-    (List.fold_left
-       (fun acc b ->
-         Float.max acc (Diagnostics.gauss_residual b.sim.Simulation.fields))
-       0. (owned t))
-
-let div_b_max t =
-  fill_em_all t;
-  reduce_max t
-    (List.fold_left
-       (fun acc b ->
-         Float.max acc (Diagnostics.div_b_max b.sim.Simulation.fields))
-       0. (owned t))
+let sims t = List.map (fun b -> b.sim) (owned t)
+let energies t = Simulation.energies_world (world t) (sims t)
+let total_particles t = Simulation.total_particles_world (world t) (sims t)
+let gauss_residual t = Simulation.gauss_residual_world (world t) (sims t)
+let div_b_max t = Simulation.div_b_max_world (world t) (sims t)
 
 let settle_fields t ~passes =
-  deposit_rho_all t;
-  marder_passes_all t ~passes;
-  fill_em_all t
+  Simulation.settle_fields_world (world t) (sims t) ~passes
 
 (* -------------------------------------------------------- checkpointing ---- *)
 

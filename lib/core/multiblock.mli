@@ -13,9 +13,10 @@
     physics.  Every rank watches the same allreduced per-block push-cost
     vector, so the plan is agreed without a broadcast.
 
-    The degenerate 1-block single-rank world delegates to
-    {!Simulation.step} verbatim (bitwise-identical to the classic serial
-    path). *)
+    The owned blocks step through the one sequence every simulation
+    uses, {!Simulation.step_world}, under this driver's routing.  A
+    1-block world routes through its block's own local coupler, so it
+    steps bitwise like the classic serial loop. *)
 
 module Bc = Vpic_grid.Bc
 module Block = Vpic_grid.Block
@@ -38,8 +39,9 @@ val block_coupler : Block.t -> global_bc:Bc.t -> id:int -> Coupler.t
     Rebalancing triggers every [rebalance_interval] steps (default 10)
     when the max/mean per-rank push cost exceeds
     [rebalance_threshold] (default 0 = never).  [cost_model] selects the
-    per-block cost gauge: [`Wall] (default) measures wall seconds around
-    the push trio; [`Particles] counts macro-particles pushed —
+    per-block cost gauge: [`Wall] (default) measures wall seconds of each
+    block's push (interior pass, boundary loads and boundary pass,
+    [Simulation.t.push_s]); [`Particles] counts macro-particles pushed —
     deterministic, so plans reproduce across machines and stay sane when
     ranks timeshare few cores.
     [pool] is the rank's worker team (default
@@ -70,8 +72,9 @@ val owners : t -> int array
 (** Owned blocks' simulations as [(block id, sim)], ascending id. *)
 val owned_sims : t -> (int * Simulation.t) list
 
-(** Advance one full step (collective).  Phase order matches
-    {!Simulation.step}; spans carry the same names, so the Scoreboard
+(** Advance one full step (collective): {!Simulation.step_world} over
+    the owned blocks with fused block routing, then the per-block cost
+    gauge.  Spans carry the classic step's names, so the Scoreboard
     aggregates over-decomposed runs unchanged.  Every
     [rebalance_interval]-th step ends by publishing per-block
     ["push.cost.b<id>"] gauges and, when the threshold is exceeded,

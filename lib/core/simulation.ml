@@ -1,4 +1,5 @@
 module Grid = Vpic_grid.Grid
+module Sf = Vpic_grid.Scalar_field
 module Bc = Vpic_grid.Bc
 module Em_field = Vpic_field.Em_field
 module Maxwell = Vpic_field.Maxwell
@@ -100,6 +101,8 @@ type t = {
   push_rng : Vpic_util.Rng.t;  (* refluxing-wall re-emission stream *)
   mutable nstep : int;
   mutable push_stats : Push.stats;
+  mutable push_s : float;
+      (* wall seconds the last step spent in this simulation's push *)
   mutable scratch_rev : (Species.t * push_scratch) list;
   mutable monitor : (t -> unit) option;
       (* health hook, called after every completed step (see Sentinel) *)
@@ -156,6 +159,7 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     push_rng = Vpic_util.Rng.of_int (0x7EED1 + (31 * coupler.Coupler.rank));
     nstep = 0;
     push_stats = zero_stats;
+    push_s = 0.;
     scratch_rev = [];
     monitor = None;
     perf;
@@ -189,22 +193,6 @@ let spe_pipeline t = t.spe
 let pool t = t.pool
 let time t = float_of_int t.nstep *. t.grid.Grid.dt
 
-let deposit_rho t =
-  Em_field.clear_rho t.fields;
-  List.iter
-    (fun s ->
-      Moments.deposit_rho ~perf:t.perf ~pool:t.pool s
-        ~rho:t.fields.Em_field.rho)
-    (species t);
-  t.coupler.Coupler.fold_rho t.fields;
-  (* With current filtering on, filter rho identically: the smoothed
-     system satisfies continuity exactly, so the Marder clean is not
-     fighting the filter. *)
-  for _ = 1 to t.current_filter_passes do
-    Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
-      [ t.fields.Em_field.rho ]
-  done
-
 let interval_due t interval = interval > 0 && (t.nstep + 1) mod interval = 0
 
 let scratch_for t s =
@@ -220,11 +208,9 @@ let scratch_for t s =
       sc
 
 (* --- Step phases -------------------------------------------------------
-   The step is decomposed into phase helpers so an external driver (the
-   over-decomposed [Multiblock] world) can interleave many blocks' phases
-   with its own ghost routing while [step] below remains the verbatim
-   historical sequence for the single-block case.  Spans live inside the
-   helpers: the Scoreboard sees identical phase names either way. *)
+   The step decomposed into the helpers [step_world] calls in order.
+   Spans live inside the helpers, so an outside timer replaying them
+   around [step]'s routing sees the same phase names. *)
 
 let phase_clear_and_load t =
   Em_field.clear_currents t.fields;
@@ -232,7 +218,7 @@ let phase_clear_and_load t =
   (* Interior voxels' interpolator blocks read no ghosts: build them
      while the x-plane fill is still in flight, like the interior push
      they feed.  The smoothed path instead loads from the filtered copy
-     in [step]. *)
+     in [phase_push_smoothed]. *)
   (match (interp, t.smoothed) with
   | Some ip, None ->
       Trace.begin_span sid_load_interp;
@@ -381,132 +367,220 @@ let phase_sort t =
     (species t);
   Trace.end_span ()
 
-let mover_metrics species_scratch =
+
+(* Filtered push: particles gather from a binomially smoothed copy of E
+   and B, loaded into the interpolator ([make] rejects filtering without
+   one): the same symmetric kernel later applied to J makes the
+   force/current coupling adjoint, avoiding secular self-heating.
+   Building the copy needs complete ghosts, so this path runs after the
+   whole fill and pushes unsplit. *)
+let phase_push_smoothed t species_scratch =
+  let sm = Option.get t.smoothed in
+  List.iter2
+    (fun src dst -> Sf.blit ~src ~dst)
+    (Em_field.em_components t.fields)
+    (Em_field.em_components sm);
+  for _ = 1 to t.current_filter_passes do
+    Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
+      (Em_field.em_components sm)
+  done;
+  let interp = Option.map fst t.interp_accum in
+  let accum = Option.map snd t.interp_accum in
+  Option.iter
+    (fun ip ->
+      Trace.begin_span sid_load_interp;
+      Interpolator.load ~perf:t.perf ip sm;
+      Trace.end_span ())
+    interp;
+  Trace.begin_span sid_push;
+  let phase = ref zero_stats in
+  List.iter
+    (fun (s, sc) ->
+      let st =
+        Push.advance ~perf:t.perf ~movers:sc.movers ?interp ?accum
+          ~rng:t.push_rng ~kernel:(push_backend_kernel t.push_backend) s
+          t.fields t.coupler.Coupler.bc
+      in
+      phase := add_stats !phase st)
+    species_scratch;
+  t.push_stats <- add_stats t.push_stats !phase;
+  block_metrics t !phase;
+  Trace.end_span ()
+
+(* --- Worlds --------------------------------------------------------------
+   A world routes a list of simulations through one step: every fill,
+   fold, migration and reduction of the sequence below runs once for the
+   whole list.  [world t] routes one simulation through its own coupler;
+   [Multiblock] routes its owned blocks through fused block ports. *)
+
+type world = {
+  fill_em_begin : unit -> unit;
+  fill_em_finish : unit -> unit;
+  fill_em : unit -> unit;
+  fill_e : unit -> unit;
+  fill_scalar : (t -> Sf.t) -> unit;
+  fold_currents : unit -> unit;
+  fold_rho : unit -> unit;
+  migrate : (t * (Species.t * push_scratch) list) list -> unit;
+  reduce_sum : float -> float;
+  reduce_max : float -> float;
+  rank : int;
+}
+
+let world t =
+  let c = t.coupler and f = t.fields in
+  { fill_em_begin = (fun () -> c.Coupler.fill_em_begin f);
+    fill_em_finish = (fun () -> c.Coupler.fill_em_finish f);
+    fill_em = (fun () -> c.Coupler.fill_em f);
+    fill_e = (fun () -> c.Coupler.fill_e f);
+    fill_scalar = (fun mesh -> c.Coupler.fill_scalar (mesh t));
+    fold_currents = (fun () -> c.Coupler.fold_currents f);
+    fold_rho = (fun () -> c.Coupler.fold_rho f);
+    migrate =
+      List.iter (fun (t, species_scratch) ->
+          let accum = Option.map snd t.interp_accum in
+          List.iter
+            (fun (s, sc) ->
+              t.coupler.Coupler.migrate ?accum s t.fields sc.movers)
+            species_scratch);
+    reduce_sum = c.Coupler.reduce_sum;
+    reduce_max = c.Coupler.reduce_max;
+    rank = c.Coupler.rank }
+
+let deposit_rho_world w sims =
+  List.iter
+    (fun t ->
+      Em_field.clear_rho t.fields;
+      List.iter
+        (fun s ->
+          Moments.deposit_rho ~perf:t.perf ~pool:t.pool s
+            ~rho:t.fields.Em_field.rho)
+        (species t))
+    sims;
+  w.fold_rho ();
+  (* With current filtering on, filter rho identically: the smoothed
+     system satisfies continuity exactly, so the Marder clean is not
+     fighting the filter. *)
+  List.iter
+    (fun t ->
+      for _ = 1 to t.current_filter_passes do
+        Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
+          [ t.fields.Em_field.rho ]
+      done)
+    sims
+
+let marder_clean w sims ~passes =
+  let errs = List.map (fun t -> (t, Sf.create t.grid)) sims in
+  let first = List.hd sims in
+  ignore
+    (Marder.clean_many ~perf:first.perf ~pool:first.pool ~passes
+       ~fill_e:w.fill_e
+       ~fill_err:(fun () -> w.fill_scalar (fun t -> List.assq t errs))
+       (List.map (fun (t, err) -> (t.fields, err)) errs))
+
+let mover_metrics pushes =
   if Metrics.enabled () then begin
     let m = Metrics.default () in
     let movers =
       List.fold_left
-        (fun acc (_, sc) -> acc + Push.Movers.count sc.movers)
-        0 species_scratch
+        (fun acc (_, species_scratch) ->
+          List.fold_left
+            (fun acc (_, sc) -> acc + Push.Movers.count sc.movers)
+            acc species_scratch)
+        0 pushes
     in
     Metrics.counter_add m "migrate.movers" (float_of_int movers);
     Metrics.counter_add m "migrate.bytes"
       (float_of_int (movers * Push.Movers.stride * 4))
   end
 
-let step t =
+(* Runs [f] and charges its wall seconds to [t]'s push counter. *)
+let timed_push t f =
+  let t0 = Perf.now () in
+  f ();
+  t.push_s <- t.push_s +. (Perf.now () -. t0)
+
+(* The step sequence, once for every simulation of the list (which
+   share one step count and one set of step parameters). *)
+let step_world w sims =
   Trace.with_span sid_step @@ fun () ->
-  let c = t.coupler in
+  let first = List.hd sims in
+  let step = first.nstep + 1 in
   (* Fault-injection probe: overwrite one field cell with NaN, for
      sentinel detection tests.  One atomic load when nothing is armed. *)
-  if Vpic_util.Fault.poison_due ~rank:c.Coupler.rank ~step:(t.nstep + 1) then
-    Vpic_grid.Scalar_field.set t.fields.Em_field.ex 1 1 1 Float.nan;
+  if Vpic_util.Fault.poison_due ~rank:w.rank ~step then
+    Sf.set first.fields.Em_field.ex 1 1 1 Float.nan;
   (* Ghost consistency for the gather and the first B half-advance.
-     [fill_em_begin] only posts the x-axis planes: the interior particle
-     push below overlaps the in-flight messages (the paper's compute/DMA
-     pipeline), and [fill_em_finish] completes x, y, z before the
-     boundary-shell push that actually reads ghosts. *)
-  Trace.begin_span sid_fill_begin;
-  c.Coupler.fill_em_begin t.fields;
-  Trace.end_span ();
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
-  let species_scratch = phase_clear_and_load t in
+     [fill_em_begin] may post only the x-axis planes: the interior
+     particle push below overlaps the in-flight messages (the paper's
+     compute/DMA pipeline), and [fill_em_finish] completes x, y, z
+     before the boundary-shell push that actually reads ghosts. *)
+  Trace.with_span sid_fill_begin w.fill_em_begin;
+  let pushes =
+    List.map
+      (fun t ->
+        t.push_s <- 0.;
+        (t, phase_clear_and_load t))
+      sims
+  in
   (* Particle advance: inner loop of the paper. *)
-  (match t.smoothed with
-  | Some sm ->
-      (* When filtering, particles gather from a binomially smoothed copy
-         of E and B, loaded into the interpolator ([make] rejects
-         filtering without one): the same symmetric kernel later applied
-         to J makes the force/current coupling adjoint, avoiding secular
-         self-heating.  Building the copy needs complete ghosts, so this
-         path finishes the fill first and pushes unsplit. *)
-      Trace.begin_span sid_fill_finish;
-      c.Coupler.fill_em_finish t.fields;
-      Trace.end_span ();
-      List.iter2
-        (fun src dst -> Vpic_grid.Scalar_field.blit ~src ~dst)
-        (Em_field.em_components t.fields)
-        (Em_field.em_components sm);
-      for _ = 1 to t.current_filter_passes do
-        Vpic_field.Filter.binomial_pass ~fill:c.Coupler.fill_list
-          (Em_field.em_components sm)
-      done;
-      (match interp with
-      | Some ip ->
-          Trace.begin_span sid_load_interp;
-          Interpolator.load ~perf:t.perf ip sm;
-          Trace.end_span ()
-      | None -> ());
-      Trace.begin_span sid_push;
-      let phase = ref zero_stats in
+  (match first.smoothed with
+  | Some _ ->
+      Trace.with_span sid_fill_finish w.fill_em_finish;
       List.iter
-        (fun (s, sc) ->
-          let st =
-            Push.advance ~perf:t.perf ~movers:sc.movers ?interp ?accum
-              ~rng:t.push_rng ~kernel:(push_backend_kernel t.push_backend) s
-              t.fields c.Coupler.bc
-          in
-          phase := add_stats !phase st)
-        species_scratch;
-      t.push_stats <- add_stats t.push_stats !phase;
-      block_metrics t !phase;
-      Trace.end_span ()
+        (fun (t, ss) -> timed_push t (fun () -> phase_push_smoothed t ss))
+        pushes
   | None ->
-      phase_push_interior t species_scratch;
-      Trace.begin_span sid_fill_finish;
-      c.Coupler.fill_em_finish t.fields;
-      Trace.end_span ();
-      phase_load_boundary t;
-      phase_push_boundary t species_scratch);
+      List.iter
+        (fun (t, ss) -> timed_push t (fun () -> phase_push_interior t ss))
+        pushes;
+      Trace.with_span sid_fill_finish w.fill_em_finish;
+      List.iter
+        (fun (t, ss) ->
+          timed_push t (fun () ->
+              phase_load_boundary t;
+              phase_push_boundary t ss))
+        pushes);
   (* Fault-injection probe: die mid-step, after the push posted its ghost
      traffic but before migration/fold completes — peers must unblock via
      the comm layer's failed-rank poisoning, not drain cleanly. *)
-  Vpic_util.Fault.kill_point ~rank:c.Coupler.rank ~step:(t.nstep + 1);
-  phase_lasers t;
+  Vpic_util.Fault.kill_point ~rank:w.rank ~step;
+  List.iter phase_lasers sims;
   (* Migration must precede the current fold: finished movers deposit
      their remaining segments (including into ghost slots). *)
-  mover_metrics species_scratch;
-  Trace.begin_span sid_migrate;
-  List.iter
-    (fun (s, sc) -> c.Coupler.migrate ?accum s t.fields sc.movers)
-    species_scratch;
-  Trace.end_span ();
-  phase_unload_accum t;
-  Trace.begin_span sid_fold;
-  c.Coupler.fold_currents t.fields;
-  if t.current_filter_passes > 0 then
-    Vpic_field.Filter.smooth_currents ~passes:t.current_filter_passes
-      ~fill:c.Coupler.fill_list t.fields;
-  Trace.end_span ();
+  mover_metrics pushes;
+  Trace.with_span sid_migrate (fun () -> w.migrate pushes);
+  List.iter phase_unload_accum sims;
+  Trace.with_span sid_fold (fun () ->
+      w.fold_currents ();
+      List.iter
+        (fun t ->
+          if t.current_filter_passes > 0 then
+            Vpic_field.Filter.smooth_currents ~passes:t.current_filter_passes
+              ~fill:t.coupler.Coupler.fill_list t.fields)
+        sims);
   (* Field advance. *)
-  phase_advance_b t ~frac:0.5;
-  Trace.begin_span sid_fill;
-  c.Coupler.fill_em t.fields;
-  Trace.end_span ();
-  phase_advance_e t;
-  if interval_due t t.clean_div_interval then begin
-    Trace.begin_span sid_clean;
-    deposit_rho t;
-    ignore
-      (Marder.clean ~perf:t.perf ~pool:t.pool ~passes:t.marder_passes
-         ~hooks:(Coupler.marder_hooks c t.fields)
-         t.fields);
-    Trace.end_span ()
-  end;
-  Trace.begin_span sid_fill;
-  c.Coupler.fill_em t.fields;
-  Trace.end_span ();
-  Trace.begin_span sid_field;
-  Maxwell.advance_b ~perf:t.perf t.fields ~frac:0.5;
-  Boundary.Absorber.apply t.absorber t.fields;
-  Trace.end_span ();
-  if interval_due t t.sort_interval then phase_sort t;
-  t.nstep <- t.nstep + 1;
+  List.iter (fun t -> phase_advance_b t ~frac:0.5) sims;
+  Trace.with_span sid_fill w.fill_em;
+  List.iter phase_advance_e sims;
+  if interval_due first first.clean_div_interval then
+    Trace.with_span sid_clean (fun () ->
+        deposit_rho_world w sims;
+        marder_clean w sims ~passes:first.marder_passes);
+  Trace.with_span sid_fill w.fill_em;
+  List.iter
+    (fun t ->
+      phase_advance_b t ~frac:0.5;
+      phase_absorb t)
+    sims;
+  if interval_due first first.sort_interval then List.iter phase_sort sims;
+  List.iter (fun t -> t.nstep <- t.nstep + 1) sims;
   (* Health monitor (sentinel) last: it sees the completed step and may
      raise; collective checks rely on every rank reaching the same
      nstep. *)
-  match t.monitor with None -> () | Some f -> f t
+  List.iter (fun t -> Option.iter (fun f -> f t) t.monitor) sims
+
+let step t = step_world (world t) [ t ]
 
 let run t ~steps ?(every = 0) ?diag () =
   for _ = 1 to steps do
@@ -523,40 +597,63 @@ type energies = {
   total : float;
 }
 
-let energies t =
-  let c = t.coupler in
-  let fe, fb = Diagnostics.field_energy t.fields in
-  let fe = c.Coupler.reduce_sum fe and fb = c.Coupler.reduce_sum fb in
+(* Local sums run over the list in order, then one reduction each. *)
+let energies_world w sims =
+  let fe, fb =
+    List.fold_left
+      (fun (fe, fb) t ->
+        let e, b = Diagnostics.field_energy t.fields in
+        (fe +. e, fb +. b))
+      (0., 0.) sims
+  in
+  let fe = w.reduce_sum fe and fb = w.reduce_sum fb in
   let parts =
     List.map
       (fun s ->
-        (s.Species.name, c.Coupler.reduce_sum (Species.kinetic_energy s)))
-      (species t)
+        let n = s.Species.name in
+        let local =
+          List.fold_left
+            (fun acc t -> acc +. Species.kinetic_energy (find_species t n))
+            0. sims
+        in
+        (n, w.reduce_sum local))
+      (species (List.hd sims))
   in
   { field_e = fe;
     field_b = fb;
     particles = parts;
     total = fe +. fb +. List.fold_left (fun acc (_, e) -> acc +. e) 0. parts }
 
-let total_particles t =
+let total_particles_world w sims =
   let local =
-    List.fold_left (fun acc s -> acc + Species.count s) 0 t.species_rev
+    List.fold_left
+      (fun acc t ->
+        List.fold_left (fun acc s -> acc + Species.count s) acc t.species_rev)
+      0 sims
   in
-  int_of_float (t.coupler.Coupler.reduce_sum (float_of_int local))
+  int_of_float (w.reduce_sum (float_of_int local))
 
-let gauss_residual t =
-  deposit_rho t;
-  t.coupler.Coupler.fill_e t.fields;
-  t.coupler.Coupler.reduce_max (Diagnostics.gauss_residual t.fields)
+let max_over w sims f =
+  w.reduce_max
+    (List.fold_left (fun acc t -> Float.max acc (f t.fields)) 0. sims)
 
-let div_b_max t =
-  t.coupler.Coupler.fill_em t.fields;
-  t.coupler.Coupler.reduce_max (Diagnostics.div_b_max t.fields)
+let gauss_residual_world w sims =
+  deposit_rho_world w sims;
+  w.fill_e ();
+  max_over w sims Diagnostics.gauss_residual
 
-let settle_fields t ~passes =
-  deposit_rho t;
-  ignore
-    (Marder.clean ~perf:t.perf ~pool:t.pool ~passes
-       ~hooks:(Coupler.marder_hooks t.coupler t.fields)
-       t.fields);
-  t.coupler.Coupler.fill_em t.fields
+let div_b_max_world w sims =
+  w.fill_em ();
+  max_over w sims Diagnostics.div_b_max
+
+let settle_fields_world w sims ~passes =
+  deposit_rho_world w sims;
+  marder_clean w sims ~passes;
+  w.fill_em ()
+
+let energies t = energies_world (world t) [ t ]
+let total_particles t = total_particles_world (world t) [ t ]
+let gauss_residual t = gauss_residual_world (world t) [ t ]
+let div_b_max t = div_b_max_world (world t) [ t ]
+let settle_fields t ~passes = settle_fields_world (world t) [ t ] ~passes
+let deposit_rho t = deposit_rho_world (world t) [ t ]

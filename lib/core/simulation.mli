@@ -10,7 +10,9 @@
 
     Works identically on one rank ([Coupler.local]) or many
     ([Coupler.parallel]); in the latter case, every rank steps its own
-    [t] collectively. *)
+    [t] collectively.  The same sequence steps a list of simulations
+    under one {!world} ({!step_world}): that is how {!Multiblock}
+    advances its owned blocks. *)
 
 module Grid = Vpic_grid.Grid
 module Bc = Vpic_grid.Bc
@@ -78,6 +80,10 @@ type t = {
   push_rng : Vpic_util.Rng.t;
   mutable nstep : int;
   mutable push_stats : Vpic_particle.Push.stats;
+  mutable push_s : float;
+      (** wall seconds the last step spent pushing this simulation's
+          particles (interior pass, boundary loads, boundary pass) —
+          {!Multiblock}'s per-block [`Wall] cost *)
   mutable scratch_rev : (Species.t * push_scratch) list;
   mutable monitor : (t -> unit) option;
       (** health hook, run after every completed step on every rank (see
@@ -160,28 +166,56 @@ val lasers : t -> Vpic_field.Laser.t list
 (** Physical time = nstep * dt. *)
 val time : t -> float
 
-(** Advance one full step.  When tracing is enabled
-    ([Vpic_telemetry.Trace.enable]), the step and each phase record
-    spans: ["step"], ["push"] / ["push.interior"] / ["push.boundary"],
-    ["interp.load"] / ["accum.unload"],
+(** The routing a list of simulations steps under: every ghost fill,
+    fold, migration and reduction of {!step_world} runs once for the
+    whole list.  [fill_em_begin] may leave ghosts in flight until
+    [fill_em_finish]; [fill_scalar mesh] fills [mesh t] of every
+    simulation [t]; [migrate] ships and finishes every simulation's
+    movers; [rank] is the comm rank the fault-injection probes key on. *)
+type world = {
+  fill_em_begin : unit -> unit;
+  fill_em_finish : unit -> unit;
+  fill_em : unit -> unit;
+  fill_e : unit -> unit;
+  fill_scalar : (t -> Vpic_grid.Scalar_field.t) -> unit;
+  fold_currents : unit -> unit;
+  fold_rho : unit -> unit;
+  migrate : (t * (Species.t * push_scratch) list) list -> unit;
+  reduce_sum : float -> float;
+  reduce_max : float -> float;
+  rank : int;
+}
+
+(** The one-simulation world, routed by [t]'s own coupler. *)
+val world : t -> world
+
+(** Advance every simulation of the list one full step under the
+    world's routing (collective).  The list shares one step count and
+    one set of step parameters; current filtering needs each
+    simulation's own coupler to fill its scalars.  When tracing is
+    enabled ([Vpic_telemetry.Trace.enable]), the step and each phase
+    record spans: ["step"], ["push"] / ["push.interior"] /
+    ["push.boundary"], ["interp.load"] / ["accum.unload"],
     ["exchange.fill_begin"] / ["exchange.fill_finish"] /
     ["exchange.fill"] / ["exchange.fold"], ["laser"], ["migrate"],
     ["field"], ["clean"], ["sort"] — the names
     [Vpic_telemetry.Scoreboard] aggregates. *)
+val step_world : world -> t list -> unit
+
+(** Advance one full step: [step_world (world t) [t]]. *)
 val step : t -> unit
 
 (** {1 Step phases}
 
-    [step] decomposed, for external drivers that interleave many
-    blocks' phases with their own ghost routing ({!Multiblock}).  Called
-    in [step]'s order — clear/load, push interior, load boundary
-    interpolators, push boundary, lasers, (migrate), unload accumulator,
-    (fold), B half-advance, (fill), E advance, (clean), (fill), B
-    half-advance + absorb, sort — with the parenthesised steps provided
-    by the driver, these reproduce [step] exactly.  Spans are recorded
-    inside each phase, so the Scoreboard is driver-agnostic.  The
-    interior/boundary split assumes no current filter ([smoothed =
-    None]). *)
+    The phases {!step_world} runs, exposed so that an outside timer can
+    replay [step_world] for one simulation phase by phase.  In order:
+    (fill begin), clear/load, push interior, (fill finish), load
+    boundary interpolators, push boundary, lasers, (migrate), unload
+    accumulator, (fold), B half-advance, (fill), E advance, (clean),
+    (fill), B half-advance + absorb, sort.  With the parenthesised steps
+    taken from the coupler ({!deposit_rho} and [Marder.clean] for the
+    clean), these reproduce {!step} bitwise.  The interior/boundary
+    split assumes no current filter ([smoothed = None]). *)
 
 (** Clear current meshes, load interior interpolator blocks, clear each
     species' push scratch; returns the per-species scratch list the push
@@ -211,17 +245,15 @@ val phase_sort : t -> unit
     computed (nstep + 1)? *)
 val interval_due : t -> int -> bool
 
-(** The (created-on-first-use) push workspace of a species. *)
-val scratch_for : t -> Species.t -> push_scratch
-
-(** Publish the step's mover-count metrics from the scratch list. *)
-val mover_metrics : (Species.t * push_scratch) list -> unit
-
 (** [run t ~steps ?every ?diag ()] steps [steps] times, invoking [diag]
     every [every] steps (default: never). *)
 val run : t -> steps:int -> ?every:int -> ?diag:(t -> unit) -> unit -> unit
 
-(** {1 Diagnostics} (reduced across ranks; collective) *)
+(** {1 Diagnostics}
+
+    Collective: local sums and maxima run over the list, then one
+    world reduction each.  The one-simulation forms below are the
+    [world t] case. *)
 
 type energies = {
   field_e : float;
@@ -230,22 +262,29 @@ type energies = {
   total : float;
 }
 
-val energies : t -> energies
+val energies_world : world -> t list -> energies
 
-(** Total particle count over all species and ranks. *)
-val total_particles : t -> int
+(** Total particle count over all species and simulations. *)
+val total_particles_world : world -> t list -> int
 
 (** Deposit rho from scratch and return the max Gauss-law residual
     |div E - rho|. *)
-val gauss_residual : t -> float
+val gauss_residual_world : world -> t list -> float
 
-(** Max |div B| over the global interior (ghosts refreshed first);
+(** Max |div B| over the interiors (ghosts refreshed first);
     machine-level forever under the Yee update. *)
-val div_b_max : t -> float
+val div_b_max_world : world -> t list -> float
 
 (** Run [passes] Marder passes against the current charge distribution —
     used to make an initially non-neutral load field-consistent. *)
-val settle_fields : t -> passes:int -> unit
+val settle_fields_world : world -> t list -> passes:int -> unit
 
-(** Deposit and fold rho from all species into [t.fields.rho]. *)
+(** Deposit and fold rho from all species into each [fields.rho]. *)
+val deposit_rho_world : world -> t list -> unit
+
+val energies : t -> energies
+val total_particles : t -> int
+val gauss_residual : t -> float
+val div_b_max : t -> float
+val settle_fields : t -> passes:int -> unit
 val deposit_rho : t -> unit

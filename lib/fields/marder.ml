@@ -64,18 +64,30 @@ let add_flops ?(perf = Perf.global) ~passes f =
   let nvox = float_of_int (Grid.interior_count f.Em_field.grid) in
   Perf.add_flops perf (float_of_int passes *. 20. *. nvox)
 
-let clean ?perf ?pool ?(passes = 2) ?(relax = 0.8) ~hooks f =
+(* Every pass runs each half over all fields between the fills, so a
+   fill spanning several fields (the over-decomposed world's fused
+   block routing) sees one consistent state per half. *)
+let clean_many ?perf ?pool ?(passes = 2) ?(relax = 0.8) ~fill_e ~fill_err
+    pairs =
   assert (passes >= 1 && relax > 0. && relax <= 1.);
-  let g = f.Em_field.grid in
-  let err = Sf.create g in
   let residual = ref nan in
   for pass = 1 to passes do
-    hooks.fill_e ();
-    compute_err ?pool f err;
-    if pass = 1 then residual := Sf.max_abs_interior err;
-    hooks.fill_scalar err;
-    apply_err ~relax ?pool f err
+    fill_e ();
+    List.iter (fun (f, err) -> compute_err ?pool f err) pairs;
+    if pass = 1 then
+      residual :=
+        List.fold_left
+          (fun acc (_, err) -> Float.max acc (Sf.max_abs_interior err))
+          0. pairs;
+    fill_err ();
+    List.iter (fun (f, err) -> apply_err ~relax ?pool f err) pairs
   done;
-  hooks.fill_e ();
-  add_flops ?perf ~passes f;
+  fill_e ();
+  List.iter (fun (f, _) -> add_flops ?perf ~passes f) pairs;
   !residual
+
+let clean ?perf ?pool ?passes ?relax ~hooks f =
+  let err = Sf.create f.Em_field.grid in
+  clean_many ?perf ?pool ?passes ?relax ~fill_e:hooks.fill_e
+    ~fill_err:(fun () -> hooks.fill_scalar err)
+    [ (f, err) ]

@@ -33,21 +33,17 @@ val clean :
   Em_field.t ->
   float
 
-(** {1 Split passes}
-
-    The two halves of one Marder pass, for drivers that interleave the
-    ghost fills themselves (the multi-block stepper fills every block
-    between the halves).  One {!clean} pass is exactly: fill E ghosts,
-    [compute_err], fill [err] ghosts, [apply_err]. *)
-
-(** Write div E - rho into [err] on interior nodes (ghosts of E must be
-    valid). *)
-val compute_err : ?pool:Vpic_util.Pool.t -> Em_field.t -> Sf.t -> unit
-
-(** E += d grad err on the interior ([err] ghosts must be valid). *)
-val apply_err :
-  ?relax:float -> ?pool:Vpic_util.Pool.t -> Em_field.t -> Sf.t -> unit
-
-(** Credit the analytic flop count of [passes] passes over [f]. *)
-val add_flops :
-  ?perf:Vpic_util.Perf.counters -> passes:int -> Em_field.t -> unit
+(** [clean] over several fields at once: each half-pass sweeps every
+    [(field, err)] pair between the caller's fills.  [fill_e] must make
+    every field's E ghosts valid, [fill_err] every [err] mesh's ghosts.
+    Returns the max |div E - rho| over all fields before cleaning.
+    {!clean} is the one-field case. *)
+val clean_many :
+  ?perf:Vpic_util.Perf.counters ->
+  ?pool:Vpic_util.Pool.t ->
+  ?passes:int ->
+  ?relax:float ->
+  fill_e:(unit -> unit) ->
+  fill_err:(unit -> unit) ->
+  (Em_field.t * Sf.t) list ->
+  float

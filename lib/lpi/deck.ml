@@ -156,20 +156,60 @@ let attach_lasers c ~(matching : Srs_theory.matching) sim =
          ~e0:(sqrt c.r_seed *. e0)
          ~plane_i:seed_i ~t_rise:c.t_rise ())
 
-let build ?comm ?push_backend c =
-  assert (c.vacuum >= 2. && float_of_int c.nx *. c.dx > 2. *. c.vacuum +. 2.);
-  let lx = float_of_int c.nx *. c.dx in
+let bc_global =
+  { Bc.xlo = Bc.Absorbing;
+    xhi = Bc.Absorbing;
+    ylo = Bc.Periodic;
+    yhi = Bc.Periodic;
+    zlo = Bc.Periodic;
+    zhi = Bc.Periodic }
+
+(* The box length along x and the Courant time step. *)
+let box c =
   let dy = c.l_transverse /. float_of_int c.ny in
   let dz = c.l_transverse /. float_of_int c.nz in
-  let dt = Grid.courant_dt ~dx:c.dx ~dy ~dz () in
-  let bc_global =
-    { Bc.xlo = Bc.Absorbing;
-      xhi = Bc.Absorbing;
-      ylo = Bc.Periodic;
-      yhi = Bc.Periodic;
-      zlo = Bc.Periodic;
-      zhi = Bc.Periodic }
+  (float_of_int c.nx *. c.dx, Grid.courant_dt ~dx:c.dx ~dy ~dz ())
+
+let plasma_of c =
+  { Srs_theory.nr = c.nr; uth = sqrt (c.te_kev /. electron_rest_kev) }
+
+(* One domain of the deck — the whole box, a rank's slab or a block —
+   on [grid] with [coupler], loaded with [ppc] electrons per cell (and
+   co-located ions) from a stream salted by [salt]. *)
+let build_domain c ~matching ?perf ?push_backend ~grid ~coupler ~salt ~ppc
+    () =
+  assert (c.vacuum >= 2. && float_of_int c.nx *. c.dx > 2. *. c.vacuum +. 2.);
+  let lx, _ = box c in
+  let clean_div_interval =
+    if c.ion_mass > 0. || c.filter_passes > 0 then 50 else 0
   in
+  let _, absorber_thickness, _, _, _ = plane_indices c in
+  let sim =
+    Simulation.make ~grid ~coupler ?perf ?push_backend ~clean_div_interval
+      ~absorber_thickness ~absorber_strength:0.6
+      ~current_filter_passes:c.filter_passes ()
+  in
+  let plasma = plasma_of c in
+  let density =
+    density_profile c ~plasma_x_lo:c.vacuum ~plasma_x_hi:(lx -. c.vacuum)
+  in
+  let rng = Rng.of_int (c.rng_seed + (7919 * salt)) in
+  let electrons = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
+  ignore
+    (Loader.maxwellian (Rng.split rng 1) electrons ~ppc ~uth:plasma.uth
+       ~density ());
+  if c.ion_mass > 0. then begin
+    let ions = Simulation.add_species sim ~name:"ion" ~q:1. ~m:c.ion_mass in
+    let uth_i =
+      sqrt (c.te_kev *. c.ti_over_te /. electron_rest_kev /. c.ion_mass)
+    in
+    load_colocated_ions (Rng.split rng 2) electrons ions ~uth_i
+  end;
+  attach_lasers c ~matching sim;
+  sim
+
+let build ?comm ?push_backend c =
+  let lx, dt = box c in
   (* Parallel runs slice along y only (px = pz = 1): x keeps its global
      extent on every rank, so the antenna/probe plane indices, the
      absorber and the slab profile (a function of x alone) are untouched;
@@ -197,48 +237,20 @@ let build ?comm ?push_backend c =
         let bc = Decomp.local_bc dec ~global:bc_global ~rank in
         (grid, Coupler.parallel cm bc ~grid, rank)
   in
-  let clean_div_interval = if c.ion_mass > 0. then 50 else 0 in
-  let _, absorber_thickness, _, _, probe_i = plane_indices c in
-  let clean_div_interval =
-    if c.filter_passes > 0 && clean_div_interval = 0 then 50
-    else clean_div_interval
-  in
-  let sim =
-    Simulation.make ~grid ~coupler ?push_backend ~clean_div_interval
-      ~absorber_thickness ~absorber_strength:0.6
-      ~current_filter_passes:c.filter_passes ()
-  in
-  let plasma =
-    { Srs_theory.nr = c.nr;
-      uth = sqrt (c.te_kev /. electron_rest_kev) }
-  in
+  let plasma = plasma_of c in
   let matching = Srs_theory.matching plasma in
-  let plasma_x_lo = c.vacuum and plasma_x_hi = lx -. c.vacuum in
-  let slab = density_profile c ~plasma_x_lo ~plasma_x_hi in
-  let rng = Rng.of_int (c.rng_seed + (7919 * rank)) in
-  let electrons = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-  ignore
-    (Loader.maxwellian (Rng.split rng 1) electrons ~ppc:c.ppc ~uth:plasma.uth
-       ~density:slab ());
-  if c.ion_mass > 0. then begin
-    let ions =
-      Simulation.add_species sim ~name:"ion" ~q:1. ~m:c.ion_mass
-    in
-    let uth_i =
-      sqrt (c.te_kev *. c.ti_over_te /. electron_rest_kev /. c.ion_mass)
-    in
-    load_colocated_ions (Rng.split rng 2) electrons ions ~uth_i
-  end;
-  let e0 = e0_of c in
-  attach_lasers c ~matching sim;
-  let refl = Reflectivity.create ~plane_i:probe_i ~e0 () in
+  let sim =
+    build_domain c ~matching ?push_backend ~grid ~coupler ~salt:rank
+      ~ppc:c.ppc ()
+  in
+  let _, _, _, _, probe_i = plane_indices c in
   { sim;
-    refl;
+    refl = Reflectivity.create ~plane_i:probe_i ~e0:(e0_of c) ();
     plasma;
     matching;
-    plasma_x_lo;
-    plasma_x_hi;
-    e0;
+    plasma_x_lo = c.vacuum;
+    plasma_x_hi = lx -. c.vacuum;
+    e0 = e0_of c;
     config = c }
 
 let run setup ~steps =
@@ -263,20 +275,8 @@ type block_setup = {
 
 let build_over ?comm ?pool ?push_backend ?(rebalance_interval = 10)
     ?(rebalance_threshold = 0.) ?cost_model ~blocks c =
-  assert (c.vacuum >= 2. && float_of_int c.nx *. c.dx > 2. *. c.vacuum +. 2.);
   if blocks < 1 then invalid_arg "Deck.build_over: blocks must be >= 1";
-  let lx = float_of_int c.nx *. c.dx in
-  let dy = c.l_transverse /. float_of_int c.ny in
-  let dz = c.l_transverse /. float_of_int c.nz in
-  let dt = Grid.courant_dt ~dx:c.dx ~dy ~dz () in
-  let bc_global =
-    { Bc.xlo = Bc.Absorbing;
-      xhi = Bc.Absorbing;
-      ylo = Bc.Periodic;
-      yhi = Bc.Periodic;
-      zlo = Bc.Periodic;
-      zhi = Bc.Periodic }
-  in
+  let lx, dt = box c in
   (* Blocks slice along y only, like the classic parallel deck — but
      through the remainder-safe [Decomp], so [ny] need not divide by the
      block count: block grids just differ by one y-plane. *)
@@ -285,61 +285,34 @@ let build_over ?comm ?pool ?push_backend ?(rebalance_interval = 10)
       ~ly:c.l_transverse ~lz:c.l_transverse
   in
   let layout = Block.over dec in
-  let plasma =
-    { Srs_theory.nr = c.nr;
-      uth = sqrt (c.te_kev /. electron_rest_kev) }
-  in
+  let plasma = plasma_of c in
   let matching = Srs_theory.matching plasma in
-  let plasma_x_lo = c.vacuum and plasma_x_hi = lx -. c.vacuum in
-  let density = density_profile c ~plasma_x_lo ~plasma_x_hi in
-  let clean_div_interval = if c.ion_mass > 0. then 50 else 0 in
-  let clean_div_interval =
-    if c.filter_passes > 0 && clean_div_interval = 0 then 50
-    else clean_div_interval
-  in
-  let _, absorber_thickness, _, _, probe_i = plane_indices c in
+  let _, _, _, _, probe_i = plane_indices c in
   let build ~id ~coupler ~perf =
     let grid = Block.grid layout ~dt ~id in
-    let sim =
-      Simulation.make ~grid ~coupler ~perf ?push_backend ~clean_div_interval
-        ~absorber_thickness ~absorber_strength:0.6
-        ~current_filter_passes:c.filter_passes ()
-    in
-    (* Salted by block id, not rank: loading — like the push RNG the
-       coupler carries — must be independent of which rank builds or
-       later owns the block, or relocation would perturb the physics. *)
-    let rng = Rng.of_int (c.rng_seed + (7919 * id)) in
     (* The loader places a fixed count per cell and varies weights, so a
        tilted density alone leaves the push load flat.  Scale this
        block's ppc by the tilt at its y-centre instead: weights stay
-       near-constant (charge density still follows [density] exactly)
+       near-constant (charge density still follows the profile exactly)
        and the macro-particle *count* — the actual push cost — carries
        the skew, as constant-weight loading would. *)
     let ppc =
       if c.y_skew = 0. then c.ppc
       else begin
-        let yc = grid.Grid.y0 +. (0.5 *. float_of_int grid.Grid.ny *. grid.Grid.dy) in
+        let yc =
+          grid.Grid.y0 +. (0.5 *. float_of_int grid.Grid.ny *. grid.Grid.dy)
+        in
         let tilt =
           Float.max 0. (1. +. (c.y_skew *. ((yc /. c.l_transverse) -. 0.5)))
         in
         max 1 (int_of_float (Float.round (float_of_int c.ppc *. tilt)))
       end
     in
-    let electrons =
-      Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1.
-    in
-    ignore
-      (Loader.maxwellian (Rng.split rng 1) electrons ~ppc
-         ~uth:plasma.uth ~density ());
-    if c.ion_mass > 0. then begin
-      let ions = Simulation.add_species sim ~name:"ion" ~q:1. ~m:c.ion_mass in
-      let uth_i =
-        sqrt (c.te_kev *. c.ti_over_te /. electron_rest_kev /. c.ion_mass)
-      in
-      load_colocated_ions (Rng.split rng 2) electrons ions ~uth_i
-    end;
-    attach_lasers c ~matching sim;
-    sim
+    (* Salted by block id, not rank: loading — like the push RNG the
+       coupler carries — must be independent of which rank builds or
+       later owns the block, or relocation would perturb the physics. *)
+    build_domain c ~matching ~perf ?push_backend ~grid ~coupler ~salt:id ~ppc
+      ()
   in
   let mb =
     Multiblock.create ?comm ?pool ~rebalance_interval ~rebalance_threshold
@@ -354,13 +327,12 @@ let build_over ?comm ?pool ?push_backend ?(rebalance_interval = 10)
         | None -> ())
       ~layout ~global_bc:bc_global ~build ()
   in
-  let refl = Reflectivity.create ~plane_i:probe_i ~e0:(e0_of c) () in
   { mb;
-    refl;
+    refl = Reflectivity.create ~plane_i:probe_i ~e0:(e0_of c) ();
     plasma;
     matching;
-    plasma_x_lo;
-    plasma_x_hi;
+    plasma_x_lo = c.vacuum;
+    plasma_x_hi = lx -. c.vacuum;
     e0 = e0_of c;
     config = c }
 
@@ -383,10 +355,7 @@ let run_over bs ~steps =
   Reflectivity.reflectivity bs.refl
 
 let suggested_steps c =
-  let lx = float_of_int c.nx *. c.dx in
-  let dy = c.l_transverse /. float_of_int c.ny in
-  let dz = c.l_transverse /. float_of_int c.nz in
-  let dt = Grid.courant_dt ~dx:c.dx ~dy ~dz () in
+  let lx, dt = box c in
   (* turn-on + three light transits + the damped-EPW response time
      (~2.5/nu_ek ~ 60/omega_pe in the default hohlraum regime): the
      reflectivity estimate converges on this timescale (see DESIGN.md). *)

@@ -320,8 +320,8 @@ let add_migrate_bytes t floats =
    owns [b] — slot index [b * nslots + s] — without any re-registration
    when the ownership table changes mid-run.  [Bc.Domain n] faces of a
    block carry the neighbour {e block} id; faces whose neighbour block is
-   co-resident are exchanged by direct f64 plane copies instead of the
-   wire. *)
+   co-resident are exchanged by direct plane copies instead of the wire,
+   quantized through the same f32 format. *)
 module Blocks = struct
   type view = { id : int; bc : Bc.t; g : Grid.t }
 

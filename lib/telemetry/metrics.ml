@@ -203,19 +203,6 @@ let reduce_comm c t =
 
 (* ---------------------------------------------------------------- json *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
 let snapshot_to_json ?step snap =
@@ -228,7 +215,7 @@ let snapshot_to_json ?step snap =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
+      Buffer.add_string buf (Vpic_util.Json.quote name ^ ":");
       match v with
       | Counter x ->
           Buffer.add_string buf

@@ -236,21 +236,6 @@ let dropped_entries () =
    rank + worker * 4096 so they can never collide with a real rank. *)
 let tid e = if e.worker = 0 then e.rank else e.rank + (e.worker * 4096)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let earliest es =
   List.fold_left (fun acc e -> Float.min acc e.t0) Float.infinity es
 
@@ -262,8 +247,8 @@ let export_chrome oc =
     (fun i e ->
       if i > 0 then output_char oc ',';
       Printf.fprintf oc
-        "\n{\"name\":\"%s\",\"cat\":\"vpic\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-        (json_escape e.name)
+        "\n{\"name\":%s,\"cat\":\"vpic\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
+        (Vpic_util.Json.quote e.name)
         ((e.t0 -. t_min) *. 1e6)
         ((e.t1 -. e.t0) *. 1e6)
         (tid e))
@@ -274,7 +259,7 @@ let export_jsonl oc =
   List.iter
     (fun e ->
       Printf.fprintf oc
-        "{\"rank\":%d,\"worker\":%d,\"name\":\"%s\",\"t0\":%.9f,\"t1\":%.9f,\"dur\":%.9f,\"depth\":%d}\n"
-        e.rank e.worker (json_escape e.name) e.t0 e.t1 (e.t1 -. e.t0)
-        e.depth)
+        "{\"rank\":%d,\"worker\":%d,\"name\":%s,\"t0\":%.9f,\"t1\":%.9f,\"dur\":%.9f,\"depth\":%d}\n"
+        e.rank e.worker (Vpic_util.Json.quote e.name) e.t0 e.t1
+        (e.t1 -. e.t0) e.depth)
     (entries ())

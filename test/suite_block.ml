@@ -265,6 +265,65 @@ let test_forced_rebalance_parity () =
     (fun a b -> check_close ~rtol:2e-5 "energy parity" a b)
     static_e dyn_e
 
+(* Both routings of one decomposition: 2 blocks on one rank through the
+   fused block ports, and the same 2 slabs as 2 classic ranks through
+   [Coupler.parallel].  Sibling faces cross the same f32 wire and the
+   RNGs share their salts, but a sibling's movers finish straight into
+   its neighbour in ship order, while wire arrivals finish lo face
+   first: particle order, and so summation order, differs at the last
+   bit.  The energies agree to round-off, not bitwise. *)
+let test_two_blocks_match_two_ranks () =
+  let steps = 30 and every = 5 and ppc_of _ = 8 in
+  let block_e, block_np, _ =
+    stepped_energies ~blocks:2 ~ppc_of ~steps ~every ()
+  in
+  let layout = mk_layout ~blocks:2 in
+  let results =
+    Comm.run ~ranks:2 (fun c ->
+        let id = Comm.rank c in
+        let coupler =
+          Coupler.parallel c
+            (Block.bc layout ~global:Bc.periodic ~id)
+            ~grid:(Block.grid layout ~dt:world_dt ~id)
+        in
+        let sim =
+          block_build ~ppc_of layout ~id ~coupler ~perf:(Perf.create ())
+        in
+        let out = ref [] in
+        for s = 1 to steps do
+          Simulation.step sim;
+          if s mod every = 0 then
+            out := (Simulation.energies sim).Simulation.total :: !out
+        done;
+        (List.rev !out, Simulation.total_particles sim))
+  in
+  let rank_e, rank_np = results.(0) in
+  Alcotest.(check int) "particle count" block_np rank_np;
+  Alcotest.(check int) "samples" (steps / every) (List.length rank_e);
+  List.iter2
+    (fun a b -> check_close ~atol:0. ~rtol:1e-12 "energy trajectory" a b)
+    block_e rank_e
+
+(* Current filtering fills its scalars through a simulation's own
+   coupler, which a block coupler cannot do: a world of several blocks
+   must refuse it up front, while a lone block keeps it. *)
+let test_filter_needs_one_block () =
+  let create ~blocks =
+    let layout = mk_layout ~blocks in
+    Multiblock.create ~layout ~global_bc:Bc.periodic
+      ~build:(fun ~id ~coupler ~perf ->
+        Simulation.make ~grid:(Block.grid layout ~dt:world_dt ~id) ~coupler
+          ~perf ~current_filter_passes:1 ())
+      ()
+  in
+  check_true "2 blocks with filtering raise Invalid_argument"
+    (try
+       ignore (create ~blocks:2);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "1 block with filtering builds" 1
+    (Multiblock.nblocks (create ~blocks:1))
+
 let suite =
   [ case "rebalance: balanced plan is empty" test_plan_balanced;
     case "rebalance: skewed plan reduces imbalance" test_plan_skewed;
@@ -283,4 +342,8 @@ let suite =
     slow_case "multiblock: forced rebalance preserves the physics"
       test_forced_rebalance_parity;
     case "checkpoint: block image re-encodes bitwise"
-      test_wire_image_block_roundtrip ]
+      test_wire_image_block_roundtrip;
+    slow_case "multiblock: 2 blocks on 1 rank step like 2 classic ranks"
+      test_two_blocks_match_two_ranks;
+    case "multiblock: current filtering needs a single block"
+      test_filter_needs_one_block ]
