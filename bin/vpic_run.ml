@@ -805,22 +805,35 @@ let srs_cmd =
     let kernels =
       Arg.enum [ ("scalar", `Scalar); ("block", `Block); ("spe", `Spe) ]
     in
-    Arg.(value & opt kernels `Scalar
+    Arg.(value & opt kernels `Block
          & info [ "push-kernel" ]
-             ~doc:"Push execution backend. $(b,scalar) (default): the \
-                   classic per-particle loop.  $(b,block): block-vectorized \
-                   kernel — fixed-width particle blocks against one cached \
-                   72-byte interpolator block per voxel, cell-crossers \
-                   falling out to a scalar cleanup pass; stepped results \
-                   are bitwise identical to scalar.  $(b,spe): stream \
+             ~doc:"Push execution backend. $(b,scalar): the classic \
+                   per-particle loop.  $(b,block) (default): \
+                   block-vectorized kernel — fixed-width particle blocks \
+                   against one cached 72-byte interpolator block per voxel, \
+                   cell-crossers falling out to a scalar cleanup pass; \
+                   stepped results are bitwise identical to scalar.  \
+                   $(b,spe): stream \
                    block-kernel chunks through the Cell SPE pipeline's \
                    double-buffered DMA accounting.")
   in
   let block_width =
-    Arg.(value & opt int Vpic_particle.Push.default_block_width
+    let widest = Vpic_particle.Push.max_block_width in
+    let width =
+      Arg.conv
+        ( (fun s ->
+            match Arg.conv_parser Arg.int s with
+            | Ok w when w >= 1 && w <= widest -> Ok w
+            | Ok w ->
+                Error (`Msg (Printf.sprintf "%d is not in [1,%d]" w widest))
+            | Error _ as e -> e),
+          Arg.conv_printer Arg.int )
+    in
+    Arg.(value & opt width Vpic_particle.Push.default_block_width
          & info [ "block-width" ]
-             ~doc:"With --push-kernel block|spe: particles per block \
-                   (typically 4 or 8).")
+             ~doc:(Printf.sprintf
+                     "With --push-kernel block|spe: particles per block, \
+                      1 to %d (typically 4 or 8)." widest))
   in
   Cmd.v
     (Cmd.info "srs" ~doc:"Laser-plasma SRS deck (one parameter-study point)")
@@ -849,8 +862,8 @@ let git_describe () =
     | _ -> "unknown"
   with _ -> "unknown"
 
-(* The bench artifact envelope ({"schema":"vpic-bench/1",...}) shared
-   with bench/main.ml, built on Vpic_util.Json. *)
+(* The sweep artifact envelope ({"schema":"vpic-bench/1",...}), built
+   on Vpic_util.Json. *)
 let bench_json ~bench ~ranks results =
   Json.Obj
     [ ("schema", Json.Str "vpic-bench/1");

@@ -125,7 +125,8 @@ let spe_pipeline_for = function
 
 let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     ?(absorber_thickness = 8) ?(absorber_strength = 0.15)
-    ?(current_filter_passes = 0) ?(push_backend = Host_scalar)
+    ?(current_filter_passes = 0)
+    ?(push_backend = Host_block { width = Push.default_block_width })
     ?(interp_accum = true) ?perf ?(pool = Vpic_util.Pool.serial) ~grid
     ~coupler () =
   assert (current_filter_passes = 0 || clean_div_interval > 0);

@@ -37,7 +37,8 @@ type push_scratch = {
     than team-slab order, so it is worker-invariant but its own
     numerical lineage.  A backend is an execution strategy, not
     physics: it enters neither the deck hash nor the checkpoint image
-    (restores default to [Host_scalar]; re-apply with
+    (a restored simulation runs the default [Host_block] at
+    {!Vpic_particle.Push.default_block_width}; re-apply another with
     {!set_push_backend}). *)
 type push_backend =
   | Host_scalar
@@ -115,6 +116,9 @@ type t = {
     fold out of per-voxel accumulator blocks after migration; disable to
     gather/scatter directly against the strided meshes (identical
     physics up to f32 coefficient rounding and addition order).
+    [push_backend] (default [Host_block] at
+    {!Vpic_particle.Push.default_block_width}) selects the interior-push
+    engine; see {!push_backend}.
     [perf] shares an existing flop/byte counter set between simulations
     (the over-decomposed driver gives all its blocks one); by default
     each simulation counts alone.

@@ -33,6 +33,7 @@ let kernel_to_string = function
   | Block { width } -> "block" ^ string_of_int width
 
 let default_block_width = 8
+let max_block_width = 16
 
 (* Particles stopped at a Domain face, packed 13 Float32 values each in a
    Bigarray so the buffer IS the wire format of the comm layer's
@@ -426,8 +427,10 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
   (match kernel with
   | Scalar -> ()
   | Block { width } ->
-      if width < 1 || width > 16 then
-        invalid_arg "Push.advance: block width must be in [1,16]");
+      if width < 1 || width > max_block_width then
+        invalid_arg
+          (Printf.sprintf "Push.advance: block width must be in [1,%d]"
+             max_block_width));
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
   (match interp with

@@ -66,6 +66,9 @@ val kernel_to_string : kernel -> string
 val default_block_width : int
 (** 8 — two SPE-style quadwords of f32 lanes per pass. *)
 
+val max_block_width : int
+(** 16 — the widest block {!advance} accepts; widths run 1 to this. *)
+
 (** Particles stopped at a [Domain] face, packed {!Movers.stride} Float32
     values each in a Bigarray: cell (i,j,k as exact integers), in-cell
     position (f32-exact by construction), momentum + weight (f32 —

@@ -203,35 +203,32 @@ let reduce_comm c t =
 
 (* ---------------------------------------------------------------- json *)
 
-let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
+let value_to_json =
+  let open Vpic_util.Json in
+  function
+  | Counter x -> Obj [ ("kind", Str "counter"); ("value", Num x) ]
+  | Gauge x -> Obj [ ("kind", Str "gauge"); ("value", Num x) ]
+  | Histogram h ->
+      Obj
+        [ ("kind", Str "histogram");
+          ("count", Num h.count);
+          ("sum", Num h.sum);
+          ("min", Num h.min_v);
+          ("max", Num h.max_v);
+          ("p50", Num h.p50);
+          ("p95", Num h.p95) ]
 
 let snapshot_to_json ?step snap =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"type\":\"metrics\"";
-  (match step with
-  | Some s -> Buffer.add_string buf (Printf.sprintf ",\"step\":%d" s)
-  | None -> ());
-  Buffer.add_string buf ",\"metrics\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Vpic_util.Json.quote name ^ ":");
-      match v with
-      | Counter x ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"kind\":\"counter\",\"value\":%s}" (num x))
-      | Gauge x ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"kind\":\"gauge\",\"value\":%s}" (num x))
-      | Histogram h ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"kind\":\"histogram\",\"count\":%s,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s}"
-               (num h.count) (num h.sum) (num h.min_v) (num h.max_v)
-               (num h.p50) (num h.p95)))
-    snap;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let open Vpic_util.Json in
+  let step =
+    match step with Some s -> [ ("step", Num (float_of_int s)) ] | None -> []
+  in
+  to_string
+    (Obj
+       ((("type", Str "metrics") :: step)
+       @ [ ( "metrics",
+             Obj (List.map (fun (name, v) -> (name, value_to_json v)) snap) )
+         ]))
 
 let install_comm_wait_observer () =
   let m = default () in

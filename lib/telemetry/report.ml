@@ -1,6 +1,7 @@
 module Perf_model = Vpic_cell.Perf_model
 module Roadrunner = Vpic_cell.Roadrunner
 module Table = Vpic_util.Table
+module Json = Vpic_util.Json
 
 type row = {
   label : string;
@@ -69,18 +70,21 @@ let print t =
     t.rates;
   Table.print ~title:"measured vs modelled rates" tr
 
-let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
 let rows_json rows =
-  String.concat ","
+  Json.Obj
     (List.map
        (fun r ->
-         Printf.sprintf
-           "\"%s\":{\"measured\":%s,\"modelled\":%s,\"ratio\":%s}" r.label
-           (num r.measured) (num r.modelled) (num r.ratio))
+         ( r.label,
+           Json.Obj
+             [ ("measured", Json.Num r.measured);
+               ("modelled", Json.Num r.modelled);
+               ("ratio", Json.Num r.ratio) ] ))
        rows)
 
 let to_json t =
-  Printf.sprintf
-    "{\"type\":\"report\",\"machine\":\"%s\",\"phases\":{%s},\"rates\":{%s}}"
-    t.machine (rows_json t.rows) (rows_json t.rates)
+  Json.to_string
+    (Json.Obj
+       [ ("type", Json.Str "report");
+         ("machine", Json.Str t.machine);
+         ("phases", rows_json t.rows);
+         ("rates", rows_json t.rates) ])

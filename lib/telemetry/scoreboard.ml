@@ -201,18 +201,23 @@ let print s =
     (100. *. s.comm_wait_frac)
     s.imbalance s.movers
 
-let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
 let sample_to_json s =
-  Printf.sprintf
-    "{\"type\":\"scoreboard\",\"step\":%d,\"window_steps\":%d,\"wall_s\":%s,\
-     \"particle_rate\":%s,\"voxel_rate\":%s,\"sustained_flops\":%s,\
-     \"inner_flops\":%s,\"comm_wait_frac\":%s,\"movers\":%s,\
-     \"mover_bytes\":%s,\"imbalance\":%s,\"worker_imbalance\":%s}"
-    s.step s.window_steps (num s.wall_s) (num s.particle_rate)
-    (num s.voxel_rate) (num s.sustained_flops) (num s.inner_flops)
-    (num s.comm_wait_frac) (num s.movers) (num s.mover_bytes)
-    (num s.imbalance) (num s.worker_imbalance)
+  let open Vpic_util.Json in
+  to_string
+    (Obj
+       [ ("type", Str "scoreboard");
+         ("step", Num (float_of_int s.step));
+         ("window_steps", Num (float_of_int s.window_steps));
+         ("wall_s", Num s.wall_s);
+         ("particle_rate", Num s.particle_rate);
+         ("voxel_rate", Num s.voxel_rate);
+         ("sustained_flops", Num s.sustained_flops);
+         ("inner_flops", Num s.inner_flops);
+         ("comm_wait_frac", Num s.comm_wait_frac);
+         ("movers", Num s.movers);
+         ("mover_bytes", Num s.mover_bytes);
+         ("imbalance", Num s.imbalance);
+         ("worker_imbalance", Num s.worker_imbalance) ])
 
 type totals = {
   steps : int;

@@ -324,6 +324,62 @@ let test_filter_needs_one_block () =
   Alcotest.(check int) "1 block with filtering builds" 1
     (Multiblock.nblocks (create ~blocks:1))
 
+(* A skewed 2-rank x 4-block world (ppc rises with block id, so rank
+   1's slabs start ~2.7x heavier than rank 0's), stepped under static
+   ownership and under the greedy rebalancer on the deterministic
+   [`Particles] cost model: blocks must move, the push imbalance must
+   drop, and the final energy must not notice. *)
+let test_skewed_world_rebalances () =
+  let ranks = 2 and blocks = 4 in
+  let steps = 40 and interval = 5 in
+  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
+  let mk_layout () =
+    Block.over
+      (Decomp.make ~px:1 ~py:blocks ~pz:1 ~gnx:8 ~gny:16 ~gnz:6 ~lx:4. ~ly:8.
+         ~lz:3.)
+  in
+  (* block-id-skewed load: blocks 0..3 carry ppc 4, 10, 16, 22 *)
+  let ppc_of id = 4 + (6 * id) in
+  let build layout ~id ~coupler ~perf =
+    let grid = Block.grid layout ~dt ~id in
+    let sim =
+      Simulation.make ~grid ~coupler ~perf ~clean_div_interval:7
+        ~sort_interval:5 ()
+    in
+    let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
+    ignore
+      (Loader.maxwellian
+         (Rng.of_int (211 + (17 * id)))
+         e ~ppc:(ppc_of id) ~uth:0.08 ());
+    let ions = Simulation.add_species sim ~name:"ion" ~q:1. ~m:100. in
+    Species.iter e (fun n ->
+        let p = Species.get e n in
+        Species.append ions { p with ux = 0.; uy = 0.; uz = 0. });
+    sim
+  in
+  let variant ~threshold =
+    (Comm.run ~ranks (fun c ->
+         let layout = mk_layout () in
+         let mb =
+           Multiblock.create ~comm:c ~rebalance_interval:interval
+             ~rebalance_threshold:threshold ~cost_model:`Particles ~layout
+             ~global_bc:Bc.periodic ~build:(build layout) ()
+         in
+         Multiblock.run mb ~steps ();
+         ( Multiblock.last_imbalance mb,
+           Comm.allreduce_sum c (float_of_int (Multiblock.migrations mb)),
+           (Multiblock.energies mb).Simulation.total ))).(0)
+  in
+  let imb_static, _, en_static = variant ~threshold:0. in
+  let imb_dyn, moves, en_dyn = variant ~threshold:1.01 in
+  check_true "at least one block migrates" (moves >= 1.);
+  check_true
+    (Printf.sprintf "imbalance drops (static %.3f, rebalanced %.3f)"
+       imb_static imb_dyn)
+    (imb_dyn < imb_static);
+  let rel = Float.abs (en_dyn -. en_static) /. Float.abs en_static in
+  check_true (Printf.sprintf "energy rel diff %.1e < 1e-6" rel) (rel < 1e-6)
+
 let suite =
   [ case "rebalance: balanced plan is empty" test_plan_balanced;
     case "rebalance: skewed plan reduces imbalance" test_plan_skewed;
@@ -346,4 +402,7 @@ let suite =
     slow_case "multiblock: 2 blocks on 1 rank step like 2 classic ranks"
       test_two_blocks_match_two_ranks;
     case "multiblock: current filtering needs a single block"
-      test_filter_needs_one_block ]
+      test_filter_needs_one_block;
+    slow_case
+      "multiblock: skewed world rebalances, imbalance drops, energy holds"
+      test_skewed_world_rebalances ]

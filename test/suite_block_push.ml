@@ -135,21 +135,23 @@ let test_advance_parity_w4 () = advance_parity ~width:4 ()
    (quasi-1D) shell to the scalar boundary pass. *)
 let srs_config = { Deck.default with Deck.ppc = 2; Deck.ny = 6; Deck.nz = 6 }
 
-let srs_energies ?push_backend ~steps () =
-  let setup = Deck.build ?push_backend srs_config in
+let srs_energies ~push_backend ~steps () =
+  let setup = Deck.build ~push_backend srs_config in
   let sim = setup.Deck.sim in
   for _ = 1 to steps do
     Simulation.step sim
   done;
   check_true "interior block lanes were pushed"
     (match push_backend with
-    | Some (Simulation.Host_block _) ->
+    | Simulation.Host_block _ ->
         sim.Simulation.push_stats.Push.block_lanes > 0
     | _ -> true);
   Simulation.energies sim
 
 let test_srs_block_parity () =
-  let e_sc = srs_energies ~steps:20 () in
+  let e_sc =
+    srs_energies ~push_backend:Simulation.Host_scalar ~steps:20 ()
+  in
   let e_bl =
     srs_energies ~push_backend:(Simulation.Host_block { width = 8 }) ~steps:20
       ()
@@ -182,7 +184,9 @@ let test_srs_block_worker_invariance () =
    through the pipeline's DMA ledger in index order — deposits land in
    exactly the scalar order, so even this backend is bitwise. *)
 let test_srs_spe_parity () =
-  let e_sc = srs_energies ~steps:10 () in
+  let e_sc =
+    srs_energies ~push_backend:Simulation.Host_scalar ~steps:10 ()
+  in
   let e_spe =
     srs_energies
       ~push_backend:(Simulation.Spe_stream { width = 8; dma_block = 512 })

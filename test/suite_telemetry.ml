@@ -428,6 +428,65 @@ let test_snapshot_json_non_finite () =
       | None -> Alcotest.fail "drift missing")
   | None -> Alcotest.fail "metrics object missing"
 
+(* --- Report and Scoreboard documents ------------------------------------ *)
+
+(* Both run-stream documents go through the library writer: they parse
+   back with [Vpic_util.Json.parse], strings (even a machine name that
+   needs escaping) come back verbatim, and numbers round-trip. *)
+let test_report_scoreboard_json_parse () =
+  let module J = Vpic_util.Json in
+  let module Report = Vpic_telemetry.Report in
+  let module Scoreboard = Vpic_telemetry.Scoreboard in
+  let parse label s =
+    match J.parse s with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "%s: invalid JSON (%s)" label msg
+  in
+  let field label path v =
+    List.fold_left
+      (fun v k ->
+        match J.member k v with
+        | Some v -> v
+        | None -> Alcotest.failf "%s: missing %s" label k)
+      v path
+  in
+  let row label measured modelled =
+    { Report.label; measured; modelled; ratio = measured /. modelled }
+  in
+  let report =
+    { Report.machine = "host \"a\"\\b";
+      rows = [ row "push" 0.25 0.125; row "step" 0.5 nan ];
+      rates = [ row "particle-steps/s" 3e6 1.5e12 ] }
+  in
+  let r = parse "report" (Report.to_json report) in
+  Alcotest.(check (option string))
+    "report type" (Some "report")
+    (J.to_string_opt (field "report" [ "type" ] r));
+  Alcotest.(check (option string))
+    "machine quoted" (Some report.Report.machine)
+    (J.to_string_opt (field "report" [ "machine" ] r));
+  Alcotest.(check (option (float 0.)))
+    "push ratio" (Some 2.)
+    (J.to_float_opt (field "report" [ "phases"; "push"; "ratio" ] r));
+  check_true "non-finite modelled is null"
+    (field "report" [ "phases"; "step"; "modelled" ] r = J.Null);
+  let sample =
+    { Scoreboard.step = 40; window_steps = 10; wall_s = 0.125;
+      particle_rate = 1.5e6; voxel_rate = 2e5; sustained_flops = 3e8;
+      inner_flops = 4e8; comm_wait_frac = 0.0625; movers = 12.;
+      mover_bytes = 624.; imbalance = 1.25; worker_imbalance = 1. }
+  in
+  let sc = parse "scoreboard" (Scoreboard.sample_to_json sample) in
+  Alcotest.(check (option string))
+    "scoreboard type" (Some "scoreboard")
+    (J.to_string_opt (field "scoreboard" [ "type" ] sc));
+  Alcotest.(check (option int))
+    "step" (Some 40)
+    (J.to_int_opt (field "scoreboard" [ "step" ] sc));
+  Alcotest.(check (option (float 0.)))
+    "particle rate" (Some 1.5e6)
+    (J.to_float_opt (field "scoreboard" [ "particle_rate" ] sc))
+
 let suite =
   [ case "trace: disabled run records zero entries" test_disabled_records_nothing;
     case "trace: span nesting and monotonic timestamps" test_span_nesting;
@@ -442,4 +501,6 @@ let suite =
     case "metrics: 2-rank reduce is sum/max of per-rank values"
       test_reduce_two_ranks;
     case "metrics: snapshot JSON renders non-finite as null"
-      test_snapshot_json_non_finite ]
+      test_snapshot_json_non_finite;
+    case "report: report and scoreboard JSON parse back"
+      test_report_scoreboard_json_parse ]
