@@ -20,6 +20,8 @@ module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
 module Sort = Vpic_particle.Sort
+module Interpolator = Vpic_particle.Interpolator
+module Accumulator = Vpic_particle.Accumulator
 module Moments = Vpic_particle.Moments
 module Loader = Vpic_particle.Loader
 module Comm = Vpic_parallel.Comm
@@ -210,9 +212,18 @@ let kernel_fixture () =
   ignore (Loader.maxwellian rng s ~ppc:64 ~uth:0.08 ());
   (g, f, s)
 
+(* The memory system the production push runs against: an interpolator
+   loaded from [f] and an accumulator to scatter into. *)
+let push_memory f =
+  let g = f.Em_field.grid in
+  let ip = Interpolator.create g in
+  Interpolator.load ip f;
+  (ip, Accumulator.create g)
+
 let e5_kernels () =
   pf "\n###### E5: kernel costs and the Cell offload ######\n";
   let g, f, s = kernel_fixture () in
+  let interp, accum = push_memory f in
   let np = Species.count s in
   let reps = 3 in
   let t = Table.create [ "kernel"; "measured"; "unit"; "notes" ] in
@@ -220,7 +231,7 @@ let e5_kernels () =
   let _, d_sorted =
     Perf.timed (fun () ->
         for _ = 1 to reps do
-          ignore (Push.advance s f Bc.periodic)
+          ignore (Push.advance ~interp ~accum s f Bc.periodic)
         done)
   in
   let ns_pp = d_sorted /. float_of_int (np * reps) *. 1e9 in
@@ -241,6 +252,10 @@ let e5_kernels () =
   let bs = Species.create ~name:"e" ~q:(-1.) ~m:1. big in
   ignore (Loader.maxwellian (Rng.of_int 2) bs ~ppc:16 ~uth:0.08 ());
   let bn = Species.count bs in
+  let binterp, baccum = push_memory bf in
+  let bpush () =
+    ignore (Push.advance ~interp:binterp ~accum:baccum bs bf Bc.periodic)
+  in
   (* randomise order, then measure; then sort and measure again *)
   let shuffle () =
     let rng = Rng.of_int 11 in
@@ -251,11 +266,11 @@ let e5_kernels () =
   in
   shuffle ();
   let _, d_big_unsorted =
-    Perf.timed (fun () -> ignore (Push.advance bs bf Bc.periodic))
+    Perf.timed bpush
   in
   Sort.by_voxel bs;
   let _, d_big_sorted =
-    Perf.timed (fun () -> ignore (Push.advance bs bf Bc.periodic))
+    Perf.timed bpush
   in
   Table.add_row t
     [ "push, 64k-voxel grid, sorted";
@@ -334,7 +349,7 @@ let e5_kernels () =
   Table.print ~title:"E5 measured kernel costs (this host)" t;
   (* the simulated SPE pipeline: DMA ledger and modelled Cell rates *)
   let pipe = Spe_pipeline.create Roadrunner.full in
-  ignore (Spe_pipeline.advance_species pipe s f Bc.periodic);
+  ignore (Spe_pipeline.advance_species pipe ~interp ~accum s f Bc.periodic);
   let led = Spe_pipeline.ledger pipe in
   let t = Table.create [ "quantity"; "value"; "unit" ] in
   Table.add_row t

@@ -12,7 +12,7 @@
                           [--max-recoveries K]
                           [--ranks N] [--trace FILE] [--metrics FILE]
                           [--scoreboard-every N]
-                          [--push-kernel scalar|block|spe] [--block-width W]
+                          [--push-kernel block|spe] [--block-width W]
      vpic_run sweep       [--a0s 0.02,0.04,...] [--ppc 32] [--with-noise-run]
                           [--steps N] [--noise-floor R] [--json FILE]
                           [--campaign DIR] [--workers N]
@@ -175,12 +175,10 @@ let export_trace = function
    per-particle flop estimates comparing like with like. *)
 let push_backend_of ~push_kernel ~block_width =
   match push_kernel with
-  | `Scalar -> Simulation.Host_scalar
   | `Block -> Simulation.Host_block { width = block_width }
   | `Spe -> Simulation.Spe_stream { width = block_width; dma_block = 512 }
 
 let report_kernel_of = function
-  | Simulation.Host_scalar -> `Scalar
   | Simulation.Host_block { width } -> `Block width
   | Simulation.Spe_stream _ -> `Spe
 
@@ -478,8 +476,9 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
        the live one here. *)
     Option.iter (fun tm -> Simulation.set_pool sim (Team.pool tm)) team;
     (* Like the pool, the backend is an execution choice and is never
-       checkpointed: a resumed simulation comes back scalar, so re-apply
-       the requested kernel here (a no-op on a fresh build). *)
+       checkpointed: a resumed simulation comes back with the default
+       block backend, so re-apply the requested one here (a no-op on a
+       fresh build). *)
     Simulation.set_push_backend sim push_backend;
     (if sentinel_every > 0 then begin
        let log =
@@ -803,17 +802,17 @@ let srs_cmd =
   in
   let push_kernel =
     let kernels =
-      Arg.enum [ ("scalar", `Scalar); ("block", `Block); ("spe", `Spe) ]
+      Arg.enum [ ("block", `Block); ("spe", `Spe) ]
     in
     Arg.(value & opt kernels `Block
          & info [ "push-kernel" ]
-             ~doc:"Push execution backend. $(b,scalar): the classic \
-                   per-particle loop.  $(b,block) (default): \
-                   block-vectorized kernel — fixed-width particle blocks \
-                   against one cached 72-byte interpolator block per voxel, \
-                   cell-crossers falling out to a scalar cleanup pass; \
-                   stepped results are bitwise identical to scalar.  \
-                   $(b,spe): stream \
+             ~doc:"Push execution backend; both run the block-vectorized \
+                   kernel — fixed-width particle blocks against one cached \
+                   72-byte interpolator block per voxel, cell-crossers \
+                   falling out to the face-crossing walk; stepped results \
+                   are bitwise invariant in --block-width.  \
+                   $(b,block) (default): fan the interior push out over \
+                   the worker team.  $(b,spe): stream \
                    block-kernel chunks through the Cell SPE pipeline's \
                    double-buffered DMA accounting.")
   in

@@ -57,12 +57,7 @@ let default_calibration =
    [default_calibration] under `--push-kernel block` would compare
    apples to oranges.  [`Spe] keeps the paper numbers: the SPE stream
    models the published kernel. *)
-type push_kernel = [ `Scalar | `Block of int | `Spe ]
-
-let push_kernel_to_string = function
-  | `Scalar -> "scalar"
-  | `Block w -> "block" ^ string_of_int w
-  | `Spe -> "spe"
+type push_kernel = [ `Block of int | `Spe ]
 
 (* Per-pass flop rows of the block kernel (per lane; deposit per
    segment) — [Push.block_pass_flops] re-exported so report tables and
@@ -71,11 +66,9 @@ let block_pass_flops = Push.block_pass_flops
 
 let calibration_for = function
   | `Spe -> default_calibration
-  | `Scalar | `Block _ ->
-      (* The host kernels ledger the interpolator gather; scalar and
-         block charge identical flops per particle (the block kernel's
-         pass split sums to the scalar ledger by construction), so both
-         host rows use the same per-particle estimate. *)
+  | `Block _ ->
+      (* The host kernel ledgers the interpolator gather, the same flops
+         per particle at every width. *)
       let avg_segments = default_calibration.avg_segments in
       let flops_pp =
         Vpic_particle.Interpolator.flops_per_gather +. Push.flops_per_push

@@ -38,14 +38,12 @@ val default_calibration : calibration
 
 (** Which push kernel a predicted-vs-measured comparison assumes.
     [`Spe] is the paper's published SPE kernel ({!default_calibration}:
-    full staggered gather); [`Scalar] and [`Block w] are the host
-    kernels, whose Perf ledger charges the interpolator expansion's
-    cheaper gather — {!calibration_for} swaps the per-particle flop
-    estimate accordingly so Report ratios stay meaningful under
-    [--push-kernel block]. *)
-type push_kernel = [ `Scalar | `Block of int | `Spe ]
+    full staggered gather); [`Block w] is the host kernel, whose Perf
+    ledger charges the interpolator expansion's cheaper gather —
+    {!calibration_for} swaps the per-particle flop estimate accordingly
+    so Report ratios stay meaningful under [--push-kernel block]. *)
+type push_kernel = [ `Block of int | `Spe ]
 
-val push_kernel_to_string : push_kernel -> string
 val calibration_for : push_kernel -> calibration
 
 (** [(pass, flops)] rows of the block kernel's fused passes (gather,

@@ -1,6 +1,5 @@
 module Species = Vpic_particle.Species
 module Push = Vpic_particle.Push
-module Interp = Vpic_particle.Interp
 module Bc = Vpic_grid.Bc
 module Perf = Vpic_util.Perf
 
@@ -70,8 +69,8 @@ let no_absorbing bc =
       match k with Bc.Absorbing | Bc.Refluxing _ -> false | _ -> true)
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
-let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
-    ?(kernel = Push.Scalar) ?region t s f bc =
+let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ?accum ?rng
+    ?width ?region t s f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
      fixed-count DMA block accounting — except over an `Interior region,
      whose particles cannot reach a wall by construction. *)
@@ -86,10 +85,8 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
   in
   let np = Species.count s in
   let flops_pp =
-    (match interp with
-    | Some _ -> Vpic_particle.Interpolator.flops_per_gather
-    | None -> Interp.flops_per_gather)
-    +. Push.flops_per_push +. Push.flops_per_segment
+    Vpic_particle.Interpolator.flops_per_gather +. Push.flops_per_push
+    +. Push.flops_per_segment
   in
   let spe_flops =
     t.machine.Roadrunner.spe_clock_hz
@@ -103,10 +100,10 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
     let st =
       match region with
       | Some (`Interior d) ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~kernel
+          Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width
             ~region:(`Interior d) s f bc
       | None ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~kernel
+          Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width
             s f bc
     in
     assert (st.Push.absorbed = 0);

@@ -51,20 +51,20 @@ val ledger : t -> ledger
     particles per voxel used to amortise interpolator/accumulator traffic
     (defaults to the species' actual average over occupied voxels).
 
-    [interp]/[accum]/[rng]/[kernel] pass straight through to
-    [Push.advance], so the production interpolator fast path (and the
-    block kernel) can stream through the pipeline.  [region:(`Interior
-    d)] restricts each block to non-shell particles, deferring shell
-    indices into [d] exactly like [Push.advance ~region] — and lifts
+    [interp]/[accum]/[rng]/[width] pass straight through to
+    [Push.advance], so the production block kernel streams through the
+    pipeline.  [region:(`Interior d)] restricts each block to non-shell
+    particles, deferring shell index ranges into [d] exactly like
+    [Push.advance ~region] — and lifts
     the no-absorbing-walls restriction, since interior particles cannot
     reach a wall in one step. *)
 val advance_species :
   ?perf:Vpic_util.Perf.counters ->
   ?ppc_hint:float ->
-  ?interp:Vpic_particle.Interpolator.t ->
+  interp:Vpic_particle.Interpolator.t ->
   ?accum:Vpic_particle.Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?kernel:Vpic_particle.Push.kernel ->
+  ?width:int ->
   ?region:[ `Interior of Vpic_particle.Push.Defer.t ] ->
   t ->
   Vpic_particle.Species.t ->

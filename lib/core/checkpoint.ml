@@ -8,7 +8,7 @@ module Rng = Vpic_util.Rng
 module Fault = Vpic_util.Fault
 module A1 = Bigarray.Array1
 
-let format_version = 9
+let format_version = 10
 
 exception Corrupt of { path : string; reason : string }
 exception Version_mismatch of { path : string; found : int; expected : int }
@@ -42,7 +42,6 @@ type meta_snap = {
   current_filter_passes : int;
   absorber_thickness : int;
   absorber_strength : float;
-  interp_accum : bool;
   push_rng : Rng.state;
   migrate_rng : Rng.state option;
   (* Over-decomposition identity.  Classic per-rank checkpoints carry
@@ -68,7 +67,7 @@ type meta_snap = {
 
      meta     nstep; nx ny nz; lx ly lz dt x0 y0 z0; sort_interval;
               clean_div_interval; marder_passes; current_filter_passes;
-              absorber_thickness; absorber_strength; interp_accum (u8);
+              absorber_thickness; absorber_strength;
               push RNG {st; sp; has_sp (u8)};
               migrate RNG presence byte, then its state if present;
               block_id; nblocks; workers
@@ -197,7 +196,6 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     current_filter_passes = t.Simulation.current_filter_passes;
     absorber_thickness = t.Simulation.absorber_thickness;
     absorber_strength = t.Simulation.absorber_strength;
-    interp_accum = t.Simulation.interp_accum <> None;
     push_rng = Rng.state t.Simulation.push_rng;
     migrate_rng =
       Option.map Rng.state t.Simulation.coupler.Coupler.migrate_rng;
@@ -206,8 +204,8 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     workers = (Simulation.pool t).Vpic_util.Pool.lanes }
 
 let meta_bytes m =
-  (* 12 ints, 7 grid floats + absorber_strength, 2 flag bytes *)
-  (12 * 8) + (8 * 8) + 2 + rng_bytes
+  (* 12 ints, 7 grid floats + absorber_strength, 1 flag byte *)
+  (12 * 8) + (8 * 8) + 1 + rng_bytes
   + (match m.migrate_rng with Some _ -> rng_bytes | None -> 0)
 
 let put_meta w m =
@@ -219,7 +217,6 @@ let put_meta w m =
     [ m.sort_interval; m.clean_div_interval; m.marder_passes;
       m.current_filter_passes; m.absorber_thickness ];
   put_f64 w m.absorber_strength;
-  put_bool w m.interp_accum;
   put_rng w m.push_rng;
   (match m.migrate_rng with
   | Some s ->
@@ -474,7 +471,6 @@ let get_meta r =
   let current_filter_passes = int "current_filter_passes" in
   let absorber_thickness = int "absorber_thickness" in
   let absorber_strength = flt "absorber_strength" in
-  let interp_accum = get_bool r "interp_accum" in
   let push_rng = get_rng r "push_rng" in
   let migrate_rng =
     if get_bool r "migrate_rng" then Some (get_rng r "migrate_rng") else None
@@ -495,7 +491,7 @@ let get_meta r =
    && current_filter_passes >= 0)
     "step intervals";
   check
-    (current_filter_passes = 0 || (clean_div_interval > 0 && interp_accum))
+    (current_filter_passes = 0 || clean_div_interval > 0)
     "current filter";
   check (absorber_thickness >= 1) "absorber_thickness";
   check (absorber_strength > 0. && absorber_strength < 1.) "absorber_strength";
@@ -509,7 +505,6 @@ let get_meta r =
     current_filter_passes;
     absorber_thickness;
     absorber_strength;
-    interp_accum;
     push_rng;
     migrate_rng;
     block_id;
@@ -618,7 +613,7 @@ let decode_image ?expect_block ?perf ~coupler ~path data =
       ~absorber_thickness:meta.absorber_thickness
       ~absorber_strength:meta.absorber_strength
       ~current_filter_passes:meta.current_filter_passes
-      ~interp_accum:meta.interp_accum ?perf ~grid ~coupler ()
+      ?perf ~grid ~coupler ()
   in
   t.Simulation.nstep <- meta.nstep;
   (* meta.workers is a provenance note only — the restoring driver owns

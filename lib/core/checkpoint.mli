@@ -2,7 +2,7 @@
 
     Serialises the full simulation state (step counter, every field
     component, every species, both RNG streams) to a single file per
-    rank.  The file (format v9) carries a magic, a format version and
+    rank.  The file (format v10) carries a magic, a format version and
     three sections (meta, fields, species), each with its length and
     CRC-32.  The payloads are an explicit little-endian encoding, not
     [Marshal]:

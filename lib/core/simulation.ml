@@ -50,26 +50,24 @@ type push_scratch = {
    worker team ([Push.advance_team]); [Spe_stream] instead streams each
    species serially through [Vpic_cell.Spe_pipeline]'s double-buffered
    DMA accounting in fixed-size blocks (the paper's SPE control flow),
-   with the block kernel inside each block.  Scalar and block host
-   backends are bitwise identical; the SPE stream is worker-invariant
-   by construction (serial) but folds currents in stream order rather
-   than slab order, so it is its own numerical lineage.  A backend is
+   with the block kernel inside each block.  Host results are bitwise
+   invariant in the block width; the SPE stream is worker-invariant by
+   construction (serial) but folds currents in stream order rather than
+   slab order, so it is its own numerical lineage.  The boundary pass
+   runs the block kernel serially under either backend.  A backend is
    an execution strategy, not physics: it is not part of the deck hash
    or the checkpoint image. *)
 type push_backend =
-  | Host_scalar
   | Host_block of { width : int }
   | Spe_stream of { width : int; dma_block : int }
 
 let push_backend_to_string = function
-  | Host_scalar -> "scalar"
   | Host_block { width } -> "block" ^ string_of_int width
   | Spe_stream { width; dma_block } ->
       "spe" ^ string_of_int width ^ "x" ^ string_of_int dma_block
 
-let push_backend_kernel = function
-  | Host_scalar -> Push.Scalar
-  | Host_block { width } | Spe_stream { width; _ } -> Push.Block { width }
+let width_of = function
+  | Host_block { width } | Spe_stream { width; _ } -> width
 
 type t = {
   grid : Grid.t;
@@ -96,7 +94,8 @@ type t = {
          [Spe_stream]; its ledger persists across steps *)
   interp_accum : (Interpolator.t * Accumulator.t) option;
       (* VPIC inner-loop memory system: per-voxel field-coefficient and
-         current-accumulator blocks (None = direct strided gather/scatter) *)
+         current-accumulator blocks; always [Some] (read via [interp] and
+         [accum]) *)
   smoothed : Em_field.t option;  (* gather copy when filtering *)
   push_rng : Vpic_util.Rng.t;  (* refluxing-wall re-emission stream *)
   mutable nstep : int;
@@ -121,19 +120,14 @@ let spe_pipeline_for = function
   | Spe_stream { dma_block; _ } ->
       Some (Vpic_cell.Spe_pipeline.create ~block_size:dma_block
               Vpic_cell.Roadrunner.full)
-  | Host_scalar | Host_block _ -> None
+  | Host_block _ -> None
 
 let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     ?(absorber_thickness = 8) ?(absorber_strength = 0.15)
     ?(current_filter_passes = 0)
-    ?(push_backend = Host_block { width = Push.default_block_width })
-    ?(interp_accum = true) ?perf ?(pool = Vpic_util.Pool.serial) ~grid
-    ~coupler () =
+    ?(push_backend = Host_block { width = Push.default_block_width }) ?perf
+    ?(pool = Vpic_util.Pool.serial) ~grid ~coupler () =
   assert (current_filter_passes = 0 || clean_div_interval > 0);
-  if current_filter_passes > 0 && not interp_accum then
-    invalid_arg
-      "Simulation.make: current_filter_passes > 0 needs interp_accum (the \
-       smoothed fields are gathered through the interpolator)";
   let perf = match perf with Some p -> p | None -> Perf.create () in
   { grid;
     fields = Em_field.create grid;
@@ -151,10 +145,7 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     current_filter_passes;
     push_backend;
     spe = spe_pipeline_for push_backend;
-    interp_accum =
-      (if interp_accum then
-         Some (Interpolator.create grid, Accumulator.create grid)
-       else None);
+    interp_accum = Some (Interpolator.create grid, Accumulator.create grid);
     smoothed =
       (if current_filter_passes > 0 then Some (Em_field.create grid) else None);
     push_rng = Vpic_util.Rng.of_int (0x7EED1 + (31 * coupler.Coupler.rank));
@@ -166,6 +157,8 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     perf;
     pool }
 
+let interp t = fst (Option.get t.interp_accum)
+let accum t = snd (Option.get t.interp_accum)
 let species t = List.rev t.species_rev
 let lasers t = List.rev t.lasers_rev
 
@@ -215,17 +208,15 @@ let scratch_for t s =
 
 let phase_clear_and_load t =
   Em_field.clear_currents t.fields;
-  let interp = Option.map fst t.interp_accum in
   (* Interior voxels' interpolator blocks read no ghosts: build them
      while the x-plane fill is still in flight, like the interior push
      they feed.  The smoothed path instead loads from the filtered copy
      in [phase_push_smoothed]. *)
-  (match (interp, t.smoothed) with
-  | Some ip, None ->
-      Trace.begin_span sid_load_interp;
-      Interpolator.load_interior ~perf:t.perf ~pool:t.pool ip t.fields;
-      Trace.end_span ()
-  | _ -> ());
+  if Option.is_none t.smoothed then begin
+    Trace.begin_span sid_load_interp;
+    Interpolator.load_interior ~perf:t.perf ~pool:t.pool (interp t) t.fields;
+    Trace.end_span ()
+  end;
   let species_scratch = List.map (fun s -> (s, scratch_for t s)) (species t) in
   List.iter
     (fun (_, sc) ->
@@ -235,27 +226,24 @@ let phase_clear_and_load t =
   species_scratch
 
 (* Gauges/counters of the block kernel's lane economics, published once
-   per interior pass so the Scoreboard can window a cleanup fraction.
-   The backend is a global run parameter, so every rank publishes the
-   same metric names — the collective reduce's contract. *)
+   per push pass so the Scoreboard can window a cleanup fraction.  Every
+   rank publishes the same metric names — the collective reduce's
+   contract. *)
 let block_metrics t (ph : Push.stats) =
-  if Metrics.enabled () then
-    match t.push_backend with
-    | Host_scalar -> ()
-    | Host_block { width } | Spe_stream { width; _ } ->
-        let m = Metrics.default () in
-        Metrics.gauge_set m "push.block.width" (float_of_int width);
-        Metrics.counter_add m "push.block.lanes"
-          (float_of_int ph.Push.block_lanes);
-        Metrics.counter_add m "push.block.cleanup"
-          (float_of_int ph.Push.block_cleanup)
+  if Metrics.enabled () then begin
+    let m = Metrics.default () in
+    Metrics.gauge_set m "push.block.width"
+      (float_of_int (width_of t.push_backend));
+    Metrics.counter_add m "push.block.lanes" (float_of_int ph.Push.block_lanes);
+    Metrics.counter_add m "push.block.cleanup"
+      (float_of_int ph.Push.block_cleanup)
+  end
 
 (* Interior pass: every particle whose cell does not touch the ghost
    layer — independent of any in-flight fill. *)
 let phase_push_interior t species_scratch =
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
-  let kernel = push_backend_kernel t.push_backend in
+  let interp = interp t and accum = accum t in
+  let width = width_of t.push_backend in
   Trace.begin_span sid_push_interior;
   let phase = ref zero_stats in
   (match t.spe with
@@ -267,8 +255,8 @@ let phase_push_interior t species_scratch =
       List.iter
         (fun (s, sc) ->
           let st =
-            Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ?interp
-              ?accum ~rng:t.push_rng ~kernel ~region:(`Interior sc.defer)
+            Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ~interp
+              ~accum ~rng:t.push_rng ~width ~region:(`Interior sc.defer)
               pipe s t.fields t.coupler.Coupler.bc
           in
           phase := add_stats !phase st)
@@ -278,7 +266,7 @@ let phase_push_interior t species_scratch =
         (fun (s, sc) ->
           let st =
             Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
-              ~defer:sc.defer ?interp ?accum ~rng:t.push_rng ~kernel s
+              ~defer:sc.defer ~interp ~accum ~rng:t.push_rng ~width s
               t.fields t.coupler.Coupler.bc
           in
           phase := add_stats !phase st)
@@ -290,28 +278,29 @@ let phase_push_interior t species_scratch =
 (* The hi-face slabs read freshly filled ghosts; load them before the
    deferred shell particles evaluate their blocks. *)
 let phase_load_boundary t =
-  match Option.map fst t.interp_accum with
-  | Some ip ->
-      Trace.begin_span sid_load_interp;
-      Interpolator.load_boundary ~perf:t.perf ip t.fields;
-      Trace.end_span ()
-  | None -> ()
+  Trace.begin_span sid_load_interp;
+  Interpolator.load_boundary ~perf:t.perf (interp t) t.fields;
+  Trace.end_span ()
 
 (* Boundary pass: the deferred shell particles, now that their gather
-   stencils see fresh ghosts.  Only these can become movers. *)
+   stencils see fresh ghosts.  Only these can become movers.  Serial:
+   refluxing faces draw [push_rng] in particle order. *)
 let phase_push_boundary t species_scratch =
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
+  let interp = interp t and accum = accum t in
+  let width = width_of t.push_backend in
   Trace.begin_span sid_push_boundary;
+  let phase = ref zero_stats in
   List.iter
     (fun (s, sc) ->
       let st =
         Push.advance ~perf:t.perf ~region:(`Deferred sc.defer)
-          ~movers:sc.movers ?interp ?accum ~rng:t.push_rng s t.fields
+          ~movers:sc.movers ~interp ~accum ~rng:t.push_rng ~width s t.fields
           t.coupler.Coupler.bc
       in
-      t.push_stats <- add_stats t.push_stats st)
+      phase := add_stats !phase st)
     species_scratch;
+  t.push_stats <- add_stats t.push_stats !phase;
+  block_metrics t !phase;
   Trace.end_span ()
 
 let phase_lasers t =
@@ -322,15 +311,13 @@ let phase_lasers t =
 (* Fold the accumulator into the J meshes after migration (finished
    movers deposit into it) and before the ghost-current fold. *)
 let phase_unload_accum t =
-  match Option.map snd t.interp_accum with
-  | Some ac ->
-      Trace.begin_span sid_unload_accum;
-      (* fold the team push's private slabs (fixed tile order) before
-         the per-voxel blocks unload into the J meshes *)
-      Accumulator.reduce ~pool:t.pool ~perf:t.perf ac;
-      Accumulator.unload ~perf:t.perf ac t.fields;
-      Trace.end_span ()
-  | None -> ()
+  let ac = accum t in
+  Trace.begin_span sid_unload_accum;
+  (* fold the team push's private slabs (fixed tile order) before the
+     per-voxel blocks unload into the J meshes *)
+  Accumulator.reduce ~pool:t.pool ~perf:t.perf ac;
+  Accumulator.unload ~perf:t.perf ac t.fields;
+  Trace.end_span ()
 
 let phase_advance_b t ~frac =
   Trace.begin_span sid_field;
@@ -370,9 +357,9 @@ let phase_sort t =
 
 
 (* Filtered push: particles gather from a binomially smoothed copy of E
-   and B, loaded into the interpolator ([make] rejects filtering without
-   one): the same symmetric kernel later applied to J makes the
-   force/current coupling adjoint, avoiding secular self-heating.
+   and B, loaded into the interpolator: the same symmetric kernel later
+   applied to J makes the force/current coupling adjoint, avoiding
+   secular self-heating.
    Building the copy needs complete ghosts, so this path runs after the
    whole fill and pushes unsplit. *)
 let phase_push_smoothed t species_scratch =
@@ -385,22 +372,18 @@ let phase_push_smoothed t species_scratch =
     Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
       (Em_field.em_components sm)
   done;
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
-  Option.iter
-    (fun ip ->
-      Trace.begin_span sid_load_interp;
-      Interpolator.load ~perf:t.perf ip sm;
-      Trace.end_span ())
-    interp;
+  let interp = interp t and accum = accum t in
+  Trace.begin_span sid_load_interp;
+  Interpolator.load ~perf:t.perf interp sm;
+  Trace.end_span ();
   Trace.begin_span sid_push;
   let phase = ref zero_stats in
   List.iter
     (fun (s, sc) ->
       let st =
-        Push.advance ~perf:t.perf ~movers:sc.movers ?interp ?accum
-          ~rng:t.push_rng ~kernel:(push_backend_kernel t.push_backend) s
-          t.fields t.coupler.Coupler.bc
+        Push.advance ~perf:t.perf ~movers:sc.movers ~interp ~accum
+          ~rng:t.push_rng ~width:(width_of t.push_backend) s t.fields
+          t.coupler.Coupler.bc
       in
       phase := add_stats !phase st)
     species_scratch;
@@ -439,10 +422,10 @@ let world t =
     fold_rho = (fun () -> c.Coupler.fold_rho f);
     migrate =
       List.iter (fun (t, species_scratch) ->
-          let accum = Option.map snd t.interp_accum in
+          let accum = accum t in
           List.iter
             (fun (s, sc) ->
-              t.coupler.Coupler.migrate ?accum s t.fields sc.movers)
+              t.coupler.Coupler.migrate ~accum s t.fields sc.movers)
             species_scratch);
     reduce_sum = c.Coupler.reduce_sum;
     reduce_max = c.Coupler.reduce_max;

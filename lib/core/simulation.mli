@@ -28,27 +28,24 @@ type push_scratch = {
       (** per-tile defer lists and perf ledgers of the team push *)
 }
 
-(** The engine running the interior push: host backends fan out over
+(** The engine running the interior push: [Host_block] fans out over
     the rank's worker team; [Spe_stream] streams each species serially
     through [Vpic_cell.Spe_pipeline] in [dma_block]-particle blocks,
-    charging the modelled double-buffered DMA ledger as it goes.
-    [Host_scalar] and [Host_block] are bitwise identical (the block
-    kernel's contract); the SPE stream deposits in stream order rather
-    than team-slab order, so it is worker-invariant but its own
-    numerical lineage.  A backend is an execution strategy, not
-    physics: it enters neither the deck hash nor the checkpoint image
-    (a restored simulation runs the default [Host_block] at
-    {!Vpic_particle.Push.default_block_width}; re-apply another with
-    {!set_push_backend}). *)
+    charging the modelled double-buffered DMA ledger as it goes.  Both
+    run the block kernel at [width] lanes, and so does the serial
+    boundary pass that follows.  [Host_block] results are bitwise
+    invariant in [width] (the block kernel's contract); the SPE stream
+    deposits in stream order rather than team-slab order, so it is
+    worker-invariant but its own numerical lineage.  A backend is an
+    execution strategy, not physics: it enters neither the deck hash
+    nor the checkpoint image (a restored simulation runs the default
+    [Host_block] at {!Vpic_particle.Push.default_block_width};
+    re-apply another with {!set_push_backend}). *)
 type push_backend =
-  | Host_scalar
   | Host_block of { width : int }
   | Spe_stream of { width : int; dma_block : int }
 
 val push_backend_to_string : push_backend -> string
-
-(** The {!Vpic_particle.Push.kernel} a backend runs inside each chunk. *)
-val push_backend_kernel : push_backend -> Vpic_particle.Push.kernel
 
 type t = {
   grid : Grid.t;
@@ -75,8 +72,7 @@ type t = {
     (Vpic_particle.Interpolator.t * Vpic_particle.Accumulator.t) option;
       (** the VPIC inner-loop memory system: per-voxel interpolator
           coefficient blocks and current-accumulator blocks, threaded
-          through the push and migration each step ([None] = direct
-          strided gather/scatter) *)
+          through the push and migration each step.  Always [Some]. *)
   smoothed : Em_field.t option;
   push_rng : Vpic_util.Rng.t;
   mutable nstep : int;
@@ -106,16 +102,11 @@ type t = {
     particles gather — VPIC's optional noise filter; matched (symmetric)
     smoothing of force and current keeps the coupling energy-consistent.
     Filtered J breaks discrete continuity at the grid scale, so keep the
-    Marder clean enabled when using it.  The smoothed E/B reach the
-    particles through the interpolator, so filtering requires
-    [interp_accum]: [make] raises [Invalid_argument] for
-    [current_filter_passes > 0] with [~interp_accum:false].
-    [interp_accum] (default true) routes the push through the VPIC
-    interpolator/accumulator memory system: field coefficients load into
-    one 72-byte block per voxel before each push and scattered currents
-    fold out of per-voxel accumulator blocks after migration; disable to
-    gather/scatter directly against the strided meshes (identical
-    physics up to f32 coefficient rounding and addition order).
+    Marder clean enabled when using it.  The push runs through the VPIC
+    interpolator/accumulator memory system ([interp_accum]): field
+    coefficients load into one 72-byte block per voxel before each push
+    and scattered currents fold out of per-voxel accumulator blocks
+    after migration.
     [push_backend] (default [Host_block] at
     {!Vpic_particle.Push.default_block_width}) selects the interior-push
     engine; see {!push_backend}.
@@ -132,7 +123,6 @@ val make :
   ?absorber_strength:float ->
   ?current_filter_passes:int ->
   ?push_backend:push_backend ->
-  ?interp_accum:bool ->
   ?perf:Vpic_util.Perf.counters ->
   ?pool:Vpic_util.Pool.t ->
   grid:Grid.t ->

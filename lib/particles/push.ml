@@ -10,8 +10,8 @@ let flops_per_segment = 57.
    the interpolator expansion ([Interpolator.flops_per_gather]); rotate
    (Boris) plus advance (inverse gamma, displacement, crossing mask) sum
    to [flops_per_push] and deposit is one Villasenor-Buneman segment —
-   so the Perf ledger is kernel-invariant by construction: scalar and
-   block kernels account identical flops for identical work. *)
+   so the Perf ledger is width-invariant by construction: every lane
+   accounts identical flops for identical work. *)
 let block_flops_rotate = 47.
 let block_flops_advance = 23.
 
@@ -20,17 +20,6 @@ let block_pass_flops () =
     ("rotate", block_flops_rotate);
     ("advance", block_flops_advance);
     ("deposit", flops_per_segment) ]
-
-(* Inner-loop kernel selection: [Scalar] advances one particle at a
-   time; [Block] processes fixed-width lane blocks of a voxel run
-   through fused gather/rotate/advance/deposit passes, with cell
-   crossings masked out to the scalar path (bitwise-identical results,
-   see [advance]). *)
-type kernel = Scalar | Block of { width : int }
-
-let kernel_to_string = function
-  | Scalar -> "scalar"
-  | Block { width } -> "block" ^ string_of_int width
 
 let default_block_width = 8
 let max_block_width = 16
@@ -89,49 +78,46 @@ module Movers = struct
     t.n <- t.n + 1
 end
 
-(* Reusable list of particle indices whose push is deferred to the
-   boundary pass (their cell touches the ghost layer, so they need the
-   ghost fill to have landed).  Lives across steps: zero steady-state
-   allocation. *)
+(* Reusable list of the particle index ranges whose push is deferred to
+   the boundary pass (their cell touches the ghost layer, so they need
+   the ghost fill to have landed).  Range r is [idx.(2r), idx.(2r+1));
+   ranges are appended in ascending order and merged when they touch, so
+   a sorted population defers one range per run of shell voxels.  Lives
+   across steps: zero steady-state allocation. *)
 module Defer = struct
-  type t = { mutable idx : Store.i32; mutable n : int }
+  type t = { mutable idx : Store.i32; mutable n : int (* ranges *) }
 
-  let create ?(capacity = 256) () =
+  let create ?(capacity = 64) () =
     assert (capacity > 0);
-    { idx = Store.i32_create capacity; n = 0 }
+    { idx = Store.i32_create (2 * capacity); n = 0 }
 
-  let count t = t.n
   let clear t = t.n <- 0
-  let get t m = Int32.to_int (Bigarray.Array1.unsafe_get t.idx m)
+  let bound t o = Int32.to_int (Bigarray.Array1.unsafe_get t.idx o)
+  let lo t r = bound t (2 * r)
+  let hi t r = bound t ((2 * r) + 1)
 
-  let add t v =
+  (* Append [lo, hi), extending the last range when the two touch. *)
+  let add t lo hi =
     let open Bigarray.Array1 in
-    if t.n >= dim t.idx then begin
-      let nidx = Store.i32_create (2 * dim t.idx) in
-      if t.n > 0 then blit (sub t.idx 0 t.n) (sub nidx 0 t.n);
-      t.idx <- nidx
-    end;
-    unsafe_set t.idx t.n (Int32.of_int v);
-    t.n <- t.n + 1
+    if t.n > 0 && bound t ((2 * t.n) - 1) = lo then
+      unsafe_set t.idx ((2 * t.n) - 1) (Int32.of_int hi)
+    else begin
+      if 2 * (t.n + 1) > dim t.idx then begin
+        let nidx = Store.i32_create (2 * dim t.idx) in
+        blit (sub t.idx 0 (2 * t.n)) (sub nidx 0 (2 * t.n));
+        t.idx <- nidx
+      end;
+      unsafe_set t.idx (2 * t.n) (Int32.of_int lo);
+      unsafe_set t.idx ((2 * t.n) + 1) (Int32.of_int hi);
+      t.n <- t.n + 1
+    end
 
-  (* Append [src]'s indices to [dst] — how the team push merges its
+  (* Append [src]'s ranges to [dst] — how the team push merges its
      per-tile defer lists back into the step's one, in tile order. *)
   let append dst src =
-    let open Bigarray.Array1 in
-    if src.n > 0 then begin
-      let need = dst.n + src.n in
-      if need > dim dst.idx then begin
-        let cap = ref (2 * dim dst.idx) in
-        while !cap < need do
-          cap := 2 * !cap
-        done;
-        let nidx = Store.i32_create !cap in
-        if dst.n > 0 then blit (sub dst.idx 0 dst.n) (sub nidx 0 dst.n);
-        dst.idx <- nidx
-      end;
-      blit (sub src.idx 0 src.n) (sub dst.idx dst.n src.n);
-      dst.n <- need
-    end
+    for r = 0 to src.n - 1 do
+      add dst (lo src r) (hi src r)
+    done
 end
 
 type stats = {
@@ -422,20 +408,16 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
   done;
   !status
 
-let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
-    ?rng ?(kernel = Scalar) ?(region = `All) (s : Species.t) f bc =
-  (match kernel with
-  | Scalar -> ()
-  | Block { width } ->
-      if width < 1 || width > max_block_width then
-        invalid_arg
-          (Printf.sprintf "Push.advance: block width must be in [1,%d]"
-             max_block_width));
+let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
+    ?rng ?(width = default_block_width) ?(region = `All) (s : Species.t) f bc
+    =
+  if width < 1 || width > max_block_width then
+    invalid_arg
+      (Printf.sprintf "Push.advance: block width must be in [1,%d]"
+         max_block_width);
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
-  (match interp with
-  | Some it -> assert (Interpolator.grid it == g)
-  | None -> ());
+  assert (Interpolator.grid interp == g);
   (match accum with
   | Some ac -> assert (Accumulator.grid ac == g)
   | None -> ());
@@ -476,53 +458,21 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
   let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
   let sw = st.Store.w in
   let open Bigarray.Array1 in
-  (* The gather and the Boris rotation are inlined as local unboxed
-     arithmetic instead of cross-module calls (which box every float
-     argument on this toolchain).  The formulas below are those of
-     Interp.tri / Interp.gather_into / boris, in the same evaluation
-     order, so results are bit-identical to those reference
-     functions. *)
-  let dex = Sf.data f.Vpic_field.Em_field.ex
-  and dey = Sf.data f.Vpic_field.Em_field.ey
-  and dez = Sf.data f.Vpic_field.Em_field.ez
-  and dbx = Sf.data f.Vpic_field.Em_field.bx
-  and dby = Sf.data f.Vpic_field.Em_field.by
-  and dbz = Sf.data f.Vpic_field.Em_field.bz in
-  let ggx = env.gx and ggxy = env.gxy in
-  let tri8 (a : Sf.data) v tx ty tz =
-    let sx0 = 1. -. tx and sy0 = 1. -. ty and sz0 = 1. -. tz in
-    let c00 = (sx0 *. unsafe_get a v) +. (tx *. unsafe_get a (v + 1)) in
-    let c10 =
-      (sx0 *. unsafe_get a (v + ggx)) +. (tx *. unsafe_get a (v + ggx + 1))
-    in
-    let c01 =
-      (sx0 *. unsafe_get a (v + ggxy)) +. (tx *. unsafe_get a (v + ggxy + 1))
-    in
-    let c11 =
-      (sx0 *. unsafe_get a (v + ggxy + ggx))
-      +. (tx *. unsafe_get a (v + ggxy + ggx + 1))
-    in
-    (sz0 *. ((sy0 *. c00) +. (ty *. c10)))
-    +. (tz *. ((sy0 *. c01) +. (ty *. c11)))
-  in
   (* Boundary shell: cells whose gather stencil or walk can touch the
      ghost layer.  The stencil reaches one cell out and the Courant bound
      keeps a step inside +-1 cell, so only shell particles depend on the
      ghost fill or can become movers — interior particles may be pushed
      while the fill is still in flight. *)
   let snx = g.Grid.nx and sny = g.Grid.ny and snz = g.Grid.nz in
-  let skip_shell, defer =
-    match region with
-    | `All | `Deferred _ -> (false, None)
-    | `Interior d -> (true, Some d)
+  let defer =
+    match region with `Interior d -> Some d | `All | `Deferred _ -> None
   in
   let pushed = ref 0 in
-  let idata =
-    match interp with Some it -> Some (Interpolator.data it) | None -> None
-  in
+  let d = Interpolator.data interp in
   (* Run-cached interpolator block: the voxel's 18 coefficients are
-     copied into unboxed locals once per voxel run, so gathers within
-     the run are pure register arithmetic on one 72-byte block. *)
+     copied once per voxel run, then hoisted into unboxed locals, so
+     gathers within the run are pure register arithmetic on one 72-byte
+     block. *)
   let icoef = Array.make Interpolator.coeffs_per_voxel 0. in
   let runs = ref 0 in
   (* Sorted populations visit long runs of the same voxel: cache the last
@@ -530,11 +480,9 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
      per run, not once per particle. *)
   let lvox = ref min_int and lci = ref 0 and lcj = ref 0 and lck = ref 0 in
   let lshell = ref false in
-  (* Walk + settle/absorb/outbound tail of the scalar path: [cell], [u]
-     and [wk] must already hold the run decode, the pushed momenta and
-     the displacements.  Shared with the block kernel's cleanup lanes,
-     which arrive with all of these precomputed (bit-identically, by the
-     pass-1/2 expressions) and skip the redundant gather/rotate. *)
+  (* The walk + settle/absorb/outbound tail of a crossing lane: [cell],
+     [u] and [wk] must already hold the run decode, the pushed momenta
+     and the displacements. *)
   let walk_one n =
     let w = unsafe_get sw n in
     let qw = s.Species.q *. w in
@@ -565,164 +513,48 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
             dead := n :: !dead
       end
   in
-  let push_one n =
-    let vi = Int32.to_int (unsafe_get svox n) in
-    if vi <> !lvox then begin
-      let ci, cj, ck = Grid.cell_of_voxel g vi in
-      lvox := vi;
-      lci := ci;
-      lcj := cj;
-      lck := ck;
-      lshell :=
-        ci = 1 || ci = snx || cj = 1 || cj = sny || ck = 1 || ck = snz;
-      incr runs;
-      match idata with
-      | Some d ->
-          (* A skipped shell voxel's entry may not be loaded yet (the
-             `Interior pass runs before load_boundary); its coefficients
-             are copied but never evaluated. *)
-          let o = vi * Interpolator.coeffs_per_voxel in
-          for q = 0 to Interpolator.coeffs_per_voxel - 1 do
-            Array.unsafe_set icoef q (unsafe_get d (o + q))
-          done
-      | None -> ()
-    end;
-    if skip_shell && !lshell then (
-      match defer with Some d -> Defer.add d n | None -> ())
-    else begin
-    incr pushed;
-    let ci = !lci and cj = !lcj and ck = !lck in
-    cell.(0) <- ci;
-    cell.(1) <- cj;
-    cell.(2) <- ck;
-    (* f32 reads widen to f64 losslessly; all arithmetic below is f64. *)
-    (match idata with
-    | Some _ ->
-        (* Interpolator gather: evaluate the run-cached expansion — the
-           same arithmetic as Interpolator.gather_into — then the Boris
-           rotation exactly as in the direct arm below. *)
-        let fx = unsafe_get sfx n
-        and fy = unsafe_get sfy n
-        and fz = unsafe_get sfz n in
-        let c q = Array.unsafe_get icoef q in
-        let ex = c 0 +. (fy *. c 1) +. (fz *. (c 2 +. (fy *. c 3))) in
-        let ey = c 4 +. (fz *. c 5) +. (fx *. (c 6 +. (fz *. c 7))) in
-        let ez = c 8 +. (fx *. c 9) +. (fy *. (c 10 +. (fx *. c 11))) in
-        let bx = c 12 +. (fx *. c 13) in
-        let by = c 14 +. (fy *. c 15) in
-        let bz = c 16 +. (fz *. c 17) in
-        let ux = unsafe_get sux n +. (qdt_2m *. ex) in
-        let uy = unsafe_get suy n +. (qdt_2m *. ey) in
-        let uz = unsafe_get suz n +. (qdt_2m *. ez) in
-        let gamma_m = sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz)) in
-        let f = qdt_2m /. gamma_m in
-        let tx = f *. bx and ty = f *. by and tz = f *. bz in
-        let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-        let sx = 2. *. tx /. (1. +. t2) in
-        let sy = 2. *. ty /. (1. +. t2) in
-        let sz = 2. *. tz /. (1. +. t2) in
-        let px = ux +. ((uy *. tz) -. (uz *. ty)) in
-        let py = uy +. ((uz *. tx) -. (ux *. tz)) in
-        let pz = uz +. ((ux *. ty) -. (uy *. tx)) in
-        let ux = ux +. ((py *. sz) -. (pz *. sy)) in
-        let uy = uy +. ((pz *. sx) -. (px *. sz)) in
-        let uz = uz +. ((px *. sy) -. (py *. sx)) in
-        u.(0) <- ux +. (qdt_2m *. ex);
-        u.(1) <- uy +. (qdt_2m *. ey);
-        u.(2) <- uz +. (qdt_2m *. ez)
-    | None ->
-        let fx = unsafe_get sfx n
-        and fy = unsafe_get sfy n
-        and fz = unsafe_get sfz n in
-        let dxs = if fx >= 0.5 then 0 else -1 in
-        let txs = if fx >= 0.5 then fx -. 0.5 else fx +. 0.5 in
-        let dys = if fy >= 0.5 then 0 else -1 in
-        let tys = if fy >= 0.5 then fy -. 0.5 else fy +. 0.5 in
-        let dzs = if fz >= 0.5 then 0 else -1 in
-        let tzs = if fz >= 0.5 then fz -. 0.5 else fz +. 0.5 in
-        let oy = ggx * dys and oz = ggxy * dzs in
-        let ex = tri8 dex (vi + dxs) txs fy fz in
-        let ey = tri8 dey (vi + oy) fx tys fz in
-        let ez = tri8 dez (vi + oz) fx fy tzs in
-        let bx = tri8 dbx (vi + oy + oz) fx tys tzs in
-        let by = tri8 dby (vi + dxs + oz) txs fy tzs in
-        let bz = tri8 dbz (vi + dxs + oy) txs tys fz in
-        let ux = unsafe_get sux n +. (qdt_2m *. ex) in
-        let uy = unsafe_get suy n +. (qdt_2m *. ey) in
-        let uz = unsafe_get suz n +. (qdt_2m *. ez) in
-        let gamma_m = sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz)) in
-        let f = qdt_2m /. gamma_m in
-        let tx = f *. bx and ty = f *. by and tz = f *. bz in
-        let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-        let sx = 2. *. tx /. (1. +. t2) in
-        let sy = 2. *. ty /. (1. +. t2) in
-        let sz = 2. *. tz /. (1. +. t2) in
-        let px = ux +. ((uy *. tz) -. (uz *. ty)) in
-        let py = uy +. ((uz *. tx) -. (ux *. tz)) in
-        let pz = uz +. ((ux *. ty) -. (uy *. tx)) in
-        let ux = ux +. ((py *. sz) -. (pz *. sy)) in
-        let uy = uy +. ((pz *. sx) -. (px *. sz)) in
-        let uz = uz +. ((px *. sy) -. (py *. sx)) in
-        u.(0) <- ux +. (qdt_2m *. ex);
-        u.(1) <- uy +. (qdt_2m *. ey);
-        u.(2) <- uz +. (qdt_2m *. ez));
-    let inv_gamma =
-      1. /. sqrt (1. +. (u.(0) *. u.(0)) +. (u.(1) *. u.(1)) +. (u.(2) *. u.(2)))
-    in
-    (* Remaining displacement in cell units; < 1 per axis under CFL. *)
-    wk.(0) <- unsafe_get sfx n;
-    wk.(1) <- unsafe_get sfy n;
-    wk.(2) <- unsafe_get sfz n;
-    wk.(3) <- u.(0) *. inv_gamma *. dt *. inv_dx;
-    wk.(4) <- u.(1) *. inv_gamma *. dt *. inv_dy;
-    wk.(5) <- u.(2) *. inv_gamma *. dt *. inv_dz;
-    walk_one n
-    end
-  in
-  (* ---- block kernel ----------------------------------------------------
+  (* ---- the block kernel ------------------------------------------------
      Voxel runs are scanned up front and processed in fixed-width lane
      blocks against the run-cached 72-byte interpolator block, in three
      fused passes: (1) gather + Boris rotate, (2) inverse gamma +
      displacement + a branch-free cell-crossing mask, (3) an in-order
      deposit/store pass whose unmasked lanes take one fused full-length
-     segment and whose masked lanes fall out to the scalar walk tail
-     ([walk_one]: the existing walk/mover machinery, unchanged), seeded
-     from the scratch lanes so the gather/rotate is never redone.
+     segment and whose masked lanes fall out to the walk tail
+     ([walk_one]: the walk/mover machinery), seeded from the scratch
+     lanes so the gather/rotate is never redone.
 
-     Bitwise contract with the scalar kernel: for a particle that
-     crosses no face the walk uses sfrac = 1.0, and 1.0 *. r = r
-     exactly, so the fused endpoint [clamp_offset (x1 +. r)] and the
-     deposited segment are bit-identical; masked lanes run the scalar
-     walk on the pass-1/2 values, which the scalar kernel's own
-     expressions produced (same arithmetic, same order — same bits).
-     The mask is a division-free over-approximation of the walk's
-     crossing predicate (axis face time t <= 1): it can never miss a
-     crossing, and a spurious flag only routes the lane through the
-     (identical) scalar path.  Lane order equals particle order in
-     pass 3, so f64 accumulator adds happen in the scalar kernel's
-     exact sequence. *)
+     Width invariance: every lane's arithmetic is the same expression
+     sequence whatever block it lands in.  For a particle that crosses
+     no face the walk would use sfrac = 1.0, and 1.0 *. r = r exactly,
+     so the fused endpoint [clamp_offset (x1 +. r)] and the deposited
+     segment are bit-identical to the walk's.  The mask is a
+     division-free over-approximation of the walk's crossing predicate
+     (axis face time t <= 1): it can never miss a crossing, and a
+     spurious flag only routes the lane through the (identical) walk.
+     Lane order equals particle order in pass 3, so f64 accumulator adds
+     happen in particle order for every width. *)
   let block_lanes = ref 0 and block_cleanup = ref 0 in
-  let run_blocks width =
-    let d = match idata with Some d -> d | None -> assert false in
-    let bfx = Array.make width 0. and bfy = Array.make width 0.
-    and bfz = Array.make width 0. in
-    let bux = Array.make width 0. and buy = Array.make width 0.
-    and buz = Array.make width 0. in
-    let brx = Array.make width 0. and bry = Array.make width 0.
-    and brz = Array.make width 0. in
-    let sq = s.Species.q in
-    let acc = env.acc in
-    (* crossing-mask slack: any value >= 1 + 2^-50 works, see pass 2 *)
-    let sl = 1. +. 1e-15 in
-    let n = ref first in
-    while !n <= last do
+  let bfx = Array.make width 0. and bfy = Array.make width 0.
+  and bfz = Array.make width 0. in
+  let bux = Array.make width 0. and buy = Array.make width 0.
+  and buz = Array.make width 0. in
+  let brx = Array.make width 0. and bry = Array.make width 0.
+  and brz = Array.make width 0. in
+  let sq = s.Species.q in
+  let acc = env.acc in
+  (* crossing-mask slack: any value >= 1 + 2^-50 works, see pass 2 *)
+  let sl = 1. +. 1e-15 in
+  (* Push the particles [lo, hi). *)
+  let run_blocks lo hi =
+    let n = ref lo in
+    while !n < hi do
       let vi = Int32.to_int (unsafe_get svox !n) in
       (* Extent of the voxel run.  Safe to scan ahead: processing only
          mutates the store slots of already-processed indices, and this
          run's particles are read after the scan, before any of them is
-         pushed — exactly the values the scalar kernel would read. *)
+         pushed. *)
       let e = ref (!n + 1) in
-      while !e <= last && Int32.to_int (unsafe_get svox !e) = vi do
+      while !e < hi && Int32.to_int (unsafe_get svox !e) = vi do
         incr e
       done;
       if vi <> !lvox then begin
@@ -734,19 +566,17 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
         lshell :=
           ci = 1 || ci = snx || cj = 1 || cj = sny || ck = 1 || ck = snz;
         incr runs;
+        (* A skipped shell voxel's entry may not be loaded yet (the
+           `Interior pass runs before load_boundary); its coefficients
+           are copied but never evaluated. *)
         let o = vi * Interpolator.coeffs_per_voxel in
         for q = 0 to Interpolator.coeffs_per_voxel - 1 do
           Array.unsafe_set icoef q (unsafe_get d (o + q))
         done
       end;
-      if skip_shell && !lshell then (
-        match defer with
-        | Some dl ->
-            for m = !n to !e - 1 do
-              Defer.add dl m
-            done
-        | None -> ())
-      else begin
+      (match defer with
+      | Some dl when !lshell -> Defer.add dl !n !e
+      | _ ->
         (* hoist the run's coefficient block into unboxed locals *)
         let c0 = Array.unsafe_get icoef 0
         and c1 = Array.unsafe_get icoef 1
@@ -772,7 +602,9 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
           let len = if !e - !m0 < width then !e - !m0 else width in
           let n0 = !m0 in
           (* pass 1: gather E/B from the run's block and rotate (Boris);
-             same expressions, same order as the scalar fast path *)
+             the expressions of Interpolator.gather_into and [boris], in
+             the same order (inlined: cross-module calls box every float
+             argument on this toolchain) *)
           for lane = 0 to len - 1 do
             let p = n0 + lane in
             let fx = unsafe_get sfx p
@@ -834,9 +666,9 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
                and b*(1+2^-53) < fl(b *. sl) for sl >= 1+2^-50, so
                `a <= b *. sl` can never miss a crossing the walk would
                take.  The sliver it over-flags (a/b in (1, 1+eps])
-               only routes those lanes through the identical scalar
-               path.  Positions sit in [0, pred 1.0f32], so the
-               numerators are non-negative. *)
+               only routes those lanes through the walk, which
+               settles them identically.  Positions sit in
+               [0, pred 1.0f32], so the numerators are non-negative. *)
             let c =
               Bool.to_int (rx > 0.)
               land Bool.to_int (1. -. x <= rx *. sl)
@@ -859,9 +691,8 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
           for lane = 0 to len - 1 do
             if (mk lsr lane) land 1 <> 0 then begin
               (* Cleanup lane: pass 1/2 already computed the pushed
-                 momenta and displacements with the scalar kernel's
-                 exact expressions, so seed the walk state from the
-                 scratch lanes and run only the walk tail — no
+                 momenta and displacements, so seed the walk state from
+                 the scratch lanes and run only the walk tail — no
                  redundant gather/rotate.  cell must be re-seeded per
                  lane (a previous lane's walk mutates it). *)
               incr block_cleanup;
@@ -956,8 +787,8 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
                     ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz);
               incr segments;
               (* voxel unchanged; wk-equivalents are f32-representable
-                 (clamp_offset rounded them), u narrows once, as in the
-                 scalar Settled arm *)
+                 (clamp_offset rounded them), u narrows once, as in
+                 walk_one's Settled arm *)
               unsafe_set sfx p x2;
               unsafe_set sfy p y2;
               unsafe_set sfz p z2;
@@ -967,54 +798,36 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?interp ?accum
             end
           done;
           m0 := !m0 + len
-        done
-      end;
+        done);
       n := !e
     done
   in
   (* An `Interior pass never removes particles (movers and walls need a
-     shell cell), so the indices it defers stay valid for the `Deferred
-     pass that follows.  The block kernel needs the interpolator; without
-     one the scalar loop runs, and the `Deferred boundary pass is always
-     scalar (its indices are not contiguous, so there are no runs to
-     block over). *)
+     shell cell), so the ranges it defers stay valid for the `Deferred
+     pass that follows. *)
   (match region with
-  | `Deferred d ->
-      for m = 0 to Defer.count d - 1 do
-        push_one (Defer.get d m)
+  | `Deferred dl ->
+      for r = 0 to dl.Defer.n - 1 do
+        run_blocks (Defer.lo dl r) (Defer.hi dl r)
       done
-  | `All | `Interior _ -> (
-      match (kernel, idata) with
-      | Block { width }, Some _ -> run_blocks width
-      | _ ->
-          for n = first to last do
-            push_one n
-          done));
+  | `All | `Interior _ -> run_blocks first (last + 1));
   (* Remove absorbed/outbound particles, highest index first so the
      swap-with-last removals stay valid (dead is in descending order). *)
   List.iter (fun n -> Species.remove s n) !dead;
   let advanced = !pushed in
   Perf.add_particle_steps perf (float_of_int advanced);
-  let gather_flops =
-    match interp with
-    | Some _ -> Interpolator.flops_per_gather
-    | None -> Interp.flops_per_gather
-  in
   Perf.add_flops perf
-    ((float_of_int advanced *. (gather_flops +. flops_per_push))
+    ((float_of_int advanced
+     *. (Interpolator.flops_per_gather +. flops_per_push))
     +. (float_of_int !segments *. flops_per_segment));
   (* Per particle: 32 B read + 32 B written (the store) plus ~96 B of
-     current scatter (J meshes or accumulator slots).  The gather reads
-     either the ~192 B direct stencil per particle or, on the
-     interpolator path, one 72 B coefficient block per voxel run. *)
+     current scatter (J meshes or accumulator slots), and one 72 B
+     interpolator block per voxel run. *)
   Perf.add_bytes perf
     (float_of_int advanced *. (2. *. float_of_int Store.bytes_per_particle));
-  (match interp with
-  | Some _ ->
-      Perf.add_bytes perf
-        ((float_of_int advanced *. 96.)
-        +. (float_of_int !runs *. Interpolator.bytes_per_voxel))
-  | None -> Perf.add_bytes perf (float_of_int advanced *. (192. +. 96.)));
+  Perf.add_bytes perf
+    ((float_of_int advanced *. 96.)
+    +. (float_of_int !runs *. Interpolator.bytes_per_voxel));
   { advanced;
     segments = !segments;
     absorbed = !absorbed;
@@ -1074,24 +887,18 @@ let sum_stats a b =
    is a function of the tile count alone and every merge below (defer
    lists, perf ledgers, stats, slab reduction at unload) runs in
    ascending tile order, so results are bitwise invariant in the lane
-   count.  Without an accumulator the tiles would share the J meshes,
-   so that configuration (and a 1-tile pool) takes the fused serial
-   path. *)
-let advance_team ?(perf = Perf.global) ?interp ?accum ?rng ?(kernel = Scalar)
-    ~pool ~scratch ~defer (s : Species.t) f bc =
+   count.  A 1-tile pool takes the serial path. *)
+let advance_team ?(perf = Perf.global) ~interp ~accum ?rng ?width ~pool
+    ~scratch ~defer (s : Species.t) f bc =
   let module P = Vpic_util.Pool in
   let tiles = pool.P.tiles in
-  match accum with
-  | _ when tiles <= 1 ->
-      advance ~perf ?interp ?accum ?rng ~kernel ~region:(`Interior defer) s f
-        bc
-  | None ->
-      advance ~perf ?interp ?rng ~kernel ~region:(`Interior defer) s f bc
-  | Some acc ->
+  if tiles <= 1 then
+    advance ~perf ~interp ~accum ?rng ?width ~region:(`Interior defer) s f bc
+  else begin
       Team_scratch.sized scratch tiles;
       (* allocate all slabs before the fork: [slab] caches the array on
          first use and concurrent first calls would race *)
-      ignore (Accumulator.slab acc ~n:tiles ~tile:0);
+      ignore (Accumulator.slab accum ~n:tiles ~tile:0);
       let np = Species.count s in
       let stats = Array.make tiles zero_stats in
       pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
@@ -1100,9 +907,9 @@ let advance_team ?(perf = Perf.global) ?interp ?accum ?rng ?(kernel = Scalar)
             stats.(tile) <-
               advance
                 ~perf:scratch.Team_scratch.perfs.(tile)
-                ~first:lo ~count:(hi - lo) ?interp
-                ~accum:(Accumulator.slab acc ~n:tiles ~tile)
-                ?rng ~kernel
+                ~first:lo ~count:(hi - lo) ~interp
+                ~accum:(Accumulator.slab accum ~n:tiles ~tile)
+                ?rng ?width
                 ~region:(`Interior scratch.Team_scratch.defers.(tile))
                 s f bc);
       let total = ref zero_stats in
@@ -1114,6 +921,7 @@ let advance_team ?(perf = Perf.global) ?interp ?accum ?rng ?(kernel = Scalar)
         total := sum_stats !total stats.(tile)
       done;
       !total
+  end
 
 let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
     (s : Species.t) f bc (incoming : Movers.t) =

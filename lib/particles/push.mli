@@ -46,22 +46,11 @@ val block_flops_advance : float
     (Boris) + advance (inverse gamma, displacement, crossing mask) sum
     to [flops_per_push]; gather and deposit reuse
     [Interpolator.flops_per_gather] and [flops_per_segment].  The Perf
-    ledger is therefore identical across kernels. *)
+    ledger is therefore identical across block widths. *)
 
 val block_pass_flops : unit -> (string * float) list
 (** [(pass, flops-per-lane)] rows of the block kernel, in pass order:
     gather, rotate, advance, deposit (deposit is per segment). *)
-
-(** Inner-loop kernel: [Scalar] advances one particle at a time (the
-    historical path); [Block] streams fixed-width lane blocks of each
-    voxel run through fused gather/rotate/advance/deposit passes with a
-    branch-free cell-crossing mask — flagged lanes fall out to the
-    scalar cleanup path, so results are bitwise identical to [Scalar]
-    (only speed differs).  [Block] requires an [interp]; without one
-    it silently runs [Scalar]. *)
-type kernel = Scalar | Block of { width : int }
-
-val kernel_to_string : kernel -> string
 
 val default_block_width : int
 (** 8 — two SPE-style quadwords of f32 lanes per pass. *)
@@ -92,13 +81,15 @@ module Movers : sig
   val of_wire : Store.f32 -> int -> t
 end
 
-(** Reusable index list of particles deferred to the boundary pass of a
-    split push.  Create once per species and reuse across steps. *)
+(** Reusable list of the particle index ranges deferred to the boundary
+    pass of a split push (touching ranges merge).  Create once per
+    species and reuse across steps. *)
 module Defer : sig
   type t
 
+  (** [capacity] is in ranges. *)
   val create : ?capacity:int -> unit -> t
-  val count : t -> int
+
   val clear : t -> unit
 end
 
@@ -110,10 +101,11 @@ type stats = {
   refluxed : int;   (** re-emitted thermally at refluxing walls *)
   outbound : int;   (** became movers (removed, waiting to migrate) *)
   block_lanes : int;
-      (** particles that entered the block kernel's fused passes *)
+      (** particles that entered the block kernel's fused passes (every
+          pushed particle) *)
   block_cleanup : int;
-      (** fused lanes flagged as crossing, completed by the scalar
-          cleanup pass (subset of [block_lanes]) *)
+      (** fused lanes flagged as crossing, completed by the face-crossing
+          walk (subset of [block_lanes]) *)
 }
 
 val zero_stats : stats
@@ -132,42 +124,44 @@ val sum_stats : stats -> stats -> stats
     (local index 1 or n on any axis): only shell particles read ghost
     fields through the gather stencil, reach a wall, or become movers.
     [`Interior d] pushes every particle outside the shell — valid before
-    the ghost fill completes — and records the shell particles' indices
-    in [d] (cleared by the caller); it never deletes particles, so the
-    recorded indices stay valid.  [`Deferred d] then pushes exactly
-    those (ignoring [first]/[count]).  [`All] (default) is the fused
-    equivalent.  [stats.advanced] counts particles actually pushed by
-    the call. *)
+    the ghost fill completes — and records the shell particles' index
+    ranges in [d] (cleared by the caller); it never deletes particles,
+    so the recorded ranges stay valid.  [`Deferred d] then pushes
+    exactly those (ignoring [first]/[count]), in ascending order.
+    [`All] (default) is the fused equivalent.  [stats.advanced] counts
+    particles actually pushed by the call. *)
 val advance :
   ?perf:Vpic_util.Perf.counters ->
   ?first:int ->
   ?count:int ->
   ?movers:Movers.t ->
-  ?interp:Interpolator.t ->
+  interp:Interpolator.t ->
   ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?kernel:kernel ->
+  ?width:int ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
   stats
-(** Without [interp] the particles feel the E and B of the field they
-    scatter into.  [interp] switches the gather to the precomputed {!Interpolator}
+(** The particles gather E and B from [interp]'s precomputed
     coefficients (one run-cached 72-byte block per occupied voxel,
-    VPIC's expansion — a slightly different scheme from the direct
-    staggered gather; the caller must have [load]ed the relevant voxels
-    from the field the particles should feel).  [accum] redirects the
-    current scatter into the {!Accumulator}'s per-voxel slots (identical
-    arithmetic; the caller unloads once per step).  The two are
-    independent.
+    VPIC's expansion); the caller must have [load]ed the relevant voxels
+    from the field the particles should feel.  Currents scatter into
+    the J meshes of the field argument, or, with [accum], into the
+    {!Accumulator}'s per-voxel slots (identical arithmetic; the caller
+    unloads once per step).
 
-    [kernel] selects the inner-loop shape (see {!kernel}); [Block] is
-    active with an [interp] over [`All] and
-    [`Interior] regions (the [`Deferred] boundary pass has no
-    contiguous runs and always runs scalar) and is bitwise-identical
-    to [Scalar].  [stats.block_lanes]/[stats.block_cleanup] report its
-    fused-lane and scalar-cleanup counts. *)
+    There is one particle loop, the block kernel: each voxel run
+    streams in [width]-lane blocks (default {!default_block_width};
+    [Invalid_argument] outside [1, {!max_block_width}]) through fused
+    gather/rotate/advance/deposit passes with a branch-free
+    cell-crossing mask; flagged lanes fall out to the face-crossing
+    walk.  Every region runs it — the [`Deferred] pass over each
+    recorded range.  Results (store, currents, movers, RNG draws) are
+    bitwise invariant in [width]; only speed differs.
+    [stats.block_lanes]/[stats.block_cleanup] report its fused-lane and
+    walk-cleanup counts. *)
 
 (** Reusable per-tile workspace (defer lists + flop ledgers) of
     {!advance_team}.  One per species, kept across steps. *)
@@ -187,15 +181,14 @@ end
     fixed tile count.  The interior region never deletes particles,
     creates movers or consumes [rng], which is what makes the fan-out
     safe.  The caller must run {!Accumulator.reduce} on [accum] before
-    unloading it.  With a 1-tile pool, or without [accum] (tiles would
-    share the J meshes), this is exactly [advance
+    unloading it.  With a 1-tile pool this is exactly [advance
     ~region:(`Interior defer)]. *)
 val advance_team :
   ?perf:Vpic_util.Perf.counters ->
-  ?interp:Interpolator.t ->
-  ?accum:Accumulator.t ->
+  interp:Interpolator.t ->
+  accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
-  ?kernel:kernel ->
+  ?width:int ->
   pool:Vpic_util.Pool.t ->
   scratch:Team_scratch.t ->
   defer:Defer.t ->

@@ -12,6 +12,7 @@ module Species = Vpic_particle.Species
 module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
+module Interpolator = Vpic_particle.Interpolator
 module Moments = Vpic_particle.Moments
 module Loader = Vpic_particle.Loader
 module Rng = Vpic_util.Rng
@@ -26,6 +27,17 @@ let check_close ?(rtol = 1e-9) ?(atol = 1e-12) label expected actual =
 
 let check_true label b = Alcotest.(check bool) label true b
 
+(* An interpolator loaded from [f]'s E and B. *)
+let loaded_interp (f : Em_field.t) =
+  let ip = Interpolator.create f.Em_field.grid in
+  Interpolator.load ip f;
+  ip
+
+(* [Push.advance] gathering through an interpolator freshly loaded from
+   [f] — the push every simulation runs. *)
+let push ?movers ?rng ?accum s f bc =
+  Push.advance ?movers ?rng ?accum ~interp:(loaded_interp f) s f bc
+
 (* What the f32 store turns a boxed particle into: offsets clamped into
    [0, pred 1.0f32], momentum and weight rounded to single precision.
    Expectations for store round-trips go through this. *)
@@ -38,6 +50,29 @@ let round_p (p : Particle.t) : Particle.t =
     uy = Store.round32 p.uy;
     uz = Store.round32 p.uz;
     w = Store.round32 p.w }
+
+(* The first [count] particles of two stores agree bit for bit. *)
+let check_stores_bitwise label (a : Store.t) (b : Store.t) ~count =
+  let open Bigarray.Array1 in
+  for m = 0 to count - 1 do
+    if unsafe_get a.Store.voxel m <> unsafe_get b.Store.voxel m then
+      Alcotest.failf "%s: particle %d voxel differs" label m;
+    List.iter
+      (fun (name, (fa : Store.f32), fb) ->
+        if
+          Int64.bits_of_float (unsafe_get fa m)
+          <> Int64.bits_of_float (unsafe_get fb m)
+        then
+          Alcotest.failf "%s: particle %d field %s: %.17e <> %.17e" label m
+            name (unsafe_get fa m) (unsafe_get fb m))
+      [ ("fx", a.Store.fx, b.Store.fx);
+        ("fy", a.Store.fy, b.Store.fy);
+        ("fz", a.Store.fz, b.Store.fz);
+        ("ux", a.Store.ux, b.Store.ux);
+        ("uy", a.Store.uy, b.Store.uy);
+        ("uz", a.Store.uz, b.Store.uz);
+        ("w", a.Store.w, b.Store.w) ]
+  done
 
 (* A small cubic periodic grid with a CFL-safe dt. *)
 let small_grid ?(n = 8) ?(l = 8.) () =

@@ -1,12 +1,13 @@
 (* Block-vectorized push kernel suite.
 
-   The block kernel is an execution reordering of the scalar fast path,
-   not a numerical change: fixed-width lanes over one run-cached 72-byte
-   interpolator block, with cell-crossers falling out to the scalar
-   cleanup pass.  Deposits run in lane (= particle index) order, so every
-   result — store contents, accumulator slots, stepped energies — must be
-   BITWISE identical to the scalar kernel, for any block width, any
-   worker count, and through the SPE-stream backend. *)
+   The block kernel is the one particle loop: fixed-width lanes over one
+   run-cached 72-byte interpolator block, with cell-crossers falling out
+   to the face-crossing walk.  Deposits run in lane (= particle index)
+   order, so every result — store contents, accumulator slots, stepped
+   energies — must be BITWISE invariant in the block width, in the
+   worker count, and through the SPE-stream backend.  One independent
+   oracle pins the lane arithmetic itself: a non-crossing particle must
+   land exactly where the public gather/Boris/move functions put it. *)
 
 module Sort = Vpic_particle.Sort
 module Interpolator = Vpic_particle.Interpolator
@@ -37,7 +38,7 @@ let check_energies_bitwise label (a : Simulation.energies)
     a.Simulation.particles b.Simulation.particles;
   check_bitwise (label ^ ": total") a.Simulation.total b.Simulation.total
 
-(* --- direct Push.advance: block == scalar, bit for bit ------------- *)
+(* --- direct Push.advance: bitwise invariant in the block width ----- *)
 
 (* A sorted population whose runs (ppc = 11) split into one full 8-wide
    block plus a 3-lane remainder tail, with cell crossings forced at
@@ -68,25 +69,6 @@ let randomized_field g ~seed =
   Boundary.fill_em Bc.periodic f;
   f
 
-let check_stores_bitwise label (a : Store.t) (b : Store.t) ~count =
-  let open Bigarray.Array1 in
-  for m = 0 to count - 1 do
-    if unsafe_get a.Store.voxel m <> unsafe_get b.Store.voxel m then
-      Alcotest.failf "%s: particle %d voxel differs" label m;
-    List.iter
-      (fun (name, (fa : Store.f32), fb) ->
-        if bits (unsafe_get fa m) <> bits (unsafe_get fb m) then
-          Alcotest.failf "%s: particle %d field %s: %.17e <> %.17e" label m
-            name (unsafe_get fa m) (unsafe_get fb m))
-      [ ("fx", a.Store.fx, b.Store.fx);
-        ("fy", a.Store.fy, b.Store.fy);
-        ("fz", a.Store.fz, b.Store.fz);
-        ("ux", a.Store.ux, b.Store.ux);
-        ("uy", a.Store.uy, b.Store.uy);
-        ("uz", a.Store.uz, b.Store.uz);
-        ("w", a.Store.w, b.Store.w) ]
-  done
-
 let check_accum_bitwise label a b =
   let da = Accumulator.data a and db = Accumulator.data b in
   let n = Bigarray.Array1.dim da in
@@ -96,43 +78,105 @@ let check_accum_bitwise label a b =
       Alcotest.failf "%s: accumulator slot %d: %.17e <> %.17e" label i va vb
   done
 
-let advance_parity ~width () =
+let test_advance_width_invariance () =
   let g = small_grid ~n:8 ~l:8. () in
   let f = randomized_field g ~seed:5 in
-  let ip = Interpolator.create g in
-  Interpolator.load ip f;
-  let run kernel =
+  let interp = loaded_interp f in
+  let run width =
     let s = forced_species g ~seed:11 in
     let ac = Accumulator.create g in
-    let st = Push.advance ~interp:ip ~accum:ac ?kernel s f Bc.periodic in
+    let st = Push.advance ~interp ~accum:ac ~width s f Bc.periodic in
     (s, ac, st)
   in
-  let s_sc, ac_sc, st_sc = run None in
-  let s_bl, ac_bl, st_bl = run (Some (Push.Block { width })) in
-  Alcotest.(check int)
-    "same particle count" (Species.count s_sc) (Species.count s_bl);
-  Alcotest.(check int) "same advanced" st_sc.Push.advanced st_bl.Push.advanced;
-  Alcotest.(check int) "same segments" st_sc.Push.segments st_bl.Push.segments;
-  check_true "block lanes were pushed" (st_bl.Push.block_lanes > 0);
-  check_true "forced crossings reached the cleanup pass"
-    (st_bl.Push.block_cleanup > 0);
-  check_true "cleanup is the minority path"
-    (st_bl.Push.block_cleanup < st_bl.Push.block_lanes);
-  check_stores_bitwise
-    (Printf.sprintf "scalar vs block%d" width)
-    s_sc.Species.store s_bl.Species.store ~count:(Species.count s_sc);
-  check_accum_bitwise
-    (Printf.sprintf "scalar vs block%d currents" width)
-    ac_sc ac_bl
+  let s1, ac1, st1 = run 1 in
+  List.iter
+    (fun width ->
+      let s, ac, st = run width in
+      let label = Printf.sprintf "block1 vs block%d" width in
+      Alcotest.(check int)
+        (label ^ ": same particle count") (Species.count s1) (Species.count s);
+      Alcotest.(check int)
+        (label ^ ": same advanced") st1.Push.advanced st.Push.advanced;
+      Alcotest.(check int)
+        (label ^ ": same segments") st1.Push.segments st.Push.segments;
+      check_true (label ^ ": block lanes were pushed")
+        (st.Push.block_lanes > 0);
+      check_true
+        (label ^ ": forced crossings reached the cleanup pass")
+        (st.Push.block_cleanup > 0);
+      check_true
+        (label ^ ": cleanup is the minority path")
+        (st.Push.block_cleanup < st.Push.block_lanes);
+      check_stores_bitwise label s1.Species.store s.Species.store
+        ~count:(Species.count s1);
+      check_accum_bitwise (label ^ " currents") ac1 ac)
+    [ 4; 8; 16 ]
 
-let test_advance_parity_w8 () = advance_parity ~width:8 ()
-let test_advance_parity_w4 () = advance_parity ~width:4 ()
+(* --- independent oracle: one lane == the public function chain ---- *)
 
-(* --- 20-step srs energies: block == scalar ------------------------- *)
+(* Particles parked mid-cell with small momenta cross no face, so the
+   kernel settles each in one fused lane.  The stored result must equal,
+   bit for bit, the chain of public functions the lane inlines:
+   [Interpolator.gather_into] -> [Push.boris] -> inverse gamma ->
+   [Store.clamp_offset (x + r)], narrowed to the f32 store. *)
+let test_lane_matches_public_chain () =
+  let g = small_grid ~n:8 ~l:8. () in
+  let f = randomized_field g ~seed:9 in
+  let interp = loaded_interp f in
+  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  let rng = Rng.of_int 21 in
+  for n = 0 to 39 do
+    Species.append s
+      { i = 2 + (n mod 5); j = 3 + (n / 5 mod 4); k = 4; fx = 0.5;
+        fy = 0.25 +. (0.5 *. Rng.uniform rng); fz = 0.5;
+        ux = 0.05 *. Rng.normal rng; uy = 0.05 *. Rng.normal rng;
+        uz = 0.05 *. Rng.normal rng; w = 1. }
+  done;
+  Sort.by_voxel s;
+  let before = Array.init (Species.count s) (Species.get s) in
+  let st = Push.advance ~interp s f Bc.periodic in
+  Alcotest.(check int) "no lane crossed" 0 st.Push.block_cleanup;
+  let dt = g.Grid.dt in
+  let qdt_2m = 0.5 *. -1. *. dt /. 1. in
+  let out = Array.make 6 0. in
+  Array.iteri
+    (fun n (p : Particle.t) ->
+      Interpolator.gather_into interp
+        ~voxel:(Grid.voxel g p.Particle.i p.Particle.j p.Particle.k)
+        ~fx:p.Particle.fx ~fy:p.Particle.fy ~fz:p.Particle.fz ~out;
+      let u = [| p.Particle.ux; p.Particle.uy; p.Particle.uz |] in
+      Push.boris ~u ~ex:out.(0) ~ey:out.(1) ~ez:out.(2) ~bx:out.(3)
+        ~by:out.(4) ~bz:out.(5) ~qdt_2m;
+      let inv_gamma =
+        1.
+        /. sqrt
+             (1. +. (u.(0) *. u.(0)) +. (u.(1) *. u.(1)) +. (u.(2) *. u.(2)))
+      in
+      let moved x a inv_d =
+        Store.clamp_offset (x +. (u.(a) *. inv_gamma *. dt *. inv_d))
+      in
+      let q = Species.get s n in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "particle %d cell" n)
+        (p.Particle.i, p.Particle.j, p.Particle.k)
+        (q.Particle.i, q.Particle.j, q.Particle.k);
+      List.iter
+        (fun (name, expected, actual) ->
+          check_bitwise
+            (Printf.sprintf "particle %d %s" n name)
+            expected actual)
+        [ ("fx", moved p.Particle.fx 0 (1. /. g.Grid.dx), q.Particle.fx);
+          ("fy", moved p.Particle.fy 1 (1. /. g.Grid.dy), q.Particle.fy);
+          ("fz", moved p.Particle.fz 2 (1. /. g.Grid.dz), q.Particle.fz);
+          ("ux", Store.round32 u.(0), q.Particle.ux);
+          ("uy", Store.round32 u.(1), q.Particle.uy);
+          ("uz", Store.round32 u.(2), q.Particle.uz) ])
+    before
+
+(* --- 20-step srs energies: block1 == block8 ------------------------ *)
 
 (* ny = nz = 6 gives the deck a real interior region, so the overlapped
-   interior pass blocks over actual runs instead of deferring the whole
-   (quasi-1D) shell to the scalar boundary pass. *)
+   interior pass blocks over actual runs as well as the deferred shell. *)
 let srs_config = { Deck.default with Deck.ppc = 2; Deck.ny = 6; Deck.nz = 6 }
 
 let srs_energies ~push_backend ~steps () =
@@ -141,22 +185,20 @@ let srs_energies ~push_backend ~steps () =
   for _ = 1 to steps do
     Simulation.step sim
   done;
-  check_true "interior block lanes were pushed"
-    (match push_backend with
-    | Simulation.Host_block _ ->
-        sim.Simulation.push_stats.Push.block_lanes > 0
-    | _ -> true);
+  check_true "block lanes were pushed"
+    (sim.Simulation.push_stats.Push.block_lanes > 0);
   Simulation.energies sim
 
-let test_srs_block_parity () =
-  let e_sc =
-    srs_energies ~push_backend:Simulation.Host_scalar ~steps:20 ()
+let test_srs_width_invariance () =
+  let e1 =
+    srs_energies ~push_backend:(Simulation.Host_block { width = 1 }) ~steps:20
+      ()
   in
-  let e_bl =
+  let e8 =
     srs_energies ~push_backend:(Simulation.Host_block { width = 8 }) ~steps:20
       ()
   in
-  check_energies_bitwise "srs 20 steps, scalar vs block8" e_sc e_bl
+  check_energies_bitwise "srs 20 steps, block1 vs block8" e1 e8
 
 (* --- worker-count invariance under the block kernel ---------------- *)
 
@@ -178,30 +220,49 @@ let test_srs_block_worker_invariance () =
   let e4 = srs_team_energies ~workers:4 ~steps:20 in
   check_energies_bitwise "block8, 1 vs 4 workers" e1 e4
 
-(* --- SPE-stream backend: serial streaming == scalar ---------------- *)
+(* --- SPE-stream backend: serial streaming == host block ------------ *)
 
 (* Without a worker team the SPE stream chunks the same block kernel
    through the pipeline's DMA ledger in index order — deposits land in
-   exactly the scalar order, so even this backend is bitwise. *)
+   exactly the host order, so even this backend is bitwise. *)
 let test_srs_spe_parity () =
-  let e_sc =
-    srs_energies ~push_backend:Simulation.Host_scalar ~steps:10 ()
+  let e_host =
+    srs_energies ~push_backend:(Simulation.Host_block { width = 1 }) ~steps:10
+      ()
   in
   let e_spe =
     srs_energies
       ~push_backend:(Simulation.Spe_stream { width = 8; dma_block = 512 })
       ~steps:10 ()
   in
-  check_energies_bitwise "srs 10 steps, scalar vs spe stream" e_sc e_spe
+  check_energies_bitwise "srs 10 steps, block1 vs spe stream" e_host e_spe
+
+(* --- the deferred boundary shell runs the block kernel too --------- *)
+
+(* On a 4x4 cross-section three quarters of the cells are shell, and a
+   refluxing/absorbing deck pushes them in the deferred pass: every
+   pushed particle must still have entered the block kernel's lanes. *)
+let test_shell_runs_block_kernel () =
+  let setup = Deck.build { Deck.default with Deck.ny = 4; Deck.nz = 4 } in
+  let sim = setup.Deck.sim in
+  for _ = 1 to 5 do
+    Simulation.step sim
+  done;
+  let ps = sim.Simulation.push_stats in
+  check_true "particles were pushed" (ps.Push.advanced > 0);
+  Alcotest.(check int) "every pushed particle ran in a block lane"
+    ps.Push.advanced ps.Push.block_lanes
 
 let suite =
-  [ case "block push: advance bitwise equals scalar (width 8)"
-      test_advance_parity_w8;
-    case "block push: advance bitwise equals scalar (width 4)"
-      test_advance_parity_w4;
-    case "block push: srs energies bitwise equal scalar"
-      test_srs_block_parity;
+  [ case "block push: advance bitwise invariant in width (1, 4, 8, 16)"
+      test_advance_width_invariance;
+    case "block push: srs energies bitwise equal at widths 1 and 8"
+      test_srs_width_invariance;
     case "block push: energies bitwise invariant in worker count"
       test_srs_block_worker_invariance;
-    case "block push: spe-stream backend bitwise equals scalar"
-      test_srs_spe_parity ]
+    case "block push: spe-stream backend bitwise equals block1"
+      test_srs_spe_parity;
+    case "block push: a lane equals the public gather/boris/move chain"
+      test_lane_matches_public_chain;
+    case "block push: the boundary shell runs the block kernel"
+      test_shell_runs_block_kernel ]

@@ -105,9 +105,11 @@ let test_pipeline_equivalent_to_direct () =
   let _, f1, s1 = pipeline_setup () in
   let _, f2, s2 = pipeline_setup () in
   (* identical setups; push one directly and one through the pipeline *)
-  ignore (Push.advance s1 f1 Bc.periodic);
+  ignore (push s1 f1 Bc.periodic);
   let pipe = Spe_pipeline.create ~block_size:128 Roadrunner.full in
-  ignore (Spe_pipeline.advance_species pipe s2 f2 Bc.periodic);
+  ignore
+    (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f2) s2 f2
+       Bc.periodic);
   Alcotest.(check int) "same count" (Species.count s1) (Species.count s2);
   check_close ~atol:0. ~rtol:0. "identical currents" 0.
     (List.fold_left2
@@ -123,7 +125,9 @@ let test_pipeline_ledger () =
   let block = 128 in
   let pipe = Spe_pipeline.create ~block_size:block Roadrunner.full in
   let np = Species.count s in
-  ignore (Spe_pipeline.advance_species pipe ~ppc_hint:20. s f Bc.periodic);
+  ignore
+    (Spe_pipeline.advance_species pipe ~ppc_hint:20. ~interp:(loaded_interp f)
+       s f Bc.periodic);
   let led = Spe_pipeline.ledger pipe in
   Alcotest.(check int) "blocks" ((np + block - 1) / block) led.Spe_pipeline.blocks;
   Alcotest.(check int) "particles" np led.Spe_pipeline.particles;
@@ -152,7 +156,8 @@ let test_pipeline_rejects_absorbing () =
   check_true "raises"
     (try
        ignore
-         (Spe_pipeline.advance_species pipe s f (Bc.uniform Bc.Absorbing));
+         (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f) s f
+            (Bc.uniform Bc.Absorbing));
        false
      with Invalid_argument _ -> true)
 

@@ -260,18 +260,18 @@ let test_decoder_fuzz () =
   check_true "some payload flips are refused" (!refused > 0);
   (* crafted meta behind a valid CRC.  Grid extents of max_int would
      wrap the voxel-count product, and must be refused before any
-     allocation.  A current filter without the interpolator would gather
-     unsmoothed forces, a combination [Simulation.make] also refuses. *)
+     allocation.  A current filter without the Marder clean would let
+     the filtered J break continuity unchecked, a combination
+     [Simulation.make] also refuses. *)
   let _, meta_lo, meta_hi = List.nth (image_regions image) 1 in
   let payload = meta_lo + 8 in
   (* meta byte offsets: nstep, nx ny nz, seven grid floats, then
-     sort_interval, clean_div_interval, marder_passes,
-     current_filter_passes, absorber_thickness, absorber_strength and
-     the interp_accum byte *)
+     sort_interval, clean_div_interval, marder_passes and
+     current_filter_passes *)
   let int_at off n img = Bytes.set_int64_le img (payload + off) (Int64.of_int n) in
   let extent axis n = int_at (8 + (8 * axis)) n in
+  let no_clean = int_at 96 0 in
   let filter_passes n = int_at 112 n in
-  let no_interp_accum img = Bytes.set img (payload + 136) '\000' in
   let decodes patches =
     let img = Bytes.copy image in
     List.iter (fun patch -> patch img) patches;
@@ -287,9 +287,9 @@ let test_decoder_fuzz () =
       ( "nx = ny = nz = max_int is refused",
         [ extent 0 max_int; extent 1 max_int; extent 2 max_int ] );
       ("nx = max_int - 1 is refused", [ extent 0 (max_int - 1) ]);
-      ( "current filter without interp_accum is refused",
-        [ filter_passes 1; no_interp_accum ] ) ];
-  check_true "current filter with interp_accum decodes"
+      ( "current filter without the Marder clean is refused",
+        [ filter_passes 1; no_clean ] ) ];
+  check_true "current filter with the Marder clean decodes"
     (decodes [ filter_passes 1 ])
 
 let test_v7_header_is_version_mismatch () =

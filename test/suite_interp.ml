@@ -102,9 +102,9 @@ let test_accumulator_unload_matches_direct_deposit () =
   load_particles sb ~ppc:6 ~seed:17;
   Em_field.clear_currents fa;
   Em_field.clear_currents fb;
-  ignore (Push.advance sa fa Bc.periodic);
+  ignore (push sa fa Bc.periodic);
   let ac = Accumulator.create g in
-  ignore (Push.advance ~accum:ac sb fb Bc.periodic);
+  ignore (push ~accum:ac sb fb Bc.periodic);
   Accumulator.unload ac fb;
   (* trajectories identical: same gather, same Boris, same walk *)
   let sta = sa.Species.store and stb = sb.Species.store in
@@ -137,12 +137,12 @@ let test_accumulator_unload_matches_direct_deposit () =
 
 (* Charge conservation through the full step loop on the interp/accum
    path: the Gauss residual must stay at the deposition-roundoff floor,
-   exactly as the direct path's conservation tests demand. *)
+   exactly as the single-push conservation tests demand. *)
 let test_interp_accum_charge_conservation () =
   let g = small_grid ~n:6 ~l:3. () in
   let sim =
     Simulation.make ~grid:g ~coupler:(Coupler.local Bc.periodic)
-      ~clean_div_interval:0 ~sort_interval:4 ~interp_accum:true ()
+      ~clean_div_interval:0 ~sort_interval:4 ()
   in
   let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
   ignore (Loader.maxwellian (Rng.of_int 3) e ~ppc:16 ~uth:0.1 ());
@@ -153,91 +153,6 @@ let test_interp_accum_charge_conservation () =
   check_true
     (Printf.sprintf "gauss residual stays small (%.3g -> %.3g)" r0 r1)
     (r1 < Float.max 0.02 (2. *. r0))
-
-(* --- Stepped energy parity: interp/accum vs direct ---------------------- *)
-
-let energies_serial ~interp_accum ~steps =
-  let g = small_grid ~n:6 ~l:3. () in
-  let sim =
-    Simulation.make ~grid:g ~coupler:(Coupler.local Bc.periodic)
-      ~clean_div_interval:5 ~sort_interval:4 ~interp_accum ()
-  in
-  let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-  ignore (Loader.maxwellian (Rng.of_int 12) e ~ppc:12 ~uth:0.1 ());
-  let out = ref [] in
-  for _ = 1 to steps do
-    Simulation.step sim;
-    out := (Simulation.energies sim).Simulation.total :: !out
-  done;
-  List.rev !out
-
-let test_serial_energy_parity () =
-  let steps = 25 in
-  let direct = energies_serial ~interp_accum:false ~steps in
-  let interp = energies_serial ~interp_accum:true ~steps in
-  (* The interpolator rounds its 18 coefficients to f32 (~1e-7 relative
-     force error) and evaluates a midpoint-held expansion instead of the
-     piecewise staggered gather; the trajectories decorrelate slowly, so
-     the energy trajectories agree to a loose tolerance while staying
-     individually conserved. *)
-  List.iter2 (fun a b -> check_close ~rtol:0.02 "energy parity" a b) direct
-    interp
-
-let energies_2rank ~interp_accum ~steps =
-  let gnx = 8 in
-  let d =
-    Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx ~gny:4 ~gnz:4 ~lx:4. ~ly:2. ~lz:2.
-  in
-  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
-  let results =
-    Comm.run ~ranks:2 (fun c ->
-        let rank = Comm.rank c in
-        let grid = Decomp.local_grid d ~dt ~rank in
-        let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
-        let sim =
-          Simulation.make ~grid ~coupler:(Coupler.parallel c bc ~grid)
-            ~clean_div_interval:5 ~sort_interval:4 ~interp_accum ()
-        in
-        let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-        let cx, _, _ = Decomp.coords_of_rank d rank in
-        let x_off = cx * (gnx / 2) in
-        Grid.iter_interior grid (fun i j k ->
-            let rng =
-              Rng.of_int ((((x_off + i) * 997) + (j * 89) + k) * 13)
-            in
-            for _ = 1 to 8 do
-              Species.append e
-                { i; j; k;
-                  fx = Rng.uniform rng;
-                  fy = Rng.uniform rng;
-                  fz = Rng.uniform rng;
-                  ux = 0.1 *. Rng.normal rng;
-                  uy = 0.1 *. Rng.normal rng;
-                  uz = 0.1 *. Rng.normal rng;
-                  w = Grid.cell_volume grid /. 8. }
-            done);
-        let out = ref [] in
-        for _ = 1 to steps do
-          Simulation.step sim;
-          out := (Simulation.energies sim).Simulation.total :: !out
-        done;
-        (List.rev !out, Simulation.total_particles sim))
-  in
-  results.(0)
-
-let test_two_rank_energy_parity () =
-  let steps = 20 in
-  let direct, np_d = energies_2rank ~interp_accum:false ~steps in
-  let interp, np_i = energies_2rank ~interp_accum:true ~steps in
-  Alcotest.(check int) "particle count" np_d np_i;
-  check_true "no energy blowup"
-    (List.for_all Float.is_finite direct && List.for_all Float.is_finite interp);
-  (* Same deck stepped both ways across a 2-rank x-split: migration's
-     remote-mover deposits flow through the accumulator on the interp
-     side, so parity here exercises the full comm path. *)
-  List.iter2
-    (fun a b -> check_close ~rtol:0.02 "2-rank energy parity" a b)
-    direct interp
 
 (* --- Sort: zero-allocation double buffer + occupancy -------------------- *)
 
@@ -265,7 +180,7 @@ let test_sort_scratch_reused () =
      record must be the very same one (steady state allocates nothing) *)
   let f = random_field ~seed:2 g in
   for _ = 1 to 3 do
-    ignore (Push.advance s f Bc.periodic)
+    ignore (push s f Bc.periodic)
   done;
   Sort.by_voxel s;
   Sort.by_voxel s;
@@ -304,6 +219,134 @@ let test_occupancy () =
   Alcotest.(check int) "empty max" 0 mx0;
   check_close "empty mean" 0. mean0
 
+(* --- Split push: interior + deferred shell ranges = one fused pass ------- *)
+
+(* [`Interior d] then [`Deferred d] on one population against a single
+   [`All] push of a copy: the shell pass replays the recorded index
+   ranges through the same block kernel, so stores, movers and RNG draws
+   match bit for bit and the stats sum to the fused ones.  Only the
+   accumulator's per-slot addition order differs (interior crossers into
+   shell voxels land before the shell's own particles), hence [close]. *)
+let check_split_equals_fused ~label ?(steps = 3) ?(movers = false)
+    ?(defer_capacity = 64) ~make_species ~bc f =
+  let g = f.Em_field.grid in
+  let interp = loaded_interp f in
+  let sa = make_species () and sb = make_species () in
+  let aa = Accumulator.create g and ab = Accumulator.create g in
+  let ra = Rng.of_int 41 and rb = Rng.of_int 41 in
+  let ma = Push.Movers.create () and mb = Push.Movers.create () in
+  let movers_of m = if movers then Some m else None in
+  let defer = Push.Defer.create ~capacity:defer_capacity () in
+  let total = ref Push.zero_stats in
+  for step = 1 to steps do
+    let label = Printf.sprintf "%s, step %d" label step in
+    Push.Movers.clear ma;
+    Push.Movers.clear mb;
+    let fused =
+      Push.advance ?movers:(movers_of ma) ~rng:ra ~interp ~accum:aa sa f bc
+    in
+    Push.Defer.clear defer;
+    let inner =
+      Push.advance ?movers:(movers_of mb) ~rng:rb ~interp ~accum:ab
+        ~region:(`Interior defer) sb f bc
+    in
+    let shell =
+      Push.advance ?movers:(movers_of mb) ~rng:rb ~interp ~accum:ab
+        ~region:(`Deferred defer) sb f bc
+    in
+    check_true (label ^ ": interior pass deletes nothing")
+      (inner.Push.absorbed = 0 && inner.Push.outbound = 0);
+    check_true (label ^ ": stats sum to the fused push")
+      (Push.sum_stats inner shell = fused);
+    check_true (label ^ ": both passes pushed particles")
+      (inner.Push.advanced > 0 && shell.Push.advanced > 0);
+    Alcotest.(check int) (label ^ ": population") (Species.count sa)
+      (Species.count sb);
+    check_stores_bitwise label sa.Species.store sb.Species.store
+      ~count:(Species.count sa);
+    Alcotest.(check int) (label ^ ": movers") (Push.Movers.count ma)
+      (Push.Movers.count mb);
+    for q = 0 to (Push.Movers.count ma * Push.Movers.stride) - 1 do
+      let va = Bigarray.Array1.get ma.Push.Movers.buf q
+      and vb = Bigarray.Array1.get mb.Push.Movers.buf q in
+      if Int64.bits_of_float va <> Int64.bits_of_float vb then
+        Alcotest.failf "%s: mover float %d: %.17e <> %.17e" label q va vb
+    done;
+    total := Push.sum_stats !total fused
+  done;
+  check_true (label ^ ": reflux draws agree")
+    (Rng.uniform ra = Rng.uniform rb);
+  let da = Accumulator.data aa and db = Accumulator.data ab in
+  for q = 0 to Bigarray.Array1.dim da - 1 do
+    check_close (Printf.sprintf "%s: accumulator slot %d" label q)
+      (Bigarray.Array1.get da q) (Bigarray.Array1.get db q)
+  done;
+  !total
+
+(* Sorted population in a box with every wall kind: the shell pass
+   reflects, absorbs (removing highest index first) and re-emits from the
+   thermal bath exactly as the fused pass does. *)
+let test_split_push_equals_fused () =
+  let g = small_grid ~n:6 ~l:3. () in
+  let bc =
+    { Bc.periodic with
+      Bc.xlo = Bc.Conducting;
+      xhi = Bc.Conducting;
+      ylo = Bc.Absorbing;
+      zhi = Bc.Refluxing 0.1 }
+  in
+  let f = random_field ~seed:23 g in
+  Boundary.fill_em bc f;
+  let make_species () =
+    let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+    load_particles s ~ppc:6 ~seed:29;
+    Sort.by_voxel s;
+    s
+  in
+  let st =
+    check_split_equals_fused ~label:"walls" ~make_species ~bc f
+  in
+  check_true "walls were hit"
+    (st.Push.reflected > 0 && st.Push.absorbed > 0 && st.Push.refluxed > 0)
+
+(* Unsorted population on a rank with domain faces: shell and interior
+   particles interleave, so the defer list records many short ranges and
+   must grow from capacity 1; outbound particles become movers in the
+   same order as the fused pass emits them. *)
+let test_defer_grows_over_unsorted () =
+  let d =
+    Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx:12 ~gny:6 ~gnz:6 ~lx:6. ~ly:3. ~lz:3.
+  in
+  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
+  let g = Decomp.local_grid d ~dt ~rank:0 in
+  let bc = Decomp.local_bc d ~global:Bc.periodic ~rank:0 in
+  let f = random_field ~seed:37 g in
+  Boundary.fill_em bc f;
+  let make_species () =
+    let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+    let rng = Rng.of_int 43 in
+    for _ = 1 to 6 * g.Grid.nx * g.Grid.ny * g.Grid.nz do
+      Species.append s
+        { i = 1 + Rng.int rng g.Grid.nx;
+          j = 1 + Rng.int rng g.Grid.ny;
+          k = 1 + Rng.int rng g.Grid.nz;
+          fx = Rng.uniform rng;
+          fy = Rng.uniform rng;
+          fz = Rng.uniform rng;
+          ux = 0.3 *. Rng.normal rng;
+          uy = 0.3 *. Rng.normal rng;
+          uz = 0.3 *. Rng.normal rng;
+          w = 1. }
+    done;
+    s
+  in
+  check_true "population is unsorted" (not (Sort.is_sorted (make_species ())));
+  let st =
+    check_split_equals_fused ~label:"unsorted" ~movers:true ~defer_capacity:1
+      ~make_species ~bc f
+  in
+  check_true "particles left through the domain faces" (st.Push.outbound > 0)
+
 (* --- Movers: growth from a tiny capacity preserves content -------------- *)
 
 let test_movers_growth () =
@@ -327,7 +370,7 @@ let test_movers_growth () =
         w = float_of_int m }
   done;
   let movers = Push.Movers.create ~capacity:1 () in
-  let st = Push.advance ~movers s f bc in
+  let st = push ~movers s f bc in
   Alcotest.(check int) "all outbound" nout st.Push.outbound;
   Alcotest.(check int) "all buffered" nout (Push.Movers.count movers);
   (* growth from capacity 1 went through several doublings; every
@@ -355,9 +398,11 @@ let suite =
       test_accumulator_unload_matches_direct_deposit;
     case "charge conservation on the interp/accum path"
       test_interp_accum_charge_conservation;
-    case "serial stepped energy parity" test_serial_energy_parity;
-    case "2-rank stepped energy parity" test_two_rank_energy_parity;
     case "sort scratch is reused across sorts" test_sort_scratch_reused;
     case "occupancy max/mean" test_occupancy;
+    case "split push equals the fused push at every wall kind"
+      test_split_push_equals_fused;
+    case "defer list grows over an unsorted population"
+      test_defer_grows_over_unsorted;
     case "movers grow from capacity 1 without losing payload"
       test_movers_growth ]

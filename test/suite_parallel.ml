@@ -260,7 +260,7 @@ let test_migration_conserves () =
         done;
         let ports = Exchange.create c bc grid in
         let movers = Push.Movers.create () in
-        let st = Push.advance ~movers s f bc in
+        let st = push ~movers s f bc in
         let movers_after_push = Push.Movers.count movers in
         let mig = Migrate.exchange ports s f movers in
         let all_interior = ref true in

@@ -65,23 +65,21 @@ let test_pushers_pure_b_energy () =
   check_close ~rtol:1e-12 "boris |u| in pure B" u2 u2'
 
 let test_pusher_selection_in_advance () =
-  (* the full advance is self-consistent under every inner-loop kernel
-     it can select: a thermal species streaming through zero fields
-     keeps its kinetic energy *)
+  (* the full advance is self-consistent at every block width: a thermal
+     species streaming through zero fields keeps its kinetic energy *)
   List.iter
-    (fun kernel ->
+    (fun width ->
       let g = small_grid () in
       let f = Em_field.create g in
-      let ip = Interpolator.create g in
-      Interpolator.load ip f;
       let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
       ignore (Loader.maxwellian (Rng.of_int 3) s ~ppc:4 ~uth:0.1 ());
       let ke0 = Species.kinetic_energy s in
-      ignore (Push.advance ~interp:ip ~kernel s f Bc.periodic);
+      ignore
+        (Push.advance ~interp:(loaded_interp f) ~width s f Bc.periodic);
       check_close ~rtol:1e-12
-        (Push.kernel_to_string kernel ^ " free streaming keeps KE")
+        (Printf.sprintf "block%d free streaming keeps KE" width)
         ke0 (Species.kinetic_energy s))
-    [ Push.Scalar; Push.Block { width = Push.default_block_width } ]
+    [ 1; Push.default_block_width ]
 
 (* --- Gather ------------------------------------------------------------ *)
 
@@ -279,7 +277,7 @@ let one_particle_sim bc_kind (p : Particle.t) =
   let bc = Bc.uniform bc_kind in
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
   Species.append s p;
-  let stats = Push.advance s f bc in
+  let stats = push s f bc in
   (g, s, stats)
 
 let test_mover_periodic_wrap () =
@@ -320,7 +318,7 @@ let test_mover_reflux () =
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
   Species.append s p;
   let rng = Rng.of_int 99 in
-  let stats = Push.advance ~rng s f bc in
+  let stats = push ~rng s f bc in
   Alcotest.(check int) "refluxed once" 1 stats.Push.refluxed;
   Alcotest.(check int) "not absorbed" 0 stats.Push.absorbed;
   Alcotest.(check int) "kept" 1 (Species.count s);
@@ -342,7 +340,7 @@ let test_mover_reflux_needs_rng () =
   Species.append s p;
   check_true "raises without rng"
     (try
-       ignore (Push.advance s f bc);
+       ignore (push s f bc);
        false
      with Invalid_argument _ -> true)
 
@@ -360,7 +358,7 @@ let test_mover_reflux_bath_statistics () =
         fy = 0.5; fz = 0.5; ux = 0.9; uy = 0.; uz = 0.; w = 1. }
   done;
   let rng = Rng.of_int 7 in
-  let stats = Push.advance ~rng s f bc in
+  let stats = push ~rng s f bc in
   Alcotest.(check int) "all refluxed" 5000 stats.Push.refluxed;
   let mean_un = ref 0. and mean_ut = ref 0. and var_ut = ref 0. in
   Species.iter s (fun n ->
@@ -401,7 +399,7 @@ let test_mover_free_streaming () =
      the final position re-rounds to f32, hence the ~1e-7 tolerance *)
   let p = Species.get s 0 in
   let x0, y0, z0 = Particle.position g p in
-  ignore (Push.advance s f bc);
+  ignore (push s f bc);
   let x1, y1, z1 = Particle.position g (Species.get s 0) in
   let gamma = Particle.gamma p in
   let dt = g.Grid.dt in
@@ -433,7 +431,7 @@ let qcheck_single_particle_continuity =
       Species.append s { i = 4; j = 4; k = 4; fx; fy; fz; ux; uy; uz; w = 1.3 };
       let rho_old = Sf.create g in
       Moments.deposit_rho s ~rho:rho_old;
-      ignore (Push.advance s f bc);
+      ignore (push s f bc);
       Boundary.fold_currents bc f;
       let rho_new = Sf.create g in
       Moments.deposit_rho s ~rho:rho_new;
@@ -473,7 +471,7 @@ let test_charge_conservation_random () =
   Moments.deposit_rho s ~rho:rho_old;
   Boundary.fold_rho bc { f with Em_field.rho = rho_old };
   Em_field.clear_currents f;
-  ignore (Push.advance s f bc);
+  ignore (push s f bc);
   Boundary.fold_currents bc f;
   let rho_new = Sf.create g in
   Moments.deposit_rho s ~rho:rho_new;

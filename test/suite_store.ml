@@ -131,6 +131,7 @@ let test_f32_vs_f64_push_divergence () =
       uy.(n) <- p.Particle.uy;
       uz.(n) <- p.Particle.uz);
   let qdt_2m = 0.5 *. (-1.) *. dt /. 1. in
+  let ip = loaded_interp f in
   let out = Array.make 6 0. in
   let u = Array.make 3 0. in
   let wrap frac cell ncell =
@@ -141,7 +142,8 @@ let test_f32_vs_f64_push_divergence () =
   in
   let shadow_step () =
     for n = 0 to np - 1 do
-      Vpic_particle.Interp.gather_into f ~i:ci.(n) ~j:cj.(n) ~k:ck.(n)
+      Interpolator.gather_into ip
+        ~voxel:(Grid.voxel g ci.(n) cj.(n) ck.(n))
         ~fx:fx.(n) ~fy:fy.(n) ~fz:fz.(n) ~out;
       u.(0) <- ux.(n);
       u.(1) <- uy.(n);
@@ -163,7 +165,7 @@ let test_f32_vs_f64_push_divergence () =
   in
   for _ = 1 to 100 do
     shadow_step ();
-    ignore (Push.advance s f Bc.periodic)
+    ignore (Push.advance ~interp:ip s f Bc.periodic)
   done;
   let worst_x = ref 0. and worst_u = ref 0. in
   let fnx = float_of_int nx in

@@ -94,13 +94,14 @@ let test_slab_current_reduction () =
     ignore (Loader.maxwellian (Rng.of_int 7) s ~ppc:6 ~uth:0.15 ());
     s
   in
-  (* Legacy path: the serial interior push scatters straight into the
+  let interp = loaded_interp f in
+  (* Serial path: the interior push scatters straight into the
      accumulator's slots. *)
   let direct =
     let acc = Accumulator.create g in
     let defer = Push.Defer.create () in
     ignore
-      (Push.advance ~accum:acc ~region:(`Interior defer) (mk ()) f
+      (Push.advance ~interp ~accum:acc ~region:(`Interior defer) (mk ()) f
          Bc.periodic);
     acc
   in
@@ -110,8 +111,9 @@ let test_slab_current_reduction () =
     let acc = Accumulator.create g in
     let defer = Push.Defer.create () in
     let scratch = Push.Team_scratch.create () in
-    ignore (Push.advance_team ~pool ~scratch ~defer ~accum:acc (mk ()) f
-              Bc.periodic);
+    ignore
+      (Push.advance_team ~pool ~scratch ~defer ~interp ~accum:acc (mk ()) f
+         Bc.periodic);
     Accumulator.reduce ~pool acc;
     acc
   in
