@@ -182,194 +182,179 @@ let report_kernel_of = function
   | Simulation.Host_block { width } -> `Block width
   | Simulation.Spe_stream _ -> `Spe
 
-(* Over-decomposed srs run: [blocks] relocatable y-slabs spread over
-   [ranks], rebalanced every [rebalance_every] steps when the max/mean
-   push cost exceeds [rebalance_threshold].  Supports the step loop,
-   periodic per-block checkpoint generations, scoreboard/metrics/trace;
-   resume/sentinel/final-checkpoint stay on the classic path. *)
-let run_srs_blocks config ~blocks ~rebalance_every ~rebalance_threshold
-    ~cost_model ~steps ~ranks ~workers ~ckpt_dir ~ckpt_every ~keep
-    ~trace_file ~metrics_file ~scoreboard_every ~recover_auto
-    ~max_recoveries ~push_backend =
-  (* Every block keeps at least two transverse cells (remainder-safe
-     decomposition still wants non-degenerate slabs). *)
-  let config =
-    if config.Deck.ny >= 2 * blocks then config
-    else { config with Deck.ny = 2 * blocks }
+let allreduce op comm x = match comm with Some cm -> op cm x | None -> x
+
+let rank_of = function None -> (0, 1) | Some cm -> (Comm.rank cm, Comm.size cm)
+
+(* One rank's share of an srs world, as [run_srs] drives it.  The world
+   is either classic — one domain per rank ([classic_world]) — or
+   over-decomposed into relocatable y-slab blocks ([blocks_world]);
+   trace, metrics, team, scoreboard, report and final prints are
+   [run_srs]'s, once for both. *)
+type srs_world = {
+  header : string;  (** the deck line's prefix *)
+  perf : Perf.counters;  (** the rank's flop counters *)
+  nparticles : int;  (** world total at the start *)
+  sort_interval : int;  (** 0 = never *)
+  refl : Reflectivity.t;  (** this rank's reflectivity probe *)
+  run : steps:int -> after_step:(int -> unit) -> unit;
+      (** step, sample and checkpoint up to step [steps], calling
+          [after_step] after each step *)
+  summary : unit -> unit -> unit;
+      (** collective tallies, then the live root's extra result lines *)
+  final : unit -> float * int;  (** collective: total energy and step *)
+  finish : unit -> unit;  (** after the final prints *)
+}
+
+(* A classic rank: one domain, rebuilt from the deck and, with
+   [--resume auto], swapped for the simulation restored from the newest
+   valid generation.  Antennas are closures and are not checkpointed —
+   they re-attach here from the freshly built deck. *)
+let classic_world ~push_backend ~resume ~ckpt_dir ~ckpt_every ~keep
+    ~sentinel_every ~sentinel_log ~checkpoint ~comm ~team config =
+  let rank, nranks = rank_of comm in
+  let root = rank = 0 in
+  let per_rank path =
+    if nranks > 1 then Printf.sprintf "%s.rank%d" path rank else path
   in
-  let body comm_opt =
-    let rank, nranks =
-      match comm_opt with
-      | None -> (0, 1)
-      | Some cm -> (Comm.rank cm, Comm.size cm)
-    in
-    let root = rank = 0 in
-    Trace.enable ~rank ();
-    Metrics.enable ();
-    (match comm_opt with
-    | Some _ -> Metrics.install_comm_wait_observer ()
-    | None -> ());
-    let registry = Metrics.default () in
-    let team = make_team ~rank ~workers in
-    Fun.protect ~finally:(fun () -> Option.iter Team.shutdown team)
-    @@ fun () ->
-    let bs =
-      Deck.build_over ?comm:comm_opt
-        ?pool:(Option.map Team.pool team)
-        ~push_backend ~rebalance_interval:rebalance_every
-        ~rebalance_threshold ~cost_model ~blocks config
-    in
-    let mb = bs.Deck.mb in
-    let steps =
-      match steps with Some s -> s | None -> Deck.suggested_steps config
-    in
-    let reduce_sum x =
-      match comm_opt with Some cm -> Comm.allreduce_sum cm x | None -> x
-    in
-    let reduce_max x =
-      match comm_opt with Some cm -> Comm.allreduce_max cm x | None -> x
-    in
-    let nparticles = Multiblock.total_particles mb in
-    if root then
-      Printf.printf
-        "SRS deck (over-decomposed): %d blocks on %d ranks, y-skew %.2f, \
-         rebalance every %d @ threshold %.2f, %d particles, %d steps\n%!"
-        blocks nranks config.Deck.y_skew rebalance_every rebalance_threshold
-        nparticles steps;
-    let board =
-      Scoreboard.create
-        ?worker_busy:(Option.map (fun tm () -> Team.busy_seconds tm) team)
-        ~metrics:registry ~perf:(Multiblock.perf mb) ~nranks ~reduce_sum
-        ~reduce_max ()
-    in
-    (* The live root: lowest surviving rank.  Identical to [root] until
-       a recovery shrinks the world; console prints and metrics lines
-       follow it so a run that lost rank 0 still reports. *)
-    let live_root () =
-      match comm_opt with Some cm -> rank = Comm.root cm | None -> root
-    in
-    (* Rank 0 creates (or truncates) the metrics file; a rank that
-       becomes the live root later opens it for appending. *)
-    let metrics_oc =
-      ref (if root then Option.map open_out metrics_file else None)
-    in
-    let emit line =
-      if live_root () then begin
-        if Option.is_none !metrics_oc then
-          metrics_oc :=
-            Option.map
-              (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644)
-              metrics_file;
-        Option.iter
-          (fun oc ->
-            output_string oc (line ^ "\n");
-            flush oc)
-          !metrics_oc
-      end
-    in
-    let scoreboard_tail step =
-      if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
-        let s = Scoreboard.sample board ~step in
-        let snap =
-          match comm_opt with
-          | Some cm -> Metrics.reduce_comm cm registry
-          | None -> Metrics.snapshot_local registry
-        in
-        if live_root () then Scoreboard.print s;
-        emit (Scoreboard.sample_to_json s);
-        emit (Metrics.snapshot_to_json ~step snap)
-      end
-    in
-    (if recover_auto then
-       ignore
-         (Vpic.Recover.supervise ~max_recoveries
-            ~after_step:(fun ~step ->
-              Deck.sample_over bs;
-              scoreboard_tail step)
-            ~dir:ckpt_dir ~keep ~ckpt_every ~steps mb)
-     else
-       for step = 1 to steps do
-         Multiblock.step mb;
-         Deck.sample_over bs;
-         if ckpt_every > 0 && step mod ckpt_every = 0 then
-           Multiblock.save_generation mb ~dir:ckpt_dir ~gen:step ~keep;
-         scoreboard_tail step
-       done);
-    let r =
-      reduce_sum (Reflectivity.reflectivity bs.Deck.refl)
-      /. float_of_int nranks
-    in
-    let totals = Scoreboard.totals board ~steps in
-    let final_snap =
-      match comm_opt with
-      | Some cm -> Metrics.reduce_comm cm registry
-      | None -> Metrics.snapshot_local registry
-    in
-    let migrations = reduce_sum (float_of_int (Multiblock.migrations mb)) in
-    let shipped = reduce_sum (Multiblock.ship_bytes mb) in
-    let workload =
-      let voxels =
-        float_of_int (config.Deck.nx * config.Deck.ny * config.Deck.nz)
-      in
-      let sort_interval =
-        match Multiblock.owned_sims mb with
-        | (_, sim) :: _ when sim.Simulation.sort_interval > 0 ->
-            sim.Simulation.sort_interval
-        | _ -> max_int
-      in
-      { Perf_model.particles = float_of_int nparticles;
-        voxels;
-        steps_per_sort = sort_interval;
-        ppc_effective = float_of_int nparticles /. voxels }
-    in
-    let report =
-      Report.make ~kernel:(report_kernel_of push_backend) ~totals ~workload ()
-    in
-    let en = Multiblock.energies mb in
-    if live_root () then begin
-      Printf.printf "reflectivity = %.4e\n" r;
-      Scoreboard.print_totals totals;
-      Scoreboard.print_block_rollup ~owners:(Multiblock.owners mb)
-        ~costs:(Multiblock.block_costs mb) ~migrations
-        ~shipped_bytes:shipped;
-      Printf.printf "push imbalance (max/mean, last window) = %.3f\n"
-        (Multiblock.last_imbalance mb);
-      Report.print report;
-      emit (Metrics.snapshot_to_json ~step:steps final_snap);
-      emit (Report.to_json report);
-      Option.iter close_out !metrics_oc;
-      Printf.printf "final total energy = %.10e at step %d\n"
-        en.Simulation.total (Multiblock.nstep mb)
-    end
+  let setup = Deck.build ?comm ~push_backend config in
+  let setup =
+    if not resume then setup
+    else
+      match
+        Checkpoint.load_latest_valid
+          ~coupler:setup.Deck.sim.Simulation.coupler ~dir:ckpt_dir
+      with
+      | None ->
+          if root then
+            Printf.printf
+              "resume: no valid generation under %s, starting fresh\n%!"
+              ckpt_dir;
+          setup
+      | Some (sim, gen) ->
+          if root then
+            Printf.printf
+              "resume: restored generation %d (step %d) from %s\n%!" gen
+              sim.Simulation.nstep ckpt_dir;
+          List.iter (Simulation.add_laser sim)
+            (Simulation.lasers setup.Deck.sim);
+          { setup with Deck.sim }
   in
-  (if ranks <= 1 then body None
-   else if not recover_auto then
-     ignore (Comm.run ~ranks (fun cm -> body (Some cm)))
-   else begin
-     (* Self-healing run: rank deaths are expected, so per-rank outcomes
-        come back as results.  One surviving rank means the world
-        absorbed its losses — success.  All dead means the failure beat
-        the recovery budget: re-raise the most meaningful exception
-        (recoveries-exhausted preferred over the death it chased). *)
-     let results = Comm.run_recoverable ~ranks (fun cm -> body (Some cm)) in
-     let survived =
-       Array.exists (function Ok _ -> true | Error _ -> false) results
+  let sim = setup.Deck.sim in
+  (* Install the team on the (possibly restored) simulation: the pool
+     holds closures and is never checkpointed, so a resume re-installs
+     the live one here. *)
+  Option.iter (fun tm -> Simulation.set_pool sim (Team.pool tm)) team;
+  (* Like the pool, the backend is an execution choice and is never
+     checkpointed: a resumed simulation comes back with the default
+     block backend, so re-apply the requested one here (a no-op on a
+     fresh build). *)
+  Simulation.set_push_backend sim push_backend;
+  (if sentinel_every > 0 then begin
+     let log =
+       match sentinel_log with
+       | None -> fun m -> Printf.eprintf "[sentinel] %s\n%!" m
+       | Some path ->
+           let oc = open_out (per_rank path) in
+           at_exit (fun () -> close_out_noerr oc);
+           fun m -> output_string oc (m ^ "\n"); flush oc
      in
-     if not survived then begin
-       let pick =
-         Array.fold_left
-           (fun acc r ->
-             match (acc, r) with
-             | Some (Vpic.Recover.Recoveries_exhausted _), _ -> acc
-             | _, Error (Vpic.Recover.Recoveries_exhausted _ as e) -> Some e
-             | None, Error e -> Some e
-             | acc, _ -> acc)
-           None results
-       in
-       match pick with Some e -> raise e | None -> ()
-     end
+     Sentinel.attach (Sentinel.make ~interval:sentinel_every ~log ()) sim
    end);
-  export_trace trace_file
+  let c = config in
+  { header =
+      Printf.sprintf "SRS deck: a0=%.3f nr=%.2f Te=%.1f keV" c.Deck.a0
+        c.Deck.nr c.Deck.te_kev;
+    perf = sim.Simulation.perf;
+    nparticles = Simulation.total_particles sim;
+    sort_interval = sim.Simulation.sort_interval;
+    refl = setup.Deck.refl;
+    run =
+      (fun ~steps ~after_step ->
+        for step = sim.Simulation.nstep + 1 to steps do
+          Simulation.step sim;
+          Reflectivity.sample setup.Deck.refl sim.Simulation.fields;
+          if ckpt_every > 0 && step mod ckpt_every = 0 then
+            Checkpoint.save_generation sim ~dir:ckpt_dir ~gen:step ~keep;
+          after_step step
+        done);
+    summary =
+      (fun () () ->
+        let electrons = Simulation.find_species sim "electron" in
+        let fv = Trapping.distribution electrons in
+        Printf.printf "hot fraction (>3Te) = %.3e\n"
+          (Trapping.hot_fraction electrons ~threshold_kev:(3. *. c.Deck.te_kev));
+        Printf.printf "f(v) flattening at v_phase = %.2f\n"
+          (Trapping.flattening fv
+             ~v_phase:setup.Deck.matching.Srs_theory.v_phase
+             ~uth:setup.Deck.plasma.Srs_theory.uth ~width:0.05));
+    final =
+      (fun () -> ((Simulation.energies sim).Simulation.total, sim.Simulation.nstep));
+    finish =
+      (fun () ->
+        match Option.map per_rank checkpoint with
+        | Some path ->
+            Checkpoint.save sim path;
+            if root then Printf.printf "checkpoint written to %s\n" path
+        | None -> ()) }
+
+(* An over-decomposed rank: [blocks] relocatable y-slabs spread over the
+   ranks, rebalanced every [rebalance_every] steps when the max/mean
+   push cost exceeds [rebalance_threshold], checkpointed per block and,
+   with [recover_auto], stepped under the recovery supervisor. *)
+let blocks_world ~push_backend ~blocks ~rebalance_every ~rebalance_threshold
+    ~cost_model ~ckpt_dir ~ckpt_every ~keep ~recover_auto ~max_recoveries
+    ~comm ~team config =
+  let _, nranks = rank_of comm in
+  let bs =
+    Deck.build_over ?comm ?pool:(Option.map Team.pool team) ~push_backend
+      ~rebalance_interval:rebalance_every ~rebalance_threshold ~cost_model
+      ~blocks config
+  in
+  let mb = bs.Deck.mb in
+  let reduce_sum = allreduce Comm.allreduce_sum comm in
+  { header =
+      Printf.sprintf
+        "SRS deck (over-decomposed): %d blocks on %d ranks, y-skew %.2f, \
+         rebalance every %d @ threshold %.2f"
+        blocks nranks config.Deck.y_skew rebalance_every rebalance_threshold;
+    perf = Multiblock.perf mb;
+    nparticles = Multiblock.total_particles mb;
+    sort_interval =
+      (match Multiblock.owned_sims mb with
+      | (_, sim) :: _ -> sim.Simulation.sort_interval
+      | [] -> 0);
+    refl = bs.Deck.refl;
+    run =
+      (fun ~steps ~after_step ->
+        if recover_auto then
+          ignore
+            (Vpic.Recover.supervise ~max_recoveries
+               ~after_step:(fun ~step ->
+                 Deck.sample_over bs;
+                 after_step step)
+               ~dir:ckpt_dir ~keep ~ckpt_every ~steps mb)
+        else
+          for step = 1 to steps do
+            Multiblock.step mb;
+            Deck.sample_over bs;
+            if ckpt_every > 0 && step mod ckpt_every = 0 then
+              Multiblock.save_generation mb ~dir:ckpt_dir ~gen:step ~keep;
+            after_step step
+          done);
+    summary =
+      (fun () ->
+        let migrations = reduce_sum (float_of_int (Multiblock.migrations mb)) in
+        let shipped = reduce_sum (Multiblock.ship_bytes mb) in
+        fun () ->
+          Scoreboard.print_block_rollup ~owners:(Multiblock.owners mb)
+            ~costs:(Multiblock.block_costs mb) ~migrations
+            ~shipped_bytes:shipped;
+          Printf.printf "push imbalance (max/mean, last window) = %.3f\n"
+            (Multiblock.last_imbalance mb));
+    final =
+      (fun () -> ((Multiblock.energies mb).Simulation.total, Multiblock.nstep mb));
+    finish = ignore }
 
 let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     resume sentinel_every sentinel_log kill_step fault_seed ranks workers
@@ -394,9 +379,6 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     if ranks <= 1 then
       invalid_arg "vpic_run: --recover auto requires --ranks >= 2"
   end;
-  let config =
-    { Deck.default with a0; nr; te_kev = te; nx; ny; nz; ppc; y_skew }
-  in
   if blocks > 0 then begin
     if ranks > blocks then
       invalid_arg
@@ -407,194 +389,149 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     if checkpoint <> None then
       prerr_endline "vpic_run: --checkpoint is ignored with --blocks";
     if sentinel_every > 0 then
-      prerr_endline "vpic_run: --sentinel-every is ignored with --blocks";
-    run_srs_blocks config ~blocks ~rebalance_every ~rebalance_threshold
-      ~cost_model ~steps ~ranks ~workers ~ckpt_dir ~ckpt_every ~keep
-      ~trace_file ~metrics_file ~scoreboard_every ~recover_auto
-      ~max_recoveries ~push_backend
-  end
-  else begin
-  (* Parallel runs decompose along y; widen the (quasi-1D) transverse
-     box so every rank keeps at least two cells of it. *)
+      prerr_endline "vpic_run: --sentinel-every is ignored with --blocks"
+  end;
   let config =
-    if ranks <= 1 then config
-    else if config.Deck.ny mod ranks = 0 && config.Deck.ny / ranks >= 2 then
-      config
+    { Deck.default with a0; nr; te_kev = te; nx; ny; nz; ppc; y_skew }
+  in
+  (* Both worlds cut y into slabs (blocks, or one per rank); widen the
+     (quasi-1D) transverse box so every slab keeps at least two cells.
+     Blocks take a remainder-safe cut, classic ranks an even one. *)
+  let config =
+    if blocks > 0 then
+      if config.Deck.ny >= 2 * blocks then config
+      else { config with Deck.ny = 2 * blocks }
+    else if
+      ranks <= 1
+      || (config.Deck.ny mod ranks = 0 && config.Deck.ny / ranks >= 2)
+    then config
     else { config with Deck.ny = 2 * ranks }
   in
-  (* The whole deck below runs once per rank ([Comm.run] when parallel);
-     collective calls are kept on all ranks, prints on the root only. *)
-  let body comm_opt =
-    let rank, nranks =
-      match comm_opt with
-      | None -> (0, 1)
-      | Some cm -> (Comm.rank cm, Comm.size cm)
-    in
+  let make_world =
+    if blocks > 0 then
+      blocks_world ~push_backend ~blocks ~rebalance_every ~rebalance_threshold
+        ~cost_model ~ckpt_dir ~ckpt_every ~keep ~recover_auto ~max_recoveries
+    else
+      classic_world ~push_backend ~resume ~ckpt_dir ~ckpt_every ~keep
+        ~sentinel_every ~sentinel_log ~checkpoint
+  in
+  let steps = Option.value steps ~default:(Deck.suggested_steps config) in
+  (* The body runs once per rank ([Comm.run] when parallel); collective
+     calls are kept on all ranks, prints on the live root only. *)
+  let body comm =
+    let rank, nranks = rank_of comm in
     let root = rank = 0 in
     Trace.enable ~rank ();
     Metrics.enable ();
-    (match comm_opt with
-    | Some _ -> Metrics.install_comm_wait_observer ()
-    | None -> ());
+    if Option.is_some comm then Metrics.install_comm_wait_observer ();
     let registry = Metrics.default () in
     let team = make_team ~rank ~workers in
     Fun.protect ~finally:(fun () -> Option.iter Team.shutdown team)
     @@ fun () ->
-    let setup = Deck.build ?comm:comm_opt ~push_backend config in
-    let steps =
-      match steps with Some s -> s | None -> Deck.suggested_steps config
-    in
-    (* Resume: rebuild the deck (above) for its lasers and probe, then
-       swap in the simulation restored from the newest valid generation.
-       Antennas are closures and are not checkpointed — they re-attach
-       here from the freshly built deck. *)
-    let setup =
-      if not resume then setup
-      else
-        match
-          Checkpoint.load_latest_valid
-            ~coupler:setup.Deck.sim.Simulation.coupler ~dir:ckpt_dir
-        with
-        | None ->
-            if root then
-              Printf.printf
-                "resume: no valid generation under %s, starting fresh\n%!"
-                ckpt_dir;
-            setup
-        | Some (sim, gen) ->
-            if root then
-              Printf.printf
-                "resume: restored generation %d (step %d) from %s\n%!" gen
-                sim.Simulation.nstep ckpt_dir;
-            List.iter (Simulation.add_laser sim)
-              (Simulation.lasers setup.Deck.sim);
-            { setup with Deck.sim }
-    in
-    let sim = setup.Deck.sim in
-    (* Install the team on the (possibly restored) simulation: the pool
-       holds closures and is never checkpointed, so a resume re-installs
-       the live one here. *)
-    Option.iter (fun tm -> Simulation.set_pool sim (Team.pool tm)) team;
-    (* Like the pool, the backend is an execution choice and is never
-       checkpointed: a resumed simulation comes back with the default
-       block backend, so re-apply the requested one here (a no-op on a
-       fresh build). *)
-    Simulation.set_push_backend sim push_backend;
-    (if sentinel_every > 0 then begin
-       let log =
-         match sentinel_log with
-         | None -> fun m -> Printf.eprintf "[sentinel] %s\n%!" m
-         | Some path ->
-             let path = if nranks > 1 then
-                 Printf.sprintf "%s.rank%d" path rank
-               else path
-             in
-             let oc = open_out path in
-             at_exit (fun () -> close_out_noerr oc);
-             fun m ->
-               output_string oc (m ^ "\n");
-               flush oc
-       in
-       Sentinel.attach (Sentinel.make ~interval:sentinel_every ~log ()) sim
-     end);
-    let nparticles = Simulation.total_particles sim in
+    let w = make_world ~comm ~team config in
     if root then
-      Printf.printf
-        "SRS deck: a0=%.3f nr=%.2f Te=%.1f keV, %d particles, %d steps\n%!" a0
-        nr te nparticles steps;
+      Printf.printf "%s, %d particles, %d steps\n%!" w.header w.nparticles
+        steps;
+    let reduce_sum = allreduce Comm.allreduce_sum comm in
     let board =
       Scoreboard.create
         ?worker_busy:(Option.map (fun tm () -> Team.busy_seconds tm) team)
-        ~metrics:registry ~perf:sim.Simulation.perf ~nranks
-        ~reduce_sum:sim.Simulation.coupler.Coupler.reduce_sum
-        ~reduce_max:sim.Simulation.coupler.Coupler.reduce_max ()
+        ~metrics:registry ~perf:w.perf ~nranks ~reduce_sum
+        ~reduce_max:(allreduce Comm.allreduce_max comm) ()
     in
+    (* The live root: lowest surviving rank.  Identical to [root] until
+       a recovery shrinks the world (only over-decomposed runs recover);
+       console prints and metrics lines follow it so a run that lost
+       rank 0 still reports. *)
+    let live_root () =
+      match comm with Some cm -> rank = Comm.root cm | None -> root
+    in
+    (* Rank 0 creates (or truncates) the metrics file; a rank that
+       becomes the live root later opens it for appending. *)
     let metrics_oc =
-      if root then Option.map open_out metrics_file else None
+      ref (if root then Option.map open_out metrics_file else None)
     in
     let emit line =
-      match metrics_oc with
-      | Some oc ->
-          output_string oc (line ^ "\n");
-          flush oc
-      | None -> ()
-    in
-    for step = sim.Simulation.nstep + 1 to steps do
-      Simulation.step sim;
-      Reflectivity.sample setup.Deck.refl sim.Simulation.fields;
-      if ckpt_every > 0 && step mod ckpt_every = 0 then
-        Checkpoint.save_generation sim ~dir:ckpt_dir ~gen:step ~keep;
-      if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
-        let s = Scoreboard.sample board ~step in
-        let snap =
-          match comm_opt with
-          | Some cm -> Metrics.reduce_comm cm registry
-          | None -> Metrics.snapshot_local registry
-        in
-        if root then begin
-          Scoreboard.print s;
-          emit (Scoreboard.sample_to_json s);
-          emit (Metrics.snapshot_to_json ~step snap)
-        end
+      if live_root () then begin
+        if Option.is_none !metrics_oc then
+          metrics_oc :=
+            Option.map
+              (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644)
+              metrics_file;
+        Option.iter
+          (fun oc -> output_string oc (line ^ "\n"); flush oc)
+          !metrics_oc
       end
-    done;
-    let r =
-      sim.Simulation.coupler.Coupler.reduce_sum
-        (Reflectivity.reflectivity setup.Deck.refl)
-      /. float_of_int nranks
     in
-    let totals = Scoreboard.totals board ~steps in
-    let final_snap =
-      match comm_opt with
+    let snapshot () =
+      match comm with
       | Some cm -> Metrics.reduce_comm cm registry
       | None -> Metrics.snapshot_local registry
     in
+    w.run ~steps ~after_step:(fun step ->
+        if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
+          let s = Scoreboard.sample board ~step in
+          let snap = snapshot () in
+          if live_root () then Scoreboard.print s;
+          emit (Scoreboard.sample_to_json s);
+          emit (Metrics.snapshot_to_json ~step snap)
+        end);
+    let r =
+      reduce_sum (Reflectivity.reflectivity w.refl) /. float_of_int nranks
+    in
+    let totals = Scoreboard.totals board ~steps in
+    let final_snap = snapshot () in
+    let print_summary = w.summary () in
     let workload =
       let voxels =
         float_of_int (config.Deck.nx * config.Deck.ny * config.Deck.nz)
       in
-      { Perf_model.particles = float_of_int nparticles;
+      { Perf_model.particles = float_of_int w.nparticles;
         voxels;
         steps_per_sort =
-          (if sim.Simulation.sort_interval > 0 then sim.Simulation.sort_interval
-           else max_int);
-        ppc_effective = float_of_int nparticles /. voxels }
+          (if w.sort_interval > 0 then w.sort_interval else max_int);
+        ppc_effective = float_of_int w.nparticles /. voxels }
     in
     let report =
       Report.make ~kernel:(report_kernel_of push_backend) ~totals ~workload ()
     in
-    let en = Simulation.energies sim in
-    if root then begin
-      let electrons = Simulation.find_species setup.Deck.sim "electron" in
-      let fv = Trapping.distribution electrons in
+    let energy, nstep = w.final () in
+    if live_root () then begin
       Printf.printf "reflectivity = %.4e\n" r;
-      Printf.printf "hot fraction (>3Te) = %.3e\n"
-        (Trapping.hot_fraction electrons ~threshold_kev:(3. *. te));
-      Printf.printf "f(v) flattening at v_phase = %.2f\n"
-        (Trapping.flattening fv
-           ~v_phase:setup.Deck.matching.Srs_theory.v_phase
-           ~uth:setup.Deck.plasma.Srs_theory.uth ~width:0.05);
+      print_summary ();
       Scoreboard.print_totals totals;
       Report.print report;
       emit (Metrics.snapshot_to_json ~step:steps final_snap);
       emit (Report.to_json report);
-      Option.iter close_out metrics_oc;
-      Printf.printf "final total energy = %.10e at step %d\n"
-        en.Simulation.total sim.Simulation.nstep
+      Option.iter close_out !metrics_oc;
+      Printf.printf "final total energy = %.10e at step %d\n" energy nstep
     end;
-    match checkpoint with
-    | Some path ->
-        let path =
-          if nranks > 1 then Printf.sprintf "%s.rank%d" path rank else path
-        in
-        Checkpoint.save sim path;
-        if root then Printf.printf "checkpoint written to %s\n" path
-    | None -> ()
+    w.finish ()
   in
   (if ranks <= 1 then body None
-   else ignore (Comm.run ~ranks (fun cm -> body (Some cm))));
+   else if not recover_auto then
+     ignore (Comm.run ~ranks (fun cm -> body (Some cm)))
+   else begin
+     (* Self-healing run: rank deaths are expected, so per-rank outcomes
+        come back as results.  One surviving rank means the world
+        absorbed its losses — success.  All dead means the failure beat
+        the recovery budget: re-raise the most meaningful exception
+        (recoveries-exhausted preferred over the death it chased). *)
+     let results = Comm.run_recoverable ~ranks (fun cm -> body (Some cm)) in
+     if not (Array.exists Result.is_ok results) then
+       let errors =
+         List.filter_map (function Error e -> Some e | Ok _ -> None)
+           (Array.to_list results)
+       in
+       let exhausted = function
+         | Vpic.Recover.Recoveries_exhausted _ -> true
+         | _ -> false
+       in
+       match (List.find_opt exhausted errors, errors) with
+       | Some e, _ | None, e :: _ -> raise e
+       | None, [] -> ()
+   end);
   export_trace trace_file
-  end
 
 (* Typed failures get a readable one-line report and a distinct exit
    code (2 = unusable checkpoint, 3 = injected fault, 4 = health abort,

@@ -651,26 +651,28 @@ let load ~coupler path = decode_image ~coupler ~path (bytes_of_file path)
 let decode ?expect_block ?perf ~coupler data =
   decode_image ?expect_block ?perf ~coupler ~path:"<wire>" data
 
+
 (* -------------------------------------------------------- generations ---- *)
 
-(* A run directory holds one subdirectory per generation (one file per
-   rank) plus a MANIFEST listing the generations whose every rank file
-   has landed.  Commit protocol: all ranks write their file (atomically),
-   barrier, then rank 0 rewrites the manifest (atomically) and prunes
+(* A run directory holds one subdirectory per generation, with one file
+   per block, plus a MANIFEST listing the generations whose every block
+   file has landed.  A classic run is the same layout with one block per
+   rank: rank [r] of [n] owns block [r] of [n].  Commit protocol: every
+   rank writes the files of the blocks it owns (atomically), barrier,
+   then the root rewrites the manifest (atomically) and prunes
    generations beyond the retention window.  A crash anywhere leaves the
    manifest pointing only at complete generations. *)
 
 let manifest_path dir = Filename.concat dir "MANIFEST"
-let manifest_magic = "vpic-checkpoint-manifest 1"
+let manifest_magic = "vpic-checkpoint-manifest 2"
 let generation_dir ~dir ~gen = Filename.concat dir (Printf.sprintf "gen%08d" gen)
 
-let generation_path ~dir ~gen ~rank =
-  Filename.concat (generation_dir ~dir ~gen) (Printf.sprintf "rank%04d.ckpt" rank)
-
-(* Per-block files of an over-decomposed run: named by block id, not by
-   rank, so any rank can restore any block under a fresh ownership. *)
+(* Named by block id, not by rank, so any rank can restore any block
+   under a fresh ownership. *)
 let block_path ~dir ~gen ~block =
   Filename.concat (generation_dir ~dir ~gen) (Printf.sprintf "blk%05d.ckpt" block)
+
+let generation_path ~dir ~gen ~rank = block_path ~dir ~gen ~block:rank
 
 let mkdir_exist_ok d =
   try Unix.mkdir d 0o755
@@ -678,6 +680,34 @@ let mkdir_exist_ok d =
 
 let load_block ?expect_block ?perf ~coupler path =
   decode_image ?expect_block ?perf ~coupler ~path (bytes_of_file path)
+
+(* The side files (MANIFEST, RECOVERY, OWNERS) are short text: written
+   whole under a temporary name and renamed into place, read back as
+   lines of space-separated fields.  A field that should be an integer
+   and is not makes the file {!Corrupt}. *)
+
+let write_text path f =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc);
+  Sys.rename tmp path
+
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l -> go (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+let int_field ~path ~line s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> corrupt path "malformed line: %s" line
 
 (* ---------------------------------------------------- recovery manifest ---- *)
 
@@ -696,49 +726,31 @@ let recovery_magic = "vpic-recovery-manifest 1"
 
 let write_recovery_manifest ~dir r =
   mkdir_exist_ok dir;
-  let path = recovery_manifest_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  write_text (recovery_manifest_path dir) (fun oc ->
       output_string oc (recovery_magic ^ "\n");
       Printf.fprintf oc "gen %d\n" r.rollback_gen;
       Printf.fprintf oc "epoch %d\n" r.epoch;
-      List.iter (fun rk -> Printf.fprintf oc "dead %d\n" rk) r.dead);
-  Sys.rename tmp path
+      List.iter (fun rk -> Printf.fprintf oc "dead %d\n" rk) r.dead)
 
 let read_recovery_manifest ~dir =
   let path = recovery_manifest_path dir in
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | l -> go (l :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    match lines with
+  else
+    match read_lines path with
     | hd :: rest when hd = recovery_magic ->
         let g = ref (-1) and ep = ref 0 and dead = ref [] in
         List.iter
           (fun l ->
+            let int = int_field ~path ~line:l in
             match String.split_on_char ' ' l with
-            | [ "gen"; n ] -> g := int_of_string n
-            | [ "epoch"; n ] -> ep := int_of_string n
-            | [ "dead"; n ] -> dead := int_of_string n :: !dead
+            | [ "gen"; n ] -> g := int n
+            | [ "epoch"; n ] -> ep := int n
+            | [ "dead"; n ] -> dead := int n :: !dead
             | [] | [ "" ] -> ()
-            | _ -> raise (Corrupt { path; reason = "malformed line: " ^ l }))
+            | _ -> corrupt path "malformed line: %s" l)
           rest;
         Some { rollback_gen = !g; epoch = !ep; dead = List.sort compare !dead }
-    | _ -> raise (Corrupt { path; reason = "bad recovery manifest header" })
-  end
+    | _ -> corrupt path "bad recovery manifest header"
 
 let clear_recovery_manifest ~dir =
   try Sys.remove (recovery_manifest_path dir) with Sys_error _ -> ()
@@ -774,35 +786,23 @@ let owners_path ~dir ~gen =
   Filename.concat (generation_dir ~dir ~gen) "OWNERS"
 
 let write_gen_owners ~dir ~gen owners =
-  let path = owners_path ~dir ~gen in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Array.iteri (fun b r -> Printf.fprintf oc "%d %d\n" b r) owners);
-  Sys.rename tmp path
+  write_text (owners_path ~dir ~gen) (fun oc ->
+      Array.iteri (fun b r -> Printf.fprintf oc "%d %d\n" b r) owners)
 
 let read_gen_owners ~dir ~gen ~nblocks =
   let path = owners_path ~dir ~gen in
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in path in
     let owners = Array.make nblocks (-1) in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go () =
-          match input_line ic with
-          | l ->
-              (match String.split_on_char ' ' l with
-              | [ b; r ] ->
-                  let b = int_of_string b in
-                  if b >= 0 && b < nblocks then owners.(b) <- int_of_string r
-              | _ -> raise (Corrupt { path; reason = "malformed line: " ^ l }));
-              go ()
-          | exception End_of_file -> ()
-        in
-        go ());
+    List.iter
+      (fun l ->
+        let int = int_field ~path ~line:l in
+        match String.split_on_char ' ' l with
+        | [ b; r ] ->
+            let b = int b and r = int r in
+            if b >= 0 && b < nblocks then owners.(b) <- r
+        | _ -> corrupt path "malformed line: %s" l)
+      (read_lines path);
     Some owners
   end
 
@@ -816,62 +816,53 @@ let block_file_sizes ~dir ~gen ~nblocks =
       | s -> float_of_int s.Unix.st_size
       | exception Unix.Unix_error _ -> 0.)
 
-(* [nblocks] = 0 marks a classic one-file-per-rank run; > 0 an
-   over-decomposed one-file-per-block run (whose [nranks] is 0: block
-   files are rank-agnostic). *)
+(* ------------------------------------------------------------ manifest ---- *)
+
 type manifest = {
-  nranks : int;
-  nblocks : int;
+  nblocks : int; (* files per generation *)
   generations : int list; (* ascending *)
 }
 
 let read_manifest dir =
   let path = manifest_path dir in
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | l -> go (l :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    match lines with
+  else
+    match read_lines path with
     | hd :: rest when hd = manifest_magic ->
-        let nranks = ref 0 and nblocks = ref 0 and gens = ref [] in
+        let nblocks = ref 0 and gens = ref [] in
         List.iter
           (fun l ->
+            let int = int_field ~path ~line:l in
             match String.split_on_char ' ' l with
-            | [ "nranks"; n ] -> nranks := int_of_string n
-            | [ "nblocks"; n ] -> nblocks := int_of_string n
-            | [ "gen"; g ] -> gens := int_of_string g :: !gens
+            | [ "nblocks"; n ] -> nblocks := int n
+            | [ "gen"; g ] -> gens := int g :: !gens
             | [] | [ "" ] -> ()
-            | _ -> raise (Corrupt { path; reason = "malformed line: " ^ l }))
+            | _ -> corrupt path "malformed line: %s" l)
           rest;
-        Some
-          { nranks = !nranks;
-            nblocks = !nblocks;
-            generations = List.sort compare !gens }
-    | _ -> raise (Corrupt { path; reason = "bad manifest header" })
-  end
+        if !nblocks < 1 then corrupt path "no nblocks line";
+        Some { nblocks = !nblocks; generations = List.sort compare !gens }
+    | _ -> corrupt path "bad manifest header"
 
 let write_manifest dir m =
-  let path = manifest_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  write_text (manifest_path dir) (fun oc ->
       output_string oc (manifest_magic ^ "\n");
-      Printf.fprintf oc "nranks %d\n" m.nranks;
-      if m.nblocks > 0 then Printf.fprintf oc "nblocks %d\n" m.nblocks;
-      List.iter (fun g -> Printf.fprintf oc "gen %d\n" g) m.generations);
-  Sys.rename tmp path
+      Printf.fprintf oc "nblocks %d\n" m.nblocks;
+      List.iter (fun g -> Printf.fprintf oc "gen %d\n" g) m.generations)
+
+(* The committed generations, ascending, of a directory whose
+   generations hold [nblocks] files each; another file count is
+   {!Corrupt}. *)
+let generations_of ~dir ~nblocks =
+  match read_manifest dir with
+  | None -> []
+  | Some m ->
+      if m.nblocks <> nblocks then
+        corrupt (manifest_path dir) "manifest is for %d blocks, running %d"
+          m.nblocks nblocks;
+      m.generations
+
+let committed_generations ~dir =
+  match read_manifest dir with None -> [] | Some m -> m.generations
 
 let rm_rf_generation ~dir ~gen =
   let d = generation_dir ~dir ~gen in
@@ -884,94 +875,10 @@ let rm_rf_generation ~dir ~gen =
 
 let sid_checkpoint = Vpic_telemetry.Trace.intern "checkpoint"
 
-let save_generation (t : Simulation.t) ~dir ~gen ~keep =
-  Vpic_telemetry.Trace.with_span sid_checkpoint @@ fun () ->
-  assert (keep >= 1);
-  let c = t.Simulation.coupler in
-  let rank = c.Coupler.rank in
-  if rank = 0 then begin
-    mkdir_exist_ok dir;
-    mkdir_exist_ok (generation_dir ~dir ~gen)
-  end;
-  (* Directories exist before any rank writes. *)
-  c.Coupler.barrier ();
-  let path = generation_path ~dir ~gen ~rank in
-  save t path;
-  Fault.checkpoint_written ~rank ~gen ~path;
-  (* Every rank's file is on disk before the generation is committed. *)
-  c.Coupler.barrier ();
-  if rank = 0 then begin
-    let prev =
-      match read_manifest dir with
-      | Some m ->
-          if m.nblocks <> 0 then
-            raise
-              (Corrupt
-                 { path = manifest_path dir;
-                   reason = "manifest is for a per-block run" });
-          if m.nranks <> 0 && m.nranks <> c.Coupler.nranks then
-            raise
-              (Corrupt
-                 { path = manifest_path dir;
-                   reason =
-                     Printf.sprintf "manifest is for %d ranks, running %d"
-                       m.nranks c.Coupler.nranks });
-          List.filter (fun g -> g <> gen) m.generations
-      | None -> []
-    in
-    let all = List.sort compare (gen :: prev) in
-    let dropped, kept = retention ~dir ~keep all in
-    write_manifest dir
-      { nranks = c.Coupler.nranks; nblocks = 0; generations = kept };
-    List.iter (fun g -> rm_rf_generation ~dir ~gen:g) dropped
-  end
-
-let committed_generations ~dir =
-  match read_manifest dir with None -> [] | Some m -> m.generations
-
-let load_latest_valid ~coupler ~dir =
-  let c = coupler in
-  let gens =
-    match read_manifest dir with
-    | None -> []
-    | Some m ->
-        if m.nranks <> 0 && m.nranks <> c.Coupler.nranks then
-          raise
-            (Corrupt
-               { path = manifest_path dir;
-                 reason =
-                   Printf.sprintf "manifest is for %d ranks, running %d"
-                     m.nranks c.Coupler.nranks });
-        List.rev m.generations (* newest first *)
-  in
-  (* Collective: every rank walks the same generation list; a generation
-     is usable only when every rank's file verifies, so the fallback
-     decision is taken in lockstep (1.0 per valid rank, summed). *)
-  let rec pick = function
-    | [] -> None
-    | g :: rest ->
-        let mine =
-          match verify (generation_path ~dir ~gen:g ~rank:c.Coupler.rank) with
-          | Ok () -> 1.
-          | Error _ -> 0.
-        in
-        let valid = c.Coupler.reduce_sum mine in
-        if int_of_float valid = c.Coupler.nranks then Some g else pick rest
-  in
-  match pick gens with
-  | None -> None
-  | Some g ->
-      Some (load ~coupler (generation_path ~dir ~gen:g ~rank:c.Coupler.rank), g)
-
-(* ------------------------------------------------- block generations ---- *)
-
-(* The over-decomposed analogue of [save_generation]: one file per
-   {e block}, written by whichever rank owns it at checkpoint time.  The
-   commit protocol is unchanged (write all, barrier, rank 0 manifests),
-   but the manifest records [nblocks] instead of a rank count — the
-   files are rank-agnostic, so a restore may run on any rank count and
-   any ownership. *)
-let save_generation_blocks ?(root = 0) ?owners ~dir ~gen ~keep ~rank ~nranks:_
+(* One file per block, written by whichever rank owns it at checkpoint
+   time; the manifest records [nblocks], not a rank count, so a restore
+   may run on any rank count and any ownership. *)
+let save_generation_blocks ?(root = 0) ?owners ~dir ~gen ~keep ~rank
     ~nblocks ~barrier ~owned () =
   Vpic_telemetry.Trace.with_span sid_checkpoint @@ fun () ->
   assert (keep >= 1);
@@ -979,6 +886,7 @@ let save_generation_blocks ?(root = 0) ?owners ~dir ~gen ~keep ~rank ~nranks:_
     mkdir_exist_ok dir;
     mkdir_exist_ok (generation_dir ~dir ~gen)
   end;
+  (* Directories exist before any rank writes. *)
   barrier ();
   List.iter
     (fun (b, sim) ->
@@ -990,33 +898,18 @@ let save_generation_blocks ?(root = 0) ?owners ~dir ~gen ~keep ~rank ~nranks:_
      generation is not yet committed.  A recovery started here must not
      see this generation in the manifest. *)
   Fault.checkpoint_kill_point ~rank ~gen;
+  (* Every block's file is on disk before the generation is committed. *)
   barrier ();
   if rank = root then begin
     let prev =
-      match read_manifest dir with
-      | Some m ->
-          if m.nblocks <> 0 && m.nblocks <> nblocks then
-            raise
-              (Corrupt
-                 { path = manifest_path dir;
-                   reason =
-                     Printf.sprintf "manifest is for %d blocks, running %d"
-                       m.nblocks nblocks });
-          if m.nblocks = 0 && m.generations <> [] then
-            raise
-              (Corrupt
-                 { path = manifest_path dir;
-                   reason = "manifest is for a per-rank run" });
-          List.filter (fun g -> g <> gen) m.generations
-      | None -> []
+      List.filter (fun g -> g <> gen) (generations_of ~dir ~nblocks)
     in
-    let all = List.sort compare (gen :: prev) in
-    let dropped, kept = retention ~dir ~keep all in
+    let dropped, kept = retention ~dir ~keep (List.sort compare (gen :: prev)) in
     (* Ownership-at-save lands next to the block files, then the
        manifest commits both atomically (the manifest is the commit
        point; an OWNERS file without a manifest entry is inert). *)
     Option.iter (fun o -> write_gen_owners ~dir ~gen o) owners;
-    write_manifest dir { nranks = 0; nblocks; generations = kept };
+    write_manifest dir { nblocks; generations = kept };
     List.iter (fun g -> rm_rf_generation ~dir ~gen:g) dropped;
     (* A freshly committed generation supersedes any rollback target an
        earlier recovery pinned. *)
@@ -1032,49 +925,29 @@ let save_generation_blocks ?(root = 0) ?owners ~dir ~gen ~keep ~rank ~nranks:_
    on the rollback target the same way a restart agrees on its restore
    point. *)
 let pick_latest_valid_gen ~dir ~nblocks ~mine ~reduce_sum =
-  let gens =
-    match read_manifest dir with
-    | None -> []
-    | Some m ->
-        if m.nblocks <> nblocks then
-          raise
-            (Corrupt
-               { path = manifest_path dir;
-                 reason =
-                   Printf.sprintf "manifest is for %d blocks, running %d"
-                     m.nblocks nblocks });
-        List.rev m.generations (* newest first *)
+  let valid gen =
+    List.fold_left
+      (fun acc b ->
+        match verify (block_path ~dir ~gen ~block:b) with
+        | Ok () -> acc +. 1.
+        | Error _ -> acc)
+      0. mine
   in
-  let rec pick = function
-    | [] -> None
-    | g :: rest ->
-        let ok =
-          List.fold_left
-            (fun acc b ->
-              match verify (block_path ~dir ~gen:g ~block:b) with
-              | Ok () -> acc +. 1.
-              | Error _ -> acc)
-            0. mine
-        in
-        if int_of_float (reduce_sum ok) = nblocks then Some g else pick rest
-  in
-  pick gens
+  List.find_opt
+    (fun gen -> int_of_float (reduce_sum (valid gen)) = nblocks)
+    (List.rev (generations_of ~dir ~nblocks))
 
-(* Pick the newest valid generation, then each rank loads the blocks
-   [owner] assigns to it ([coupler_of b] supplies block [b]'s coupler;
-   [perf] is shared).  Verification is split by the restoring ownership. *)
-let load_latest_valid_blocks ?perf ~dir ~rank ~nranks ~nblocks ~reduce_sum
-    ~owner ~coupler_of () =
-  ignore nranks;
-  let mine = List.filter (fun b -> owner.(b) = rank) (List.init nblocks Fun.id) in
-  match pick_latest_valid_gen ~dir ~nblocks ~mine ~reduce_sum with
-  | None -> None
-  | Some g ->
-      let blocks =
-        List.map
-          (fun b ->
-            let path = block_path ~dir ~gen:g ~block:b in
-            (b, load_block ~expect_block:b ?perf ~coupler:(coupler_of b) path))
-          mine
-      in
-      Some (blocks, g)
+(* A classic rank is block [rank] of [nranks]. *)
+let save_generation (t : Simulation.t) ~dir ~gen ~keep =
+  let c = t.Simulation.coupler in
+  save_generation_blocks ~dir ~gen ~keep ~rank:c.Coupler.rank
+    ~nblocks:c.Coupler.nranks ~barrier:c.Coupler.barrier
+    ~owned:[ (c.Coupler.rank, t) ] ()
+
+let load_latest_valid ~coupler ~dir =
+  let rank = coupler.Coupler.rank in
+  pick_latest_valid_gen ~dir ~nblocks:coupler.Coupler.nranks ~mine:[ rank ]
+    ~reduce_sum:coupler.Coupler.reduce_sum
+  |> Option.map (fun gen ->
+         let path = block_path ~dir ~gen ~block:rank in
+         (load_block ~expect_block:rank ~coupler path, gen))

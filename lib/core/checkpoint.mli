@@ -1,11 +1,10 @@
 (** Durable checkpoint / restart.
 
     Serialises the full simulation state (step counter, every field
-    component, every species, both RNG streams) to a single file per
-    rank.  The file (format v10) carries a magic, a format version and
-    three sections (meta, fields, species), each with its length and
-    CRC-32.  The payloads are an explicit little-endian encoding, not
-    [Marshal]:
+    component, every species, both RNG streams) to a single file
+    (format v10): a magic, a format version and three sections (meta,
+    fields, species), each with its length and CRC-32.  The payloads are
+    an explicit little-endian encoding, not [Marshal]:
     - meta: each field in turn — ints as int64, floats as IEEE-754 bits,
       the RNG states field by field, options behind a presence byte;
     - fields: per component a length-prefixed name, the voxel count and
@@ -32,15 +31,20 @@
 
     {1 Generations}
 
-    [save_generation] manages a run directory holding the last [keep]
-    checkpoint generations, one subdirectory per generation with one
-    file per rank, plus a [MANIFEST] listing only generations whose
-    every rank file has landed.  The commit protocol — all ranks save
-    atomically, barrier, rank 0 rewrites the manifest atomically and
-    prunes old generations — guarantees the manifest never points at a
-    partial generation.  [load_latest_valid] walks committed generations
-    newest-first and returns the first one whose every rank file passes
-    checksum verification. *)
+    One protocol serves both worlds.  A run directory holds the last
+    [keep] checkpoint generations, one subdirectory per generation with
+    one file per {e block} ([blk%05d.ckpt]), plus a [MANIFEST] (format
+    [vpic-checkpoint-manifest 2]) recording the file count [nblocks]
+    and the generations whose every file has landed.  An over-decomposed
+    run writes one file per relocatable block; a classic run is block
+    [rank] of [nranks].  The commit protocol — every rank saves its
+    blocks atomically (with bounded retry), barrier, the root rewrites
+    the manifest atomically and prunes old generations — guarantees the
+    manifest never points at a partial generation.  Restores walk
+    committed generations newest-first and take the first one whose
+    every file passes checksum verification.  A manifest whose file
+    count differs from the running world's, or whose header or fields do
+    not parse, is {!Corrupt}. *)
 
 val format_version : int
 
@@ -100,34 +104,12 @@ val verify : string -> (unit, string) result
 
 (** {1 Multi-generation run directories} *)
 
-(** Rank [rank]'s file for generation [gen] under [dir]. *)
-val generation_path : dir:string -> gen:int -> rank:int -> string
-
-(** Collective.  Save every rank's file for generation [gen] (typically
-    the step number) under [dir], then commit it to the manifest and
-    prune all but the newest [keep] generations.  [keep >= 1]. *)
-val save_generation : Simulation.t -> dir:string -> gen:int -> keep:int -> unit
-
-(** Generations the manifest lists as fully committed, ascending.
-    Empty when [dir] has no manifest. *)
-val committed_generations : dir:string -> int list
-
-(** Collective.  Load the newest committed generation whose every rank
-    file verifies, falling back generation by generation; all ranks take
-    the same decision.  [None] when no usable generation exists. *)
-val load_latest_valid :
-  coupler:Coupler.t -> dir:string -> (Simulation.t * int) option
-
-(** {1 Per-block generations (over-decomposed runs)}
-
-    One file per {e block} — [blk%05d.ckpt], written by whichever rank
-    owns the block at checkpoint time — and a manifest recording
-    [nblocks] instead of a rank count.  Block files are rank-agnostic: a
-    restore may run on a different rank count or ownership than the
-    save. *)
-
 (** Block [block]'s file for generation [gen] under [dir]. *)
 val block_path : dir:string -> gen:int -> block:int -> string
+
+(** Classic rank [rank]'s file for generation [gen]: {!block_path} of
+    block [rank]. *)
+val generation_path : dir:string -> gen:int -> rank:int -> string
 
 (** Rebuild one block from its checkpoint file (a {!decode} of the
     file's bytes — same arguments, same errors). *)
@@ -138,13 +120,16 @@ val load_block :
   string ->
   Simulation.t
 
-(** Collective.  Each rank passes the blocks it owns as [(id, sim)];
-    the commit protocol matches {!save_generation} ([barrier] must be a
-    world barrier).  [root] (default 0) is the committing rank — a
-    recovered world passes its lowest live rank.  [owners], when given,
-    is the full block → rank table at save time, recorded next to the
-    block files as the generation's [OWNERS] file (recovery's agreed
-    pre-failure baseline).  Block writes go through {!save_retrying}. *)
+(** Collective.  Each rank passes the blocks it owns as [(id, sim)] and
+    writes their files through {!save_retrying}; after a [barrier]
+    (which must be a world barrier) the [root] rank (default 0; a
+    recovered world passes its lowest live rank) commits generation
+    [gen] to the manifest and prunes all but the newest [keep]
+    generations ([keep >= 1]), never the one a {!recovery} pins, then
+    clears that pin.  [owners], when given, is the full block → rank
+    table at save time, recorded next to the block files as the
+    generation's [OWNERS] file (recovery's agreed pre-failure
+    baseline). *)
 val save_generation_blocks :
   ?root:int ->
   ?owners:int array ->
@@ -152,7 +137,6 @@ val save_generation_blocks :
   gen:int ->
   keep:int ->
   rank:int ->
-  nranks:int ->
   nblocks:int ->
   barrier:(unit -> unit) ->
   owned:(int * Simulation.t) list ->
@@ -171,21 +155,19 @@ val pick_latest_valid_gen :
   reduce_sum:(float -> float) ->
   int option
 
-(** Collective.  Pick the newest committed generation whose every block
-    file verifies (validity counts are summed with [reduce_sum]); each
-    rank then loads and returns the blocks [owner] assigns to it, built
-    with [coupler_of block].  [None] when no usable generation exists. *)
-val load_latest_valid_blocks :
-  ?perf:Vpic_util.Perf.counters ->
-  dir:string ->
-  rank:int ->
-  nranks:int ->
-  nblocks:int ->
-  reduce_sum:(float -> float) ->
-  owner:int array ->
-  coupler_of:(int -> Coupler.t) ->
-  unit ->
-  ((int * Simulation.t) list * int) option
+(** Generations the manifest lists as fully committed, ascending.
+    Empty when [dir] has no manifest. *)
+val committed_generations : dir:string -> int list
+
+(** Collective: {!save_generation_blocks} of this rank's simulation as
+    block [rank] of [nranks], over the coupler's barrier. *)
+val save_generation : Simulation.t -> dir:string -> gen:int -> keep:int -> unit
+
+(** Collective: {!pick_latest_valid_gen} with each rank verifying its
+    own block, then {!load_block} of block [rank] from the picked
+    generation.  [None] when no usable generation exists. *)
+val load_latest_valid :
+  coupler:Coupler.t -> dir:string -> (Simulation.t * int) option
 
 (** {1 Recovery support}
 

@@ -422,7 +422,7 @@ let settle_fields t ~passes =
 let save_generation t ~dir ~gen ~keep =
   let root = match t.comm with Some c -> Comm.root c | None -> 0 in
   Checkpoint.save_generation_blocks ~root ~owners:(owners t) ~dir ~gen ~keep
-    ~rank:t.rank ~nranks:t.nranks ~nblocks:(nblocks t)
+    ~rank:t.rank ~nblocks:(nblocks t)
     ~barrier:(fun () -> barrier t)
     ~owned:(List.map (fun b -> (b.id, b.sim)) (owned t))
     ()

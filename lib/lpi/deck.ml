@@ -347,13 +347,6 @@ let sample_over bs =
        (fun (_, sim) -> sim.Simulation.fields)
        (Multiblock.owned_sims bs.mb))
 
-let run_over bs ~steps =
-  for _ = 1 to steps do
-    Multiblock.step bs.mb;
-    sample_over bs
-  done;
-  Reflectivity.reflectivity bs.refl
-
 let suggested_steps c =
   let lx, dt = box c in
   (* turn-on + three light transits + the damped-EPW response time

@@ -129,7 +129,3 @@ val build_over :
 (** Sample the reflectivity probe over the owned blocks (area-weighted;
     call once per step after {!Vpic.Multiblock.step}). *)
 val sample_over : block_setup -> unit
-
-(** Step [steps] times, sampling each step; returns this rank's final
-    reflectivity estimate (average across ranks for the world value). *)
-val run_over : block_setup -> steps:int -> float

@@ -320,7 +320,10 @@ let test_generation_retention () =
         (not (Sys.file_exists (Filename.dirname
                                  (Checkpoint.generation_path ~dir ~gen:1 ~rank:0))));
       check_true "kept generation present"
-        (Sys.file_exists (Checkpoint.generation_path ~dir ~gen:5 ~rank:0)))
+        (Sys.file_exists (Checkpoint.generation_path ~dir ~gen:5 ~rank:0));
+      Alcotest.(check string) "a classic rank's file is its block's file"
+        (Checkpoint.block_path ~dir ~gen:5 ~block:0)
+        (Checkpoint.generation_path ~dir ~gen:5 ~rank:0))
 
 let test_fallback_and_resume_equivalence () =
   (* Reference run: 30 uninterrupted steps, checkpointing at 10 and 20.
@@ -499,6 +502,88 @@ let test_two_rank_kill_resume_energy () =
             resumed
       | _ -> Alcotest.fail "expected to resume from generation 16")
 
+(* A directory whose generations hold two files (two blocks, or two
+   classic ranks) refuses a one-file world: committing to it and
+   restoring from it are both typed errors, and the committed list is
+   left as it was. *)
+let test_file_count_guard () =
+  let dir = temp_dir "vpic_count" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sim = build_sim () in
+      Checkpoint.save_generation_blocks ~dir ~gen:1 ~keep:3 ~rank:0 ~nblocks:2
+        ~barrier:ignore
+        ~owned:[ (0, sim); (1, sim) ]
+        ();
+      let refused what f =
+        check_true what
+          (match f () with
+          | _ -> false
+          | exception Checkpoint.Corrupt _ -> true)
+      in
+      refused "a 1-file commit is refused" (fun () ->
+          Checkpoint.save_generation sim ~dir ~gen:2 ~keep:3);
+      refused "a 1-file restore is refused" (fun () ->
+          ignore (Checkpoint.load_latest_valid ~coupler:local ~dir));
+      Alcotest.(check (list int)) "manifest unchanged" [ 1 ]
+        (Checkpoint.committed_generations ~dir))
+
+(* A classic save goes through the bounded-retry writer: two transient
+   write failures are absorbed, the generation commits and verifies. *)
+let test_classic_save_retries () =
+  let dir = temp_dir "vpic_classic_retry" in
+  Fault.enable ~seed:1;
+  Fault.arm
+    (Fault.Fail_checkpoint_io
+       { rank = 0; path_substring = "gen00000001"; times = 2 });
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disable ();
+      rm_rf dir)
+    (fun () ->
+      let sim = build_sim () in
+      let path = Checkpoint.generation_path ~dir ~gen:1 ~rank:0 in
+      Checkpoint.save_generation sim ~dir ~gen:1 ~keep:3;
+      check_true "both injected failures were hit"
+        (not (Fault.io_failure ~rank:0 ~path));
+      Alcotest.(check (list int)) "generation committed" [ 1 ]
+        (Checkpoint.committed_generations ~dir);
+      check_true "committed file verifies" (Checkpoint.verify path = Ok ());
+      check_true "no temp debris" (not (Sys.file_exists (path ^ ".tmp"))))
+
+(* MANIFEST, RECOVERY and OWNERS are text; a field that should be an
+   integer and is not is a typed Corrupt naming the line, never a
+   [Failure] from [int_of_string]. *)
+let test_text_manifests_typed () =
+  let dir = temp_dir "vpic_text" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sim = build_sim () in
+      Checkpoint.save_generation sim ~dir ~gen:1 ~keep:3;
+      let write name text =
+        let oc = open_out (Filename.concat dir name) in
+        output_string oc text;
+        close_out oc
+      in
+      let malformed what line f =
+        check_true what
+          (match f () with
+          | _ -> false
+          | exception Checkpoint.Corrupt { reason; _ } ->
+              reason = "malformed line: " ^ line)
+      in
+      write "MANIFEST" "vpic-checkpoint-manifest 2\nnblocks 1\ngen x\n";
+      malformed "MANIFEST gen x" "gen x" (fun () ->
+          Checkpoint.committed_generations ~dir);
+      write "RECOVERY" "vpic-recovery-manifest 1\ngen 1\ndead r\n";
+      malformed "RECOVERY dead r" "dead r" (fun () ->
+          Checkpoint.read_recovery_manifest ~dir);
+      write "gen00000001/OWNERS" "0 r\n";
+      malformed "OWNERS 0 r" "0 r" (fun () ->
+          Checkpoint.read_gen_owners ~dir ~gen:1 ~nblocks:1))
+
 let test_recv_deadline () =
   let results =
     Comm.run ~ranks:2 (fun c ->
@@ -642,4 +727,10 @@ let suite =
       test_sentinel_poison_injection_end_to_end;
     case "fault: sentinel warns on energy drift" test_sentinel_energy_drift_warns;
     case "fault: loader rejects non-finite input" test_loader_rejects_non_finite;
-    case "fault: laser rejects non-finite input" test_laser_rejects_non_finite ]
+    case "fault: laser rejects non-finite input" test_laser_rejects_non_finite;
+    case "fault: a generation's file count is enforced on commit and restore"
+      test_file_count_guard;
+    case "fault: a classic generation save retries transient I/O"
+      test_classic_save_retries;
+    case "fault: text manifests raise Corrupt on a non-integer field"
+      test_text_manifests_typed ]

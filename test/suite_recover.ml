@@ -146,8 +146,7 @@ let tiny_sim () =
   sim
 
 let commit ~dir ~gen ~keep sim =
-  Checkpoint.save_generation_blocks ~dir ~gen ~keep ~rank:0 ~nranks:1
-    ~nblocks:1
+  Checkpoint.save_generation_blocks ~dir ~gen ~keep ~rank:0 ~nblocks:1
     ~barrier:(fun () -> ())
     ~owned:[ (0, sim) ]
     ()
