@@ -53,9 +53,8 @@ let local bc =
     nranks = 1 }
 
 (* One-entry memo keyed on physical equality: the coupler is called with
-   the same Em_field every step, so the component list is built once, not
-   once per exchange (the comm path stays allocation-free in steady
-   state). *)
+   the same Em_field every step, so the component lists are built once,
+   not once per exchange. *)
 let memo1 build =
   let cache = ref None in
   fun f ->
@@ -66,34 +65,55 @@ let memo1 build =
         cache := Some (f, v);
         v
 
+(* A classic rank is block [rank] of [nranks]: its coupler routes through
+   a one-view world of the block exchanger. *)
 let parallel comm bc ~grid =
   let module Comm = Vpic_parallel.Comm in
   let module Exchange = Vpic_parallel.Exchange in
   let module Migrate = Vpic_parallel.Migrate in
-  let ports = Exchange.create comm bc grid in
-  let ems = memo1 Em_field.em_components in
-  let es = memo1 Em_field.e_components in
-  let js = memo1 Em_field.j_components in
-  let migrate_rng = Vpic_util.Rng.of_int (0x5EED + Comm.rank comm) in
+  let rank = Comm.rank comm and nranks = Comm.size comm in
+  let ports =
+    Exchange.create ~comm ~nblocks:nranks ~owner:(Array.init nranks Fun.id)
+      ~plane:(fun b axis -> if b = rank then Sf.plane_size grid ~axis else 0)
+      ()
+  in
+  let views = [ { Exchange.id = rank; bc; g = grid } ] in
+  let fill scalars = Exchange.fill_ghosts ports ~views ~scalars in
+  let fold scalars = Exchange.fold_ghosts ports ~views ~scalars in
+  let only ss _ = ss in
+  let ems = memo1 (fun f -> only (Em_field.em_components f)) in
+  let es = memo1 (fun f -> only (Em_field.e_components f)) in
+  let js = memo1 (fun f -> only (Em_field.j_components f)) in
+  let migrate_rng = Vpic_util.Rng.of_int (0x5EED + rank) in
+  let targets = Array.make nranks None in
   { bc;
-    fill_em = (fun f -> Exchange.fill_ghosts ports (ems f));
-    fill_em_begin = (fun f -> Exchange.fill_begin ports (ems f));
-    fill_em_finish = (fun f -> Exchange.fill_finish ports (ems f));
-    fill_e = (fun f -> Exchange.fill_ghosts ports (es f));
-    fill_scalar = (fun s -> Exchange.fill_ghosts ports [ s ]);
-    fill_list = (fun ss -> Exchange.fill_ghosts ports ss);
-    fold_currents = (fun f -> Exchange.fold_ghosts ports (js f));
-    fold_rho = (fun f -> Exchange.fold_ghosts ports [ f.Em_field.rho ]);
+    fill_em = (fun f -> fill (ems f));
+    fill_em_begin =
+      (fun f -> Exchange.fill_begin ports ~views ~scalars:(ems f));
+    fill_em_finish =
+      (fun f -> Exchange.fill_finish ports ~views ~scalars:(ems f));
+    fill_e = (fun f -> fill (es f));
+    fill_scalar = (fun s -> fill (only [ s ]));
+    fill_list = (fun ss -> fill (only ss));
+    fold_currents = (fun f -> fold (js f));
+    fold_rho = (fun f -> fold (only [ f.Em_field.rho ]));
     migrate =
       (fun ?accum s f movers ->
-        ignore (Migrate.exchange ~rng:migrate_rng ?accum ports s f movers));
+        targets.(rank) <-
+          Some
+            { Migrate.id = rank; bc; species = s; fields = f; accum;
+              rng = Some migrate_rng; movers };
+        ignore (Migrate.exchange ports ~targets));
     reduce_sum = (fun x -> Comm.allreduce_sum comm x);
     reduce_max = (fun x -> Comm.allreduce_max comm x);
     barrier = (fun () -> Comm.barrier comm);
-    comm_bytes = (fun () -> Exchange.bytes_moved ports);
+    comm_bytes =
+      (fun () ->
+        let f, fo, m = Exchange.byte_counts ports in
+        f +. fo +. m);
     migrate_rng = Some migrate_rng;
-    rank = Comm.rank comm;
-    nranks = Comm.size comm }
+    rank;
+    nranks }
 
 let marder_hooks t f =
   { Vpic_field.Marder.fill_e = (fun () -> t.fill_e f);

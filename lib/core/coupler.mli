@@ -51,8 +51,10 @@ val local : Bc.t -> t
 
 (** Multi-rank coupler; [bc] must come from [Decomp.local_bc] and [grid]
     is the rank-local grid (the persistent port buffers are sized from
-    it).  Collective: every rank must construct its coupler in the same
-    order. *)
+    it).  The rank is block [rank] of [nranks] on the block exchanger's
+    wire: a one-view world of {!Vpic_parallel.Exchange} and
+    {!Vpic_parallel.Migrate}.  Collective: every rank must construct its
+    coupler in the same order. *)
 val parallel : Vpic_parallel.Comm.t -> Bc.t -> grid:Vpic_grid.Grid.t -> t
 
 (** Marder hooks wired through a coupler. *)

@@ -1,7 +1,7 @@
 (* Over-decomposed driver: each rank steps a *list* of relocatable
    blocks instead of one rank-sized domain.  Block geometry comes from
    [Vpic_grid.Block], ghost/mover routing from the block-keyed ports of
-   [Vpic_parallel.Exchange.Blocks], and each block is an ordinary
+   [Vpic_parallel.Exchange], and each block is an ordinary
    [Simulation.t] whose coupler does no communication at all — the
    owned blocks step through [Simulation.step_world] under a world
    whose fills, folds, migration and reductions are fused across them
@@ -42,14 +42,14 @@ type t = {
   global_bc : Bc.t;
   ownership : Block.Ownership.t;
   blocks : block option array;  (* indexed by block id; Some iff owned *)
-  ports : Exchange.Blocks.t;
+  ports : Exchange.t;
   perf : Perf.counters;  (* shared by every local block simulation *)
   pool : Vpic_util.Pool.t;
       (* the rank's worker team; every owned block (including blocks
          received from a rebalance) steps through it *)
   reattach : int -> Simulation.t -> unit;
       (* re-install closures (laser antennas) on a freshly decoded sim *)
-  mutable views : Exchange.Blocks.view list;
+  mutable views : Exchange.view list;
   mutable nstep : int;
   (* dynamic load balancing *)
   rebalance_interval : int;
@@ -120,7 +120,7 @@ let refresh_views t =
   t.views <-
     List.map
       (fun b ->
-        { Exchange.Blocks.id = b.id;
+        { Exchange.id = b.id;
           bc = b.sim.Simulation.coupler.Coupler.bc;
           g = b.sim.Simulation.grid })
       (owned t)
@@ -155,42 +155,30 @@ let migrate_blocks t pushes =
               rng = sim.Simulation.coupler.Coupler.migrate_rng;
               movers = sc.Simulation.movers })
       pushes;
-    ignore
-      (Migrate.exchange_blocks t.ports ~targets
-         ~extent:(fun b axis -> Block.axis_cells t.layout ~id:b ~axis))
+    ignore (Migrate.exchange t.ports ~targets)
   done
 
-(* The owned blocks' world.  A lone block routes through its own local
-   coupler, which fills periodic self-ghosts exactly where the block
-   ports would round them through their f32 wire; many blocks route
-   through the fused block ports. *)
+(* The owned blocks' world, routed through the fused block ports.  A
+   lone block's faces are not [Domain] faces, so its fills and folds run
+   the local boundary handling in f64, like its own local coupler. *)
 let world t =
-  match owned t with
-  | [ b ] when Block.count t.layout = 1 ->
-      { (Simulation.world b.sim) with
-        reduce_sum = reduce_sum t;
-        reduce_max = reduce_max t;
-        rank = t.rank }
-  | _ ->
-      let fill scalars =
-        Exchange.Blocks.fill_ghosts t.ports ~views:t.views ~scalars
-      in
-      let fill_em () = fill (fun id -> (get t id).ems) in
-      let fold scalars =
-        Exchange.Blocks.fold_ghosts t.ports ~views:t.views ~scalars
-      in
-      let fields id = (get t id).sim.Simulation.fields in
-      { Simulation.fill_em_begin = fill_em;
-        fill_em_finish = ignore;
-        fill_em;
-        fill_e = (fun () -> fill (fun id -> Em_field.e_components (fields id)));
-        fill_scalar = (fun mesh -> fill (fun id -> [ mesh (get t id).sim ]));
-        fold_currents = (fun () -> fold (fun id -> (get t id).js));
-        fold_rho = (fun () -> fold (fun id -> [ (fields id).Em_field.rho ]));
-        migrate = migrate_blocks t;
-        reduce_sum = reduce_sum t;
-        reduce_max = reduce_max t;
-        rank = t.rank }
+  let fill scalars = Exchange.fill_ghosts t.ports ~views:t.views ~scalars in
+  let ems id = (get t id).ems in
+  let fold scalars = Exchange.fold_ghosts t.ports ~views:t.views ~scalars in
+  let fields id = (get t id).sim.Simulation.fields in
+  { Simulation.fill_em_begin =
+      (fun () -> Exchange.fill_begin t.ports ~views:t.views ~scalars:ems);
+    fill_em_finish =
+      (fun () -> Exchange.fill_finish t.ports ~views:t.views ~scalars:ems);
+    fill_em = (fun () -> fill ems);
+    fill_e = (fun () -> fill (fun id -> Em_field.e_components (fields id)));
+    fill_scalar = (fun mesh -> fill (fun id -> [ mesh (get t id).sim ]));
+    fold_currents = (fun () -> fold (fun id -> (get t id).js));
+    fold_rho = (fun () -> fold (fun id -> [ (fields id).Em_field.rho ]));
+    migrate = migrate_blocks t;
+    reduce_sum = reduce_sum t;
+    reduce_max = reduce_max t;
+    rank = t.rank }
 
 (* -------------------------------------------------------------- create ---- *)
 
@@ -219,9 +207,10 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       blocks.(id) <- Some (mk_block id sim))
     (Block.Ownership.owned ownership ~rank);
   let ports =
-    Exchange.Blocks.create ?comm ~nblocks
+    Exchange.create ?comm ~nblocks
       ~owner:(Block.Ownership.snapshot ownership)
-      ~max_plane:(Block.max_plane_floats layout) ()
+      ~plane:(fun id axis -> Block.plane_floats layout ~id ~axis)
+      ()
   in
   let t =
     { comm;
@@ -272,7 +261,7 @@ let ship_bytes t = t.ship_bytes
 let last_imbalance t = t.last_imbalance
 let block_costs t = Array.copy t.last_costs
 let comm_bytes t =
-  let f, fo, m = Exchange.Blocks.byte_counts t.ports in
+  let f, fo, m = Exchange.byte_counts t.ports in
   f +. fo +. m +. t.ship_bytes
 
 (* ----------------------------------------------------------- rebalance ---- *)
@@ -355,7 +344,7 @@ let rebalance_now t =
         Block.Ownership.apply t.ownership [ (b, dst) ])
       plan.Rebalance.moves;
     if !moved > 0 then begin
-      Exchange.Blocks.set_owners t.ports (owners t);
+      Exchange.set_owners t.ports (owners t);
       refresh_views t;
       t.last_imbalance <- plan.Rebalance.imbalance_after
     end
@@ -456,7 +445,7 @@ let rollback_to t ~dir ~gen ~owner =
       t.reattach b sim;
       t.blocks.(b) <- Some (mk_block b sim))
     mine;
-  Exchange.Blocks.set_owners t.ports (owners t);
+  Exchange.set_owners t.ports (owners t);
   refresh_views t;
   (match owned t with
   | b :: _ -> t.nstep <- b.sim.Simulation.nstep

@@ -4,7 +4,7 @@
     {!Simulation.t} whose coupler performs no communication — ghost
     fills/folds, mover migration and reductions are all driven from
     here, fused across the owned blocks and routed by the block
-    ownership table through {!Vpic_parallel.Exchange.Blocks}.
+    ownership table through {!Vpic_parallel.Exchange}.
 
     A block's push RNG is salted by its block id (not its rank), so
     trajectories are independent of ownership: the greedy rebalancer
@@ -15,8 +15,9 @@
 
     The owned blocks step through the one sequence every simulation
     uses, {!Simulation.step_world}, under this driver's routing.  A
-    1-block world routes through its block's own local coupler, so it
-    steps bitwise like the classic serial loop. *)
+    1-block world's faces are local ([Periodic] and the like, never
+    [Domain]), so the block ports fill and fold them in f64 and it steps
+    bitwise like the classic serial loop. *)
 
 module Bc = Vpic_grid.Bc
 module Block = Vpic_grid.Block
@@ -26,7 +27,9 @@ type t
 
 (** The coupler every block simulation must be built with: its [rank]
     is the block id (RNG salts are ownership-independent) and its
-    fill/fold closures raise — the driver routes all traffic. *)
+    fill/fold closures raise — the driver routes all traffic.  A 1-block
+    layout gets a local coupler instead, which current filtering fills
+    through. *)
 val block_coupler : Block.t -> global_bc:Bc.t -> id:int -> Coupler.t
 
 (** Collective (when [comm] is given; every rank, same arguments).

@@ -8,19 +8,10 @@ let bc t ~global ~id = Decomp.local_bc t.decomp ~global ~rank:id
 let neighbor t ~id ~axis ~side = Decomp.neighbor t.decomp ~rank:id ~axis ~side
 let dims t ~id = Decomp.dims_of t.decomp ~rank:id
 
-let axis_cells t ~id ~axis =
-  let cx, cy, cz = Decomp.coords_of_rank t.decomp id in
-  let coord = match axis with Axis.X -> cx | Axis.Y -> cy | Axis.Z -> cz in
-  Decomp.axis_cells t.decomp ~axis ~coord
-
-let max_plane_floats t =
-  let m = ref 0 in
-  for id = 0 to count t - 1 do
-    let nx, ny, nz = dims t ~id in
-    let gx = nx + 2 and gy = ny + 2 and gz = nz + 2 in
-    m := max !m (max (gy * gz) (max (gx * gz) (gx * gy)))
-  done;
-  !m
+let plane_floats t ~id ~axis =
+  let nx, ny, nz = dims t ~id in
+  let gx = nx + 2 and gy = ny + 2 and gz = nz + 2 in
+  match axis with Axis.X -> gy * gz | Axis.Y -> gx * gz | Axis.Z -> gx * gy
 
 module Ownership = struct
   type t = { owner : int array; mutable version : int }

@@ -30,13 +30,9 @@ val neighbor : t -> id:int -> axis:Axis.t -> side:[ `Lo | `Hi ] -> int
 (** Interior dims of block [id]. *)
 val dims : t -> id:int -> int * int * int
 
-(** Interior cell count of block [id] along [axis] — what a mover's
-    cell index must be rebased by when crossing into this block. *)
-val axis_cells : t -> id:int -> axis:Axis.t -> int
-
-(** Max ghost-inclusive plane size (floats) over all blocks and axes:
-    the port capacity a fill plane for {e any} block fits in. *)
-val max_plane_floats : t -> int
+(** Ghost-inclusive plane size (floats) of block [id] across [axis]:
+    the port capacity one of its fill planes needs. *)
+val plane_floats : t -> id:int -> axis:Axis.t -> int
 
 (** Block -> rank ownership table.  Every rank holds an identical copy
     and applies the same collectively-agreed move list, so the table

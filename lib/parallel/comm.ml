@@ -43,7 +43,6 @@ type port = {
       (* threads parked on [pcv]; lets posts and consumes skip the
          broadcast (a kernel wake on the common path) when nobody waits *)
   pname : string; (* for Comm_timeout diagnoses *)
-  powner : int;   (* rank that registered (and consumes) this port *)
   pworld : world; (* back-reference for the failed-rank check in waits *)
 }
 
@@ -263,7 +262,6 @@ let port_register ?names t ~capacities =
       consumed = 0;
       waiters = 0;
       pname = name i;
-      powner = t.my_rank;
       pworld = w }
   in
   let slots = Array.mapi make_slot capacities in
@@ -435,7 +433,6 @@ let set_wait_observer o =
   | None -> ()
 
 let port_wait ?deadline p ~f =
-  Vpic_util.Fault.port_delay ~rank:p.powner ~name:p.pname;
   let obs =
     if Atomic.get wait_observers_armed then Domain.DLS.get wait_observer_key
     else None

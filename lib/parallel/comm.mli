@@ -18,8 +18,8 @@ type t
     posted before a death are still delivered. *)
 
 (** A deadline passed with nothing received.  [port] names the stuck
-    endpoint — for exchange ports: purpose, axis, direction and peer
-    rank; for mailbox receives: source and tag. *)
+    endpoint — for exchange ports: block, purpose, axis and direction;
+    for mailbox receives: source and tag. *)
 exception Comm_timeout of { port : string; waited : float }
 
 (** Another rank's domain died; [error] is its rendered exception. *)

@@ -1,149 +1,97 @@
-(** Ghost-plane exchange across the domain decomposition, over persistent
-    ports.
+(** Ghost-plane exchange and the migration wire, over persistent ports,
+    for a world of blocks.
 
-    A {!t} value bundles every wire resource a rank needs: one registered
-    receive slot and one preallocated Float32 staging buffer per
-    (purpose ∈ fill/fold/migrate × axis × direction of travel) — 18 slots
-    — sized from the grid at construction.  Steady-state fills, folds and
-    migrations move bytes exclusively through these buffers: no per-call
-    plane arrays, no mailbox queues.
+    The global grid is split into blocks and an ownership table maps
+    each block to the rank stepping it.  A classic run is the world
+    where block [rank] of [nranks] lives on rank [rank]; an
+    over-decomposed run owns several blocks per rank and may move them.
+    Every rank registers the full [nblocks * 18] slot matrix up front —
+    one receive slot per (block × purpose ∈ fill/fold/migrate × axis ×
+    direction of travel) — so a message for block [b] is addressed to
+    whichever rank owns [b] at that moment, with no re-registration when
+    blocks move.  Steady-state fills, folds and migrations move bytes
+    only through these preallocated Float32 rings.
 
     Planes span the full allocated extent (ghosts included) of the two
-    transverse axes, and the three axes are processed sequentially (x, y,
-    z), so edge and corner ghosts are transported correctly in two/three
-    hops — the standard trick that avoids 26-neighbour messaging.
+    transverse axes, and the three axes complete in order (x, y, z), so
+    edge and corner ghosts travel correctly in two or three hops — the
+    standard trick that avoids 26-neighbour messaging.
 
-    Non-[Domain] faces fall back to the local boundary handling of
-    [Vpic_field.Boundary], making these functions the single entry point
-    for both serial and parallel runs. *)
+    A face whose neighbour block lives on the same rank is exchanged by
+    a direct plane copy quantized through the same f32 format as the
+    wire, so the stepped physics depends on the block decomposition
+    only, never on where blocks live.  Non-[Domain] faces fall back to
+    the local boundary handling of [Vpic_field.Boundary] in f64. *)
 
 module Sf = Vpic_grid.Scalar_field
 module Bc = Vpic_grid.Bc
 
 type t
 
-(** [create comm bc grid] registers this rank's receive slots and resolves
-    its neighbours' (blocking until they register).  Collective: every
-    rank must call it in the same order. *)
-val create : Comm.t -> Bc.t -> Vpic_grid.Grid.t -> t
+(** An owned block's geometry as the router sees it: [bc] faces carry
+    neighbour {e block} ids. *)
+type view = { id : int; bc : Bc.t; g : Vpic_grid.Grid.t }
 
-val comm : t -> Comm.t
-val bc : t -> Bc.t
-val grid : t -> Vpic_grid.Grid.t
+(** Collective when [comm] is given (every rank, same arguments).
+    [owner] is the initial block -> rank table.  [plane b axis] is the
+    initial ring capacity (floats) of one ghost plane of block [b]
+    across [axis]; rings grow on demand, so a block this rank never owns
+    may give 0.  Omit [comm] for a single-rank world (all faces must
+    then be local). *)
+val create :
+  ?comm:Comm.t -> nblocks:int -> owner:int array ->
+  plane:(int -> Vpic_grid.Axis.t -> int) -> unit -> t
 
-(** Bound (seconds) on every ghost/migrate receive through these ports:
-    a neighbour silent for longer raises [Comm.Comm_timeout] naming the
-    stuck port.  [None] (the default) keeps the allocation-free parked
-    wait — set a deadline only on runs that want hang detection, the
-    bounded wait is a sleep-poll. *)
-val set_deadline : t -> float option -> unit
+val my_rank : t -> int
+val owner_of : t -> int -> int
 
-val deadline : t -> float option
+(** Install a new ownership table (after a collectively-agreed
+    rebalance); drops cached send routes. *)
+val set_owners : t -> int array -> unit
 
-(** Copy ghost planes of each scalar from neighbouring ranks (and apply
-    local BCs on non-domain faces).  Every rank of the communicator must
-    call this with the same scalar count.  At most 6 scalars per call. *)
-val fill_ghosts : t -> Sf.t list -> unit
-
-(** First half of {!fill_ghosts}: posts the x-axis faces and returns with
-    the messages in flight.  Work that touches neither ghost voxels nor
-    the fields' interior x faces may run before {!fill_finish} — the
-    interior particle push overlaps here. *)
-val fill_begin : t -> Sf.t list -> unit
-
-(** Completes a {!fill_begin}: receives x, then posts/receives y and z and
-    applies local BCs.  Must be passed the same scalars. *)
-val fill_finish : t -> Sf.t list -> unit
-
-(** Add ghost-plane accumulations (currents, rho) into the neighbouring
-    rank's interior (and fold locally on non-domain faces), then zero the
-    shipped ghost planes. *)
-val fold_ghosts : t -> Sf.t list -> unit
-
-(** {1 Byte accounting} *)
-
-(** Cumulative payload bytes posted as (fill, fold, migrate). *)
+(** Cumulative payload bytes posted as (fill, fold, migrate); only wire
+    traffic counts, co-resident copies are free. *)
 val byte_counts : t -> float * float * float
 
-val bytes_moved : t -> float
+(** {1 Ghost fill and fold}
 
-(** {1 Migration wire} (used by {!Migrate}) *)
+    [scalars id] yields block [id]'s component list (at most 6 scalars);
+    it must also resolve the ids of co-resident neighbour blocks.  Every
+    call is collective across the ranks owning adjacent blocks. *)
 
-(** Destination port and staging buffer for movers leaving along
-    [axis] in direction of travel [dir] (0 = toward lo neighbour, 1 =
-    toward hi).  Raises [Invalid_argument] if that face has no domain
-    neighbour. *)
-val migrate_send : t -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port * Comm.buf32
+(** First half of {!fill_ghosts}: posts every view's remote x planes and
+    returns with the messages in flight.  Work that touches neither
+    ghost voxels nor the fields' interior x faces may run before
+    {!fill_finish} — the interior particle push overlaps here. *)
+val fill_begin : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
 
-(** Ensure the migrate staging buffer holds [len] floats; returns it. *)
-val migrate_staging_grow :
-  t -> axis:Vpic_grid.Axis.t -> dir:int -> int -> Comm.buf32
+(** Completes a {!fill_begin} (same arguments): x sibling copies,
+    inbound planes and local faces, then y and z in full. *)
+val fill_finish : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
 
-(** Own receive port for movers arriving with direction of travel [dir]. *)
-val migrate_recv : t -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port
+(** {!fill_begin} followed by {!fill_finish}. *)
+val fill_ghosts : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
 
-(** Account [floats] payload floats of migration traffic. *)
-val add_migrate_bytes : t -> int -> unit
+(** Add ghost-plane accumulations (currents, rho) into the neighbouring
+    block's interior (and fold locally on non-[Domain] faces), then zero
+    the shipped ghost planes. *)
+val fold_ghosts : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
 
-(** {1 Block world}
+(** {1 Migration wire} (used by {!Migrate.exchange})
 
-    Over-decomposition routing: the grid is split into more blocks than
-    ranks and a mutable ownership table maps blocks to ranks.  Every
-    rank registers the full [nblocks * 18] slot matrix up front, so a
-    message for block [b] is addressed to whichever rank owns [b] at
-    that moment — no re-registration when blocks migrate.  Faces whose
-    neighbour block is co-resident move by direct f64 plane copies
-    instead of the f32 wire. *)
-module Blocks : sig
-  type t
+    [dir] is the direction of travel: 0 toward the lo neighbour, 1
+    toward hi. *)
 
-  (** An owned block's geometry as the router sees it: [bc] faces carry
-      neighbour {e block} ids. *)
-  type view = { id : int; bc : Bc.t; g : Vpic_grid.Grid.t }
+(** Staging buffer for movers bound for block [dest], grown to hold
+    [len] floats. *)
+val migrate_staging :
+  t -> dest:int -> axis:Vpic_grid.Axis.t -> dir:int -> len:int -> Comm.buf32
 
-  (** Collective when [comm] is given (every rank, same arguments).
-      [max_plane] is the largest ghost-inclusive plane (floats) over all
-      blocks and axes ([Vpic_grid.Block.max_plane_floats]); [owner] the
-      initial ownership.  Omit [comm] for a single-rank world (all
-      faces must then be local). *)
-  val create :
-    ?comm:Comm.t -> nblocks:int -> owner:int array -> max_plane:int ->
-    unit -> t
+(** Post the first [len] floats of a staging buffer to block [dest]. *)
+val migrate_post :
+  t -> dest:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.buf32 ->
+  len:int -> unit
 
-  val my_rank : t -> int
-  val owner_of : t -> int -> int
-  val owners : t -> int array
-
-  (** Install a new ownership table (after a collectively-agreed
-      rebalance); drops cached send routes. *)
-  val set_owners : t -> int array -> unit
-
-  val set_deadline : t -> float option -> unit
-  val deadline : t -> float option
-
-  (** Cumulative payload bytes posted as (fill, fold, migrate); only
-      wire traffic counts, direct sibling copies are free. *)
-  val byte_counts : t -> float * float * float
-
-  (** Fused ghost fill across the owned [views]: [scalars id] yields
-      block [id]'s component list (must also resolve co-resident
-      sibling ids).  Axes complete globally in x, y, z order.
-      Collective. *)
-  val fill_ghosts : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
-
-  (** Fused ghost fold (currents, rho) across the owned [views].
-      Collective. *)
-  val fold_ghosts : t -> views:view list -> scalars:(int -> Sf.t list) -> unit
-
-  (** {2 Migration wire} (used by {!Migrate.exchange_blocks}) *)
-
-  val migrate_staging :
-    t -> dest:int -> axis:Vpic_grid.Axis.t -> dir:int -> len:int -> Comm.buf32
-
-  val migrate_post :
-    t -> dest:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.buf32 ->
-    len:int -> unit
-
-  val migrate_recv :
-    t -> block:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port
-end
+(** Own receive port for movers arriving at block [block]. *)
+val migrate_recv :
+  t -> block:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port

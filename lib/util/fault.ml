@@ -4,7 +4,6 @@ type injection =
   | Kill_rank of { rank : int; step : int }
   | Corrupt_checkpoint of { rank : int; gen : int }
   | Poison_field of { rank : int; step : int }
-  | Delay_port of { rank : int; name_substring : string; seconds : float }
   | Kill_in_rebalance of { rank : int }
   | Kill_in_checkpoint of { rank : int; gen : int }
   | Fail_checkpoint_io of { rank : int; path_substring : string; times : int }
@@ -150,18 +149,3 @@ let io_failure ~rank ~path =
                | i -> Some i)
              !injections;
          !hit)
-
-let port_delay ~rank ~name =
-  if Atomic.get armed then begin
-    (* Persistent (not one-shot): peek without removing. *)
-    let delay =
-      locked (fun () ->
-          List.find_map
-            (function
-              | Delay_port d when d.rank = rank && contains ~sub:d.name_substring name ->
-                  Some d.seconds
-              | _ -> None)
-            !injections)
-    in
-    match delay with Some s -> Unix.sleepf s | None -> ()
-  end

@@ -2,8 +2,8 @@
 
     A process-global registry of injections, armed explicitly by tests or
     by the runner's [--fault-*] flags.  Core code calls the probe
-    functions at well-known points (step loop, checkpoint commit, port
-    wait); every probe is a single atomic load when the framework is
+    functions at well-known points (step loop, checkpoint commit,
+    rebalance); every probe is a single atomic load when the framework is
     disabled, so production runs pay nothing.
 
     Injections are seed-deterministic: the same [enable ~seed] and arm
@@ -25,9 +25,6 @@ type injection =
           generation [gen], right after it is committed to disk *)
   | Poison_field of { rank : int; step : int }
       (** overwrite one field cell with NaN on [rank] at step [step] *)
-  | Delay_port of { rank : int; name_substring : string; seconds : float }
-      (** sleep [seconds] before each wait on any of [rank]'s ports whose
-          name contains [name_substring] *)
   | Kill_in_rebalance of { rank : int }
       (** raise {!Injected_kill} from rank [rank] in the middle of the
           next block-rebalance move loop — after ownership has started
@@ -63,8 +60,6 @@ val poison_due : rank:int -> step:int -> bool
 (** Corrupt [path] in place if a matching [Corrupt_checkpoint] is armed
     (fires once per armed injection). *)
 val checkpoint_written : rank:int -> gen:int -> path:string -> unit
-
-val port_delay : rank:int -> name:string -> unit
 
 (** Raises {!Injected_kill} if a matching [Kill_in_rebalance] is armed
     ([step] only labels the exception). *)

@@ -304,6 +304,57 @@ let test_two_blocks_match_two_ranks () =
     (fun a b -> check_close ~atol:0. ~rtol:1e-12 "energy trajectory" a b)
     block_e rank_e
 
+(* One wire for both worlds: 2 blocks on 2 ranks and the same 2 slabs as
+   2 classic ranks ([Coupler.parallel]) route every fill, fold and mover
+   through the same block-keyed ports, with no co-resident faces on
+   either side, so they step bit for bit alike. *)
+let test_blocks_on_ranks_match_classic_ranks () =
+  let steps = 30 and every = 5 and ppc_of _ = 8 in
+  let layout = mk_layout ~blocks:2 in
+  let rank0_fields sim = Em_field.copy sim.Simulation.fields in
+  let block_runs =
+    Comm.run ~ranks:2 (fun c ->
+        let mb = mk_world ~comm:c ~blocks:2 ~ppc_of () in
+        let out = ref [] in
+        for s = 1 to steps do
+          Multiblock.step mb;
+          if s mod every = 0 then
+            out := (Multiblock.energies mb).Simulation.total :: !out
+        done;
+        let sim =
+          match Multiblock.owned_sims mb with [ (_, s) ] -> s | _ -> assert false
+        in
+        (List.rev !out, Multiblock.total_particles mb, rank0_fields sim))
+  in
+  let rank_runs =
+    Comm.run ~ranks:2 (fun c ->
+        let id = Comm.rank c in
+        let coupler =
+          Coupler.parallel c
+            (Block.bc layout ~global:Bc.periodic ~id)
+            ~grid:(Block.grid layout ~dt:world_dt ~id)
+        in
+        let sim =
+          block_build ~ppc_of layout ~id ~coupler ~perf:(Perf.create ())
+        in
+        let out = ref [] in
+        for s = 1 to steps do
+          Simulation.step sim;
+          if s mod every = 0 then
+            out := (Simulation.energies sim).Simulation.total :: !out
+        done;
+        (List.rev !out, Simulation.total_particles sim, rank0_fields sim))
+  in
+  let block_e, block_np, block_f = block_runs.(0) in
+  let rank_e, rank_np, rank_f = rank_runs.(0) in
+  Alcotest.(check int) "particle count" block_np rank_np;
+  Alcotest.(check int) "samples" (steps / every) (List.length rank_e);
+  List.iter2
+    (fun a b -> check_close ~atol:0. ~rtol:0. "energy trajectory" a b)
+    block_e rank_e;
+  check_close ~atol:0. ~rtol:0. "rank-0 fields identical" 0.
+    (Em_field.max_component_diff block_f rank_f)
+
 (* Current filtering fills its scalars through a simulation's own
    coupler, which a block coupler cannot do: a world of several blocks
    must refuse it up front, while a lone block keeps it. *)
@@ -405,4 +456,6 @@ let suite =
       test_filter_needs_one_block;
     slow_case
       "multiblock: skewed world rebalances, imbalance drops, energy holds"
-      test_skewed_world_rebalances ]
+      test_skewed_world_rebalances;
+    slow_case "multiblock: N blocks on N ranks step bitwise like N classic ranks"
+      test_blocks_on_ranks_match_classic_ranks ]

@@ -84,6 +84,14 @@ let test_barrier_generations () =
 
 (* --- Ghost exchange ------------------------------------------------------- *)
 
+(* A classic rank's wire: block [rank] of [nranks], one view. *)
+let rank_ports c bc g =
+  let n = Comm.size c in
+  ( Exchange.create ~comm:c ~nblocks:n ~owner:(Array.init n Fun.id)
+      ~plane:(fun _ axis -> Sf.plane_size g ~axis)
+      (),
+    [ { Exchange.id = Comm.rank c; bc; g } ] )
+
 (* A deterministic global scalar value for global cell (gi, gj, gk). *)
 let global_value gi gj gk =
   float_of_int ((gi * 10000) + (gj * 100) + gk)
@@ -105,8 +113,8 @@ let test_fill_ghosts_matches_global_wrap () =
         (* fill interior with the global function *)
         Grid.iter_interior g (fun i j k ->
             Sf.set f i j k (global_value (x_off + i) j k));
-        let ports = Exchange.create c bc g in
-        Exchange.fill_ghosts ports [ f ];
+        let ports, views = rank_ports c bc g in
+        Exchange.fill_ghosts ports ~views ~scalars:(fun _ -> [ f ]);
         (* ghost at i=0 must hold the global value of the wrapped x-neighbour *)
         let seen = ref [] in
         for k = 1 to 4 do
@@ -140,8 +148,8 @@ let test_fold_ghosts_accumulates_across () =
         let f = Sf.create g in
         (* place a deposit in this rank's hi-x ghost plane *)
         Sf.set f 5 2 2 (1. +. float_of_int rank);
-        let ports = Exchange.create c bc g in
-        Exchange.fold_ghosts ports [ f ];
+        let ports, views = rank_ports c bc g in
+        Exchange.fold_ghosts ports ~views ~scalars:(fun _ -> [ f ]);
         (* after folding, my interior slot (1,2,2) holds the other rank's
            ghost deposit *)
         (Sf.get f 1 2 2, Sf.get f 5 2 2))
@@ -258,11 +266,16 @@ let test_migration_conserves () =
             { i = 1; j; k = 2; fx = 0.05; fy = 0.5; fz = 0.5;
               ux = -2.0; uy = 0.; uz = 0.3; w = 1. }
         done;
-        let ports = Exchange.create c bc grid in
+        let ports, _ = rank_ports c bc grid in
         let movers = Push.Movers.create () in
         let st = push ~movers s f bc in
         let movers_after_push = Push.Movers.count movers in
-        let mig = Migrate.exchange ports s f movers in
+        let targets = Array.make 2 None in
+        targets.(rank) <-
+          Some
+            { Migrate.id = rank; bc; species = s; fields = f; accum = None;
+              rng = None; movers };
+        let mig = Migrate.exchange ports ~targets in
         let all_interior = ref true in
         Species.iter s (fun n ->
             if Species.in_ghost s n then all_interior := false);
@@ -482,6 +495,57 @@ let test_four_rank_smoke () =
   Array.iter (fun np -> Alcotest.(check int) "agreed total" results.(0) np) results;
   Alcotest.(check int) "no particles lost" (8 * 2 * 2 * 4) results.(0)
 
+(* An x split whose halves differ in size (7 cells: 4 + 3).  A mover
+   leaving one rank must land in the receiving rank's own last or first
+   cell, whatever the sender's extent: a hot plasma crosses both faces
+   many times in 20 steps, every particle must survive, and charge must
+   stay conserved (no Marder clean, so the Gauss residual sees every
+   deposit). *)
+let test_uneven_split_migrates () =
+  let d =
+    Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx:7 ~gny:4 ~gnz:4 ~lx:3.5 ~ly:2. ~lz:2.
+  in
+  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
+  let ppc = 8 in
+  let results =
+    Comm.run ~ranks:2 (fun c ->
+        let rank = Comm.rank c in
+        let grid = Decomp.local_grid d ~dt ~rank in
+        let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
+        let sim =
+          Simulation.make ~grid ~coupler:(Coupler.parallel c bc ~grid)
+            ~clean_div_interval:0 ~sort_interval:4 ()
+        in
+        (* electrons on top of immobile-ish ions: rho and E start at 0 *)
+        let rng = Rng.of_int (29 + rank) in
+        let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
+        ignore (Loader.maxwellian (Rng.split rng 1) e ~ppc ~uth:0.3 ());
+        let ions = Simulation.add_species sim ~name:"ion" ~q:1. ~m:100. in
+        let irng = Rng.split rng 2 in
+        Species.iter e (fun n ->
+            let p = Species.get e n in
+            Species.append ions
+              { p with
+                ux = 0.01 *. Rng.normal irng;
+                uy = 0.01 *. Rng.normal irng;
+                uz = 0.01 *. Rng.normal irng });
+        let n0 = Simulation.total_particles sim in
+        let r0 = Simulation.gauss_residual sim in
+        Simulation.run sim ~steps:20 ();
+        (grid.Grid.nx, n0, Simulation.total_particles sim, r0,
+         Simulation.gauss_residual sim))
+  in
+  Alcotest.(check (list int)) "halves" [ 4; 3 ]
+    (Array.to_list (Array.map (fun (nx, _, _, _, _) -> nx) results));
+  let _, n0, n1, r0, r1 = results.(0) in
+  Alcotest.(check int) "loaded" (2 * 7 * 4 * 4 * ppc) n0;
+  Alcotest.(check int) "particle count conserved" n0 n1;
+  (* rho and E start at zero; ghost currents and rho cross the f32 wire,
+     which bounds the residual near single-precision round-off *)
+  check_true
+    (Printf.sprintf "gauss residual stays at round-off (%.3g -> %.3g)" r0 r1)
+    (r0 < 1e-12 && r1 < 1e-6)
+
 let suite =
   [ case "comm: allreduce" test_allreduce;
     case "comm: allreduce array" test_allreduce_array;
@@ -496,4 +560,5 @@ let suite =
       test_decomposition_equivalence;
     slow_case "parallel: 4-rank smoke" test_four_rank_smoke;
     slow_case "parallel: 2x2 deterministic" test_parallel_2d_decomposition;
-    slow_case "parallel: 2x2 matches serial" test_parallel_2d_matches_serial ]
+    slow_case "parallel: 2x2 matches serial" test_parallel_2d_matches_serial;
+    case "parallel: an uneven split migrates" test_uneven_split_migrates ]
