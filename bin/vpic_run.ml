@@ -12,7 +12,7 @@
                           [--max-recoveries K]
                           [--ranks N] [--trace FILE] [--metrics FILE]
                           [--scoreboard-every N]
-                          [--push-kernel block|spe] [--block-width W]
+                          [--block-width W]
      vpic_run sweep       [--a0s 0.02,0.04,...] [--ppc 32] [--with-noise-run]
                           [--steps N] [--noise-floor R] [--json FILE]
                           [--campaign DIR] [--workers N]
@@ -169,18 +169,6 @@ let export_trace = function
           else Trace.export_chrome oc);
       Printf.printf "trace written to %s (%d spans, %d dropped)\n" path
         (Trace.total_entries ()) (Trace.dropped_entries ())
-
-(* --push-kernel/--block-width map to the simulation's push execution
-   backend; the matching Report kernel keeps predicted-vs-measured
-   per-particle flop estimates comparing like with like. *)
-let push_backend_of ~push_kernel ~block_width =
-  match push_kernel with
-  | `Block -> Simulation.Host_block { width = block_width }
-  | `Spe -> Simulation.Spe_stream { width = block_width; dma_block = 512 }
-
-let report_kernel_of = function
-  | Simulation.Host_block { width } -> `Block width
-  | Simulation.Spe_stream _ -> `Spe
 
 let allreduce op comm x = match comm with Some cm -> op cm x | None -> x
 
@@ -360,8 +348,8 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     resume sentinel_every sentinel_log kill_step fault_seed ranks workers
     trace_file metrics_file scoreboard_every blocks rebalance_every
     rebalance_threshold cost_model y_skew kill_rank recover_auto
-    max_recoveries push_kernel block_width =
-  let push_backend = push_backend_of ~push_kernel ~block_width in
+    max_recoveries block_width =
+  let push_backend = Simulation.Host_block { width = block_width } in
   (* Fault injection is armed before anything else so even the first
      steps are covered; it is a no-op unless these flags are given. *)
   (match kill_step with
@@ -493,7 +481,9 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
         ppc_effective = float_of_int w.nparticles /. voxels }
     in
     let report =
-      Report.make ~kernel:(report_kernel_of push_backend) ~totals ~workload ()
+      (* the block kernel's calibration, so predicted-vs-measured
+         per-particle flop estimates compare like with like *)
+      Report.make ~kernel:(`Block block_width) ~totals ~workload ()
     in
     let energy, nstep = w.final () in
     if live_root () then begin
@@ -568,13 +558,13 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     resume sentinel_every sentinel_log kill_step fault_seed ranks workers
     trace_file metrics_file scoreboard_every blocks rebalance_every
     rebalance_threshold cost_model y_skew kill_rank recover_auto
-    max_recoveries push_kernel block_width =
+    max_recoveries block_width =
   try
     run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
       resume sentinel_every sentinel_log kill_step fault_seed ranks workers
       trace_file metrics_file scoreboard_every blocks rebalance_every
       rebalance_threshold cost_model y_skew kill_rank recover_auto
-      max_recoveries push_kernel block_width
+      max_recoveries block_width
   with e -> classify_failure e
 
 let srs_cmd =
@@ -737,22 +727,6 @@ let srs_cmd =
                    s*(y/L - 1/2).  Creates a deliberate load imbalance \
                    for exercising --rebalance-threshold.")
   in
-  let push_kernel =
-    let kernels =
-      Arg.enum [ ("block", `Block); ("spe", `Spe) ]
-    in
-    Arg.(value & opt kernels `Block
-         & info [ "push-kernel" ]
-             ~doc:"Push execution backend; both run the block-vectorized \
-                   kernel — fixed-width particle blocks against one cached \
-                   72-byte interpolator block per voxel, cell-crossers \
-                   falling out to the face-crossing walk; stepped results \
-                   are bitwise invariant in --block-width.  \
-                   $(b,block) (default): fan the interior push out over \
-                   the worker team.  $(b,spe): stream \
-                   block-kernel chunks through the Cell SPE pipeline's \
-                   double-buffered DMA accounting.")
-  in
   let block_width =
     let widest = Vpic_particle.Push.max_block_width in
     let width =
@@ -768,8 +742,12 @@ let srs_cmd =
     Arg.(value & opt width Vpic_particle.Push.default_block_width
          & info [ "block-width" ]
              ~doc:(Printf.sprintf
-                     "With --push-kernel block|spe: particles per block, \
-                      1 to %d (typically 4 or 8)." widest))
+                     "Particles per block of the block-vectorized push \
+                      kernel — fixed-width particle blocks against one \
+                      cached 72-byte interpolator block per voxel, \
+                      cell-crossers falling out to the face-crossing \
+                      walk: 1 to %d (typically 4 or 8).  Stepped results \
+                      are bitwise invariant in the width." widest))
   in
   Cmd.v
     (Cmd.info "srs" ~doc:"Laser-plasma SRS deck (one parameter-study point)")
@@ -779,7 +757,7 @@ let srs_cmd =
           $ kill_step $ fault_seed $ ranks $ workers $ trace_file
           $ metrics_file $ scoreboard_every $ blocks $ rebalance_every
           $ rebalance_threshold $ cost_model $ y_skew $ kill_rank $ recover
-          $ max_recoveries $ push_kernel $ block_width)
+          $ max_recoveries $ block_width)
 
 (* ---------------------------------------------------------------- sweep *)
 

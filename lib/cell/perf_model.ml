@@ -54,7 +54,7 @@ let default_calibration =
    The measured side (the Perf ledger) charges the interpolator
    expansion's 24-flop gather on the fast path, not the paper's
    staggered stencil, so a Report row computed against
-   [default_calibration] under `--push-kernel block` would compare
+   [default_calibration] for a block-kernel step would compare
    apples to oranges.  [`Spe] keeps the paper numbers: the SPE stream
    models the published kernel. *)
 type push_kernel = [ `Block of int | `Spe ]

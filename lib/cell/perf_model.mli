@@ -41,7 +41,7 @@ val default_calibration : calibration
     full staggered gather); [`Block w] is the host kernel, whose Perf
     ledger charges the interpolator expansion's cheaper gather —
     {!calibration_for} swaps the per-particle flop estimate accordingly
-    so Report ratios stay meaningful under [--push-kernel block]. *)
+    so Report ratios stay meaningful for block-kernel steps. *)
 type push_kernel = [ `Block of int | `Spe ]
 
 val calibration_for : push_kernel -> calibration

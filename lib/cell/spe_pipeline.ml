@@ -70,16 +70,12 @@ let no_absorbing bc =
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
 let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ?accum ?rng
-    ?width ?region t s f bc =
+    ?width t s f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
-     fixed-count DMA block accounting — except over an `Interior region,
-     whose particles cannot reach a wall by construction. *)
-  (match region with
-  | Some (`Interior _) -> ()
-  | None ->
-      if not (no_absorbing bc) then
-        invalid_arg
-          "Spe_pipeline.advance_species: absorbing boundaries unsupported");
+     fixed-count DMA block accounting. *)
+  if not (no_absorbing bc) then
+    invalid_arg
+      "Spe_pipeline.advance_species: absorbing boundaries unsupported";
   let ppc =
     match ppc_hint with Some p -> Float.max 1. p | None -> average_ppc s
   in
@@ -98,13 +94,7 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ?accum ?rng
   while !first < np do
     let count = min t.block_size (np - !first) in
     let st =
-      match region with
-      | Some (`Interior d) ->
-          Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width
-            ~region:(`Interior d) s f bc
-      | None ->
-          Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width
-            s f bc
+      Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width s f bc
     in
     assert (st.Push.absorbed = 0);
     totals := Push.sum_stats !totals st;

@@ -53,11 +53,9 @@ val ledger : t -> ledger
 
     [interp]/[accum]/[rng]/[width] pass straight through to
     [Push.advance], so the production block kernel streams through the
-    pipeline.  [region:(`Interior d)] restricts each block to non-shell
-    particles, deferring shell index ranges into [d] exactly like
-    [Push.advance ~region] — and lifts
-    the no-absorbing-walls restriction, since interior particles cannot
-    reach a wall in one step. *)
+    pipeline.  This is the paper's SPE control flow as a model and a
+    measurement (bench E5); production steps push through
+    [Push.advance_team] and never stream. *)
 val advance_species :
   ?perf:Vpic_util.Perf.counters ->
   ?ppc_hint:float ->
@@ -65,7 +63,6 @@ val advance_species :
   ?accum:Vpic_particle.Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?width:int ->
-  ?region:[ `Interior of Vpic_particle.Push.Defer.t ] ->
   t ->
   Vpic_particle.Species.t ->
   Vpic_field.Em_field.t ->

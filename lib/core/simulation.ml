@@ -25,7 +25,6 @@ let sid_fill_begin = Trace.intern "exchange.fill_begin"
 let sid_fill_finish = Trace.intern "exchange.fill_finish"
 let sid_fill = Trace.intern "exchange.fill"
 let sid_fold = Trace.intern "exchange.fold"
-let sid_push = Trace.intern "push"
 let sid_push_interior = Trace.intern "push.interior"
 let sid_push_boundary = Trace.intern "push.boundary"
 let sid_load_interp = Trace.intern "interp.load"
@@ -46,28 +45,17 @@ type push_scratch = {
   team : Push.Team_scratch.t;  (* per-tile defers/ledgers of the team push *)
 }
 
-(* Which engine runs the interior push.  Host backends fan out over the
-   worker team ([Push.advance_team]); [Spe_stream] instead streams each
-   species serially through [Vpic_cell.Spe_pipeline]'s double-buffered
-   DMA accounting in fixed-size blocks (the paper's SPE control flow),
-   with the block kernel inside each block.  Host results are bitwise
-   invariant in the block width; the SPE stream is worker-invariant by
-   construction (serial) but folds currents in stream order rather than
-   slab order, so it is its own numerical lineage.  The boundary pass
-   runs the block kernel serially under either backend.  A backend is
-   an execution strategy, not physics: it is not part of the deck hash
-   or the checkpoint image. *)
-type push_backend =
-  | Host_block of { width : int }
-  | Spe_stream of { width : int; dma_block : int }
+(* How the push runs: the block kernel at [width] particles per block,
+   its interior pass fanned out over the worker team ([Push.advance_team])
+   and its boundary-shell pass serial.  Stepped results are bitwise
+   invariant in the width.  A backend is an execution strategy, not
+   physics: it is not part of the deck hash or the checkpoint image. *)
+type push_backend = Host_block of { width : int }
 
-let push_backend_to_string = function
-  | Host_block { width } -> "block" ^ string_of_int width
-  | Spe_stream { width; dma_block } ->
-      "spe" ^ string_of_int width ^ "x" ^ string_of_int dma_block
+let push_backend_to_string (Host_block { width }) =
+  "block" ^ string_of_int width
 
-let width_of = function
-  | Host_block { width } | Spe_stream { width; _ } -> width
+let width_of (Host_block { width }) = width
 
 type t = {
   grid : Grid.t;
@@ -87,11 +75,8 @@ type t = {
   marder_passes : int;
   current_filter_passes : int;
   mutable push_backend : push_backend;
-      (* interior-push engine; mutable so restores and relocated blocks
-         can re-apply the run's selection (never serialised) *)
-  mutable spe : Vpic_cell.Spe_pipeline.t option;
-      (* DMA-accounted pipeline, created when [push_backend] is
-         [Spe_stream]; its ledger persists across steps *)
+      (* push engine; mutable so restores and relocated blocks can
+         re-apply the run's selection (never serialised) *)
   interp_accum : (Interpolator.t * Accumulator.t) option;
       (* VPIC inner-loop memory system: per-voxel field-coefficient and
          current-accumulator blocks; always [Some] (read via [interp] and
@@ -116,12 +101,6 @@ type t = {
 let zero_stats : Push.stats = Push.zero_stats
 let add_stats = Push.sum_stats
 
-let spe_pipeline_for = function
-  | Spe_stream { dma_block; _ } ->
-      Some (Vpic_cell.Spe_pipeline.create ~block_size:dma_block
-              Vpic_cell.Roadrunner.full)
-  | Host_block _ -> None
-
 let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     ?(absorber_thickness = 8) ?(absorber_strength = 0.15)
     ?(current_filter_passes = 0)
@@ -144,7 +123,6 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     marder_passes;
     current_filter_passes;
     push_backend;
-    spe = spe_pipeline_for push_backend;
     interp_accum = Some (Interpolator.create grid, Accumulator.create grid);
     smoothed =
       (if current_filter_passes > 0 then Some (Em_field.create grid) else None);
@@ -176,14 +154,8 @@ let find_species t name =
 let add_laser t l = t.lasers_rev <- l :: t.lasers_rev
 let set_pool t pool = t.pool <- pool
 
-let set_push_backend t b =
-  if b <> t.push_backend then begin
-    t.push_backend <- b;
-    t.spe <- spe_pipeline_for b
-  end
-
+let set_push_backend t b = t.push_backend <- b
 let push_backend t = t.push_backend
-let spe_pipeline t = t.spe
 let pool t = t.pool
 let time t = float_of_int t.nstep *. t.grid.Grid.dt
 
@@ -210,8 +182,8 @@ let phase_clear_and_load t =
   Em_field.clear_currents t.fields;
   (* Interior voxels' interpolator blocks read no ghosts: build them
      while the x-plane fill is still in flight, like the interior push
-     they feed.  The smoothed path instead loads from the filtered copy
-     in [phase_push_smoothed]. *)
+     they feed.  A filtered run instead loads from its smoothed copy,
+     after the fill ([phase_load_smoothed]). *)
   if Option.is_none t.smoothed then begin
     Trace.begin_span sid_load_interp;
     Interpolator.load_interior ~perf:t.perf ~pool:t.pool (interp t) t.fields;
@@ -239,48 +211,56 @@ let block_metrics t (ph : Push.stats) =
       (float_of_int ph.Push.block_cleanup)
   end
 
+(* Filtered gather: particles gather from a binomially smoothed copy of
+   E and B, loaded into the interpolator: the same symmetric kernel
+   later applied to J makes the force/current coupling adjoint, avoiding
+   secular self-heating.  Building the copy needs complete ghosts, so
+   this runs after the whole fill; it loads every voxel, boundary slabs
+   included. *)
+let phase_load_smoothed t =
+  let sm = Option.get t.smoothed in
+  List.iter2
+    (fun src dst -> Sf.blit ~src ~dst)
+    (Em_field.em_components t.fields)
+    (Em_field.em_components sm);
+  for _ = 1 to t.current_filter_passes do
+    Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
+      (Em_field.em_components sm)
+  done;
+  Trace.begin_span sid_load_interp;
+  Interpolator.load ~perf:t.perf ~pool:t.pool (interp t) sm;
+  Trace.end_span ()
+
 (* Interior pass: every particle whose cell does not touch the ghost
-   layer — independent of any in-flight fill. *)
+   layer, fanned out over the team and independent of any in-flight
+   fill. *)
 let phase_push_interior t species_scratch =
   let interp = interp t and accum = accum t in
   let width = width_of t.push_backend in
   Trace.begin_span sid_push_interior;
   let phase = ref zero_stats in
-  (match t.spe with
-  | Some pipe ->
-      (* SPE-stream backend: each species streams serially through the
-         pipeline in DMA-sized blocks (compute/DMA ledger per block),
-         depositing into the base accumulator — no team fan-out, no
-         slabs, trivially worker-invariant. *)
-      List.iter
-        (fun (s, sc) ->
-          let st =
-            Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ~interp
-              ~accum ~rng:t.push_rng ~width ~region:(`Interior sc.defer)
-              pipe s t.fields t.coupler.Coupler.bc
-          in
-          phase := add_stats !phase st)
-        species_scratch
-  | None ->
-      List.iter
-        (fun (s, sc) ->
-          let st =
-            Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
-              ~defer:sc.defer ~interp ~accum ~rng:t.push_rng ~width s
-              t.fields t.coupler.Coupler.bc
-          in
-          phase := add_stats !phase st)
-        species_scratch);
+  List.iter
+    (fun (s, sc) ->
+      let st =
+        Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
+          ~defer:sc.defer ~interp ~accum ~rng:t.push_rng ~width s t.fields
+          t.coupler.Coupler.bc
+      in
+      phase := add_stats !phase st)
+    species_scratch;
   t.push_stats <- add_stats t.push_stats !phase;
   block_metrics t !phase;
   Trace.end_span ()
 
 (* The hi-face slabs read freshly filled ghosts; load them before the
-   deferred shell particles evaluate their blocks. *)
+   deferred shell particles evaluate their blocks.  A filtered run has
+   loaded them from its smoothed copy already. *)
 let phase_load_boundary t =
-  Trace.begin_span sid_load_interp;
-  Interpolator.load_boundary ~perf:t.perf (interp t) t.fields;
-  Trace.end_span ()
+  if Option.is_none t.smoothed then begin
+    Trace.begin_span sid_load_interp;
+    Interpolator.load_boundary ~perf:t.perf (interp t) t.fields;
+    Trace.end_span ()
+  end
 
 (* Boundary pass: the deferred shell particles, now that their gather
    stencils see fresh ghosts.  Only these can become movers.  Serial:
@@ -355,41 +335,6 @@ let phase_sort t =
     (species t);
   Trace.end_span ()
 
-
-(* Filtered push: particles gather from a binomially smoothed copy of E
-   and B, loaded into the interpolator: the same symmetric kernel later
-   applied to J makes the force/current coupling adjoint, avoiding
-   secular self-heating.
-   Building the copy needs complete ghosts, so this path runs after the
-   whole fill and pushes unsplit. *)
-let phase_push_smoothed t species_scratch =
-  let sm = Option.get t.smoothed in
-  List.iter2
-    (fun src dst -> Sf.blit ~src ~dst)
-    (Em_field.em_components t.fields)
-    (Em_field.em_components sm);
-  for _ = 1 to t.current_filter_passes do
-    Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
-      (Em_field.em_components sm)
-  done;
-  let interp = interp t and accum = accum t in
-  Trace.begin_span sid_load_interp;
-  Interpolator.load ~perf:t.perf interp sm;
-  Trace.end_span ();
-  Trace.begin_span sid_push;
-  let phase = ref zero_stats in
-  List.iter
-    (fun (s, sc) ->
-      let st =
-        Push.advance ~perf:t.perf ~movers:sc.movers ~interp ~accum
-          ~rng:t.push_rng ~width:(width_of t.push_backend) s t.fields
-          t.coupler.Coupler.bc
-      in
-      phase := add_stats !phase st)
-    species_scratch;
-  t.push_stats <- add_stats t.push_stats !phase;
-  block_metrics t !phase;
-  Trace.end_span ()
 
 (* --- Worlds --------------------------------------------------------------
    A world routes a list of simulations through one step: every fill,
@@ -507,24 +452,24 @@ let step_world w sims =
         (t, phase_clear_and_load t))
       sims
   in
-  (* Particle advance: inner loop of the paper. *)
-  (match first.smoothed with
-  | Some _ ->
-      Trace.with_span sid_fill_finish w.fill_em_finish;
-      List.iter
-        (fun (t, ss) -> timed_push t (fun () -> phase_push_smoothed t ss))
-        pushes
-  | None ->
-      List.iter
-        (fun (t, ss) -> timed_push t (fun () -> phase_push_interior t ss))
-        pushes;
-      Trace.with_span sid_fill_finish w.fill_em_finish;
-      List.iter
-        (fun (t, ss) ->
-          timed_push t (fun () ->
-              phase_load_boundary t;
-              phase_push_boundary t ss))
-        pushes);
+  (* Particle advance: inner loop of the paper.  A filtered run gathers
+     from a smoothed copy that needs complete ghosts, so it completes the
+     fill before its interior pass instead of overlapping it. *)
+  let filtered = Option.is_some first.smoothed in
+  if filtered then begin
+    Trace.with_span sid_fill_finish w.fill_em_finish;
+    List.iter phase_load_smoothed sims
+  end;
+  List.iter
+    (fun (t, ss) -> timed_push t (fun () -> phase_push_interior t ss))
+    pushes;
+  if not filtered then Trace.with_span sid_fill_finish w.fill_em_finish;
+  List.iter
+    (fun (t, ss) ->
+      timed_push t (fun () ->
+          phase_load_boundary t;
+          phase_push_boundary t ss))
+    pushes;
   (* Fault-injection probe: die mid-step, after the push posted its ghost
      traffic but before migration/fold completes — peers must unblock via
      the comm layer's failed-rank poisoning, not drain cleanly. *)

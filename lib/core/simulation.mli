@@ -28,22 +28,15 @@ type push_scratch = {
       (** per-tile defer lists and perf ledgers of the team push *)
 }
 
-(** The engine running the interior push: [Host_block] fans out over
-    the rank's worker team; [Spe_stream] streams each species serially
-    through [Vpic_cell.Spe_pipeline] in [dma_block]-particle blocks,
-    charging the modelled double-buffered DMA ledger as it goes.  Both
-    run the block kernel at [width] lanes, and so does the serial
-    boundary pass that follows.  [Host_block] results are bitwise
-    invariant in [width] (the block kernel's contract); the SPE stream
-    deposits in stream order rather than team-slab order, so it is
-    worker-invariant but its own numerical lineage.  A backend is an
+(** How the push runs: the block kernel at [width] lanes, its interior
+    pass fanned out over the rank's worker team and its boundary-shell
+    pass serial.  Results are bitwise invariant in [width] (the block
+    kernel's contract) and in the worker count.  A backend is an
     execution strategy, not physics: it enters neither the deck hash
     nor the checkpoint image (a restored simulation runs the default
-    [Host_block] at {!Vpic_particle.Push.default_block_width};
-    re-apply another with {!set_push_backend}). *)
-type push_backend =
-  | Host_block of { width : int }
-  | Spe_stream of { width : int; dma_block : int }
+    width {!Vpic_particle.Push.default_block_width}; re-apply another
+    with {!set_push_backend}). *)
+type push_backend = Host_block of { width : int }
 
 val push_backend_to_string : push_backend -> string
 
@@ -63,11 +56,8 @@ type t = {
   marder_passes : int;
   current_filter_passes : int;
   mutable push_backend : push_backend;
-      (** interior-push engine (see {!push_backend}); set via [make] or
+      (** push engine (see {!push_backend}); set via [make] or
           {!set_push_backend} *)
-  mutable spe : Vpic_cell.Spe_pipeline.t option;
-      (** the DMA-accounted pipeline backing [Spe_stream]; its ledger
-          accumulates across steps (read it for rate models) *)
   interp_accum :
     (Vpic_particle.Interpolator.t * Vpic_particle.Accumulator.t) option;
       (** the VPIC inner-loop memory system: per-voxel interpolator
@@ -102,14 +92,18 @@ type t = {
     particles gather — VPIC's optional noise filter; matched (symmetric)
     smoothing of force and current keeps the coupling energy-consistent.
     Filtered J breaks discrete continuity at the grid scale, so keep the
-    Marder clean enabled when using it.  The push runs through the VPIC
+    Marder clean enabled when using it.  A filtered step completes the
+    ghost fill and loads the interpolator from the smoothed copy before
+    its interior pass; otherwise the interior pass overlaps the fill.
+    Either way the push is the same interior/boundary-shell pair.
+    The push runs through the VPIC
     interpolator/accumulator memory system ([interp_accum]): field
     coefficients load into one 72-byte block per voxel before each push
     and scattered currents fold out of per-voxel accumulator blocks
     after migration.
     [push_backend] (default [Host_block] at
-    {!Vpic_particle.Push.default_block_width}) selects the interior-push
-    engine; see {!push_backend}.
+    {!Vpic_particle.Push.default_block_width}) selects the block width;
+    see {!push_backend}.
     [perf] shares an existing flop/byte counter set between simulations
     (the over-decomposed driver gives all its blocks one); by default
     each simulation counts alone.
@@ -137,14 +131,12 @@ val set_pool : t -> Vpic_util.Pool.t -> unit
 
 val pool : t -> Vpic_util.Pool.t
 
-(** Select the interior-push engine between steps (creates or drops the
-    SPE pipeline as needed).  Used by run drivers after checkpoint
-    restore and by [Deck.build_over]'s reattach hook on relocated
-    blocks, since the backend is never serialised. *)
+(** Select the push backend between steps.  Used by run drivers after
+    checkpoint restore and by [Deck.build_over]'s reattach hook on
+    relocated blocks, since the backend is never serialised. *)
 val set_push_backend : t -> push_backend -> unit
 
 val push_backend : t -> push_backend
-val spe_pipeline : t -> Vpic_cell.Spe_pipeline.t option
 
 (** Create, register and return a new species on this simulation's grid. *)
 val add_species : t -> name:string -> q:float -> m:float -> Species.t
@@ -188,7 +180,7 @@ val world : t -> world
     one set of step parameters; current filtering needs each
     simulation's own coupler to fill its scalars.  When tracing is
     enabled ([Vpic_telemetry.Trace.enable]), the step and each phase
-    record spans: ["step"], ["push"] / ["push.interior"] /
+    record spans: ["step"], ["push.interior"] /
     ["push.boundary"], ["interp.load"] / ["accum.unload"],
     ["exchange.fill_begin"] / ["exchange.fill_finish"] /
     ["exchange.fill"] / ["exchange.fold"], ["laser"], ["migrate"],

@@ -16,20 +16,15 @@ let local_hooks bc f =
 let iter_rows ~(pool : Vpic_util.Pool.t) ~label g do_row =
   let nj = g.Grid.ny and nk = g.Grid.nz in
   let rows = nj * nk in
-  if pool.Vpic_util.Pool.tiles <= 1 then
-    for r = 0 to rows - 1 do
-      do_row (1 + (r mod nj)) (1 + (r / nj))
-    done
-  else
-    pool.Vpic_util.Pool.run ~label ~tiles:pool.Vpic_util.Pool.tiles
-      (fun ~lane:_ ~tile ->
-        let lo, hi =
-          Vpic_util.Pool.split ~total:rows
-            ~tiles:pool.Vpic_util.Pool.tiles ~tile
-        in
-        for r = lo to hi - 1 do
-          do_row (1 + (r mod nj)) (1 + (r / nj))
-        done)
+  pool.Vpic_util.Pool.run ~label ~tiles:pool.Vpic_util.Pool.tiles
+    (fun ~lane:_ ~tile ->
+      let lo, hi =
+        Vpic_util.Pool.split ~total:rows ~tiles:pool.Vpic_util.Pool.tiles
+          ~tile
+      in
+      for r = lo to hi - 1 do
+        do_row (1 + (r mod nj)) (1 + (r / nj))
+      done)
 
 let compute_err ?(pool = Vpic_util.Pool.serial) f err =
   let g = f.Em_field.grid in

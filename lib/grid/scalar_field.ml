@@ -15,12 +15,6 @@ let add t i j k v =
   let idx = Grid.voxel t.g i j k in
   Bigarray.Array1.unsafe_set t.a idx (Bigarray.Array1.unsafe_get t.a idx +. v)
 
-let get_v t v = Bigarray.Array1.unsafe_get t.a v
-let set_v t v x = Bigarray.Array1.unsafe_set t.a v x
-
-let add_v t v x =
-  Bigarray.Array1.unsafe_set t.a v (Bigarray.Array1.unsafe_get t.a v +. x)
-
 let fill t v = Bigarray.Array1.fill t.a v
 
 let copy t =
@@ -120,16 +114,14 @@ let plane_geom g ~axis ~index =
 
 let extract_plane t ~axis ~index =
   let out = Array.make (plane_size t.g ~axis) 0. in
-  iter_plane t.g ~axis ~index (fun slot v -> out.(slot) <- get_v t v);
+  iter_plane t.g ~axis ~index (fun slot v ->
+      out.(slot) <- Bigarray.Array1.unsafe_get t.a v);
   out
 
 let set_plane t ~axis ~index values =
   assert (Array.length values = plane_size t.g ~axis);
-  iter_plane t.g ~axis ~index (fun slot v -> set_v t v values.(slot))
-
-let add_plane t ~axis ~index values =
-  assert (Array.length values = plane_size t.g ~axis);
-  iter_plane t.g ~axis ~index (fun slot v -> add_v t v values.(slot))
+  iter_plane t.g ~axis ~index (fun slot v ->
+      Bigarray.Array1.unsafe_set t.a v values.(slot))
 
 let copy_plane t ~axis ~src ~dst =
   let s0, si, ni, so, no = plane_geom t.g ~axis ~index:src in
@@ -154,38 +146,6 @@ let accumulate_plane t ~axis ~src ~dst =
       Bigarray.Array1.unsafe_set a d
         (Bigarray.Array1.unsafe_get a d
         +. Bigarray.Array1.unsafe_get a (sb + (i * si)))
-    done
-  done
-
-(* Cross-field variants: move a plane between two fields on different
-   grids (sibling blocks share their transverse dims across a face, so
-   the plane shapes match even though the grids differ). *)
-
-let copy_plane_between ~src ~src_index ~dst ~dst_index ~axis =
-  let s0, ssi, sni, sso, sno = plane_geom src.g ~axis ~index:src_index in
-  let d0, dsi, dni, dso, dno = plane_geom dst.g ~axis ~index:dst_index in
-  assert (sni = dni && sno = dno);
-  let sa = src.a and da = dst.a in
-  for o = 0 to sno - 1 do
-    let sb = s0 + (o * sso) and db = d0 + (o * dso) in
-    for i = 0 to sni - 1 do
-      Bigarray.Array1.unsafe_set da (db + (i * dsi))
-        (Bigarray.Array1.unsafe_get sa (sb + (i * ssi)))
-    done
-  done
-
-let accumulate_plane_between ~src ~src_index ~dst ~dst_index ~axis =
-  let s0, ssi, sni, sso, sno = plane_geom src.g ~axis ~index:src_index in
-  let d0, dsi, dni, dso, dno = plane_geom dst.g ~axis ~index:dst_index in
-  assert (sni = dni && sno = dno);
-  let sa = src.a and da = dst.a in
-  for o = 0 to sno - 1 do
-    let sb = s0 + (o * sso) and db = d0 + (o * dso) in
-    for i = 0 to sni - 1 do
-      let d = db + (i * dsi) in
-      Bigarray.Array1.unsafe_set da d
-        (Bigarray.Array1.unsafe_get da d
-        +. Bigarray.Array1.unsafe_get sa (sb + (i * ssi)))
     done
   done
 

@@ -14,12 +14,6 @@ val get : t -> int -> int -> int -> float
 val set : t -> int -> int -> int -> float -> unit
 val add : t -> int -> int -> int -> float -> unit
 
-(** Raw flat-voxel access (hot paths precompute voxel indices). *)
-val get_v : t -> int -> float
-
-val set_v : t -> int -> float -> unit
-val add_v : t -> int -> float -> unit
-
 (** {1 Whole-array operations} *)
 
 val fill : t -> float -> unit
@@ -58,25 +52,11 @@ val extract_plane : t -> axis:Axis.t -> index:int -> float array
 (** Write [values] (length [plane_size]) into the plane. *)
 val set_plane : t -> axis:Axis.t -> index:int -> float array -> unit
 
-(** Accumulate [values] into the plane (current folding). *)
-val add_plane : t -> axis:Axis.t -> index:int -> float array -> unit
-
 (** [copy_plane f ~axis ~src ~dst] copies plane [src] onto plane [dst]. *)
 val copy_plane : t -> axis:Axis.t -> src:int -> dst:int -> unit
 
 (** [accumulate_plane f ~axis ~src ~dst] adds plane [src] into plane [dst]. *)
 val accumulate_plane : t -> axis:Axis.t -> src:int -> dst:int -> unit
-
-(** Copy a plane from one field into another (co-resident sibling
-    blocks exchange ghosts this way, full f64, no wire).  The two grids
-    must agree on the transverse extents of the plane. *)
-val copy_plane_between :
-  src:t -> src_index:int -> dst:t -> dst_index:int -> axis:Axis.t -> unit
-
-(** Accumulate a plane of [src] into a plane of [dst] (current folding
-    between sibling blocks). *)
-val accumulate_plane_between :
-  src:t -> src_index:int -> dst:t -> dst_index:int -> axis:Axis.t -> unit
 
 (** {1 Wire-buffer plane traffic}
 

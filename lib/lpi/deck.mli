@@ -69,10 +69,10 @@ type setup = {
     probe and absorber are unchanged) — [ny] must divide by the rank
     count, and every rank builds collectively with its own rank-salted
     particle RNG.  Without [comm] the build is exactly the original
-    serial deck.  [push_backend] selects the push execution strategy
-    ({!Vpic.Simulation.push_backend}: scalar, block-vectorized or SPE
-    stream) — an execution choice, not physics, so it is absent from
-    the config record and its canonical hash. *)
+    serial deck.  [push_backend] selects the block kernel's width
+    ({!Vpic.Simulation.push_backend}) — an execution choice, not
+    physics, so it is absent from the config record and its canonical
+    hash. *)
 val build :
   ?comm:Vpic_parallel.Comm.t ->
   ?push_backend:Vpic.Simulation.push_backend ->

@@ -48,13 +48,18 @@ let clear t = Bigarray.Array1.fill t.data 0.
 
 (* Each slab is itself an accumulator (same grid, its own slot array),
    so the push scatters into a slab through the unchanged [?accum]
-   interface.  Slabs are views: they never have slabs of their own. *)
+   interface.  Slabs are views: they never have slabs of their own.
+   The one slab of a 1-tile split is [t] itself: a serial push scatters
+   straight into the base slots and leaves [reduce] nothing to fold. *)
 let slab t ~n ~tile =
   if n < 1 then invalid_arg "Accumulator.slab: n must be >= 1";
   if tile < 0 || tile >= n then invalid_arg "Accumulator.slab: tile out of range";
-  if Array.length t.slabs <> n then
-    t.slabs <- Array.init n (fun _ -> { grid = t.grid; data = alloc t.grid; slabs = [||] });
-  t.slabs.(tile)
+  if n = 1 then t
+  else begin
+    if Array.length t.slabs <> n then
+      t.slabs <- Array.init n (fun _ -> { grid = t.grid; data = alloc t.grid; slabs = [||] });
+    t.slabs.(tile)
+  end
 
 (* Fold the slabs into the base slot array and zero them.  The inner
    sum at every slot runs in ascending slab (= tile) order regardless

@@ -43,8 +43,9 @@ val unload : ?perf:Vpic_util.Perf.counters -> t -> Vpic_field.Em_field.t -> unit
     write sharing.  [reduce t] then folds every slab into [t] (and
     zeroes the slabs) {e in ascending tile order at each slot}, so the
     summed currents are bitwise invariant in the worker count; call it
-    before {!unload}.  [reduce] is a no-op when no slabs were created;
-    [pool] parallelises the fold over disjoint voxel ranges. *)
+    before {!unload}.  [slab t ~n:1 ~tile:0] is [t] itself, so a 1-tile
+    push creates no slabs; [reduce] is a no-op when no slabs were
+    created; [pool] parallelises the fold over disjoint voxel ranges. *)
 
 val slab : t -> n:int -> tile:int -> t
 

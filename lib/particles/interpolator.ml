@@ -83,20 +83,15 @@ let load_box ?(perf = Perf.global) ?(pool = Vpic_util.Pool.serial) t f ~i0 ~i1
   let nj = max 0 (j1 - j0 + 1) and nk = max 0 (k1 - k0 + 1) in
   let rows = nj * nk in
   let iter_rows do_row =
-    if pool.Vpic_util.Pool.tiles <= 1 then
-      for r = 0 to rows - 1 do
-        do_row r
-      done
-    else
-      pool.Vpic_util.Pool.run ~label:"interp.load"
-        ~tiles:pool.Vpic_util.Pool.tiles (fun ~lane:_ ~tile ->
-          let lo, hi =
-            Vpic_util.Pool.split ~total:rows
-              ~tiles:pool.Vpic_util.Pool.tiles ~tile
-          in
-          for r = lo to hi - 1 do
-            do_row r
-          done)
+    pool.Vpic_util.Pool.run ~label:"interp.load"
+      ~tiles:pool.Vpic_util.Pool.tiles (fun ~lane:_ ~tile ->
+        let lo, hi =
+          Vpic_util.Pool.split ~total:rows ~tiles:pool.Vpic_util.Pool.tiles
+            ~tile
+        in
+        for r = lo to hi - 1 do
+          do_row r
+        done)
   in
   iter_rows (fun r ->
       let k = k0 + (r / nj) and j = j0 + (r mod nj) in

@@ -887,41 +887,38 @@ let sum_stats a b =
    is a function of the tile count alone and every merge below (defer
    lists, perf ledgers, stats, slab reduction at unload) runs in
    ascending tile order, so results are bitwise invariant in the lane
-   count.  A 1-tile pool takes the serial path. *)
+   count.  A 1-tile pool's one slab is [accum] itself, so it deposits
+   in particle order with nothing to reduce. *)
 let advance_team ?(perf = Perf.global) ~interp ~accum ?rng ?width ~pool
     ~scratch ~defer (s : Species.t) f bc =
   let module P = Vpic_util.Pool in
   let tiles = pool.P.tiles in
-  if tiles <= 1 then
-    advance ~perf ~interp ~accum ?rng ?width ~region:(`Interior defer) s f bc
-  else begin
-      Team_scratch.sized scratch tiles;
-      (* allocate all slabs before the fork: [slab] caches the array on
-         first use and concurrent first calls would race *)
-      ignore (Accumulator.slab accum ~n:tiles ~tile:0);
-      let np = Species.count s in
-      let stats = Array.make tiles zero_stats in
-      pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
-          let lo, hi = P.split ~total:np ~tiles ~tile in
-          if hi > lo then
-            stats.(tile) <-
-              advance
-                ~perf:scratch.Team_scratch.perfs.(tile)
-                ~first:lo ~count:(hi - lo) ~interp
-                ~accum:(Accumulator.slab accum ~n:tiles ~tile)
-                ?rng ?width
-                ~region:(`Interior scratch.Team_scratch.defers.(tile))
-                s f bc);
-      let total = ref zero_stats in
-      for tile = 0 to tiles - 1 do
-        Defer.append defer scratch.Team_scratch.defers.(tile);
-        let c = scratch.Team_scratch.perfs.(tile) in
-        Perf.merge_into ~dst:perf c;
-        Perf.reset c;
-        total := sum_stats !total stats.(tile)
-      done;
-      !total
-  end
+  Team_scratch.sized scratch tiles;
+  (* allocate all slabs before the fork: [slab] caches the array on
+     first use and concurrent first calls would race *)
+  ignore (Accumulator.slab accum ~n:tiles ~tile:0);
+  let np = Species.count s in
+  let stats = Array.make tiles zero_stats in
+  pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
+      let lo, hi = P.split ~total:np ~tiles ~tile in
+      if hi > lo then
+        stats.(tile) <-
+          advance
+            ~perf:scratch.Team_scratch.perfs.(tile)
+            ~first:lo ~count:(hi - lo) ~interp
+            ~accum:(Accumulator.slab accum ~n:tiles ~tile)
+            ?rng ?width
+            ~region:(`Interior scratch.Team_scratch.defers.(tile))
+            s f bc);
+  let total = ref zero_stats in
+  for tile = 0 to tiles - 1 do
+    Defer.append defer scratch.Team_scratch.defers.(tile);
+    let c = scratch.Team_scratch.perfs.(tile) in
+    Perf.merge_into ~dst:perf c;
+    Perf.reset c;
+    total := sum_stats !total stats.(tile)
+  done;
+  !total
 
 let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
     (s : Species.t) f bc (incoming : Movers.t) =

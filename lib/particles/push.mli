@@ -128,7 +128,9 @@ val sum_stats : stats -> stats -> stats
     ranges in [d] (cleared by the caller); it never deletes particles,
     so the recorded ranges stay valid.  [`Deferred d] then pushes
     exactly those (ignoring [first]/[count]), in ascending order.
-    [`All] (default) is the fused equivalent.  [stats.advanced] counts
+    [`All] (default) is the fused equivalent, which the SPE pipeline
+    streams through; a simulation step always runs the split pair.
+    [stats.advanced] counts
     particles actually pushed by the call. *)
 val advance :
   ?perf:Vpic_util.Perf.counters ->
@@ -181,8 +183,9 @@ end
     fixed tile count.  The interior region never deletes particles,
     creates movers or consumes [rng], which is what makes the fan-out
     safe.  The caller must run {!Accumulator.reduce} on [accum] before
-    unloading it.  With a 1-tile pool this is exactly [advance
-    ~region:(`Interior defer)]. *)
+    unloading it.  A 1-tile pool takes the same driver: its one slab is
+    [accum] itself, so it deposits in particle order, exactly as
+    [advance ~region:(`Interior defer)] would. *)
 val advance_team :
   ?perf:Vpic_util.Perf.counters ->
   interp:Interpolator.t ->

@@ -25,7 +25,7 @@ type t = {
     the measured totals.  The per-particle flop estimate defaults to
     [Perf_model.calibration_for kernel] ([kernel] defaults to [`Spe],
     the paper calibration); pass the kernel the run actually used —
-    e.g. [`Block 8] under [--push-kernel block] — so predicted-vs-
+    e.g. [`Block 8] for a [vpic_run] step — so predicted-vs-
     measured ratios compare like with like.  An explicit [calibration]
     overrides the kernel-derived one. *)
 val make :

@@ -3,7 +3,7 @@ module Table = Vpic_util.Table
 
 (* Canonical span names of the instrumented step (see Simulation.step);
    sums of interned ids, grouped into the paper's phase categories. *)
-let push_ids = List.map Trace.intern [ "push"; "push.interior"; "push.boundary" ]
+let push_ids = List.map Trace.intern [ "push.interior"; "push.boundary" ]
 let field_ids = [ Trace.intern "field" ]
 
 let exchange_ids =

@@ -23,9 +23,10 @@ type t = {
           hooks; exceptions raised by [f] re-raise at the join. *)
 }
 
-(** The degenerate in-line pool: 1 lane, 1 tile, [run] is a plain loop.
-    Kernels given [serial] execute their legacy single-pass path
-    byte-for-byte (tile 0 covers everything). *)
+(** The degenerate in-line pool: 1 lane, 1 tile, [run] is a plain loop
+    over the tiles on the caller.  A kernel tiling by [tiles] gives its
+    one tile the whole range, so a [serial] region visits it in order,
+    exactly as an untiled loop would. *)
 val serial : t
 
 (** Default tile count of sized pools (16): enough slack for dynamic

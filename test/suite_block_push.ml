@@ -4,16 +4,14 @@
    run-cached 72-byte interpolator block, with cell-crossers falling out
    to the face-crossing walk.  Deposits run in lane (= particle index)
    order, so every result — store contents, accumulator slots, stepped
-   energies — must be BITWISE invariant in the block width, in the
-   worker count, and through the SPE-stream backend.  One independent
+   energies — must be BITWISE invariant in the block width and in the
+   worker count, with or without current filtering.  One independent
    oracle pins the lane arithmetic itself: a non-crossing particle must
    land exactly where the public gather/Boris/move functions put it. *)
 
 module Sort = Vpic_particle.Sort
 module Interpolator = Vpic_particle.Interpolator
 module Accumulator = Vpic_particle.Accumulator
-module Spe_pipeline = Vpic_cell.Spe_pipeline
-module Roadrunner = Vpic_cell.Roadrunner
 module Team = Vpic_parallel.Team
 module Deck = Vpic_lpi.Deck
 module Simulation = Vpic.Simulation
@@ -220,22 +218,39 @@ let test_srs_block_worker_invariance () =
   let e4 = srs_team_energies ~workers:4 ~steps:20 in
   check_energies_bitwise "block8, 1 vs 4 workers" e1 e4
 
-(* --- SPE-stream backend: serial streaming == host block ------------ *)
+(* --- filtered runs take the same split push ---------------------- *)
 
-(* Without a worker team the SPE stream chunks the same block kernel
-   through the pipeline's DMA ledger in index order — deposits land in
-   exactly the host order, so even this backend is bitwise. *)
-let test_srs_spe_parity () =
-  let e_host =
-    srs_energies ~push_backend:(Simulation.Host_block { width = 1 }) ~steps:10
-      ()
-  in
-  let e_spe =
-    srs_energies
-      ~push_backend:(Simulation.Spe_stream { width = 8; dma_block = 512 })
-      ~steps:10 ()
-  in
-  check_energies_bitwise "srs 10 steps, block1 vs spe stream" e_host e_spe
+(* With current filtering the interpolator loads from a smoothed copy
+   after the whole fill, and the push is still the interior/shell pair:
+   the interior pass fans out over the team, so the trajectory must be
+   bitwise invariant in both the worker count and the block width. *)
+let filtered_energies ~workers ~width ~steps =
+  Team.with_team ~workers (fun tm ->
+      let setup =
+        Deck.build ~push_backend:(Simulation.Host_block { width })
+          { srs_config with Deck.filter_passes = 1 }
+      in
+      let sim = setup.Deck.sim in
+      Simulation.set_pool sim (Team.pool tm);
+      let samples = ref [] in
+      for n = 1 to steps do
+        Simulation.step sim;
+        if n mod 5 = 0 then samples := Simulation.energies sim :: !samples
+      done;
+      List.rev !samples)
+
+let test_filtered_invariance () =
+  let reference = filtered_energies ~workers:1 ~width:8 ~steps:20 in
+  List.iter
+    (fun (label, run) ->
+      List.iteri
+        (fun n (a, b) ->
+          check_energies_bitwise
+            (Printf.sprintf "filtered, %s, step %d" label (5 * (n + 1)))
+            a b)
+        (List.combine reference run))
+    [ ("1 vs 4 workers", filtered_energies ~workers:4 ~width:8 ~steps:20);
+      ("width 8 vs 1", filtered_energies ~workers:1 ~width:1 ~steps:20) ]
 
 (* --- the deferred boundary shell runs the block kernel too --------- *)
 
@@ -260,9 +275,9 @@ let suite =
       test_srs_width_invariance;
     case "block push: energies bitwise invariant in worker count"
       test_srs_block_worker_invariance;
-    case "block push: spe-stream backend bitwise equals block1"
-      test_srs_spe_parity;
     case "block push: a lane equals the public gather/boris/move chain"
       test_lane_matches_public_chain;
     case "block push: the boundary shell runs the block kernel"
-      test_shell_runs_block_kernel ]
+      test_shell_runs_block_kernel;
+    case "block push: filtered energies bitwise invariant in workers and width"
+      test_filtered_invariance ]
