@@ -3,14 +3,16 @@
      vpic_run langmuir    [--nx 32] [--ppc 64] [--steps 400]
      vpic_run two-stream  [--u0 0.1] [--ppc 256] [--t-end 12]
      vpic_run srs         [--a0 0.09] [--nr 0.1] [--te 2.5] [--nx 192]
-                          [--ppc 32] [--steps N] [--checkpoint FILE]
+                          [--ppc 32] [--steps N]
                           [--checkpoint-dir DIR] [--checkpoint-every N]
                           [--keep-generations K] [--resume auto]
                           [--sentinel-every N] [--sentinel-log FILE]
                           [--fault-kill-step N] [--fault-kill-rank R]
                           [--fault-seed S] [--recover auto]
                           [--max-recoveries K]
-                          [--ranks N] [--trace FILE] [--metrics FILE]
+                          [--ranks N] [--blocks B] [--workers W]
+                          [--rebalance-every N] [--rebalance-threshold X]
+                          [--trace FILE] [--metrics FILE]
                           [--scoreboard-every N]
                           [--block-width W]
      vpic_run sweep       [--a0s 0.02,0.04,...] [--ppc 32] [--with-noise-run]
@@ -31,7 +33,6 @@ module Species = Vpic_particle.Species
 module Particle = Vpic_particle.Particle
 module Rng = Vpic_util.Rng
 module Table = Vpic_util.Table
-module Perf = Vpic_util.Perf
 module Sentinel = Vpic.Sentinel
 module Fault = Vpic_util.Fault
 module Deck = Vpic_lpi.Deck
@@ -141,8 +142,7 @@ let two_stream_cmd =
 
 (* ------------------------------------------------------------------ srs *)
 
-(* The rank's worker team ([--workers N]; 0 = the classic one-domain
-   rank, bitwise-identical to every run before this flag existed).
+(* The rank's worker team ([--workers N]; 0 = the one-domain rank).
    Worker lanes arm their own trace buffers on spawn and wrap each
    region they join in a span, so Chrome-trace rows carry the worker id
    ([tid] = rank + 4096*worker).  [Trace.intern] memoises, so the
@@ -172,180 +172,43 @@ let export_trace = function
 
 let allreduce op comm x = match comm with Some cm -> op cm x | None -> x
 
-let rank_of = function None -> (0, 1) | Some cm -> (Comm.rank cm, Comm.size cm)
+(* Sentinel violations go to stderr, or to [path] (one file per rank,
+   [path.rankN], when there are several). *)
+let sentinel_log ~rank ~nranks = function
+  | None -> fun m -> Printf.eprintf "[sentinel] %s\n%!" m
+  | Some path ->
+      let oc =
+        open_out
+          (if nranks > 1 then Printf.sprintf "%s.rank%d" path rank else path)
+      in
+      at_exit (fun () -> close_out_noerr oc);
+      fun m -> output_string oc (m ^ "\n"); flush oc
 
-(* One rank's share of an srs world, as [run_srs] drives it.  The world
-   is either classic — one domain per rank ([classic_world]) — or
-   over-decomposed into relocatable y-slab blocks ([blocks_world]);
-   trace, metrics, team, scoreboard, report and final prints are
-   [run_srs]'s, once for both. *)
-type srs_world = {
-  header : string;  (** the deck line's prefix *)
-  perf : Perf.counters;  (** the rank's flop counters *)
-  nparticles : int;  (** world total at the start *)
-  sort_interval : int;  (** 0 = never *)
-  refl : Reflectivity.t;  (** this rank's reflectivity probe *)
-  run : steps:int -> after_step:(int -> unit) -> unit;
-      (** step, sample and checkpoint up to step [steps], calling
-          [after_step] after each step *)
-  summary : unit -> unit -> unit;
-      (** collective tallies, then the live root's extra result lines *)
-  final : unit -> float * int;  (** collective: total energy and step *)
-  finish : unit -> unit;  (** after the final prints *)
-}
+(* The hot fraction and the f(v) flattening at the EPW phase velocity of
+   the electrons in the first block the root owns: the whole box on one
+   block, block 0 when every rank holds its own slab. *)
+let print_trapping (bs : Deck.block_setup) =
+  match Multiblock.owned_sims bs.Deck.mb with
+  | [] -> ()
+  | (_, sim) :: _ ->
+      let c = bs.Deck.config in
+      let electrons = Simulation.find_species sim "electron" in
+      Printf.printf "hot fraction (>3Te) = %.3e\n"
+        (Trapping.hot_fraction electrons ~threshold_kev:(3. *. c.Deck.te_kev));
+      Printf.printf "f(v) flattening at v_phase = %.2f\n"
+        (Trapping.flattening
+           (Trapping.distribution electrons)
+           ~v_phase:bs.Deck.matching.Srs_theory.v_phase
+           ~uth:bs.Deck.plasma.Srs_theory.uth ~width:0.05)
 
-(* A classic rank: one domain, rebuilt from the deck and, with
-   [--resume auto], swapped for the simulation restored from the newest
-   valid generation.  Antennas are closures and are not checkpointed —
-   they re-attach here from the freshly built deck. *)
-let classic_world ~push_backend ~resume ~ckpt_dir ~ckpt_every ~keep
-    ~sentinel_every ~sentinel_log ~checkpoint ~comm ~team config =
-  let rank, nranks = rank_of comm in
-  let root = rank = 0 in
-  let per_rank path =
-    if nranks > 1 then Printf.sprintf "%s.rank%d" path rank else path
-  in
-  let setup = Deck.build ?comm ~push_backend config in
-  let setup =
-    if not resume then setup
-    else
-      match
-        Checkpoint.load_latest_valid
-          ~coupler:setup.Deck.sim.Simulation.coupler ~dir:ckpt_dir
-      with
-      | None ->
-          if root then
-            Printf.printf
-              "resume: no valid generation under %s, starting fresh\n%!"
-              ckpt_dir;
-          setup
-      | Some (sim, gen) ->
-          if root then
-            Printf.printf
-              "resume: restored generation %d (step %d) from %s\n%!" gen
-              sim.Simulation.nstep ckpt_dir;
-          List.iter (Simulation.add_laser sim)
-            (Simulation.lasers setup.Deck.sim);
-          { setup with Deck.sim }
-  in
-  let sim = setup.Deck.sim in
-  (* Install the team on the (possibly restored) simulation: the pool
-     holds closures and is never checkpointed, so a resume re-installs
-     the live one here. *)
-  Option.iter (fun tm -> Simulation.set_pool sim (Team.pool tm)) team;
-  (* Like the pool, the backend is an execution choice and is never
-     checkpointed: a resumed simulation comes back with the default
-     block backend, so re-apply the requested one here (a no-op on a
-     fresh build). *)
-  Simulation.set_push_backend sim push_backend;
-  (if sentinel_every > 0 then begin
-     let log =
-       match sentinel_log with
-       | None -> fun m -> Printf.eprintf "[sentinel] %s\n%!" m
-       | Some path ->
-           let oc = open_out (per_rank path) in
-           at_exit (fun () -> close_out_noerr oc);
-           fun m -> output_string oc (m ^ "\n"); flush oc
-     in
-     Sentinel.attach (Sentinel.make ~interval:sentinel_every ~log ()) sim
-   end);
-  let c = config in
-  { header =
-      Printf.sprintf "SRS deck: a0=%.3f nr=%.2f Te=%.1f keV" c.Deck.a0
-        c.Deck.nr c.Deck.te_kev;
-    perf = sim.Simulation.perf;
-    nparticles = Simulation.total_particles sim;
-    sort_interval = sim.Simulation.sort_interval;
-    refl = setup.Deck.refl;
-    run =
-      (fun ~steps ~after_step ->
-        for step = sim.Simulation.nstep + 1 to steps do
-          Simulation.step sim;
-          Reflectivity.sample setup.Deck.refl sim.Simulation.fields;
-          if ckpt_every > 0 && step mod ckpt_every = 0 then
-            Checkpoint.save_generation sim ~dir:ckpt_dir ~gen:step ~keep;
-          after_step step
-        done);
-    summary =
-      (fun () () ->
-        let electrons = Simulation.find_species sim "electron" in
-        let fv = Trapping.distribution electrons in
-        Printf.printf "hot fraction (>3Te) = %.3e\n"
-          (Trapping.hot_fraction electrons ~threshold_kev:(3. *. c.Deck.te_kev));
-        Printf.printf "f(v) flattening at v_phase = %.2f\n"
-          (Trapping.flattening fv
-             ~v_phase:setup.Deck.matching.Srs_theory.v_phase
-             ~uth:setup.Deck.plasma.Srs_theory.uth ~width:0.05));
-    final =
-      (fun () -> ((Simulation.energies sim).Simulation.total, sim.Simulation.nstep));
-    finish =
-      (fun () ->
-        match Option.map per_rank checkpoint with
-        | Some path ->
-            Checkpoint.save sim path;
-            if root then Printf.printf "checkpoint written to %s\n" path
-        | None -> ()) }
-
-(* An over-decomposed rank: [blocks] relocatable y-slabs spread over the
-   ranks, rebalanced every [rebalance_every] steps when the max/mean
-   push cost exceeds [rebalance_threshold], checkpointed per block and,
-   with [recover_auto], stepped under the recovery supervisor. *)
-let blocks_world ~push_backend ~blocks ~rebalance_every ~rebalance_threshold
-    ~cost_model ~ckpt_dir ~ckpt_every ~keep ~recover_auto ~max_recoveries
-    ~comm ~team config =
-  let _, nranks = rank_of comm in
-  let bs =
-    Deck.build_over ?comm ?pool:(Option.map Team.pool team) ~push_backend
-      ~rebalance_interval:rebalance_every ~rebalance_threshold ~cost_model
-      ~blocks config
-  in
-  let mb = bs.Deck.mb in
-  let reduce_sum = allreduce Comm.allreduce_sum comm in
-  { header =
-      Printf.sprintf
-        "SRS deck (over-decomposed): %d blocks on %d ranks, y-skew %.2f, \
-         rebalance every %d @ threshold %.2f"
-        blocks nranks config.Deck.y_skew rebalance_every rebalance_threshold;
-    perf = Multiblock.perf mb;
-    nparticles = Multiblock.total_particles mb;
-    sort_interval =
-      (match Multiblock.owned_sims mb with
-      | (_, sim) :: _ -> sim.Simulation.sort_interval
-      | [] -> 0);
-    refl = bs.Deck.refl;
-    run =
-      (fun ~steps ~after_step ->
-        if recover_auto then
-          ignore
-            (Vpic.Recover.supervise ~max_recoveries
-               ~after_step:(fun ~step ->
-                 Deck.sample_over bs;
-                 after_step step)
-               ~dir:ckpt_dir ~keep ~ckpt_every ~steps mb)
-        else
-          for step = 1 to steps do
-            Multiblock.step mb;
-            Deck.sample_over bs;
-            if ckpt_every > 0 && step mod ckpt_every = 0 then
-              Multiblock.save_generation mb ~dir:ckpt_dir ~gen:step ~keep;
-            after_step step
-          done);
-    summary =
-      (fun () ->
-        let migrations = reduce_sum (float_of_int (Multiblock.migrations mb)) in
-        let shipped = reduce_sum (Multiblock.ship_bytes mb) in
-        fun () ->
-          Scoreboard.print_block_rollup ~owners:(Multiblock.owners mb)
-            ~costs:(Multiblock.block_costs mb) ~migrations
-            ~shipped_bytes:shipped;
-          Printf.printf "push imbalance (max/mean, last window) = %.3f\n"
-            (Multiblock.last_imbalance mb));
-    final =
-      (fun () -> ((Multiblock.energies mb).Simulation.total, Multiblock.nstep mb));
-    finish = ignore }
-
-let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
-    resume sentinel_every sentinel_log kill_step fault_seed ranks workers
+(* Every run is one world: [blocks] relocatable y-slabs (one per rank by
+   default) spread over the ranks, resumed from the newest valid
+   generation with [--resume auto], watched by the sentinel, rebalanced
+   every [rebalance_every] steps when the max/mean push cost exceeds
+   [rebalance_threshold], checkpointed per block and, with
+   [recover_auto], stepped under the recovery supervisor. *)
+let run_srs a0 nr te nx ny nz ppc steps ckpt_dir ckpt_every keep resume
+    sentinel_every sentinel_log_file kill_step fault_seed ranks workers
     trace_file metrics_file scoreboard_every blocks rebalance_every
     rebalance_threshold cost_model y_skew kill_rank recover_auto
     max_recoveries block_width =
@@ -358,8 +221,6 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
       Fault.arm (Fault.Kill_rank { rank = kill_rank; step = s })
   | None -> ());
   if recover_auto then begin
-    if blocks <= 0 then
-      invalid_arg "vpic_run: --recover auto requires --blocks";
     if ckpt_every <= 0 then
       invalid_arg
         "vpic_run: --recover auto requires --checkpoint-every > 0 (rollback \
@@ -367,47 +228,25 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     if ranks <= 1 then
       invalid_arg "vpic_run: --recover auto requires --ranks >= 2"
   end;
-  if blocks > 0 then begin
-    if ranks > blocks then
-      invalid_arg
-        (Printf.sprintf "vpic_run: --blocks %d < --ranks %d" blocks ranks);
-    if resume then
-      prerr_endline
-        "vpic_run: --resume is not supported with --blocks; starting fresh";
-    if checkpoint <> None then
-      prerr_endline "vpic_run: --checkpoint is ignored with --blocks";
-    if sentinel_every > 0 then
-      prerr_endline "vpic_run: --sentinel-every is ignored with --blocks"
-  end;
+  let blocks = if blocks <= 0 then ranks else blocks in
+  if ranks > blocks then
+    invalid_arg (Printf.sprintf "vpic_run: --blocks %d < --ranks %d" blocks ranks);
   let config =
     { Deck.default with a0; nr; te_kev = te; nx; ny; nz; ppc; y_skew }
   in
-  (* Both worlds cut y into slabs (blocks, or one per rank); widen the
-     (quasi-1D) transverse box so every slab keeps at least two cells.
-     Blocks take a remainder-safe cut, classic ranks an even one. *)
+  (* Blocks cut y remainder-safely; widen the (quasi-1D) transverse box
+     so every block keeps at least two cells. *)
   let config =
-    if blocks > 0 then
-      if config.Deck.ny >= 2 * blocks then config
-      else { config with Deck.ny = 2 * blocks }
-    else if
-      ranks <= 1
-      || (config.Deck.ny mod ranks = 0 && config.Deck.ny / ranks >= 2)
-    then config
-    else { config with Deck.ny = 2 * ranks }
-  in
-  let make_world =
-    if blocks > 0 then
-      blocks_world ~push_backend ~blocks ~rebalance_every ~rebalance_threshold
-        ~cost_model ~ckpt_dir ~ckpt_every ~keep ~recover_auto ~max_recoveries
-    else
-      classic_world ~push_backend ~resume ~ckpt_dir ~ckpt_every ~keep
-        ~sentinel_every ~sentinel_log ~checkpoint
+    if config.Deck.ny >= 2 * blocks then config
+    else { config with Deck.ny = 2 * blocks }
   in
   let steps = Option.value steps ~default:(Deck.suggested_steps config) in
   (* The body runs once per rank ([Comm.run] when parallel); collective
      calls are kept on all ranks, prints on the live root only. *)
   let body comm =
-    let rank, nranks = rank_of comm in
+    let rank, nranks =
+      match comm with None -> (0, 1) | Some cm -> (Comm.rank cm, Comm.size cm)
+    in
     let root = rank = 0 in
     Trace.enable ~rank ();
     Metrics.enable ();
@@ -416,21 +255,44 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
     let team = make_team ~rank ~workers in
     Fun.protect ~finally:(fun () -> Option.iter Team.shutdown team)
     @@ fun () ->
-    let w = make_world ~comm ~team config in
+    let bs =
+      Deck.build_over ?comm ?pool:(Option.map Team.pool team) ~push_backend
+        ~rebalance_interval:rebalance_every ~rebalance_threshold ~cost_model
+        ~blocks config
+    in
+    let mb = bs.Deck.mb in
+    (if resume then
+       match Multiblock.resume mb ~dir:ckpt_dir with
+       | None when root ->
+           Printf.printf
+             "resume: no valid generation under %s, starting fresh\n%!" ckpt_dir
+       | Some gen when root ->
+           Printf.printf "resume: restored generation %d (step %d) from %s\n%!"
+             gen (Multiblock.nstep mb) ckpt_dir
+       | None | Some _ -> ());
+    if sentinel_every > 0 then
+      Sentinel.attach
+        (Sentinel.make ~interval:sentinel_every
+           ~log:(sentinel_log ~rank ~nranks sentinel_log_file)
+           ())
+        mb;
+    let nparticles = Multiblock.total_particles mb in
     if root then
-      Printf.printf "%s, %d particles, %d steps\n%!" w.header w.nparticles
-        steps;
+      Printf.printf
+        "SRS deck: a0=%.3f nr=%.2f Te=%.1f keV, %d blocks on %d ranks, y-skew \
+         %.2f, rebalance every %d @ threshold %.2f, %d particles, %d steps\n%!"
+        a0 nr te blocks nranks y_skew rebalance_every rebalance_threshold
+        nparticles steps;
     let reduce_sum = allreduce Comm.allreduce_sum comm in
     let board =
       Scoreboard.create
         ?worker_busy:(Option.map (fun tm () -> Team.busy_seconds tm) team)
-        ~metrics:registry ~perf:w.perf ~nranks ~reduce_sum
+        ~metrics:registry ~perf:(Multiblock.perf mb) ~nranks ~reduce_sum
         ~reduce_max:(allreduce Comm.allreduce_max comm) ()
     in
     (* The live root: lowest surviving rank.  Identical to [root] until
-       a recovery shrinks the world (only over-decomposed runs recover);
-       console prints and metrics lines follow it so a run that lost
-       rank 0 still reports. *)
+       a recovery shrinks the world; console prints and metrics lines
+       follow it so a run that lost rank 0 still reports. *)
     let live_root () =
       match comm with Some cm -> rank = Comm.root cm | None -> root
     in
@@ -456,47 +318,70 @@ let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
       | Some cm -> Metrics.reduce_comm cm registry
       | None -> Metrics.snapshot_local registry
     in
-    w.run ~steps ~after_step:(fun step ->
-        if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
-          let s = Scoreboard.sample board ~step in
-          let snap = snapshot () in
-          if live_root () then Scoreboard.print s;
-          emit (Scoreboard.sample_to_json s);
-          emit (Metrics.snapshot_to_json ~step snap)
-        end);
+    let after_step step =
+      Deck.sample_over bs;
+      if scoreboard_every > 0 && step mod scoreboard_every = 0 then begin
+        let s = Scoreboard.sample board ~step in
+        let snap = snapshot () in
+        if live_root () then Scoreboard.print s;
+        emit (Scoreboard.sample_to_json s);
+        emit (Metrics.snapshot_to_json ~step snap)
+      end
+    in
+    (if recover_auto then
+       ignore
+         (Vpic.Recover.supervise ~max_recoveries
+            ~after_step:(fun ~step -> after_step step)
+            ~dir:ckpt_dir ~keep ~ckpt_every ~steps mb)
+     else
+       for step = Multiblock.nstep mb + 1 to steps do
+         Multiblock.step mb;
+         if ckpt_every > 0 && step mod ckpt_every = 0 then
+           Multiblock.save_generation mb ~dir:ckpt_dir ~gen:step ~keep;
+         after_step step
+       done);
     let r =
-      reduce_sum (Reflectivity.reflectivity w.refl) /. float_of_int nranks
+      reduce_sum (Reflectivity.reflectivity bs.Deck.refl) /. float_of_int nranks
     in
     let totals = Scoreboard.totals board ~steps in
     let final_snap = snapshot () in
-    let print_summary = w.summary () in
+    let migrations = reduce_sum (float_of_int (Multiblock.migrations mb)) in
+    let shipped = reduce_sum (Multiblock.ship_bytes mb) in
     let workload =
       let voxels =
         float_of_int (config.Deck.nx * config.Deck.ny * config.Deck.nz)
       in
-      { Perf_model.particles = float_of_int w.nparticles;
+      let sort_interval =
+        match Multiblock.owned_sims mb with
+        | (_, sim) :: _ -> sim.Simulation.sort_interval
+        | [] -> 0
+      in
+      { Perf_model.particles = float_of_int nparticles;
         voxels;
-        steps_per_sort =
-          (if w.sort_interval > 0 then w.sort_interval else max_int);
-        ppc_effective = float_of_int w.nparticles /. voxels }
+        steps_per_sort = (if sort_interval > 0 then sort_interval else max_int);
+        ppc_effective = float_of_int nparticles /. voxels }
     in
     let report =
       (* the block kernel's calibration, so predicted-vs-measured
          per-particle flop estimates compare like with like *)
       Report.make ~kernel:(`Block block_width) ~totals ~workload ()
     in
-    let energy, nstep = w.final () in
+    let energy = (Multiblock.energies mb).Simulation.total in
     if live_root () then begin
       Printf.printf "reflectivity = %.4e\n" r;
-      print_summary ();
+      print_trapping bs;
+      Scoreboard.print_block_rollup ~owners:(Multiblock.owners mb)
+        ~costs:(Multiblock.block_costs mb) ~migrations ~shipped_bytes:shipped;
+      Printf.printf "push imbalance (max/mean, last window) = %.3f\n"
+        (Multiblock.last_imbalance mb);
       Scoreboard.print_totals totals;
       Report.print report;
       emit (Metrics.snapshot_to_json ~step:steps final_snap);
       emit (Report.to_json report);
       Option.iter close_out !metrics_oc;
-      Printf.printf "final total energy = %.10e at step %d\n" energy nstep
-    end;
-    w.finish ()
+      Printf.printf "final total energy = %.10e at step %d\n" energy
+        (Multiblock.nstep mb)
+    end
   in
   (if ranks <= 1 then body None
    else if not recover_auto then
@@ -554,14 +439,14 @@ let rec classify_failure = function
       exit (Option.value ~default:1 (Vpic.Recover.classify_exit e))
   | e -> raise e
 
-let run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
-    resume sentinel_every sentinel_log kill_step fault_seed ranks workers
+let run_srs a0 nr te nx ny nz ppc steps ckpt_dir ckpt_every keep resume
+    sentinel_every sentinel_log kill_step fault_seed ranks workers
     trace_file metrics_file scoreboard_every blocks rebalance_every
     rebalance_threshold cost_model y_skew kill_rank recover_auto
     max_recoveries block_width =
   try
-    run_srs a0 nr te nx ny nz ppc steps checkpoint ckpt_dir ckpt_every keep
-      resume sentinel_every sentinel_log kill_step fault_seed ranks workers
+    run_srs a0 nr te nx ny nz ppc steps ckpt_dir ckpt_every keep resume
+      sentinel_every sentinel_log kill_step fault_seed ranks workers
       trace_file metrics_file scoreboard_every blocks rebalance_every
       rebalance_threshold cost_model y_skew kill_rank recover_auto
       max_recoveries block_width
@@ -587,10 +472,6 @@ let srs_cmd =
   let steps =
     Arg.(value & opt (some int) None & info [ "steps" ] ~doc:"Override step count.")
   in
-  let ckpt =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~doc:"Write a checkpoint at the end.")
-  in
   let ckpt_dir =
     Arg.(value & opt string "srs.ckpt"
          & info [ "checkpoint-dir" ]
@@ -599,7 +480,9 @@ let srs_cmd =
   let ckpt_every =
     Arg.(value & opt int 0
          & info [ "checkpoint-every" ]
-             ~doc:"Save a checkpoint generation every N steps (0 = off).")
+             ~doc:"Save a checkpoint generation (one file per block) \
+                   every N steps (0 = off); --resume auto restarts from \
+                   the newest valid one.")
   in
   let keep =
     Arg.(value & opt int 3
@@ -641,9 +524,9 @@ let srs_cmd =
              ~doc:"$(b,auto): survive rank deaths by shrinking the world — \
                    survivors agree on the dead, roll back collectively to \
                    the newest valid checkpoint generation, adopt the \
-                   orphaned blocks and resume (requires --blocks, --ranks \
-                   >= 2 and --checkpoint-every > 0).  $(b,off) (default): \
-                   any rank death aborts the run.")
+                   orphaned blocks and resume (requires --ranks >= 2 and \
+                   --checkpoint-every > 0).  $(b,off) (default): any rank \
+                   death aborts the run.")
   in
   let max_recoveries =
     Arg.(value & opt int 3
@@ -658,18 +541,20 @@ let srs_cmd =
   let ranks =
     Arg.(value & opt int 1
          & info [ "ranks" ]
-             ~doc:"Run the deck decomposed over N ranks (domains); the \
-                   transverse box is widened if needed so y divides evenly.")
+             ~doc:"Run the deck over N ranks (domains), each stepping the \
+                   y-slab blocks it owns (--blocks; one per rank by \
+                   default).")
   in
   let workers =
     Arg.(value & opt int 0
          & info [ "workers" ]
              ~doc:"Per-rank worker team size: each rank's compute phases \
                    (interior push, sort, interpolator load, clean, \
-                   moments) fan out over N domains inside the rank.  The \
-                   tile decomposition is fixed, so stepped results are \
-                   bitwise identical for any N >= 1.  0 (default) is the \
-                   classic one-domain rank (legacy summation order).")
+                   moments) fan out over N domains inside the rank, for \
+                   every block the rank owns.  The tile decomposition is \
+                   fixed, so stepped results are bitwise identical for \
+                   any N >= 1.  0 (default) is the one-domain rank (legacy \
+                   summation order).")
   in
   let trace_file =
     Arg.(value & opt (some string) None
@@ -695,28 +580,32 @@ let srs_cmd =
   let blocks =
     Arg.(value & opt int 0
          & info [ "blocks" ]
-             ~doc:"Over-decompose into N relocatable y-slab blocks \
-                   (must be >= --ranks; 0 = classic one-domain-per-rank \
-                   run).  Per-block RNGs make results independent of the \
-                   rank count and of any mid-run block relocation.")
+             ~doc:"Cut y into N relocatable y-slab blocks (must be >= \
+                   --ranks; 0, the default, means one block per rank).  \
+                   Every run is this one world: resume, the sentinel, \
+                   checkpoints, rebalance and recovery work at any N.  \
+                   The cut is remainder-safe (ny need not divide by N); \
+                   ny is widened to 2N if smaller.  Per-block RNGs make \
+                   results independent of the rank count and of any \
+                   mid-run block relocation.")
   in
   let rebalance_every =
     Arg.(value & opt int 10
          & info [ "rebalance-every" ]
-             ~doc:"With --blocks: check per-block push-cost gauges and \
-                   consider shipping blocks every N steps.")
+             ~doc:"Check per-block push-cost gauges and consider \
+                   shipping blocks every N steps.")
   in
   let rebalance_threshold =
     Arg.(value & opt float 0.
          & info [ "rebalance-threshold" ]
-             ~doc:"With --blocks: rebalance when max/mean per-rank push \
-                   cost exceeds this ratio (e.g. 1.2; 0 = never).")
+             ~doc:"Rebalance when max/mean per-rank push cost exceeds \
+                   this ratio (e.g. 1.2; 0 = never).")
   in
   let cost_model =
     let models = Arg.enum [ ("wall", `Wall); ("particles", `Particles) ] in
     Arg.(value & opt models `Wall
          & info [ "rebalance-cost" ]
-             ~doc:"With --blocks: per-block cost gauge. $(b,wall) times \
+             ~doc:"Per-block cost gauge for the rebalancer. $(b,wall) times \
                    the push; $(b,particles) counts macro-particles pushed \
                    (deterministic — use when ranks timeshare few cores).")
   in
@@ -751,8 +640,7 @@ let srs_cmd =
   in
   Cmd.v
     (Cmd.info "srs" ~doc:"Laser-plasma SRS deck (one parameter-study point)")
-    Term.(const run_srs $ a0 $ nr $ te $ nx $ ny $ nz $ ppc $ steps $ ckpt
-          $ ckpt_dir
+    Term.(const run_srs $ a0 $ nr $ te $ nx $ ny $ nz $ ppc $ steps $ ckpt_dir
           $ ckpt_every $ keep $ resume $ sentinel_every $ sentinel_log
           $ kill_step $ fault_seed $ ranks $ workers $ trace_file
           $ metrics_file $ scoreboard_every $ blocks $ rebalance_every

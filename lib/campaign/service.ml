@@ -5,6 +5,7 @@ module Trapping = Vpic_lpi.Trapping
 module Srs_theory = Vpic_lpi.Srs_theory
 module Simulation = Vpic.Simulation
 module Checkpoint = Vpic.Checkpoint
+module Multiblock = Vpic.Multiblock
 module Sentinel = Vpic.Sentinel
 module Team = Vpic_parallel.Team
 module Trace = Vpic_telemetry.Trace
@@ -65,7 +66,8 @@ exception Lease_lost
    The reflectivity probe is a running window average that the core
    checkpoint does not know about (it lives in the deck layer), so each
    generation gets a sidecar file in its directory: magic, CRC-32 of
-   the payload, then a Marshal image of the probe.  The sidecar is
+   the payload, then the probe's explicit encoding
+   ([Reflectivity.encode]).  The sidecar is
    written after the generation commits and pruned with the generation
    by the checkpoint's own retention; a missing or corrupt sidecar
    degrades to restarting the probe average (stated, not hidden — the
@@ -79,7 +81,7 @@ let sidecar_path ~dir ~gen =
     "refl.bin"
 
 let write_refl_sidecar ~path (refl : Reflectivity.t) =
-  let payload = Marshal.to_string refl [] in
+  let payload = Reflectivity.encode refl in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
@@ -110,8 +112,8 @@ let read_refl_sidecar ~path : Reflectivity.t option =
               let payload = really_input_string ic len in
               if Printf.sprintf "%08lx" (Crc32.string payload) <> crc_line then
                 None
-              else Some (Marshal.from_string payload 0)
-          with End_of_file | Failure _ -> None)
+              else Reflectivity.decode payload
+          with End_of_file | Sys_error _ -> None)
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -170,45 +172,34 @@ type ctx = {
 let simulate ctx (job : Job.t) ~worker =
   let t0 = Unix.gettimeofday () in
   let config = job.Job.config in
-  let setup = Deck.build config in
+  let bs = Deck.build_over ~blocks:1 config in
+  let mb = bs.Deck.mb in
   let ckpt_dir = Queue.ckpt_dir ctx.q ~id:job.Job.id in
-  let setup, resumed_gen =
-    match
-      Checkpoint.load_latest_valid ~coupler:setup.Deck.sim.Simulation.coupler
-        ~dir:ckpt_dir
-    with
-    | None -> (setup, 0)
-    | Some (sim, gen) ->
-        (* Antennas are closures and are not checkpointed: re-attach
-           from the fresh build, exactly as the runner's resume path. *)
-        List.iter (Simulation.add_laser sim) (Simulation.lasers setup.Deck.sim);
-        let refl =
-          match read_refl_sidecar ~path:(sidecar_path ~dir:ckpt_dir ~gen) with
-          | Some refl -> refl
-          | None -> setup.Deck.refl
-        in
-        ({ setup with Deck.sim; refl }, gen)
+  let bs, resumed_gen =
+    match Multiblock.resume mb ~dir:ckpt_dir with
+    | None -> (bs, 0)
+    | Some gen -> (
+        match read_refl_sidecar ~path:(sidecar_path ~dir:ckpt_dir ~gen) with
+        | Some refl -> ({ bs with Deck.refl }, gen)
+        | None -> (bs, gen))
   in
-  let sim = setup.Deck.sim in
   if ctx.p.sentinel_every > 0 then
-    Sentinel.attach (Sentinel.make ~interval:ctx.p.sentinel_every ()) sim;
+    Sentinel.attach (Sentinel.make ~interval:ctx.p.sentinel_every ()) mb;
   let renew_interval = ctx.p.lease_s /. 3. in
   let renew_at = ref (t0 +. renew_interval) in
-  while sim.Simulation.nstep < job.Job.steps do
+  while Multiblock.nstep mb < job.Job.steps do
     if Atomic.get ctx.abort then raise Abandon;
-    Simulation.step sim;
+    Multiblock.step mb;
     Atomic.incr ctx.sim_steps;
-    Reflectivity.sample setup.Deck.refl sim.Simulation.fields;
-    let n = sim.Simulation.nstep in
+    Deck.sample_over bs;
+    let n = Multiblock.nstep mb in
     if
       ctx.p.checkpoint_every > 0
       && n mod ctx.p.checkpoint_every = 0
       && n < job.Job.steps
     then begin
-      Checkpoint.save_generation sim ~dir:ckpt_dir ~gen:n ~keep:ctx.p.keep;
-      write_refl_sidecar
-        ~path:(sidecar_path ~dir:ckpt_dir ~gen:n)
-        setup.Deck.refl
+      Multiblock.save_generation mb ~dir:ckpt_dir ~gen:n ~keep:ctx.p.keep;
+      write_refl_sidecar ~path:(sidecar_path ~dir:ckpt_dir ~gen:n) bs.Deck.refl
     end;
     let now = Unix.gettimeofday () in
     if now >= !renew_at then begin
@@ -217,6 +208,7 @@ let simulate ctx (job : Job.t) ~worker =
       renew_at := now +. renew_interval
     end
   done;
+  let sim = snd (List.hd (Multiblock.owned_sims mb)) in
   let electrons = Simulation.find_species sim "electron" in
   let hot_fraction =
     Trapping.hot_fraction electrons ~threshold_kev:(3. *. config.Deck.te_kev)
@@ -224,16 +216,16 @@ let simulate ctx (job : Job.t) ~worker =
   let fv = Trapping.distribution electrons in
   let flattening =
     Trapping.flattening fv
-      ~v_phase:setup.Deck.matching.Srs_theory.v_phase
-      ~uth:setup.Deck.plasma.Srs_theory.uth ~width:0.05
+      ~v_phase:bs.Deck.matching.Srs_theory.v_phase
+      ~uth:bs.Deck.plasma.Srs_theory.uth ~width:0.05
   in
   { Store.hash = job.Job.id;
     a0 = config.Deck.a0;
     nr = config.Deck.nr;
     seed = config.Deck.rng_seed;
     steps = job.Job.steps;
-    r_measured = Reflectivity.reflectivity setup.Deck.refl;
-    r_peak = Reflectivity.peak_reflectivity setup.Deck.refl;
+    r_measured = Reflectivity.reflectivity bs.Deck.refl;
+    r_peak = Reflectivity.peak_reflectivity bs.Deck.refl;
     hot_fraction;
     flattening;
     elapsed_s = Unix.gettimeofday () -. t0;

@@ -6,17 +6,20 @@
     done job is served from the results cache in zero simulation steps,
     which is what makes resubmission free).  {!work} runs a pool of
     domains ({!Vpic_parallel.Team}, the {!Vpic_util.Pool} fork-join
-    contract) that lease jobs, simulate them under {!Vpic.Sentinel}
-    monitoring with per-job trace spans, checkpoint every
-    [checkpoint_every] steps through {!Vpic.Checkpoint.save_generation}
-    (plus a CRC-framed reflectivity-probe sidecar so a resumed probe
-    average is bitwise the uninterrupted one), and append results to the
-    store {e before} marking the job done.
+    contract) that lease jobs, simulate each as a 1-block
+    {!Vpic.Multiblock} world ({!Vpic_lpi.Deck.build_over}) under
+    {!Vpic.Sentinel} monitoring with per-job trace spans, checkpoint
+    every [checkpoint_every] steps through
+    {!Vpic.Multiblock.save_generation} (plus a CRC-framed
+    reflectivity-probe sidecar so a resumed probe average is bitwise the
+    uninterrupted one), and append results to the store {e before}
+    marking the job done.
 
     {b Failure semantics.}  A worker that dies (e.g. an injected kill)
     abandons its lease; the deadline expires and the next {!work} run
     reclaims the job, re-leases it with [attempts+1], and the runner
-    resumes from the newest valid checkpoint generation.  Jobs whose
+    resumes from the newest valid checkpoint generation
+    ({!Vpic.Multiblock.resume}).  Jobs whose
     attempts exhaust [retry_budget] land in [failed/].  A lost lease
     (reclaimed while the worker was still alive) is detected by the
     fencing generation at renew/complete time and the worker's result is
@@ -63,6 +66,20 @@ val submit : Queue.t -> Store.t -> Spec.t -> submit_report
     {!Vpic_util.Fault.Injected_kill}) after the team joins — leases held
     at that point stay on disk for the next run to reclaim. *)
 val work : ?params:params -> Queue.t -> Store.t -> stats
+
+(** {1 Reflectivity sidecar}
+
+    The probe state saved next to each checkpoint generation
+    ([refl.bin]): a magic line, the CRC-32 of the payload as hex, then
+    {!Vpic_lpi.Reflectivity.encode}'s image.  The write is atomic (temp
+    file, then rename). *)
+
+val write_refl_sidecar : path:string -> Vpic_lpi.Reflectivity.t -> unit
+
+(** [None] for a missing, truncated or corrupted sidecar (bad magic, CRC
+    mismatch, an image {!Vpic_lpi.Reflectivity.decode} refuses) — never
+    an exception: the resumed job then restarts its probe average. *)
+val read_refl_sidecar : path:string -> Vpic_lpi.Reflectivity.t option
 
 (** (pending, leased, done, failed) queue counts plus the store's
     distinct cached hashes. *)

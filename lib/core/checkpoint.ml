@@ -943,11 +943,3 @@ let save_generation (t : Simulation.t) ~dir ~gen ~keep =
   save_generation_blocks ~dir ~gen ~keep ~rank:c.Coupler.rank
     ~nblocks:c.Coupler.nranks ~barrier:c.Coupler.barrier
     ~owned:[ (c.Coupler.rank, t) ] ()
-
-let load_latest_valid ~coupler ~dir =
-  let rank = coupler.Coupler.rank in
-  pick_latest_valid_gen ~dir ~nblocks:coupler.Coupler.nranks ~mine:[ rank ]
-    ~reduce_sum:coupler.Coupler.reduce_sum
-  |> Option.map (fun gen ->
-         let path = block_path ~dir ~gen ~block:rank in
-         (load_block ~expect_block:rank ~coupler path, gen))

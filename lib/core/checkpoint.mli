@@ -31,13 +31,15 @@
 
     {1 Generations}
 
-    One protocol serves both worlds.  A run directory holds the last
-    [keep] checkpoint generations, one subdirectory per generation with
-    one file per {e block} ([blk%05d.ckpt]), plus a [MANIFEST] (format
+    A run directory holds the last [keep] checkpoint generations, one
+    subdirectory per generation with one file per {e block}
+    ([blk%05d.ckpt]), plus a [MANIFEST] (format
     [vpic-checkpoint-manifest 2]) recording the file count [nblocks]
-    and the generations whose every file has landed.  An over-decomposed
-    run writes one file per relocatable block; a classic run is block
-    [rank] of [nranks].  The commit protocol — every rank saves its
+    and the generations whose every file has landed.  A {!Multiblock}
+    world writes one file per block ([Multiblock.save_generation]) and
+    restores through [Multiblock.resume]; a lone simulation stepped
+    directly (srsbench, the tests) is block [rank] of [nranks]
+    ({!save_generation}).  The commit protocol — every rank saves its
     blocks atomically (with bounded retry), barrier, the root rewrites
     the manifest atomically and prunes old generations — guarantees the
     manifest never points at a partial generation.  Restores walk
@@ -162,12 +164,6 @@ val committed_generations : dir:string -> int list
 (** Collective: {!save_generation_blocks} of this rank's simulation as
     block [rank] of [nranks], over the coupler's barrier. *)
 val save_generation : Simulation.t -> dir:string -> gen:int -> keep:int -> unit
-
-(** Collective: {!pick_latest_valid_gen} with each rank verifying its
-    own block, then {!load_block} of block [rank] from the picked
-    generation.  [None] when no usable generation exists. *)
-val load_latest_valid :
-  coupler:Coupler.t -> dir:string -> (Simulation.t * int) option
 
 (** {1 Recovery support}
 

@@ -10,7 +10,6 @@ type t = {
   fill_em_begin : Em_field.t -> unit;
   fill_em_finish : Em_field.t -> unit;
   fill_e : Em_field.t -> unit;
-  fill_scalar : Sf.t -> unit;
   fill_list : Sf.t list -> unit;
   fold_currents : Em_field.t -> unit;
   fold_rho : Em_field.t -> unit;
@@ -37,7 +36,6 @@ let local bc =
     fill_em_begin = (fun _ -> ());
     fill_em_finish = (fun f -> Boundary.fill_em bc f);
     fill_e = (fun f -> Boundary.fill_scalars bc (Em_field.e_components f));
-    fill_scalar = (fun s -> Boundary.fill_scalars bc [ s ]);
     fill_list = (fun ss -> Boundary.fill_scalars bc ss);
     fold_currents = (fun f -> Boundary.fold_currents bc f);
     fold_rho = (fun f -> Boundary.fold_rho bc f);
@@ -93,7 +91,6 @@ let parallel comm bc ~grid =
     fill_em_finish =
       (fun f -> Exchange.fill_finish ports ~views ~scalars:(ems f));
     fill_e = (fun f -> fill (es f));
-    fill_scalar = (fun s -> fill (only [ s ]));
     fill_list = (fun ss -> fill (only ss));
     fold_currents = (fun f -> fold (js f));
     fold_rho = (fun f -> fold (only [ f.Em_field.rho ]));
@@ -117,4 +114,4 @@ let parallel comm bc ~grid =
 
 let marder_hooks t f =
   { Vpic_field.Marder.fill_e = (fun () -> t.fill_e f);
-    fill_scalar = (fun s -> t.fill_scalar s) }
+    fill_scalar = (fun s -> t.fill_list [ s ]) }

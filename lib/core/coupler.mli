@@ -1,9 +1,14 @@
 (** The seam between the physics loop and the outside world: ghost
     consistency, current folding, particle migration and reductions.
-    A [local] coupler serves single-rank runs (boundary conditions applied
-    in place); a [parallel] coupler routes [Domain] faces through the
-    message-passing runtime.  The simulation loop is identical either
-    way. *)
+    A [local] coupler serves a lone simulation (boundary conditions
+    applied in place); a [parallel] coupler routes [Domain] faces through
+    the message-passing runtime.  The simulation loop is identical either
+    way.  Every [vpic_run srs] run and campaign job steps a
+    {!Multiblock} instead, whose blocks carry
+    {!Multiblock.block_coupler}s that route nothing: the driver's world
+    does all their traffic.  [local] and [parallel] remain for direct
+    [Simulation.step] callers (srsbench, the sweep, the examples and the
+    tests). *)
 
 module Sf = Vpic_grid.Scalar_field
 module Bc = Vpic_grid.Bc
@@ -19,7 +24,6 @@ type t = {
   fill_em_finish : Em_field.t -> unit;
       (** completes a [fill_em_begin] (same field) *)
   fill_e : Em_field.t -> unit;       (** E-component ghosts only *)
-  fill_scalar : Sf.t -> unit;        (** ghosts of a node scalar *)
   fill_list : Sf.t list -> unit;     (** ghosts of several scalars (batched) *)
   fold_currents : Em_field.t -> unit;
   fold_rho : Em_field.t -> unit;

@@ -51,6 +51,8 @@ type t = {
       (* re-install closures (laser antennas) on a freshly decoded sim *)
   mutable views : Exchange.view list;
   mutable nstep : int;
+  mutable monitor : (t -> unit) option;
+      (* health hook, run after every completed step (see Sentinel) *)
   (* dynamic load balancing *)
   rebalance_interval : int;
   rebalance_threshold : float;  (* max/mean push cost; 0 = disabled *)
@@ -69,33 +71,27 @@ type t = {
    Its [rank] is the *block id*, making the push RNG salt — and thus
    every trajectory — independent of block ownership. *)
 let block_coupler layout ~global_bc ~id =
-  let nblocks = Block.count layout in
-  let bc = Block.bc layout ~global:global_bc ~id in
-  if nblocks = 1 then Coupler.local bc
-  else begin
-    let no_route what _ =
-      failwith ("Multiblock: block coupler does not route " ^ what)
-    in
-    { Coupler.bc;
-      fill_em = no_route "fill_em";
-      fill_em_begin = no_route "fill_em_begin";
-      fill_em_finish = no_route "fill_em_finish";
-      fill_e = no_route "fill_e";
-      fill_scalar = no_route "fill_scalar";
-      fill_list = no_route "fill_list";
-      migrate =
-        (fun ?accum:_ _ _ movers ->
-          assert (Vpic_particle.Push.Movers.count movers = 0));
-      fold_currents = no_route "fold_currents";
-      fold_rho = no_route "fold_rho";
-      reduce_sum = Fun.id;
-      reduce_max = Fun.id;
-      barrier = (fun () -> ());
-      comm_bytes = (fun () -> 0.);
-      migrate_rng = Some (Vpic_util.Rng.of_int (0x5EED + id));
-      rank = id;
-      nranks = nblocks }
-  end
+  let no_route what _ =
+    failwith ("Multiblock: block coupler does not route " ^ what)
+  in
+  { Coupler.bc = Block.bc layout ~global:global_bc ~id;
+    fill_em = no_route "fill_em";
+    fill_em_begin = no_route "fill_em_begin";
+    fill_em_finish = no_route "fill_em_finish";
+    fill_e = no_route "fill_e";
+    fill_list = no_route "fill_list";
+    migrate =
+      (fun ?accum:_ _ _ movers ->
+        assert (Vpic_particle.Push.Movers.count movers = 0));
+    fold_currents = no_route "fold_currents";
+    fold_rho = no_route "fold_rho";
+    reduce_sum = Fun.id;
+    reduce_max = Fun.id;
+    barrier = (fun () -> ());
+    comm_bytes = (fun () -> 0.);
+    migrate_rng = Some (Vpic_util.Rng.of_int (0x5EED + id));
+    rank = id;
+    nranks = Block.count layout }
 
 let coupler t ~id = block_coupler t.layout ~global_bc:t.global_bc ~id
 
@@ -172,7 +168,7 @@ let world t =
       (fun () -> Exchange.fill_finish t.ports ~views:t.views ~scalars:ems);
     fill_em = (fun () -> fill ems);
     fill_e = (fun () -> fill (fun id -> Em_field.e_components (fields id)));
-    fill_scalar = (fun mesh -> fill (fun id -> [ mesh (get t id).sim ]));
+    fill_list = (fun meshes -> fill (fun id -> meshes (get t id).sim));
     fold_currents = (fun () -> fold (fun id -> (get t id).js));
     fold_rho = (fun () -> fold (fun id -> [ (fields id).Em_field.rho ]));
     migrate = migrate_blocks t;
@@ -199,10 +195,6 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       let sim = build ~id ~coupler ~perf in
       if sim.Simulation.coupler != coupler then
         invalid_arg "Multiblock.create: build must use the supplied coupler";
-      (* Filtering fills through the simulation's own coupler, which
-         routes nothing in a world of several blocks. *)
-      if sim.Simulation.current_filter_passes > 0 && nblocks > 1 then
-        invalid_arg "Multiblock.create: current filtering needs one block";
       Simulation.set_pool sim pool;
       blocks.(id) <- Some (mk_block id sim))
     (Block.Ownership.owned ownership ~rank);
@@ -226,6 +218,7 @@ let create ?comm ?(pool = Vpic_util.Pool.serial)
       reattach;
       views = [];
       nstep = 0;
+      monitor = None;
       rebalance_interval = max 1 rebalance_interval;
       rebalance_threshold;
       cost_model;
@@ -254,15 +247,12 @@ let nstep t = t.nstep
 let comm t = t.comm
 let owners t = Block.Ownership.snapshot t.ownership
 let owned_sims t = List.map (fun b -> (b.id, b.sim)) (owned t)
-let time t = (owned t |> List.hd).sim |> Simulation.time
+let set_monitor t f = t.monitor <- f
 let perf t = t.perf
 let migrations t = t.migrations
 let ship_bytes t = t.ship_bytes
 let last_imbalance t = t.last_imbalance
 let block_costs t = Array.copy t.last_costs
-let comm_bytes t =
-  let f, fo, m = Exchange.byte_counts t.ports in
-  f +. fo +. m +. t.ship_bytes
 
 (* ----------------------------------------------------------- rebalance ---- *)
 
@@ -385,7 +375,11 @@ let step t =
       t.push_cost.(b.id) <- t.push_cost.(b.id) +. cost)
     bs pushed;
   ignore (maybe_rebalance t);
-  t.nstep <- t.nstep + 1
+  t.nstep <- t.nstep + 1;
+  (* Health monitor (sentinel) last: it sees the completed step and may
+     raise; its checks are collective, and every rank reaches them at
+     the same step. *)
+  Option.iter (fun f -> f t) t.monitor
 
 let run t ~steps ?(every = 0) ?diag () =
   for _ = 1 to steps do
@@ -401,7 +395,6 @@ let sims t = List.map (fun b -> b.sim) (owned t)
 let energies t = Simulation.energies_world (world t) (sims t)
 let total_particles t = Simulation.total_particles_world (world t) (sims t)
 let gauss_residual t = Simulation.gauss_residual_world (world t) (sims t)
-let div_b_max t = Simulation.div_b_max_world (world t) (sims t)
 
 let settle_fields t ~passes =
   Simulation.settle_fields_world (world t) (sims t) ~passes
@@ -454,3 +447,19 @@ let rollback_to t ~dir ~gen ~owner =
   Array.fill t.push_cost 0 nb 0.;
   Array.fill t.last_costs 0 nb 0.;
   t.last_imbalance <- 1.
+
+(* Collective.  Each rank verifies the files of the blocks it owns, the
+   world agrees on the newest generation whose every file passed, and
+   every rank reloads its own blocks from it. *)
+let resume t ~dir =
+  match
+    Checkpoint.pick_latest_valid_gen ~dir ~nblocks:(nblocks t)
+      ~mine:(List.map (fun b -> b.id) (owned t))
+      ~reduce_sum:(reduce_sum t)
+  with
+  | None -> None
+  | Some gen ->
+      rollback_to t ~dir ~gen ~owner:(owners t);
+      (* Every rank is reloaded before any of them steps. *)
+      barrier t;
+      Some gen

@@ -1,6 +1,6 @@
-(** Over-decomposition driver: the global grid is split into more blocks
-    than ranks ({!Vpic_grid.Block}) and each rank steps the {e list} of
-    blocks it currently owns.  Each block is an ordinary
+(** The block world: the global grid is split into blocks
+    ({!Vpic_grid.Block}; at least one per rank, more to over-decompose)
+    and each rank steps the {e list} of blocks it currently owns.  Each block is an ordinary
     {!Simulation.t} whose coupler performs no communication — ghost
     fills/folds, mover migration and reductions are all driven from
     here, fused across the owned blocks and routed by the block
@@ -17,7 +17,13 @@
     uses, {!Simulation.step_world}, under this driver's routing.  A
     1-block world's faces are local ([Periodic] and the like, never
     [Domain]), so the block ports fill and fold them in f64 and it steps
-    bitwise like the classic serial loop. *)
+    bitwise like the serial loop on a local coupler; [N] blocks on [N]
+    ranks step bitwise like [N] one-domain [Coupler.parallel] ranks.
+    That makes this the one world every [vpic_run srs] run and every
+    campaign job steps: resume ({!resume}), the health sentinel
+    ({!set_monitor}, installed by [Sentinel.attach]), current
+    filtering, rebalance and recovery all work at any block and rank
+    count. *)
 
 module Bc = Vpic_grid.Bc
 module Block = Vpic_grid.Block
@@ -27,9 +33,8 @@ type t
 
 (** The coupler every block simulation must be built with: its [rank]
     is the block id (RNG salts are ownership-independent) and its
-    fill/fold closures raise — the driver routes all traffic.  A 1-block
-    layout gets a local coupler instead, which current filtering fills
-    through. *)
+    fill/fold closures raise — the driver routes all traffic, filter
+    passes included, for any block count. *)
 val block_coupler : Block.t -> global_bc:Bc.t -> id:int -> Coupler.t
 
 (** Collective (when [comm] is given; every rank, same arguments).
@@ -66,7 +71,6 @@ val create :
 
 val nblocks : t -> int
 val nstep : t -> int
-val time : t -> float
 val perf : t -> Vpic_util.Perf.counters
 
 (** Current block → rank table (copy). *)
@@ -79,11 +83,19 @@ val owned_sims : t -> (int * Simulation.t) list
     the owned blocks with fused block routing, then the per-block cost
     gauge.  Spans carry the classic step's names, so the Scoreboard
     aggregates over-decomposed runs unchanged.  Every
-    [rebalance_interval]-th step ends by publishing per-block
+    [rebalance_interval]-th step publishes per-block
     ["push.cost.b<id>"] gauges and, when the threshold is exceeded,
-    executing a collectively-agreed block relocation
-    (["rebalance.migrations"] / ["rebalance.bytes"] counters). *)
+    executes a collectively-agreed block relocation
+    (["rebalance.migrations"] / ["rebalance.bytes"] counters).  The
+    monitor ({!set_monitor}) runs last, once the step counter has
+    advanced; it may raise to abort the run. *)
 val step : t -> unit
+
+(** Install (or, with [None], remove) the health hook {!step} runs after
+    every completed step on every rank — [Sentinel.attach] installs its
+    check here.  The hook may make collective calls: every rank runs it
+    at the same step. *)
+val set_monitor : t -> (t -> unit) option -> unit
 
 val run : t -> steps:int -> ?every:int -> ?diag:(t -> unit) -> unit -> unit
 
@@ -101,20 +113,16 @@ val last_imbalance : t -> float
     tabulates. *)
 val block_costs : t -> float array
 
-(** Fill/fold/migrate/ship wire bytes posted by this rank. *)
-val comm_bytes : t -> float
-
-(** Force a rebalance check now (collective); returns the number of
-    moves executed. *)
-val rebalance_now : t -> int
-
 (** {1 Diagnostics} (reduced across ranks; collective) *)
 
 val energies : t -> Simulation.energies
 val total_particles : t -> int
 val gauss_residual : t -> float
-val div_b_max : t -> float
 val settle_fields : t -> passes:int -> unit
+
+(** The world's max-reduction over the ranks (the identity in a serial
+    world) — how a rank-local verdict becomes a world verdict. *)
+val reduce_max : t -> float -> float
 
 (** The comm handle the world was created with (None in serial runs). *)
 val comm : t -> Comm.t option
@@ -125,6 +133,17 @@ val comm : t -> Comm.t option
     blocks — committed by the lowest live rank, with the current
     ownership table recorded as the generation's [OWNERS] file. *)
 val save_generation : t -> dir:string -> gen:int -> keep:int -> unit
+
+(** Collective: resume from the run directory [dir].  Each rank
+    checksum-verifies the files of the blocks it owns, the world agrees
+    on the newest generation whose every file passed
+    ({!Checkpoint.pick_latest_valid_gen}, falling back past corrupted
+    ones) and every rank reloads its blocks from it under the current
+    ownership ({!rollback_to}).  Returns the restored generation, or
+    [None] (the world untouched) when [dir] holds no usable generation.
+    Raises {!Checkpoint.Corrupt} when [dir]'s generations hold a
+    different block count. *)
+val resume : t -> dir:string -> int option
 
 (** {1 Recovery}
 

@@ -100,7 +100,7 @@ let scan_momenta (sim : Simulation.t) =
     (Simulation.species sim);
   (!bad, !umax2)
 
-let handle t sim d =
+let handle t mb d =
   t.violations <- t.violations + 1;
   if Metrics.enabled () then
     Metrics.counter_add (Metrics.default ()) "sentinel.violations" 1.;
@@ -113,8 +113,12 @@ let handle t sim d =
   | Warn -> t.log ("WARN " ^ diagnosis_to_string d)
   | Force_clean when not poisoned ->
       t.log ("CLEAN " ^ diagnosis_to_string d ^ " — forcing Marder clean");
-      Simulation.settle_fields sim
-        ~passes:(max 1 sim.Simulation.marder_passes)
+      let passes =
+        match Multiblock.owned_sims mb with
+        | (_, sim) :: _ -> sim.Simulation.marder_passes
+        | [] -> 1
+      in
+      Multiblock.settle_fields mb ~passes:(max 1 passes)
   | Force_clean ->
       (* A Marder pass cannot remove a NaN; escalate. *)
       t.log ("ABORT " ^ diagnosis_to_string d);
@@ -123,41 +127,43 @@ let handle t sim d =
       (* Never commit a poisoned state: the last committed generation
          must remain the newest restart candidate. *)
       if not poisoned then
-        Checkpoint.save_generation sim ~dir ~gen:sim.Simulation.nstep ~keep;
+        Multiblock.save_generation mb ~dir ~gen:(Multiblock.nstep mb) ~keep;
       t.log ("ABORT " ^ diagnosis_to_string d);
       raise (Health_violation d)
 
-let check t (sim : Simulation.t) =
+let check t mb =
   Trace.with_span sid_sentinel @@ fun () ->
-  let c = sim.Simulation.coupler in
-  let step = sim.Simulation.nstep in
+  let step = Multiblock.nstep mb in
+  let sims = List.map snd (Multiblock.owned_sims mb) in
   (* 1. Non-finite scans first: everything after them (energies, Gauss)
      would silently launder a NaN into a reduction. *)
-  let field_bad = scan_non_finite_fields sim in
-  let mom_bad, umax2 = scan_momenta sim in
-  let any_bad b = c.Coupler.reduce_max (if b then 1. else 0.) > 0.5 in
+  let field_bad = List.find_map scan_non_finite_fields sims in
+  let moms = List.map scan_momenta sims in
+  let mom_bad = List.find_map fst moms in
+  let umax2 = List.fold_left (fun acc (_, u2) -> Float.max acc u2) 0. moms in
+  let any_bad b = Multiblock.reduce_max mb (if b then 1. else 0.) > 0.5 in
   if any_bad (field_bad <> None) then begin
     let name = Option.value field_bad ~default:"(remote rank)" in
-    handle t sim
+    handle t mb
       { step; kind = Non_finite_field name; value = Float.nan; threshold = 0. }
   end
   else if any_bad (mom_bad <> None) then begin
     let name = Option.value mom_bad ~default:"(remote rank)" in
-    handle t sim
+    handle t mb
       { step; kind = Non_finite_momentum name; value = Float.nan; threshold = 0. }
   end
   else begin
     (* 2. Relativistic runaway / CFL: gamma = sqrt(1 + |u|^2). *)
-    let gmax = sqrt (1. +. c.Coupler.reduce_max umax2) in
+    let gmax = sqrt (1. +. Multiblock.reduce_max mb umax2) in
     let gauge name v =
       if Metrics.enabled () then Metrics.gauge_set (Metrics.default ()) name v
     in
     gauge "sentinel.max_gamma" gmax;
     if gmax > t.tols.max_gamma then
-      handle t sim
+      handle t mb
         { step; kind = Max_gamma; value = gmax; threshold = t.tols.max_gamma };
     (* 3. Energy drift against the first observation (collective). *)
-    let e = (Simulation.energies sim).Simulation.total in
+    let e = (Multiblock.energies mb).Simulation.total in
     gauge "sentinel.total_energy" e;
     (match t.baseline_energy with
     | None -> t.baseline_energy <- Some e
@@ -165,22 +171,20 @@ let check t (sim : Simulation.t) =
         let drift = Float.abs (e -. e0) /. e0 in
         gauge "sentinel.energy_drift" drift;
         if drift > t.tols.energy_drift then
-          handle t sim
+          handle t mb
             { step;
               kind = Energy_drift;
               value = drift;
               threshold = t.tols.energy_drift }
     | Some _ -> ());
     (* 4. Gauss law (collective; deposits rho from scratch). *)
-    let r = Simulation.gauss_residual sim in
+    let r = Multiblock.gauss_residual mb in
     gauge "sentinel.gauss_residual" r;
     if r > t.tols.gauss then
-      handle t sim
+      handle t mb
         { step; kind = Gauss_residual; value = r; threshold = t.tols.gauss }
   end
 
-let attach t (sim : Simulation.t) =
-  sim.Simulation.monitor <-
-    Some
-      (fun s ->
-        if s.Simulation.nstep mod t.interval = 0 then check t s)
+let attach t mb =
+  Multiblock.set_monitor mb
+    (Some (fun mb -> if Multiblock.nstep mb mod t.interval = 0 then check t mb))

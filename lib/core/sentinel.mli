@@ -1,20 +1,24 @@
 (** Numerical health sentinel.
 
-    Attached to a simulation's monitor hook, the sentinel inspects the
-    run every [interval] steps: non-finite scans of every field
-    component and every species' momenta first (so a NaN cannot launder
-    itself into a reduction), then max particle gamma, relative energy
-    drift against the first observation, and the Gauss-law residual.
-    All verdicts are rank-reduced, so every rank of a parallel run takes
+    Attached to a {!Multiblock} world's monitor hook, the sentinel
+    inspects the run every [interval] steps: non-finite scans of every
+    owned block's field components and species' momenta first (so a NaN
+    cannot launder itself into a reduction), then max particle gamma,
+    relative energy drift against the first observation, and the
+    Gauss-law residual.  All verdicts are reduced through the world
+    ({!Multiblock.reduce_max}, {!Multiblock.energies},
+    {!Multiblock.gauss_residual}), so every rank of a parallel run takes
     the same decision in lockstep — the check itself is collective.
 
     What happens on a violation is the {!policy}: log and continue
     ([Warn]), force a Marder divergence clean for field-consistency
-    violations ([Force_clean]; non-finite states escalate to an abort —
-    a Marder pass cannot remove a NaN), or commit a final checkpoint
-    generation and raise ([Checkpoint_abort]; poisoned states are {e
-    not} checkpointed, so the newest committed generation stays a usable
-    restart point). *)
+    violations ([Force_clean], {!Multiblock.settle_fields}; non-finite
+    states escalate to an abort — a Marder pass cannot remove a NaN), or
+    commit a final checkpoint generation ({!Multiblock.save_generation})
+    and raise ([Checkpoint_abort]; poisoned states are {e not}
+    checkpointed, so the newest committed generation stays a usable
+    restart point).  Every rank raises: a NaN on one rank aborts the
+    whole world. *)
 
 type kind =
   | Non_finite_field of string     (** component name *)
@@ -57,13 +61,14 @@ val make :
   unit ->
   t
 
-(** Install the sentinel as [sim]'s monitor (replacing any previous
-    one).  In a parallel run, attach on every rank: the checks are
-    collective. *)
-val attach : t -> Simulation.t -> unit
+(** Install the sentinel as the world's monitor
+    ({!Multiblock.set_monitor}, replacing any previous one): it checks
+    after every [interval]-th step.  In a parallel run, attach on every
+    rank: the checks are collective. *)
+val attach : t -> Multiblock.t -> unit
 
 (** Run the checks now, regardless of the interval.  Collective. *)
-val check : t -> Simulation.t -> unit
+val check : t -> Multiblock.t -> unit
 
 (** Violations observed so far (including warned-and-continued ones). *)
 val violations : t -> int

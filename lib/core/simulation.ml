@@ -88,8 +88,6 @@ type t = {
   mutable push_s : float;
       (* wall seconds the last step spent in this simulation's push *)
   mutable scratch_rev : (Species.t * push_scratch) list;
-  mutable monitor : (t -> unit) option;
-      (* health hook, called after every completed step (see Sentinel) *)
   perf : Perf.counters;
   mutable pool : Vpic_util.Pool.t;
       (* the rank's worker team ([Pool.serial] = the classic one-domain
@@ -131,7 +129,6 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     push_stats = zero_stats;
     push_s = 0.;
     scratch_rev = [];
-    monitor = None;
     perf;
     pool }
 
@@ -155,7 +152,6 @@ let add_laser t l = t.lasers_rev <- l :: t.lasers_rev
 let set_pool t pool = t.pool <- pool
 
 let set_push_backend t b = t.push_backend <- b
-let push_backend t = t.push_backend
 let pool t = t.pool
 let time t = float_of_int t.nstep *. t.grid.Grid.dt
 
@@ -210,26 +206,6 @@ let block_metrics t (ph : Push.stats) =
     Metrics.counter_add m "push.block.cleanup"
       (float_of_int ph.Push.block_cleanup)
   end
-
-(* Filtered gather: particles gather from a binomially smoothed copy of
-   E and B, loaded into the interpolator: the same symmetric kernel
-   later applied to J makes the force/current coupling adjoint, avoiding
-   secular self-heating.  Building the copy needs complete ghosts, so
-   this runs after the whole fill; it loads every voxel, boundary slabs
-   included. *)
-let phase_load_smoothed t =
-  let sm = Option.get t.smoothed in
-  List.iter2
-    (fun src dst -> Sf.blit ~src ~dst)
-    (Em_field.em_components t.fields)
-    (Em_field.em_components sm);
-  for _ = 1 to t.current_filter_passes do
-    Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
-      (Em_field.em_components sm)
-  done;
-  Trace.begin_span sid_load_interp;
-  Interpolator.load ~perf:t.perf ~pool:t.pool (interp t) sm;
-  Trace.end_span ()
 
 (* Interior pass: every particle whose cell does not touch the ghost
    layer, fanned out over the team and independent of any in-flight
@@ -347,7 +323,7 @@ type world = {
   fill_em_finish : unit -> unit;
   fill_em : unit -> unit;
   fill_e : unit -> unit;
-  fill_scalar : (t -> Sf.t) -> unit;
+  fill_list : (t -> Sf.t list) -> unit;
   fold_currents : unit -> unit;
   fold_rho : unit -> unit;
   migrate : (t * (Species.t * push_scratch) list) list -> unit;
@@ -362,7 +338,7 @@ let world t =
     fill_em_finish = (fun () -> c.Coupler.fill_em_finish f);
     fill_em = (fun () -> c.Coupler.fill_em f);
     fill_e = (fun () -> c.Coupler.fill_e f);
-    fill_scalar = (fun mesh -> c.Coupler.fill_scalar (mesh t));
+    fill_list = (fun meshes -> c.Coupler.fill_list (meshes t));
     fold_currents = (fun () -> c.Coupler.fold_currents f);
     fold_rho = (fun () -> c.Coupler.fold_rho f);
     migrate =
@@ -375,6 +351,42 @@ let world t =
     reduce_sum = c.Coupler.reduce_sum;
     reduce_max = c.Coupler.reduce_max;
     rank = c.Coupler.rank }
+
+(* [passes] binomial passes over [meshes t] of every simulation, in
+   lockstep: each axis fills every simulation's meshes through the world,
+   then smooths them all.  One simulation sees exactly
+   [Filter.binomial_pass] on its own meshes. *)
+let filter_world w sims ~passes meshes =
+  if passes > 0 then begin
+    let all = List.concat_map meshes sims in
+    for _ = 1 to passes do
+      Vpic_field.Filter.binomial_pass ~fill:(fun _ -> w.fill_list meshes) all
+    done
+  end
+
+(* Filtered gather: particles gather from a binomially smoothed copy of
+   E and B, loaded into the interpolator: the same symmetric kernel
+   later applied to J makes the force/current coupling adjoint, avoiding
+   secular self-heating.  Building the copy needs complete ghosts, so
+   this runs after the whole fill; it loads every voxel, boundary slabs
+   included. *)
+let load_smoothed_world w sims =
+  let smoothed t = Em_field.em_components (Option.get t.smoothed) in
+  List.iter
+    (fun t ->
+      List.iter2
+        (fun src dst -> Sf.blit ~src ~dst)
+        (Em_field.em_components t.fields)
+        (smoothed t))
+    sims;
+  filter_world w sims ~passes:(List.hd sims).current_filter_passes smoothed;
+  List.iter
+    (fun t ->
+      Trace.begin_span sid_load_interp;
+      Interpolator.load ~perf:t.perf ~pool:t.pool (interp t)
+        (Option.get t.smoothed);
+      Trace.end_span ())
+    sims
 
 let deposit_rho_world w sims =
   List.iter
@@ -390,13 +402,8 @@ let deposit_rho_world w sims =
   (* With current filtering on, filter rho identically: the smoothed
      system satisfies continuity exactly, so the Marder clean is not
      fighting the filter. *)
-  List.iter
-    (fun t ->
-      for _ = 1 to t.current_filter_passes do
-        Vpic_field.Filter.binomial_pass ~fill:t.coupler.Coupler.fill_list
-          [ t.fields.Em_field.rho ]
-      done)
-    sims
+  filter_world w sims ~passes:(List.hd sims).current_filter_passes (fun t ->
+      [ t.fields.Em_field.rho ])
 
 let marder_clean w sims ~passes =
   let errs = List.map (fun t -> (t, Sf.create t.grid)) sims in
@@ -404,7 +411,7 @@ let marder_clean w sims ~passes =
   ignore
     (Marder.clean_many ~perf:first.perf ~pool:first.pool ~passes
        ~fill_e:w.fill_e
-       ~fill_err:(fun () -> w.fill_scalar (fun t -> List.assq t errs))
+       ~fill_err:(fun () -> w.fill_list (fun t -> [ List.assq t errs ]))
        (List.map (fun (t, err) -> (t.fields, err)) errs))
 
 let mover_metrics pushes =
@@ -458,7 +465,7 @@ let step_world w sims =
   let filtered = Option.is_some first.smoothed in
   if filtered then begin
     Trace.with_span sid_fill_finish w.fill_em_finish;
-    List.iter phase_load_smoothed sims
+    load_smoothed_world w sims
   end;
   List.iter
     (fun (t, ss) -> timed_push t (fun () -> phase_push_interior t ss))
@@ -482,12 +489,8 @@ let step_world w sims =
   List.iter phase_unload_accum sims;
   Trace.with_span sid_fold (fun () ->
       w.fold_currents ();
-      List.iter
-        (fun t ->
-          if t.current_filter_passes > 0 then
-            Vpic_field.Filter.smooth_currents ~passes:t.current_filter_passes
-              ~fill:t.coupler.Coupler.fill_list t.fields)
-        sims);
+      filter_world w sims ~passes:first.current_filter_passes (fun t ->
+          Em_field.j_components t.fields));
   (* Field advance. *)
   List.iter (fun t -> phase_advance_b t ~frac:0.5) sims;
   Trace.with_span sid_fill w.fill_em;
@@ -503,11 +506,7 @@ let step_world w sims =
       phase_absorb t)
     sims;
   if interval_due first first.sort_interval then List.iter phase_sort sims;
-  List.iter (fun t -> t.nstep <- t.nstep + 1) sims;
-  (* Health monitor (sentinel) last: it sees the completed step and may
-     raise; collective checks rely on every rank reaching the same
-     nstep. *)
-  List.iter (fun t -> Option.iter (fun f -> f t) t.monitor) sims
+  List.iter (fun t -> t.nstep <- t.nstep + 1) sims
 
 let step t = step_world (world t) [ t ]
 

@@ -8,11 +8,14 @@
     + periodically: Marder divergence clean and voxel sort;
     + apply the sponge absorber on absorbing boundaries.
 
-    Works identically on one rank ([Coupler.local]) or many
-    ([Coupler.parallel]); in the latter case, every rank steps its own
-    [t] collectively.  The same sequence steps a list of simulations
-    under one {!world} ({!step_world}): that is how {!Multiblock}
-    advances its owned blocks. *)
+    The sequence is written once, {!step_world}, and steps a list of
+    simulations under one {!world}: that is how {!Multiblock} advances
+    its owned blocks, and every [vpic_run srs] run and campaign job is a
+    {!Multiblock} world (whose monitor runs the health sentinel).
+    {!step} is the one-simulation world routed by the simulation's own
+    coupler — [Coupler.local] on one rank, [Coupler.parallel] on many
+    (every rank steps its own [t] collectively) — for srsbench, the
+    sweep, the examples and the tests. *)
 
 module Grid = Vpic_grid.Grid
 module Bc = Vpic_grid.Bc
@@ -72,9 +75,6 @@ type t = {
           particles (interior pass, boundary loads, boundary pass) —
           {!Multiblock}'s per-block [`Wall] cost *)
   mutable scratch_rev : (Species.t * push_scratch) list;
-  mutable monitor : (t -> unit) option;
-      (** health hook, run after every completed step on every rank (see
-          [Sentinel.attach]); may raise to abort the run *)
   perf : Vpic_util.Perf.counters;
   mutable pool : Vpic_util.Pool.t;
       (** the rank's worker team; every tiled phase (interior push, sort,
@@ -131,12 +131,10 @@ val set_pool : t -> Vpic_util.Pool.t -> unit
 
 val pool : t -> Vpic_util.Pool.t
 
-(** Select the push backend between steps.  Used by run drivers after
-    checkpoint restore and by [Deck.build_over]'s reattach hook on
+(** Select the push backend between steps.  [Deck.build_over]'s
+    reattach hook re-applies the run's on restored, recovered and
     relocated blocks, since the backend is never serialised. *)
 val set_push_backend : t -> push_backend -> unit
-
-val push_backend : t -> push_backend
 
 (** Create, register and return a new species on this simulation's grid. *)
 val add_species : t -> name:string -> q:float -> m:float -> Species.t
@@ -155,15 +153,17 @@ val time : t -> float
 (** The routing a list of simulations steps under: every ghost fill,
     fold, migration and reduction of {!step_world} runs once for the
     whole list.  [fill_em_begin] may leave ghosts in flight until
-    [fill_em_finish]; [fill_scalar mesh] fills [mesh t] of every
-    simulation [t]; [migrate] ships and finishes every simulation's
-    movers; [rank] is the comm rank the fault-injection probes key on. *)
+    [fill_em_finish]; [fill_list meshes] fills [meshes t] of every
+    simulation [t] (the Marder error mesh, and every binomial filter
+    pass of a filtered run); [migrate] ships and finishes every
+    simulation's movers; [rank] is the comm rank the fault-injection
+    probes key on. *)
 type world = {
   fill_em_begin : unit -> unit;
   fill_em_finish : unit -> unit;
   fill_em : unit -> unit;
   fill_e : unit -> unit;
-  fill_scalar : (t -> Vpic_grid.Scalar_field.t) -> unit;
+  fill_list : (t -> Vpic_grid.Scalar_field.t list) -> unit;
   fold_currents : unit -> unit;
   fold_rho : unit -> unit;
   migrate : (t * (Species.t * push_scratch) list) list -> unit;
@@ -177,8 +177,10 @@ val world : t -> world
 
 (** Advance every simulation of the list one full step under the
     world's routing (collective).  The list shares one step count and
-    one set of step parameters; current filtering needs each
-    simulation's own coupler to fill its scalars.  When tracing is
+    one set of step parameters (the first simulation's sort, clean and
+    filter settings apply to all); a filtered list smooths every
+    simulation's meshes in lockstep, filling through the world.  When
+    tracing is
     enabled ([Vpic_telemetry.Trace.enable]), the step and each phase
     record spans: ["step"], ["push.interior"] /
     ["push.boundary"], ["interp.load"] / ["accum.unload"],

@@ -34,8 +34,3 @@ let binomial_pass ~fill scalars =
       fill scalars;
       List.iter (smooth_axis axis) scalars)
     Axis.all
-
-let smooth_currents ?(passes = 1) ~fill f =
-  for _ = 1 to passes do
-    binomial_pass ~fill (Em_field.j_components f)
-  done

@@ -16,11 +16,6 @@ module Sf = Vpic_grid.Scalar_field
     invoked before each axis. *)
 val binomial_pass : fill:(Sf.t list -> unit) -> Sf.t list -> unit
 
-(** Convenience: [smooth_currents ~passes hooks f] filters jx,jy,jz of the
-    field [passes] times (default 1). *)
-val smooth_currents :
-  ?passes:int -> fill:(Sf.t list -> unit) -> Em_field.t -> unit
-
 (** Damping factor of the kernel at wavenumber k dx (per pass, per axis):
     cos^2(k dx / 2).  Exposed for tests. *)
 val response : k_dx:float -> float

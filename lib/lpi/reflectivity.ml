@@ -26,7 +26,9 @@ let create ?(window = 400) ~plane_i ~e0 () =
     count = 0;
     peak_back = 0. }
 
-let plane_avg_characteristics f ~i =
+(* Unnormalised plane sums of F-^2 and F+^2 at x-slot [i], and the
+   number of nodes they cover. *)
+let plane_sums f ~i =
   let g = f.Em_field.grid in
   let acc_b = ref 0. and acc_f = ref 0. in
   for k = 1 to g.Grid.nz do
@@ -44,8 +46,7 @@ let plane_avg_characteristics f ~i =
       acc_f := !acc_f +. (fp *. fp)
     done
   done;
-  let n = float_of_int (g.Grid.ny * g.Grid.nz) in
-  (!acc_b /. n, !acc_f /. n)
+  (!acc_b, !acc_f, float_of_int (g.Grid.ny * g.Grid.nz))
 
 let record t b fw =
   Queue.push b t.back;
@@ -60,25 +61,20 @@ let record t b fw =
     t.peak_back <- Float.max t.peak_back (t.back_sum /. float_of_int t.window)
   end
 
-let sample t f =
-  let b, fw = plane_avg_characteristics f ~i:t.plane_i in
-  record t b fw
-
-(* One sample from several co-resident blocks of an over-decomposed
-   run: each block contributes its slice of the measurement plane,
-   weighted by its transverse area, so the recorded value equals the
-   single-domain plane average over the union. *)
+(* One sample from the blocks holding the measurement plane: their
+   plane sums add up to the plane average over the union.  One block
+   (or one domain) records exactly its own plane average. *)
 let sample_many t fs =
   let b, fw, n =
     List.fold_left
       (fun (b, fw, n) f ->
-        let g = f.Em_field.grid in
-        let w = float_of_int (g.Grid.ny * g.Grid.nz) in
-        let bb, ff = plane_avg_characteristics f ~i:t.plane_i in
-        (b +. (bb *. w), fw +. (ff *. w), n +. w))
+        let bb, ff, nn = plane_sums f ~i:t.plane_i in
+        (b +. bb, fw +. ff, n +. nn))
       (0., 0., 0.) fs
   in
   if n > 0. then record t (b /. n) (fw /. n)
+
+let sample t f = sample_many t [ f ]
 
 let n_avg t = Queue.length t.back
 
@@ -90,4 +86,51 @@ let forward_intensity t =
 
 let reflectivity t = backscatter_intensity t /. (0.5 *. t.e0 *. t.e0)
 let peak_reflectivity t = t.peak_back /. (0.5 *. t.e0 *. t.e0)
-let samples t = t.count
+
+(* ------------------------------------------------------------ encoding ---- *)
+
+(* Little-endian 64-bit words: plane_i, window, count, the sample count
+   n, then e0, back_sum, fwd_sum and peak_back as IEEE-754 bits, then
+   the n backward and the n forward samples, oldest first.  Every float
+   comes back from its bits, so a decoded probe continues bitwise. *)
+let encode t =
+  let n = Queue.length t.back in
+  let floats =
+    [ t.e0; t.back_sum; t.fwd_sum; t.peak_back ]
+    @ List.of_seq (Queue.to_seq t.back)
+    @ List.of_seq (Queue.to_seq t.fwd)
+  in
+  let words =
+    List.map Int64.of_int [ t.plane_i; t.window; t.count; n ]
+    @ List.map Int64.bits_of_float floats
+  in
+  let b = Bytes.create (8 * List.length words) in
+  List.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
+  Bytes.to_string b
+
+let decode s =
+  let len = String.length s in
+  let word i = String.get_int64_le s (8 * i) in
+  let int i = Int64.to_int (word i) and float i = Int64.float_of_bits (word i) in
+  if len < 64 || len mod 16 <> 0 then None
+  else
+    let plane_i = int 0 and window = int 1 and count = int 2 and n = int 3 in
+    let e0 = float 4 in
+    if
+      n < 0 || n > len / 16
+      || len <> 64 + (16 * n)
+      || plane_i < 1 || window < 1 || n > window || n > count
+      || not (Float.is_finite e0 && e0 > 0.)
+    then None
+    else
+      let queue first = Queue.of_seq (Seq.init n (fun i -> float (first + i))) in
+      Some
+        { plane_i;
+          e0;
+          window;
+          back = queue 8;
+          fwd = queue (8 + n);
+          back_sum = float 5;
+          fwd_sum = float 6;
+          count;
+          peak_back = float 7 }

@@ -20,9 +20,8 @@ val create : ?window:int -> plane_i:int -> e0:float -> unit -> t
 val sample : t -> Vpic_field.Em_field.t -> unit
 
 (** Record one sample from the co-resident blocks of an over-decomposed
-    run: each block's slice of the measurement plane is weighted by its
-    transverse area, so the value matches the single-domain plane
-    average over their union. *)
+    run: the blocks' plane sums add up to the plane average over their
+    union.  [sample_many t [f]] is [sample t f], bit for bit. *)
 val sample_many : t -> Vpic_field.Em_field.t list -> unit
 
 (** Current reflectivity estimate (0 until sampled). *)
@@ -39,4 +38,14 @@ val backscatter_intensity : t -> float
 (** Average forward intensity <F+^2> (sanity check: ~ e0^2/2 in vacuum). *)
 val forward_intensity : t -> float
 
-val samples : t -> int
+
+(** {1 Encoding}
+
+    An explicit little-endian image of the probe's state (its plane,
+    amplitude, window, running sums, peak and sample queues), so a
+    resumed run's probe continues bitwise.  [decode] returns [None] for
+    any image that is not one [encode] could have written: short or
+    long, a count out of range, a non-positive amplitude. *)
+
+val encode : t -> string
+val decode : string -> t option

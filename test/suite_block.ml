@@ -157,11 +157,11 @@ let mk_layout ~blocks =
 (* One block of a neutral-plasma world; [ppc_of id] skews the load.
    Seeds are salted by block id, so trajectories are independent of the
    rank count and of block ownership. *)
-let block_build ~ppc_of layout ~id ~coupler ~perf =
+let block_build ?(filter = 0) ~ppc_of layout ~id ~coupler ~perf =
   let grid = Block.grid layout ~dt:world_dt ~id in
   let sim =
     Simulation.make ~grid ~coupler ~perf ~clean_div_interval:7
-      ~sort_interval:5 ()
+      ~sort_interval:5 ~current_filter_passes:filter ()
   in
   let rng = Rng.of_int (101 + (17 * id)) in
   let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
@@ -177,13 +177,13 @@ let block_build ~ppc_of layout ~id ~coupler ~perf =
           uz = 0.02 *. Rng.normal irng });
   sim
 
-let mk_world ?comm ?(blocks = 4) ?(ppc_of = fun _ -> 8)
+let mk_world ?comm ?(blocks = 4) ?(ppc_of = fun _ -> 8) ?filter
     ?(rebalance_interval = 10) ?(rebalance_threshold = 0.) ?cost_model () =
   let layout = mk_layout ~blocks in
   Multiblock.create ?comm ~rebalance_interval ~rebalance_threshold ?cost_model
     ~layout ~global_bc:Bc.periodic
     ~build:(fun ~id ~coupler ~perf ->
-      block_build ~ppc_of layout ~id ~coupler ~perf)
+      block_build ?filter ~ppc_of layout ~id ~coupler ~perf)
     ()
 
 let test_one_block_is_classic_serial () =
@@ -208,11 +208,11 @@ let test_one_block_is_classic_serial () =
   check_close ~rtol:1e-12 "energies" ea.Simulation.total eb.Simulation.total
 
 (* Step a world, recording the total energy every [every] steps. *)
-let stepped_energies ?comm ?rebalance_threshold ?cost_model ~blocks ~ppc_of
-    ~steps ~every () =
+let stepped_energies ?comm ?filter ?rebalance_threshold ?cost_model ~blocks
+    ~ppc_of ~steps ~every () =
   let mb =
-    mk_world ?comm ~blocks ~ppc_of ~rebalance_interval:5 ?rebalance_threshold
-      ?cost_model ()
+    mk_world ?comm ~blocks ~ppc_of ?filter ~rebalance_interval:5
+      ?rebalance_threshold ?cost_model ()
   in
   let out = ref [] in
   for s = 1 to steps do
@@ -227,24 +227,31 @@ let stepped_energies ?comm ?rebalance_threshold ?cost_model ~blocks ~ppc_of
   in
   (List.rev !out, Multiblock.total_particles mb, migrations)
 
-(* The same 4-block world on 1 rank and on 2: block-id-salted RNGs make
-   the physics rank-count independent — sibling faces quantize through
-   the same f32 scratch the cross-rank wire uses, so only f64 reduction
-   order distinguishes the two placements. *)
+(* The same 4-block world on 1 rank and on 2, unfiltered and with one
+   binomial filter pass: block-id-salted RNGs make the physics
+   rank-count independent — sibling faces quantize through the same f32
+   scratch the cross-rank wire uses, and the filter passes fill through
+   the same world, so only f64 reduction order distinguishes the two
+   placements. *)
 let test_rank_count_parity () =
   let steps = 30 and ppc_of id = 4 + (4 * id) in
-  let serial_e, serial_np, _ =
-    stepped_energies ~blocks:4 ~ppc_of ~steps ~every:5 ()
-  in
-  let results =
-    Comm.run ~ranks:2 (fun c ->
-        stepped_energies ~comm:c ~blocks:4 ~ppc_of ~steps ~every:5 ())
-  in
-  let par_e, par_np, _ = results.(0) in
-  Alcotest.(check int) "particle count" serial_np par_np;
-  List.iter2
-    (fun a b -> check_close ~rtol:2e-5 "energy trajectory" a b)
-    serial_e par_e
+  List.iter
+    (fun filter ->
+      let serial_e, serial_np, _ =
+        stepped_energies ~filter ~blocks:4 ~ppc_of ~steps ~every:5 ()
+      in
+      let results =
+        Comm.run ~ranks:2 (fun c ->
+            stepped_energies ~comm:c ~filter ~blocks:4 ~ppc_of ~steps ~every:5
+              ())
+      in
+      let par_e, par_np, _ = results.(0) in
+      let label what = Printf.sprintf "%s (filter %d)" what filter in
+      Alcotest.(check int) (label "particle count") serial_np par_np;
+      List.iter2
+        (fun a b -> check_close ~rtol:2e-5 (label "energy trajectory") a b)
+        serial_e par_e)
+    [ 0; 1 ]
 
 (* Skew the per-block load hard enough that the deterministic
    particle-count cost model must relocate blocks, then demand the
@@ -307,73 +314,63 @@ let test_two_blocks_match_two_ranks () =
 (* One wire for both worlds: 2 blocks on 2 ranks and the same 2 slabs as
    2 classic ranks ([Coupler.parallel]) route every fill, fold and mover
    through the same block-keyed ports, with no co-resident faces on
-   either side, so they step bit for bit alike. *)
+   either side, so they step bit for bit alike — unfiltered, and with
+   one binomial filter pass whose fills the block world routes through
+   its own ports. *)
 let test_blocks_on_ranks_match_classic_ranks () =
   let steps = 30 and every = 5 and ppc_of _ = 8 in
   let layout = mk_layout ~blocks:2 in
   let rank0_fields sim = Em_field.copy sim.Simulation.fields in
-  let block_runs =
-    Comm.run ~ranks:2 (fun c ->
-        let mb = mk_world ~comm:c ~blocks:2 ~ppc_of () in
-        let out = ref [] in
-        for s = 1 to steps do
-          Multiblock.step mb;
-          if s mod every = 0 then
-            out := (Multiblock.energies mb).Simulation.total :: !out
-        done;
-        let sim =
-          match Multiblock.owned_sims mb with [ (_, s) ] -> s | _ -> assert false
-        in
-        (List.rev !out, Multiblock.total_particles mb, rank0_fields sim))
-  in
-  let rank_runs =
-    Comm.run ~ranks:2 (fun c ->
-        let id = Comm.rank c in
-        let coupler =
-          Coupler.parallel c
-            (Block.bc layout ~global:Bc.periodic ~id)
-            ~grid:(Block.grid layout ~dt:world_dt ~id)
-        in
-        let sim =
-          block_build ~ppc_of layout ~id ~coupler ~perf:(Perf.create ())
-        in
-        let out = ref [] in
-        for s = 1 to steps do
-          Simulation.step sim;
-          if s mod every = 0 then
-            out := (Simulation.energies sim).Simulation.total :: !out
-        done;
-        (List.rev !out, Simulation.total_particles sim, rank0_fields sim))
-  in
-  let block_e, block_np, block_f = block_runs.(0) in
-  let rank_e, rank_np, rank_f = rank_runs.(0) in
-  Alcotest.(check int) "particle count" block_np rank_np;
-  Alcotest.(check int) "samples" (steps / every) (List.length rank_e);
-  List.iter2
-    (fun a b -> check_close ~atol:0. ~rtol:0. "energy trajectory" a b)
-    block_e rank_e;
-  check_close ~atol:0. ~rtol:0. "rank-0 fields identical" 0.
-    (Em_field.max_component_diff block_f rank_f)
-
-(* Current filtering fills its scalars through a simulation's own
-   coupler, which a block coupler cannot do: a world of several blocks
-   must refuse it up front, while a lone block keeps it. *)
-let test_filter_needs_one_block () =
-  let create ~blocks =
-    let layout = mk_layout ~blocks in
-    Multiblock.create ~layout ~global_bc:Bc.periodic
-      ~build:(fun ~id ~coupler ~perf ->
-        Simulation.make ~grid:(Block.grid layout ~dt:world_dt ~id) ~coupler
-          ~perf ~current_filter_passes:1 ())
-      ()
-  in
-  check_true "2 blocks with filtering raise Invalid_argument"
-    (try
-       ignore (create ~blocks:2);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check int) "1 block with filtering builds" 1
-    (Multiblock.nblocks (create ~blocks:1))
+  List.iter
+    (fun filter ->
+      let block_runs =
+        Comm.run ~ranks:2 (fun c ->
+            let mb = mk_world ~comm:c ~blocks:2 ~ppc_of ~filter () in
+            let out = ref [] in
+            for s = 1 to steps do
+              Multiblock.step mb;
+              if s mod every = 0 then
+                out := (Multiblock.energies mb).Simulation.total :: !out
+            done;
+            let sim =
+              match Multiblock.owned_sims mb with
+              | [ (_, s) ] -> s
+              | _ -> assert false
+            in
+            (List.rev !out, Multiblock.total_particles mb, rank0_fields sim))
+      in
+      let rank_runs =
+        Comm.run ~ranks:2 (fun c ->
+            let id = Comm.rank c in
+            let coupler =
+              Coupler.parallel c
+                (Block.bc layout ~global:Bc.periodic ~id)
+                ~grid:(Block.grid layout ~dt:world_dt ~id)
+            in
+            let sim =
+              block_build ~filter ~ppc_of layout ~id ~coupler
+                ~perf:(Perf.create ())
+            in
+            let out = ref [] in
+            for s = 1 to steps do
+              Simulation.step sim;
+              if s mod every = 0 then
+                out := (Simulation.energies sim).Simulation.total :: !out
+            done;
+            (List.rev !out, Simulation.total_particles sim, rank0_fields sim))
+      in
+      let block_e, block_np, block_f = block_runs.(0) in
+      let rank_e, rank_np, rank_f = rank_runs.(0) in
+      let label what = Printf.sprintf "%s (filter %d)" what filter in
+      Alcotest.(check int) (label "particle count") block_np rank_np;
+      Alcotest.(check int) (label "samples") (steps / every)
+        (List.length rank_e);
+      List.iter2
+        (fun a b -> check_close ~atol:0. ~rtol:0. (label "energy trajectory") a b)
+        block_e rank_e;
+      check_close ~atol:0. ~rtol:0. (label "rank-0 fields identical") 0.
+        (Em_field.max_component_diff block_f rank_f))
+    [ 0; 1 ]
 
 (* A skewed 2-rank x 4-block world (ppc rises with block id, so rank
    1's slabs start ~2.7x heavier than rank 0's), stepped under static
@@ -452,8 +449,6 @@ let suite =
       test_wire_image_block_roundtrip;
     slow_case "multiblock: 2 blocks on 1 rank step like 2 classic ranks"
       test_two_blocks_match_two_ranks;
-    case "multiblock: current filtering needs a single block"
-      test_filter_needs_one_block;
     slow_case
       "multiblock: skewed world rebalances, imbalance drops, energy holds"
       test_skewed_world_rebalances;

@@ -347,6 +347,77 @@ let test_kill_worker_resume_parity () =
         (Float.abs (rk -. rc) <= 1e-8))
     control killed
 
+(* The probe sidecar is magic, CRC and [Reflectivity.encode]'s image.
+   A written one reads back bitwise; every single-bit flip and every
+   truncation of it reads as [None], and so do images behind a valid CRC
+   that [encode] could not have written. *)
+let test_refl_sidecar_corruption () =
+  with_root "vpic_refl" @@ fun root ->
+  Unix.mkdir root 0o755;
+  let module Reflectivity = Vpic_lpi.Reflectivity in
+  let refl = Reflectivity.create ~window:16 ~plane_i:4 ~e0:0.4 () in
+  let f = Em_field.create (small_grid ~n:8 ~l:8. ()) in
+  for step = 0 to 40 do
+    Sf.fill f.Em_field.ey (0.4 *. cos (0.3 *. float_of_int step));
+    Sf.fill f.Em_field.bz (-0.1 *. sin (0.7 *. float_of_int step));
+    Reflectivity.sample refl f
+  done;
+  let path = Filename.concat root "refl.bin" in
+  Service.write_refl_sidecar ~path refl;
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  (match Service.read_refl_sidecar ~path with
+  | Some r ->
+      check_true "read back bitwise"
+        (Reflectivity.encode r = Reflectivity.encode refl);
+      check_close ~atol:0. ~rtol:0. "same reflectivity"
+        (Reflectivity.reflectivity refl) (Reflectivity.reflectivity r);
+      check_close ~atol:0. ~rtol:0. "same peak"
+        (Reflectivity.peak_reflectivity refl)
+        (Reflectivity.peak_reflectivity r)
+  | None -> Alcotest.fail "pristine sidecar did not read");
+  let reads_none label contents =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents);
+    match Service.read_refl_sidecar ~path with
+    | None -> ()
+    | Some _ -> Alcotest.failf "%s read as a probe" label
+  in
+  let n = String.length image in
+  for bit = 0 to (8 * n) - 1 do
+    let b = Bytes.of_string image in
+    let at = bit / 8 in
+    Bytes.set b at
+      (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (bit mod 8))));
+    reads_none (Printf.sprintf "bit %d flipped" bit) (Bytes.to_string b)
+  done;
+  for len = 0 to n - 1 do
+    reads_none (Printf.sprintf "truncated to %d" len) (String.sub image 0 len)
+  done;
+  reads_none "a trailing byte" (image ^ "\000");
+  Sys.remove path;
+  check_true "a missing sidecar reads as None"
+    (Service.read_refl_sidecar ~path = None);
+  (* payloads [encode] cannot write, in its words 0-4: plane_i, window,
+     count, the sample count n (16 here) and e0 *)
+  let payload = Reflectivity.encode refl in
+  let patched word v =
+    let b = Bytes.of_string payload in
+    Bytes.set_int64_le b (8 * word) v;
+    Reflectivity.decode (Bytes.to_string b)
+  in
+  List.iter
+    (fun (label, decoded) -> check_true label (decoded = None))
+    [ ("plane 0", patched 0 0L);
+      ("window 0", patched 1 0L);
+      ("window below n", patched 1 15L);
+      ("count below n", patched 2 2L);
+      ("n off the length", patched 3 17L);
+      ("negative n", patched 3 (-1L));
+      ("n wrapping onto the length", patched 3 (Int64.add 16L 0x0800_0000_0000_0000L));
+      ("negative e0", patched 4 (Int64.bits_of_float (-0.4)));
+      ("NaN e0", patched 4 (Int64.bits_of_float Float.nan));
+      ("short payload", Reflectivity.decode (String.sub payload 0 56)) ]
+
 let suite =
   [ case "campaign: canonical deck hash is pinned" test_canonical_hash_pinned;
     case "campaign: canonical string tracks the config"
@@ -366,4 +437,6 @@ let suite =
     slow_case "campaign: resubmit is 100% cache hits, zero steps"
       test_campaign_cache_on_resubmit;
     slow_case "campaign: killed worker reclaimed, resume parity <= 1e-8"
-      test_kill_worker_resume_parity ]
+      test_kill_worker_resume_parity;
+    case "campaign: a corrupt refl.bin sidecar reads as None"
+      test_refl_sidecar_corruption ]

@@ -6,6 +6,7 @@ open Helpers
 module Simulation = Vpic.Simulation
 module Coupler = Vpic.Coupler
 module Checkpoint = Vpic.Checkpoint
+module Multiblock = Vpic.Multiblock
 module Sentinel = Vpic.Sentinel
 module Crc32 = Vpic_util.Crc32
 module Fault = Vpic_util.Fault
@@ -27,6 +28,40 @@ let build_sim ?(bc = Bc.periodic) ?(seed = 11) () =
   in
   load_plasma sim ~ppc:8 ~uth:0.05 ~seed;
   sim
+
+(* [build_sim]'s plasma cut along y into [blocks] blocks of a world
+   ([ny] cells in all, 0.5 apart), each block loaded from a stream
+   salted by its id.  One block of 6 cells is [build_sim]'s box. *)
+let block_world ?comm ?(bc = Bc.periodic) ?(seed = 11) ~blocks ~ny () =
+  let layout =
+    Vpic_grid.Block.over
+      (Decomp.make ~px:1 ~py:blocks ~pz:1 ~gnx:6 ~gny:ny ~gnz:6 ~lx:3.
+         ~ly:(0.5 *. float_of_int ny) ~lz:3.)
+  in
+  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
+  Multiblock.create ?comm ~layout ~global_bc:bc
+    ~build:(fun ~id ~coupler ~perf ->
+      let sim =
+        Simulation.make ~grid:(Vpic_grid.Block.grid layout ~dt ~id) ~coupler
+          ~perf ~clean_div_interval:7 ~sort_interval:5 ()
+      in
+      load_plasma sim ~ppc:8 ~uth:0.05 ~seed:(seed + (101 * id));
+      sim)
+    ()
+
+let build_world ?bc () = block_world ?bc ~blocks:1 ~ny:6 ()
+
+(* Copies of the fields of every block this rank owns, ascending id. *)
+let owned_fields mb =
+  List.map
+    (fun (_, sim) -> Em_field.copy sim.Simulation.fields)
+    (Multiblock.owned_sims mb)
+
+let check_fields_bitwise label a b =
+  List.iter2
+    (fun fa fb ->
+      check_close ~atol:0. ~rtol:0. label 0. (Em_field.max_component_diff fa fb))
+    a b
 
 let temp_dir prefix =
   let d = Filename.temp_file prefix "" in
@@ -328,37 +363,36 @@ let test_generation_retention () =
 let test_fallback_and_resume_equivalence () =
   (* Reference run: 30 uninterrupted steps, checkpointing at 10 and 20.
      A resume from generation 20 must continue bitwise; after corrupting
-     generation 20, load_latest_valid must fall back to 10 and the
+     generation 20, Multiblock.resume must fall back to 10 and the
      replayed run must still match bitwise. *)
   let dir = temp_dir "vpic_resume" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let sim = build_sim () in
-      Simulation.run sim ~steps:10 ();
-      Checkpoint.save_generation sim ~dir ~gen:10 ~keep:3;
-      Simulation.run sim ~steps:10 ();
-      Checkpoint.save_generation sim ~dir ~gen:20 ~keep:3;
-      Simulation.run sim ~steps:10 ();
-      let coupler = Coupler.local Bc.periodic in
-      (match Checkpoint.load_latest_valid ~coupler ~dir with
-      | Some (r, 20) ->
-          Simulation.run r ~steps:10 ();
-          check_close ~atol:0. ~rtol:0. "resume from newest is bitwise" 0.
-            (Em_field.max_component_diff sim.Simulation.fields
-               r.Simulation.fields)
+      let mb = build_world () in
+      Multiblock.run mb ~steps:10 ();
+      Multiblock.save_generation mb ~dir ~gen:10 ~keep:3;
+      Multiblock.run mb ~steps:10 ();
+      Multiblock.save_generation mb ~dir ~gen:20 ~keep:3;
+      Multiblock.run mb ~steps:10 ();
+      let r = build_world () in
+      (match Multiblock.resume r ~dir with
+      | Some 20 ->
+          Multiblock.run r ~steps:10 ();
+          check_fields_bitwise "resume from newest is bitwise"
+            (owned_fields mb) (owned_fields r)
       | _ -> Alcotest.fail "expected generation 20");
-      flip_bytes (Checkpoint.generation_path ~dir ~gen:20 ~rank:0) ~pos:600;
-      match Checkpoint.load_latest_valid ~coupler ~dir with
-      | Some (r, 10) ->
-          Simulation.run r ~steps:20 ();
-          check_close ~atol:0. ~rtol:0. "fallback resume is bitwise" 0.
-            (Em_field.max_component_diff sim.Simulation.fields
-               r.Simulation.fields);
-          Alcotest.(check int) "step counter" 30 r.Simulation.nstep;
+      flip_bytes (Checkpoint.block_path ~dir ~gen:20 ~block:0) ~pos:600;
+      let r = build_world () in
+      match Multiblock.resume r ~dir with
+      | Some 10 ->
+          Multiblock.run r ~steps:20 ();
+          check_fields_bitwise "fallback resume is bitwise" (owned_fields mb)
+            (owned_fields r);
+          Alcotest.(check int) "step counter" 30 (Multiblock.nstep r);
           Alcotest.(check int) "particles"
-            (Simulation.total_particles sim)
-            (Simulation.total_particles r)
+            (Multiblock.total_particles mb)
+            (Multiblock.total_particles r)
       | _ -> Alcotest.fail "expected fallback to generation 10")
 
 let test_refluxing_rng_resumes_bitwise () =
@@ -432,16 +466,16 @@ let test_corrupt_checkpoint_injection () =
       Fault.disable ();
       rm_rf dir)
     (fun () ->
-      let sim = build_sim () in
-      Simulation.run sim ~steps:1 ();
-      Checkpoint.save_generation sim ~dir ~gen:1 ~keep:3;
-      Simulation.run sim ~steps:1 ();
-      Checkpoint.save_generation sim ~dir ~gen:2 ~keep:3;
+      let mb = build_world () in
+      Multiblock.run mb ~steps:1 ();
+      Multiblock.save_generation mb ~dir ~gen:1 ~keep:3;
+      Multiblock.run mb ~steps:1 ();
+      Multiblock.save_generation mb ~dir ~gen:2 ~keep:3;
       check_true "injected corruption detected"
-        (Checkpoint.verify (Checkpoint.generation_path ~dir ~gen:2 ~rank:0)
+        (Checkpoint.verify (Checkpoint.block_path ~dir ~gen:2 ~block:0)
         <> Ok ());
-      match Checkpoint.load_latest_valid ~coupler:(Coupler.local Bc.periodic) ~dir with
-      | Some (_, 1) -> ()
+      match Multiblock.resume (build_world ()) ~dir with
+      | Some 1 -> ()
       | _ -> Alcotest.fail "expected fallback to generation 1")
 
 let test_two_rank_kill_resume_energy () =
@@ -449,11 +483,8 @@ let test_two_rank_kill_resume_energy () =
      killed mid-step between commits, resume from the latest valid
      generation, final energies within f32 round-off of an uninterrupted
      run (bitwise, in fact: the restart replays the same f32 ops). *)
-  let d =
-    Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx:8 ~gny:4 ~gnz:4 ~lx:4. ~ly:2. ~lz:2.
-  in
-  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
   let dir = temp_dir "vpic_2rank" in
+  let world c = block_world ~comm:c ~seed:3 ~blocks:2 ~ny:8 () in
   Fun.protect
     ~finally:(fun () ->
       Fault.disable ();
@@ -461,20 +492,20 @@ let test_two_rank_kill_resume_energy () =
     (fun () ->
       let reference =
         (Comm.run ~ranks:2 (fun c ->
-             let sim = build_rank_sim c d ~dt in
-             Simulation.run sim ~steps:24 ();
-             (Simulation.energies sim).Simulation.total)).(0)
+             let mb = world c in
+             Multiblock.run mb ~steps:24 ();
+             (Multiblock.energies mb).Simulation.total)).(0)
       in
       Fault.enable ~seed:3;
       Fault.arm (Fault.Kill_rank { rank = 1; step = 20 });
       (try
          ignore
            (Comm.run ~ranks:2 (fun c ->
-                let sim = build_rank_sim c d ~dt in
+                let mb = world c in
                 for step = 1 to 24 do
-                  Simulation.step sim;
+                  Multiblock.step mb;
                   if step mod 8 = 0 then
-                    Checkpoint.save_generation sim ~dir ~gen:step ~keep:2
+                    Multiblock.save_generation mb ~dir ~gen:step ~keep:2
                 done));
          Alcotest.fail "kill did not fire"
        with Fault.Injected_kill { rank = 1; step = 20 } -> ());
@@ -484,16 +515,13 @@ let test_two_rank_kill_resume_energy () =
         (Checkpoint.committed_generations ~dir);
       let resumed =
         (Comm.run ~ranks:2 (fun c ->
-             let rank = Comm.rank c in
-             let grid = Decomp.local_grid d ~dt ~rank in
-             let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
-             let coupler = Coupler.parallel c bc ~grid in
+             let mb = world c in
              (* the generation is checked on the calling domain:
                 Alcotest is not domain-safe *)
-             match Checkpoint.load_latest_valid ~coupler ~dir with
-             | Some (sim, gen) ->
-                 Simulation.run sim ~steps:8 ();
-                 Some (gen, (Simulation.energies sim).Simulation.total)
+             match Multiblock.resume mb ~dir with
+             | Some gen ->
+                 Multiblock.run mb ~steps:8 ();
+                 Some (gen, (Multiblock.energies mb).Simulation.total)
              | None -> None)).(0)
       in
       match resumed with
@@ -501,6 +529,63 @@ let test_two_rank_kill_resume_energy () =
           check_close ~rtol:1e-6 "kill/resume energy equivalence" reference
             resumed
       | _ -> Alcotest.fail "expected to resume from generation 16")
+
+(* 4 blocks on 2 ranks, checkpointed every 10 steps, rank 0 killed in
+   step 25: the resumed world restores generation 20 on both ranks and
+   finishes bitwise equal to the uninterrupted run, energies and every
+   block's fields. *)
+let test_four_blocks_two_ranks_resume_bitwise () =
+  let dir = temp_dir "vpic_4blk" in
+  let world c = block_world ~comm:c ~blocks:4 ~ny:8 () in
+  let finish mb = ((Multiblock.energies mb).Simulation.total, owned_fields mb) in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disable ();
+      rm_rf dir)
+    (fun () ->
+      let reference =
+        Comm.run ~ranks:2 (fun c ->
+            let mb = world c in
+            Multiblock.run mb ~steps:30 ();
+            finish mb)
+      in
+      Fault.enable ~seed:4;
+      Fault.arm (Fault.Kill_rank { rank = 0; step = 25 });
+      (try
+         ignore
+           (Comm.run ~ranks:2 (fun c ->
+                let mb = world c in
+                for step = 1 to 30 do
+                  Multiblock.step mb;
+                  if step mod 10 = 0 then
+                    Multiblock.save_generation mb ~dir ~gen:step ~keep:3
+                done));
+         Alcotest.fail "kill did not fire"
+       with Fault.Injected_kill { rank = 0; step = 25 } -> ());
+      Fault.disable ();
+      Alcotest.(check (list int)) "generations committed before the kill"
+        [ 10; 20 ]
+        (Checkpoint.committed_generations ~dir);
+      let resumed =
+        Comm.run ~ranks:2 (fun c ->
+            let mb = world c in
+            let gen = Multiblock.resume mb ~dir in
+            let restored_step = Multiblock.nstep mb in
+            Multiblock.run mb ~steps:10 ();
+            (gen, restored_step, finish mb))
+      in
+      Array.iteri
+        (fun rank (gen, restored_step, (energy, fields)) ->
+          let ref_energy, ref_fields = reference.(rank) in
+          Alcotest.(check (option int))
+            (Printf.sprintf "rank %d restored generation 20" rank)
+            (Some 20) gen;
+          Alcotest.(check int) "restored step counter" 20 restored_step;
+          check_close ~atol:0. ~rtol:0. "energy bitwise" ref_energy energy;
+          check_fields_bitwise
+            (Printf.sprintf "rank %d block fields bitwise" rank)
+            ref_fields fields)
+        resumed)
 
 (* A directory whose generations hold two files (two blocks, or two
    classic ranks) refuses a one-file world: committing to it and
@@ -525,7 +610,7 @@ let test_file_count_guard () =
       refused "a 1-file commit is refused" (fun () ->
           Checkpoint.save_generation sim ~dir ~gen:2 ~keep:3);
       refused "a 1-file restore is refused" (fun () ->
-          ignore (Checkpoint.load_latest_valid ~coupler:local ~dir));
+          ignore (Multiblock.resume (build_world ()) ~dir));
       Alcotest.(check (list int)) "manifest unchanged" [ 1 ]
         (Checkpoint.committed_generations ~dir))
 
@@ -601,25 +686,28 @@ let test_recv_deadline () =
 let lax_tols =
   { Sentinel.energy_drift = 1e9; gauss = 1e9; max_gamma = 1e9 }
 
+let first_fields mb =
+  (snd (List.hd (Multiblock.owned_sims mb))).Simulation.fields
+
 let test_sentinel_healthy_pass () =
-  let sim = build_sim () in
-  Simulation.run sim ~steps:3 ();
+  let mb = build_world () in
+  Multiblock.run mb ~steps:3 ();
   let s = Sentinel.make ~interval:1 ~tols:lax_tols ~log:ignore () in
-  Sentinel.check s sim;
+  Sentinel.check s mb;
   Alcotest.(check int) "no violations on a healthy run" 0
     (Sentinel.violations s)
 
 let test_sentinel_detects_nan () =
-  let sim = build_sim () in
-  Simulation.run sim ~steps:2 ();
-  Sf.set sim.Simulation.fields.Em_field.ex 2 2 2 Float.nan;
+  let mb = build_world () in
+  Multiblock.run mb ~steps:2 ();
+  Sf.set (first_fields mb).Em_field.ex 2 2 2 Float.nan;
   let s =
     Sentinel.make ~interval:1 ~tols:lax_tols ~policy:Sentinel.Force_clean
       ~log:ignore ()
   in
   check_true "non-finite field escalates"
     (try
-       Sentinel.check s sim;
+       Sentinel.check s mb;
        false
      with Sentinel.Health_violation { kind = Sentinel.Non_finite_field "ex"; _ }
      -> true)
@@ -636,16 +724,16 @@ let test_sentinel_poison_injection_end_to_end () =
       Fault.disable ();
       rm_rf dir)
     (fun () ->
-      let sim = build_sim () in
+      let mb = build_world () in
       let s =
         Sentinel.make ~interval:1 ~tols:lax_tols
           ~policy:(Sentinel.Checkpoint_abort { dir; keep = 2 })
           ~log:ignore ()
       in
-      Sentinel.attach s sim;
+      Sentinel.attach s mb;
       check_true "sentinel aborts the run"
         (try
-           Simulation.run sim ~steps:5 ();
+           Multiblock.run mb ~steps:5 ();
            false
          with Sentinel.Health_violation { step = 2; kind = Sentinel.Non_finite_field _; _ }
          -> true);
@@ -653,20 +741,20 @@ let test_sentinel_poison_injection_end_to_end () =
         (Checkpoint.committed_generations ~dir))
 
 let test_sentinel_energy_drift_warns () =
-  let sim = build_sim () in
-  Simulation.run sim ~steps:2 ();
+  let mb = build_world () in
+  Multiblock.run mb ~steps:2 ();
   let tols = { lax_tols with Sentinel.energy_drift = 0.5 } in
   let logged = ref [] in
   let s =
     Sentinel.make ~interval:1 ~tols ~log:(fun m -> logged := m :: !logged) ()
   in
-  Sentinel.check s sim (* establishes the baseline *);
+  Sentinel.check s mb (* establishes the baseline *);
   Alcotest.(check int) "baseline check clean" 0 (Sentinel.violations s);
   (* Inflate the field energy far past 50% drift. *)
-  let g = sim.Simulation.grid in
-  Grid.iter_interior g (fun i j k ->
-      Sf.set sim.Simulation.fields.Em_field.ex i j k 10.);
-  Sentinel.check s sim;
+  let f = first_fields mb in
+  Grid.iter_interior f.Em_field.grid (fun i j k ->
+      Sf.set f.Em_field.ex i j k 10.);
+  Sentinel.check s mb;
   check_true "drift warned" (Sentinel.violations s >= 1);
   check_true "log mentions drift"
     (List.exists
@@ -675,6 +763,74 @@ let test_sentinel_energy_drift_warns () =
            (fun part -> part = "drift")
            (String.split_on_char ' ' m))
        !logged)
+
+(* A NaN planted on rank 1 of a 4-block, 2-rank world aborts the whole
+   world: both ranks raise at the poisoned step, and the abort policy
+   commits nothing.  Within that step the NaN also crosses the rank face,
+   so a second world plants it on rank 1 after a clean step, where no
+   fill carries it over: rank 0 must then raise on the reduced verdict
+   alone, naming a remote rank.  Each rank records its verdict and
+   re-raises, so a rank that missed it meets a dead peer instead of
+   waiting on it. *)
+let test_sentinel_two_rank_world_aborts_both () =
+  let dir = temp_dir "vpic_poison2" in
+  Fault.enable ~seed:6;
+  Fault.arm (Fault.Poison_field { rank = 1; step = 2 });
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disable ();
+      rm_rf dir)
+    (fun () ->
+      let verdicts =
+        Comm.run ~ranks:2 (fun c ->
+            let mb = block_world ~comm:c ~blocks:4 ~ny:8 () in
+            Sentinel.attach
+              (Sentinel.make ~interval:1 ~tols:lax_tols
+                 ~policy:(Sentinel.Checkpoint_abort { dir; keep = 2 })
+                 ~log:ignore ())
+              mb;
+            match Multiblock.run mb ~steps:5 () with
+            | () -> None
+            | exception Sentinel.Health_violation d -> Some d)
+      in
+      Array.iteri
+        (fun rank v ->
+          check_true
+            (Printf.sprintf "rank %d raises Health_violation at step 2" rank)
+            (match v with
+            | Some { Sentinel.step = 2; kind = Sentinel.Non_finite_field _; _ }
+              ->
+                true
+            | _ -> false))
+        verdicts;
+      Alcotest.(check (list int)) "poisoned state not checkpointed" []
+        (Checkpoint.committed_generations ~dir);
+      Fault.disable ();
+      let planted = Array.make 2 None in
+      (match
+         Comm.run ~ranks:2 (fun c ->
+             let rank = Comm.rank c in
+             let mb = block_world ~comm:c ~blocks:4 ~ny:8 () in
+             Multiblock.run mb ~steps:2 ();
+             if rank = 1 then Sf.set (first_fields mb).Em_field.ex 2 1 1 Float.nan;
+             let s =
+               Sentinel.make ~interval:1 ~tols:lax_tols
+                 ~policy:Sentinel.Force_clean ~log:ignore ()
+             in
+             try Sentinel.check s mb
+             with Sentinel.Health_violation d ->
+               planted.(rank) <- Some d.Sentinel.kind;
+               raise (Sentinel.Health_violation d))
+       with
+       | _ -> Alcotest.fail "the planted NaN went unnoticed"
+       | exception Sentinel.Health_violation _ -> ());
+      Alcotest.(check (array (option string))) "planted verdicts"
+        [| Some "(remote rank)"; Some "ex" |]
+        (Array.map
+           (Option.map (function
+             | Sentinel.Non_finite_field name -> name
+             | k -> Sentinel.kind_to_string k))
+           planted))
 
 (* -------------------------------------------------------- input guards ---- *)
 
@@ -733,4 +889,9 @@ let suite =
     case "fault: a classic generation save retries transient I/O"
       test_classic_save_retries;
     case "fault: text manifests raise Corrupt on a non-integer field"
-      test_text_manifests_typed ]
+      test_text_manifests_typed;
+    slow_case "fault: 4 blocks on 2 ranks, killed after generation 20, \
+               resume bitwise"
+      test_four_blocks_two_ranks_resume_bitwise;
+    slow_case "fault: sentinel on a 2-rank world aborts both ranks"
+      test_sentinel_two_rank_world_aborts_both ]
