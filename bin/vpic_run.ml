@@ -38,8 +38,6 @@ module Fault = Vpic_util.Fault
 module Deck = Vpic_lpi.Deck
 module Reflectivity = Vpic_lpi.Reflectivity
 module Sweep = Vpic_lpi.Sweep
-module Trapping = Vpic_lpi.Trapping
-module Srs_theory = Vpic_lpi.Srs_theory
 module Perf_model = Vpic_cell.Perf_model
 module Roadrunner = Vpic_cell.Roadrunner
 module Comm = Vpic_parallel.Comm
@@ -183,23 +181,6 @@ let sentinel_log ~rank ~nranks = function
       in
       at_exit (fun () -> close_out_noerr oc);
       fun m -> output_string oc (m ^ "\n"); flush oc
-
-(* The hot fraction and the f(v) flattening at the EPW phase velocity of
-   the electrons in the first block the root owns: the whole box on one
-   block, block 0 when every rank holds its own slab. *)
-let print_trapping (bs : Deck.block_setup) =
-  match Multiblock.owned_sims bs.Deck.mb with
-  | [] -> ()
-  | (_, sim) :: _ ->
-      let c = bs.Deck.config in
-      let electrons = Simulation.find_species sim "electron" in
-      Printf.printf "hot fraction (>3Te) = %.3e\n"
-        (Trapping.hot_fraction electrons ~threshold_kev:(3. *. c.Deck.te_kev));
-      Printf.printf "f(v) flattening at v_phase = %.2f\n"
-        (Trapping.flattening
-           (Trapping.distribution electrons)
-           ~v_phase:bs.Deck.matching.Srs_theory.v_phase
-           ~uth:bs.Deck.plasma.Srs_theory.uth ~width:0.05)
 
 (* Every run is one world: [blocks] relocatable y-slabs (one per rank by
    default) spread over the ranks, resumed from the newest valid
@@ -367,9 +348,11 @@ let run_srs a0 nr te nx ny nz ppc steps ckpt_dir ckpt_every keep resume
       Report.make ~kernel:(`Block block_width) ~totals ~workload ()
     in
     let energy = (Multiblock.energies mb).Simulation.total in
+    let hot, flat = Deck.trapping_over bs in
     if live_root () then begin
       Printf.printf "reflectivity = %.4e\n" r;
-      print_trapping bs;
+      Printf.printf "hot fraction (>3Te) = %.3e\n" hot;
+      Printf.printf "f(v) flattening at v_phase = %.2f\n" flat;
       Scoreboard.print_block_rollup ~owners:(Multiblock.owners mb)
         ~costs:(Multiblock.block_costs mb) ~migrations ~shipped_bytes:shipped;
       Printf.printf "push imbalance (max/mean, last window) = %.3f\n"

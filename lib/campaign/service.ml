@@ -1,9 +1,6 @@
 module Deck = Vpic_lpi.Deck
 module Sweep = Vpic_lpi.Sweep
 module Reflectivity = Vpic_lpi.Reflectivity
-module Trapping = Vpic_lpi.Trapping
-module Srs_theory = Vpic_lpi.Srs_theory
-module Simulation = Vpic.Simulation
 module Checkpoint = Vpic.Checkpoint
 module Multiblock = Vpic.Multiblock
 module Sentinel = Vpic.Sentinel
@@ -208,17 +205,7 @@ let simulate ctx (job : Job.t) ~worker =
       renew_at := now +. renew_interval
     end
   done;
-  let sim = snd (List.hd (Multiblock.owned_sims mb)) in
-  let electrons = Simulation.find_species sim "electron" in
-  let hot_fraction =
-    Trapping.hot_fraction electrons ~threshold_kev:(3. *. config.Deck.te_kev)
-  in
-  let fv = Trapping.distribution electrons in
-  let flattening =
-    Trapping.flattening fv
-      ~v_phase:bs.Deck.matching.Srs_theory.v_phase
-      ~uth:bs.Deck.plasma.Srs_theory.uth ~width:0.05
-  in
+  let hot_fraction, flattening = Deck.trapping_over bs in
   { Store.hash = job.Job.id;
     a0 = config.Deck.a0;
     nr = config.Deck.nr;

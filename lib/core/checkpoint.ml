@@ -275,8 +275,8 @@ let put_section w len write =
     (Int32.to_int (Crc32.bytes ~pos:start ~len w.buf) land 0xFFFFFFFF)
 
 (* The wire image is built and parsed in memory ([bytes]): the same
-   encoding lands on disk through [save] and on the rebalance mailbox
-   when a live block relocates mid-run.  It is sized exactly and
+   encoding lands on disk through [save] and in the rebalance's
+   allgather round when a live block relocates mid-run.  It is sized exactly and
    allocated once. *)
 let encode ?(block_id = 0) ?(nblocks = 1) (t : Simulation.t) =
   let meta = snap_meta ~block_id ~nblocks t in

@@ -258,9 +258,11 @@ let block_costs t = Array.copy t.last_costs
 
 (* Collect this window's per-block push seconds, allreduce them so every
    rank sees the same cost vector, plan greedily, and execute the moves
-   by shipping whole blocks over the checkpoint wire image.  Runs at a
-   step boundary: no exchange traffic is in flight, so the mailbox is
-   free for block payloads. *)
+   by shipping whole blocks over the checkpoint wire image.  Every move
+   is one [Comm.allgather] round on every rank (the plan is the same
+   everywhere): the source contributes the image, the others nothing,
+   and the destination decodes the source's row.  Runs at a step
+   boundary, with no exchange traffic in flight. *)
 let rebalance_now t =
   let nblocks = nblocks t in
   let costs =
@@ -296,26 +298,38 @@ let rebalance_now t =
         let src = Block.Ownership.owner t.ownership b in
         let comm = match t.comm with Some c -> c | None -> assert false in
         if src <> dst then begin
-          if src = t.rank then begin
-            let blk = get t b in
-            let image =
-              Checkpoint.encode ~block_id:b ~nblocks blk.sim
-            in
-            Comm.send comm ~dst ~tag:(Rebalance.ship_tag b)
-              (Rebalance.floats_of_bytes image);
-            t.blocks.(b) <- None;
-            t.migrations <- t.migrations + 1;
-            t.ship_bytes <- t.ship_bytes +. float_of_int (Bytes.length image);
-            if Metrics.enabled () then begin
-              let m = Metrics.default () in
-              Metrics.counter_add m "rebalance.migrations" 1.;
-              Metrics.counter_add m "rebalance.bytes"
-                (float_of_int (Bytes.length image))
-            end
-          end
-          else if dst = t.rank then begin
-            let payload = Comm.recv comm ~src ~tag:(Rebalance.ship_tag b) in
-            let image = Rebalance.bytes_of_floats payload in
+          let image =
+            if src = t.rank then
+              Some (Checkpoint.encode ~block_id:b ~nblocks (get t b).sim)
+            else None
+          in
+          let rows =
+            Comm.allgather comm
+              (match image with
+              | Some image -> Rebalance.floats_of_bytes image
+              | None -> [||])
+          in
+          (match image with
+          | Some image ->
+              t.blocks.(b) <- None;
+              t.migrations <- t.migrations + 1;
+              t.ship_bytes <- t.ship_bytes +. float_of_int (Bytes.length image);
+              if Metrics.enabled () then begin
+                let m = Metrics.default () in
+                Metrics.counter_add m "rebalance.migrations" 1.;
+                Metrics.counter_add m "rebalance.bytes"
+                  (float_of_int (Bytes.length image))
+              end
+          | None -> ());
+          if dst = t.rank then begin
+            (* An empty row: the source died before it shipped, and the
+               survivors closed the round without it. *)
+            if Array.length rows.(src) = 0 then
+              raise
+                (Comm.Rank_failed
+                   { rank = src;
+                     error = Printf.sprintf "died before shipping block %d" b });
+            let image = Rebalance.bytes_of_floats rows.(src) in
             let sim =
               Checkpoint.decode ~expect_block:b ~perf:t.perf
                 ~coupler:(coupler t ~id:b) image

@@ -1,13 +1,13 @@
 (* Self-healing runs: shrinking-world recovery.
 
-   When a rank dies mid-run (injected kill, uncaught exception, or a
-   timeout shadowing a death), the survivors do not abort: they funnel
-   into [Comm.recover] (the failure-detector barrier), agree on the
-   newest fully-valid checkpoint generation, re-plan block ownership
-   over the shrunken rank set, adopt the dead ranks' blocks from their
-   on-disk images, and resume the step loop.  Because block push RNGs
-   are salted by block id, the recovered trajectory equals an
-   uninterrupted run from that checkpoint to round-off.
+   When a rank dies mid-run (injected kill or uncaught exception), the
+   survivors do not abort: they funnel into [Comm.recover] (the
+   failure-detector barrier), agree on the newest fully-valid checkpoint
+   generation, re-plan block ownership over the shrunken rank set,
+   adopt the dead ranks' blocks from their on-disk images, and resume
+   the step loop.  Because block push RNGs are salted by block id, the
+   recovered trajectory equals an uninterrupted run from that
+   checkpoint to round-off.
 
    Agreement without broadcast.  Every decision is a pure function of
    data all survivors share:
@@ -52,21 +52,13 @@ let classify_exit = function
   | _ -> None
 
 (* Can the *surviving* world absorb [e] and roll back?  A peer's death
-   is recoverable; so is a timeout when some rank is already marked dead
-   (the timeout is the death's shadow — the waited-for message died with
-   its sender).  A timeout with every rank live is not: we cannot name a
-   culprit, and accusing blindly would shrink the world on noise.  Our
-   own death sentence ([Injected_kill] on this rank, [Excluded],
-   [Rank_failed] naming ourselves) is never absorbed — the rank must
-   stand down so the survivors' quorum math holds. *)
+   is recoverable.  Our own death sentence ([Injected_kill] on this
+   rank, [Rank_failed] naming ourselves) is never absorbed — the rank
+   must stand down so the survivors' quorum math holds. *)
 let recoverable c e =
   let me = Comm.rank c in
-  let somebody_dead () =
-    List.length (Comm.live_ranks c) < Comm.size c
-  in
   match e with
   | Comm.Rank_failed { rank; _ } -> rank <> me
-  | Comm.Comm_timeout _ -> somebody_dead ()
   | Team.Worker_failed { error = Comm.Rank_failed { rank; _ }; _ } ->
       rank <> me
   | _ -> false
@@ -92,18 +84,12 @@ let attempt mb ~dir =
   let step_before = Multiblock.nstep mb in
   (* Failure-detector barrier: completes when every still-live rank has
      arrived; bumps the world epoch, so stale pre-rollback messages in
-     ports and mailboxes are discarded on receipt. *)
+     ports are discarded on receipt. *)
   let casualties = Comm.recover c in
   let nblocks = Multiblock.nblocks mb in
   let live = Comm.live_ranks c in
   let nlive = List.length live in
-  let my_index =
-    let rec idx i = function
-      | [] -> raise (Comm.Excluded { rank = Comm.rank c })
-      | r :: rest -> if r = Comm.rank c then i else idx (i + 1) rest
-    in
-    idx 0 live
-  in
+  let my_index = List.length (List.filter (fun r -> r < Comm.rank c) live) in
   (* Phase 1: the rollback generation.  Verification work is sliced over
      the live ranks; the per-generation verdict is allreduced, so all
      survivors agree on the same (newest fully-checksummed) target. *)

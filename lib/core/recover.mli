@@ -1,12 +1,12 @@
 (** Self-healing runs: shrinking-world recovery.
 
-    When a rank dies mid-run — an injected kill, an uncaught exception,
-    or a {!Vpic_parallel.Comm.Comm_timeout} shadowing a death — the
-    survivors run a coordinated recovery instead of aborting:
+    When a rank dies mid-run — an injected kill or an uncaught
+    exception — the survivors run a coordinated recovery instead of
+    aborting:
 
     + funnel into {!Vpic_parallel.Comm.recover}, the failure-detector
       barrier that agrees on the casualty list and opens a new message
-      epoch (stale pre-rollback traffic is discarded on receipt);
+      epoch (stale pre-rollback port traffic is discarded on receipt);
     + agree on the newest fully-valid checkpoint generation — checksum
       verification sliced over the live ranks, verdict allreduced;
     + re-plan block → rank ownership over the shrunken world with
@@ -24,8 +24,7 @@
     uninterrupted run from the same checkpoint to round-off.
 
     What is {e not} survivable: a rank's own death sentence (it must
-    stand down), a timeout with every rank still live (no culprit can
-    be named), a world with no valid checkpoint generation, and — by
+    stand down), a world with no valid checkpoint generation, and — by
     construction — the loss of {e all} ranks. *)
 
 module Comm = Vpic_parallel.Comm
@@ -47,9 +46,8 @@ val classify_exit : exn -> int option
 
 (** Is this failure one the {e surviving} world can absorb?  True for a
     peer's {!Comm.Rank_failed} (raw or wrapped in
-    {!Vpic_parallel.Team.Worker_failed}) and for a {!Comm.Comm_timeout}
-    when some rank is already marked dead.  False for this rank's own
-    death sentence and for timeouts with every rank live. *)
+    {!Vpic_parallel.Team.Worker_failed}).  False for this rank's own
+    death sentence. *)
 val recoverable : Comm.t -> exn -> bool
 
 type outcome = {
@@ -61,8 +59,7 @@ type outcome = {
 
 (** Run the recovery protocol.  Collective over the survivors: every
     live rank must call it after catching a recoverable failure.
-    Raises {!Comm.Excluded} if this rank is itself a casualty,
-    {!Unrecoverable} if there is nothing to roll back to. *)
+    Raises {!Unrecoverable} if there is nothing to roll back to. *)
 val attempt : Multiblock.t -> dir:string -> outcome
 
 (** [supervise ~dir ~keep ~ckpt_every ~steps mb] runs the step loop to

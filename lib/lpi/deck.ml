@@ -347,6 +347,16 @@ let sample_over bs =
        (fun (_, sim) -> sim.Simulation.fields)
        (Multiblock.owned_sims bs.mb))
 
+let trapping_over bs =
+  Trapping.world_lines
+    ?reduce_sum_array:
+      (Option.map Comm.allreduce_sum_array (Multiblock.comm bs.mb))
+    (List.map
+       (fun (_, sim) -> Simulation.find_species sim "electron")
+       (Multiblock.owned_sims bs.mb))
+    ~threshold_kev:(3. *. bs.config.te_kev)
+    ~v_phase:bs.matching.Srs_theory.v_phase ~uth:bs.plasma.Srs_theory.uth
+
 let suggested_steps c =
   let lx, dt = box c in
   (* turn-on + three light transits + the damped-EPW response time

@@ -129,3 +129,9 @@ val build_over :
 (** Sample the reflectivity probe over the owned blocks (area-weighted;
     call once per step after {!Vpic.Multiblock.step}). *)
 val sample_over : block_setup -> unit
+
+(** The world's trapping lines: the hot fraction (> 3 Te) and the f(v)
+    flattening at the EPW phase velocity over the electrons of every
+    block ({!Trapping.world_lines}).  Collective when the world has a
+    comm: every live rank must call it. *)
+val trapping_over : block_setup -> float * float

@@ -44,16 +44,12 @@ let measure config ~steps =
   let setup = Deck.build config in
   let r_avg = Deck.run setup ~steps in
   let r_pk = Reflectivity.peak_reflectivity setup.Deck.refl in
-  let electrons = Simulation.find_species setup.Deck.sim "electron" in
-  let hot_frac =
-    Trapping.hot_fraction electrons
+  let hot_frac, flat =
+    Trapping.world_lines
+      [ Simulation.find_species setup.Deck.sim "electron" ]
       ~threshold_kev:(3. *. config.Deck.te_kev)
-  in
-  let fv = Trapping.distribution electrons in
-  let flat =
-    Trapping.flattening fv
       ~v_phase:setup.Deck.matching.Srs_theory.v_phase
-      ~uth:setup.Deck.plasma.Srs_theory.uth ~width:0.05
+      ~uth:setup.Deck.plasma.Srs_theory.uth
   in
   { r_avg; r_pk; hot_frac; flat }
 

@@ -4,8 +4,7 @@ module Axis = Vpic_grid.Axis
 
 type fv = { centers : float array; f : float array }
 
-let distribution ?(lo = -0.6) ?(hi = 0.6) ?(bins = 240) s =
-  let h = Moments.velocity_histogram s ~component:Axis.X ~lo ~hi ~bins in
+let fv_of_histogram ~lo ~hi ~bins h =
   let total = Array.fold_left ( +. ) 0. h in
   let f = if total > 0. then Array.map (fun x -> x /. total) h else h in
   let db = (hi -. lo) /. float_of_int bins in
@@ -13,6 +12,10 @@ let distribution ?(lo = -0.6) ?(hi = 0.6) ?(bins = 240) s =
     Array.init bins (fun b -> lo +. ((float_of_int b +. 0.5) *. db))
   in
   { centers; f }
+
+let distribution ?(lo = -0.6) ?(hi = 0.6) ?(bins = 240) s =
+  fv_of_histogram ~lo ~hi ~bins
+    (Moments.velocity_histogram s ~component:Axis.X ~lo ~hi ~bins)
 
 let slope_at fv ~v ~width =
   (* least-squares slope of ln f over the window; empty bins skipped *)
@@ -37,3 +40,25 @@ let flattening fv ~v_phase ~uth ~width =
   if maxwellian = 0. then 1. else measured /. maxwellian
 
 let hot_fraction s ~threshold_kev = Moments.hot_fraction s ~threshold_kev
+
+(* Sum the raw weights block by block, in list order, then across the
+   ranks, and normalise only once: [hot_weight; total_weight; f(v) bins].
+   On one block with the identity reduce every value is bitwise what
+   [hot_fraction] and [distribution] give. *)
+let world_lines ?(reduce_sum_array = Fun.id) electrons ~threshold_kev ~v_phase
+    ~uth =
+  let lo = -0.6 and hi = 0.6 and bins = 240 in
+  let sums = Array.make (2 + bins) 0. in
+  List.iter
+    (fun s ->
+      let whot, wtot = Moments.hot_weights s ~threshold_kev in
+      sums.(0) <- sums.(0) +. whot;
+      sums.(1) <- sums.(1) +. wtot;
+      Array.iteri
+        (fun b w -> sums.(2 + b) <- sums.(2 + b) +. w)
+        (Moments.velocity_histogram s ~component:Axis.X ~lo ~hi ~bins))
+    electrons;
+  let sums = reduce_sum_array sums in
+  let hot = if sums.(1) = 0. then 0. else sums.(0) /. sums.(1) in
+  let fv = fv_of_histogram ~lo ~hi ~bins (Array.sub sums 2 bins) in
+  (hot, flattening fv ~v_phase ~uth ~width:0.05)

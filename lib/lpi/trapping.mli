@@ -19,3 +19,18 @@ val flattening : fv -> v_phase:float -> uth:float -> width:float -> float
 
 (** Weighted fraction of electrons above [threshold_kev] kinetic energy. *)
 val hot_fraction : Vpic_particle.Species.t -> threshold_kev:float -> float
+
+(** [world_lines electrons ~threshold_kev ~v_phase ~uth] is the hot
+    fraction above [threshold_kev] and the f(v) flattening at [v_phase]
+    (window 0.05) over all of [electrons] (one species per block, in
+    block-id order), with the raw weights summed across ranks by
+    [reduce_sum_array] (default: the identity, for one rank) before
+    normalising.  On a single species it equals {!hot_fraction} and
+    {!flattening} of {!distribution} bitwise. *)
+val world_lines :
+  ?reduce_sum_array:(float array -> float array) ->
+  Vpic_particle.Species.t list ->
+  threshold_kev:float ->
+  v_phase:float ->
+  uth:float ->
+  float * float

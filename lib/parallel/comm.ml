@@ -1,27 +1,16 @@
 (* Concurrency/ownership rule (audited for the worker-team refactor):
-   every shared structure here (inboxes, ports, barrier, the [dead]
-   flag) is mutex-guarded, so the layer is memory-safe under any caller
-   domain — but the *protocol* is rank-scoped: sends, receives,
-   collectives and barriers must be issued by the rank's own domain
-   only, never from a team worker lane.  Collectives are counted per
-   rank (a worker joining a barrier would deadlock or double-count), a
-   port's consumer is its registering rank, and the wait observer is
-   Domain.DLS-keyed to the rank's domain.  The team keeps this invariant
-   structurally: workers run only tile closures handed to
-   [Vpic_util.Pool.run], and no tiled kernel touches Comm. *)
+   every shared structure here (ports, the rendezvous, the [dead] flag)
+   is mutex-guarded, so the layer is memory-safe under any caller domain
+   — but the *protocol* is rank-scoped: port traffic, collectives and
+   barriers must be issued by the rank's own domain only, never from a
+   team worker lane.  Collectives are counted per rank (a worker joining
+   a round would deadlock or double-count), a port's consumer is its
+   registering rank, and the wait observer is Domain.DLS-keyed to the
+   rank's domain.  The team keeps this invariant structurally: workers
+   run only tile closures handed to [Vpic_util.Pool.run], and no tiled
+   kernel touches Comm. *)
 
-exception Comm_timeout of { port : string; waited : float }
 exception Rank_failed of { rank : int; error : string }
-exception Excluded of { rank : int }
-
-(* Mailbox payloads carry the sender's world epoch so messages queued
-   before a recovery rollback are silently discarded by post-recovery
-   receivers (see [recover] below). *)
-type inbox = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  queues : (int * int, (int * float array) Queue.t) Hashtbl.t;
-}
 
 type buf32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -42,17 +31,25 @@ type port = {
   mutable waiters : int;
       (* threads parked on [pcv]; lets posts and consumes skip the
          broadcast (a kernel wake on the common path) when nobody waits *)
-  pname : string; (* for Comm_timeout diagnoses *)
+  pname : string; (* reported to the wait observer *)
   pworld : world; (* back-reference for the failed-rank check in waits *)
+}
+
+(* One rendezvous round: the contributions of the ranks that arrived,
+   indexed by rank ([||] for a rank that has not).  The last arriver
+   closes the round; from then on nobody writes to it, so [board] is the
+   immutable snapshot every participant reads. *)
+and round = {
+  board : float array array;
+  mutable arrived : int;
+  mutable closed : bool;
 }
 
 and world = {
   nranks : int;
-  inboxes : inbox array;
   bar_mu : Mutex.t;
   bar_cv : Condition.t;
-  mutable bar_count : int;
-  mutable bar_gen : int;
+  mutable round : round; (* the open round; guarded by [bar_mu] *)
   port_mu : Mutex.t;
   port_cv : Condition.t;
   port_tables : port array array; (* per rank; grows by registration *)
@@ -64,15 +61,15 @@ and world = {
      absorbed", while [failed] below is the permanent record. *)
   mutable dead : (int * string) option;
   (* Permanent per-rank death record, updated by every [mark_failed]
-     (unlike [dead], which records only the first).  Read unlocked by the
-     survivor-aware collectives: the array is monotonic (false -> true
+     (unlike [dead], which records only the first).  Read unlocked by
+     [live_root] and friends: the array is monotonic (false -> true
      only), and a rank acting on a stale value is woken into
      [Rank_failed] by the [mark_failed] broadcast, converging on the
      recovery path either way. *)
   failed : bool array;
-  (* World epoch: bumped by each completed [recover] round.  Messages
-     stamped with an older epoch are pre-rollback traffic and are
-     discarded un-read. *)
+  (* World epoch: bumped by each completed [recover] round.  Port
+     messages stamped with an older epoch are pre-rollback traffic and
+     are discarded un-read. *)
   mutable epoch : int;
   (* Ranks currently parked inside [recover] this round. *)
   mutable rec_count : int;
@@ -80,14 +77,16 @@ and world = {
 
 type t = { world : world; my_rank : int }
 
+let new_round n = { board = Array.make n [||]; arrived = 0; closed = false }
+
 (* -------------------------------------------------------- rank death ---- *)
 
 let raise_dead (rank, error) = raise (Rank_failed { rank; error })
 
 (* Record the failure and wake every parked waiter in the world: port
-   consumers and back-pressured senders, mailbox receivers, barriers.
-   Waiters re-check [dead] on wake and fail fast with the culprit's
-   error.  Idempotent; the first failure wins (later ones are usually the
+   consumers and back-pressured senders, rendezvous rounds.  Waiters
+   re-check [dead] on wake and fail fast with the culprit's error.
+   Idempotent; the first failure wins (later ones are usually the
    [Rank_failed] cascades it caused). *)
 let mark_failed w rank exn_text =
   Mutex.lock w.bar_mu;
@@ -95,12 +94,6 @@ let mark_failed w rank exn_text =
   if w.dead = None then w.dead <- Some (rank, exn_text);
   Condition.broadcast w.bar_cv;
   Mutex.unlock w.bar_mu;
-  Array.iter
-    (fun ib ->
-      Mutex.lock ib.mu;
-      Condition.broadcast ib.cv;
-      Mutex.unlock ib.mu)
-    w.inboxes;
   Mutex.lock w.port_mu;
   let tables = Array.copy w.port_tables in
   Condition.broadcast w.port_cv;
@@ -112,19 +105,11 @@ let mark_failed w rank exn_text =
          Mutex.unlock p.pmu))
     tables
 
-let poison t ~error = mark_failed t.world t.my_rank error
-
 let make_world nranks =
   { nranks;
-    inboxes =
-      Array.init nranks (fun _ ->
-          { mu = Mutex.create ();
-            cv = Condition.create ();
-            queues = Hashtbl.create 64 });
     bar_mu = Mutex.create ();
     bar_cv = Condition.create ();
-    bar_count = 0;
-    bar_gen = 0;
+    round = new_round nranks;
     port_mu = Mutex.create ();
     port_cv = Condition.create ();
     port_tables = Array.make nranks [||];
@@ -143,19 +128,13 @@ let live_count_locked w =
   Array.iter (fun f -> if not f then incr n) w.failed;
   !n
 
-(* Lowest live rank: the root of every survivor-aware collective.  In a
-   world that never lost a rank this is 0 — the historical root. *)
+(* Lowest live rank.  In a world that never lost a rank this is 0. *)
 let live_root w =
   let r = ref 0 in
   while !r < w.nranks - 1 && w.failed.(!r) do
     incr r
   done;
   !r
-
-let iter_live w f =
-  for r = 0 to w.nranks - 1 do
-    if not w.failed.(r) then f r
-  done
 
 let alive t ~rank = not t.world.failed.(rank)
 let epoch t = t.world.epoch
@@ -168,55 +147,31 @@ let live_ranks t =
   done;
   !acc
 
-let accuse t ~peer ~error =
-  assert (peer >= 0 && peer < t.world.nranks);
-  mark_failed t.world peer error
-
 (* The failure-detector barrier.  Every survivor that catches a
-   [Rank_failed] (or a timeout shadowing one) funnels here; the round
-   completes when every still-live rank has arrived.  The predicate
-   re-evaluates [live_count_locked] on each wake, so further deaths
-   during the round shrink the quorum instead of deadlocking it.  The
-   last arriver resets the world for the next epoch: the death flag is
-   cleared, the barrier generation is bumped with its arrival count
-   zeroed (wiping contributions from barriers the dead rank poisoned),
-   and the epoch advance retroactively invalidates every message still
-   sitting in a port ring or mailbox queue.  The reset is safe exactly
+   [Rank_failed] funnels here; the round completes when every still-live
+   rank has arrived.  The predicate re-evaluates [live_count_locked] on
+   each wake, so further deaths during the round shrink the quorum
+   instead of deadlocking it.  The last arriver resets the world for the
+   next epoch: the death flag is cleared, the open rendezvous round is
+   discarded (wiping contributions from a round the dead rank never
+   joined), and the epoch advance retroactively invalidates every
+   message still sitting in a port ring.  The reset is safe exactly
    because all live ranks are parked here — nobody can be mid-send with
    the old epoch.  Returns the agreed casualty list. *)
 let recover t =
   let w = t.world in
   Mutex.lock w.bar_mu;
-  if w.failed.(t.my_rank) then begin
-    Mutex.unlock w.bar_mu;
-    raise (Excluded { rank = t.my_rank })
-  end;
   let e0 = w.epoch in
   w.rec_count <- w.rec_count + 1;
   Condition.broadcast w.bar_cv;
-  let excluded = ref false in
-  while
-    (not !excluded) && w.epoch = e0 && w.rec_count < live_count_locked w
-  do
-    Condition.wait w.bar_cv w.bar_mu;
-    (* Accused while parked (a peer timed out on us mid-round): withdraw
-       our arrival and die, instead of stalling the survivors' quorum. *)
-    if w.failed.(t.my_rank) then excluded := true
+  while w.epoch = e0 && w.rec_count < live_count_locked w do
+    Condition.wait w.bar_cv w.bar_mu
   done;
-  if !excluded then begin
-    if w.epoch = e0 then begin
-      w.rec_count <- w.rec_count - 1;
-      Condition.broadcast w.bar_cv
-    end;
-    Mutex.unlock w.bar_mu;
-    raise (Excluded { rank = t.my_rank })
-  end;
   if w.epoch = e0 then begin
     w.epoch <- e0 + 1;
     w.rec_count <- 0;
     w.dead <- None;
-    w.bar_count <- 0;
-    w.bar_gen <- w.bar_gen + 1;
+    w.round <- new_round w.nranks;
     Condition.broadcast w.bar_cv
   end;
   let dead = ref [] in
@@ -226,20 +181,14 @@ let recover t =
   Mutex.unlock w.bar_mu;
   !dead
 
-(* Reserved tag space for collectives; user tags are >= 0. *)
-let tag_reduce = -1
-let tag_bcast = -2
-let tag_gather = -3
-let tag_is_reserved tag = tag < 0
-
 (* ------------------------------------------------------------ ports ---- *)
 
 (* Depth 8, not 2: a field-solve step posts three ghost fills to the same
    slot back to back, and a shallow ring blocks the sender until the
-   neighbour consumes — convoying ranks that the mailbox (with its
-   unbounded buffering) lets run ahead.  On an oversubscribed host every
-   such block is a context switch.  Depth 8 absorbs over two full steps
-   of skew while still bounding memory to a few ring buffers per face. *)
+   neighbour consumes — convoying ranks on every step.  On an
+   oversubscribed host every such block is a context switch.  Depth 8
+   absorbs over two full steps of skew while still bounding memory to a
+   few ring buffers per face. *)
 let port_depth = 8
 
 let buf32_create n : buf32 =
@@ -343,22 +292,6 @@ let port_post p (src : buf32) ~len =
   done;
   port_commit p ~len
 
-let port_finish_consume p =
-  Mutex.lock p.pmu;
-  p.consumed <- p.consumed + 1;
-  if p.waiters > 0 then Condition.broadcast p.pcv;
-  Mutex.unlock p.pmu
-
-(* Block until a message is pending.  Without [deadline] this parks on
-   the condition variable (zero steady-state cost; a failed rank's
-   [mark_failed] broadcast wakes it).  With a deadline there is no timed
-   condvar wait in the stdlib, so the wait degrades to a sleep-poll at
-   [deadline_poll] granularity — only runs configured with deadlines pay
-   for it.  Raises [Comm_timeout] naming the port once the deadline
-   passes, [Rank_failed] if a peer died with nothing left to drain
-   (pending messages are still delivered after a death). *)
-let deadline_poll = 0.0005
-
 (* Caller holds [pmu].  Skip ring entries committed before the current
    world epoch: they are pre-rollback traffic a recovery invalidated.
    Bumping [consumed] releases any sender back-pressured on the stale
@@ -373,49 +306,10 @@ let rec port_drop_stale p =
     port_drop_stale p
   end
 
-let port_wait_pending p ~deadline =
-  match deadline with
-  | None ->
-      port_drop_stale p;
-      while p.posted = p.consumed && p.pworld.dead = None do
-        p.waiters <- p.waiters + 1;
-        Condition.wait p.pcv p.pmu;
-        p.waiters <- p.waiters - 1;
-        port_drop_stale p
-      done;
-      if p.posted = p.consumed then begin
-        let d = Option.get p.pworld.dead in
-        Mutex.unlock p.pmu;
-        raise_dead d
-      end
-  | Some limit ->
-      let t0 = Unix.gettimeofday () in
-      let rec poll () =
-        port_drop_stale p;
-        if p.posted = p.consumed then begin
-          match p.pworld.dead with
-          | Some d ->
-              Mutex.unlock p.pmu;
-              raise_dead d
-          | None ->
-              let waited = Unix.gettimeofday () -. t0 in
-              if waited > limit then begin
-                Mutex.unlock p.pmu;
-                raise (Comm_timeout { port = p.pname; waited })
-              end;
-              Mutex.unlock p.pmu;
-              Unix.sleepf deadline_poll;
-              Mutex.lock p.pmu;
-              poll ()
-        end
-      in
-      poll ()
-
 (* Wait observer: an optional per-domain hook reporting how long each
-   port wait parked and every deadline expiry, installed by the
-   telemetry layer.  Gated on one global atomic so uninstrumented runs
-   pay a single load per wait; the clock is only read when a hook is
-   installed on the calling domain. *)
+   port wait parked, installed by the telemetry layer.  Gated on one
+   global atomic so uninstrumented runs pay a single load per wait; the
+   clock is only read when a hook is installed on the calling domain. *)
 type wait_observer = {
   on_wait : port:string -> seconds:float -> unit;
   on_timeout : port:string -> unit;
@@ -432,262 +326,115 @@ let set_wait_observer o =
   | Some _ -> Atomic.set wait_observers_armed true
   | None -> ()
 
-let port_wait ?deadline p ~f =
+(* Park on the condition variable until a current-epoch message is
+   pending (zero steady-state cost; a failed rank's [mark_failed]
+   broadcast wakes it), then run [f] on it in place with the lock
+   released.  Pending messages are still delivered after a death; only
+   an empty ring raises [Rank_failed]. *)
+let port_wait p ~f =
   let obs =
     if Atomic.get wait_observers_armed then Domain.DLS.get wait_observer_key
     else None
   in
   let t0 = match obs with None -> 0. | Some _ -> Unix.gettimeofday () in
+  let observe () =
+    match obs with
+    | Some o -> o.on_wait ~port:p.pname ~seconds:(Unix.gettimeofday () -. t0)
+    | None -> ()
+  in
   Mutex.lock p.pmu;
-  (try port_wait_pending p ~deadline
-   with e ->
-     (* port_wait_pending released the mutex before raising *)
-     (match obs with
-     | Some o ->
-         (match e with
-         | Comm_timeout _ -> o.on_timeout ~port:p.pname
-         | _ -> ());
-         o.on_wait ~port:p.pname ~seconds:(Unix.gettimeofday () -. t0)
-     | None -> ());
-     raise e);
+  port_drop_stale p;
+  while p.posted = p.consumed && p.pworld.dead = None do
+    p.waiters <- p.waiters + 1;
+    Condition.wait p.pcv p.pmu;
+    p.waiters <- p.waiters - 1;
+    port_drop_stale p
+  done;
+  if p.posted = p.consumed then begin
+    let d = Option.get p.pworld.dead in
+    Mutex.unlock p.pmu;
+    observe ();
+    raise_dead d
+  end;
   let i = p.consumed mod port_depth in
   let buf = p.ring.(i) and len = p.lens.(i) in
   Mutex.unlock p.pmu;
-  (match obs with
-  | Some o -> o.on_wait ~port:p.pname ~seconds:(Unix.gettimeofday () -. t0)
-  | None -> ());
+  observe ();
   f buf len;
-  port_finish_consume p
-
-let port_try_recv p ~f =
   Mutex.lock p.pmu;
-  port_drop_stale p;
-  let ready = p.posted > p.consumed in
-  if not ready then begin
-    Mutex.unlock p.pmu;
-    false
-  end
-  else begin
-    let i = p.consumed mod port_depth in
-    let buf = p.ring.(i) and len = p.lens.(i) in
-    Mutex.unlock p.pmu;
-    f buf len;
-    port_finish_consume p;
-    true
-  end
+  p.consumed <- p.consumed + 1;
+  if p.waiters > 0 then Condition.broadcast p.pcv;
+  Mutex.unlock p.pmu
 
-(* --------------------------------------------------- mailbox (shim) ---- *)
+(* ------------------------------------------------------- rendezvous ---- *)
 
-let send_internal t ~dst ~tag payload =
-  assert (dst >= 0 && dst < t.world.nranks);
-  let ib = t.world.inboxes.(dst) in
-  Mutex.lock ib.mu;
-  let key = (t.my_rank, tag) in
-  let q =
-    match Hashtbl.find_opt ib.queues key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.add ib.queues key q;
-        q
-  in
-  Queue.push (t.world.epoch, payload) q;
-  Condition.broadcast ib.cv;
-  Mutex.unlock ib.mu
-
-let recv_internal ?deadline t ~src ~tag =
-  assert (src >= 0 && src < t.world.nranks);
-  let w = t.world in
-  let ib = w.inboxes.(t.my_rank) in
-  let key = (src, tag) in
-  (* Caller holds ib.mu.  Drop the queue once it drains: long sweeps use
-     many distinct (src, tag) keys and the table would otherwise grow
-     without bound. *)
-  let pop_locked q =
-    let p = Queue.pop q in
-    if Queue.is_empty q then Hashtbl.remove ib.queues key;
-    p
-  in
-  let fail_locked e =
-    Mutex.unlock ib.mu;
-    e ()
-  in
-  (* No speculative spinning here: an idle rank parks on the condition
-     variable and is woken by the sender's broadcast.  Burning a core in
-     [Domain.cpu_relax] starved the rank that owned the message on
-     oversubscribed hosts; the futex sleep costs microseconds and only on
-     a genuinely empty queue.  A deadline degrades the park to a
-     sleep-poll (no timed condvar wait in the stdlib); a failed rank
-     wakes the parked path via [mark_failed]'s broadcast. *)
-  Mutex.lock ib.mu;
-  let t0 = Unix.gettimeofday () in
-  let rec wait () =
-    match Hashtbl.find_opt ib.queues key with
-    | Some q when not (Queue.is_empty q) ->
-        let ep, payload = pop_locked q in
-        (* Stale epoch: pre-rollback traffic, discard un-read. *)
-        if ep < w.epoch then wait () else payload
-    | _ -> (
-        match w.dead with
-        | Some d -> fail_locked (fun () -> raise_dead d)
-        | None -> (
-            match deadline with
-            | None ->
-                Condition.wait ib.cv ib.mu;
-                wait ()
-            | Some limit ->
-                let waited = Unix.gettimeofday () -. t0 in
-                if waited > limit then
-                  fail_locked (fun () ->
-                      raise
-                        (Comm_timeout
-                           { port =
-                               Printf.sprintf
-                                 "recv src=%d tag=%d at rank %d" src tag
-                                 t.my_rank;
-                             waited }))
-                else begin
-                  Mutex.unlock ib.mu;
-                  Unix.sleepf deadline_poll;
-                  Mutex.lock ib.mu;
-                  wait ()
-                end))
-  in
-  let payload = wait () in
-  Mutex.unlock ib.mu;
-  payload
-
-let send t ~dst ~tag payload =
-  if tag_is_reserved tag then invalid_arg "Comm.send: reserved tag";
-  send_internal t ~dst ~tag payload
-
-let recv ?deadline t ~src ~tag =
-  if tag_is_reserved tag then invalid_arg "Comm.recv: reserved tag";
-  recv_internal ?deadline t ~src ~tag
-
-let barrier t =
+(* The one rendezvous behind the barrier and every collective.  The
+   arriving rank copies its contribution onto the open round's board
+   (a caller may reuse its array as soon as this returns, while peers
+   still read the board).  The round's quorum is the live count, so a
+   shrunken world's collectives keep working without the dead ranks'
+   arrivals; the last arriver closes the round and opens the next.  A
+   waiter reads its own round's board, never a later one.  A death
+   before the round closes releases the waiters into [Rank_failed] — a
+   dead rank never arrives — and [recover] discards the half-filled
+   round. *)
+let allgather t x =
   let w = t.world in
   Mutex.lock w.bar_mu;
-  if w.failed.(t.my_rank) then begin
-    Mutex.unlock w.bar_mu;
-    raise (Excluded { rank = t.my_rank })
-  end;
-  let gen = w.bar_gen in
-  w.bar_count <- w.bar_count + 1;
-  (* Completion quorum is the live count, so a shrunken world's barriers
-     keep working without the dead ranks' arrivals. *)
-  if w.bar_count >= live_count_locked w then begin
-    w.bar_count <- 0;
-    w.bar_gen <- gen + 1;
+  let r = w.round in
+  r.board.(t.my_rank) <- Array.copy x;
+  r.arrived <- r.arrived + 1;
+  if r.arrived >= live_count_locked w then begin
+    r.closed <- true;
+    w.round <- new_round w.nranks;
     Condition.broadcast w.bar_cv
   end
   else begin
-    while w.bar_gen = gen && w.dead = None do
+    while (not r.closed) && w.dead = None do
       Condition.wait w.bar_cv w.bar_mu
     done;
-    (* A dead rank never arrives: release the survivors. *)
     match w.dead with
-    | Some d when w.bar_gen = gen ->
+    | Some d when not r.closed ->
         Mutex.unlock w.bar_mu;
         raise_dead d
     | _ -> ()
   end;
-  Mutex.unlock w.bar_mu
+  Mutex.unlock w.bar_mu;
+  r.board
 
-let reduce_with t combine x =
-  (* Root accumulates, then broadcasts.  O(P) messages: fine for the rank
-     counts a 2-core host can exercise; the perf model, not this runtime,
-     captures large-P communication costs.  The root is the lowest live
-     rank and only live ranks participate — identical to the historical
-     root-0 all-ranks shape until a rank dies. *)
-  let w = t.world in
-  let root = live_root w in
-  if t.my_rank = root then begin
-    let acc = ref x in
-    iter_live w (fun src ->
-        if src <> root then begin
-          let v = recv_internal t ~src ~tag:tag_reduce in
-          acc := combine !acc v.(0)
-        end);
-    iter_live w (fun dst ->
-        if dst <> root then send_internal t ~dst ~tag:tag_reduce [| !acc |]);
-    !acc
-  end
-  else begin
-    send_internal t ~dst:root ~tag:tag_reduce [| x |];
-    (recv_internal t ~src:root ~tag:tag_reduce).(0)
-  end
+let barrier t = ignore (allgather t [||])
 
-let allreduce_sum t x = reduce_with t ( +. ) x
-let allreduce_min t x = reduce_with t Float.min x
-let allreduce_max t x = reduce_with t Float.max x
-
+(* Fold the rows of the ranks that took part, in ascending rank order,
+   starting from the lowest one's row: every rank computes the same
+   value the same way. *)
 let allreduce_array t ~merge xs =
-  let w = t.world in
-  if w.nranks = 1 then Array.copy xs
-  else begin
-    let root = live_root w in
-    if t.my_rank = root then begin
-      let acc = Array.copy xs in
-      iter_live w (fun src ->
-          if src <> root then begin
-            let v = recv_internal t ~src ~tag:tag_reduce in
-            assert (Array.length v = Array.length acc);
-            Array.iteri (fun i x -> acc.(i) <- merge acc.(i) x) v
-          end);
-      iter_live w (fun dst ->
-          if dst <> root then send_internal t ~dst ~tag:tag_reduce acc);
-      acc
-    end
-    else begin
-      send_internal t ~dst:root ~tag:tag_reduce xs;
-      recv_internal t ~src:root ~tag:tag_reduce
-    end
-  end
+  let acc = ref None in
+  Array.iter
+    (fun row ->
+      if Array.length row > 0 then
+        match !acc with
+        | None -> acc := Some (Array.copy row)
+        | Some a ->
+            assert (Array.length row = Array.length a);
+            Array.iteri (fun i x -> a.(i) <- merge a.(i) x) row)
+    (allgather t xs);
+  match !acc with Some a -> a | None -> [||]
 
 let allreduce_sum_array t xs = allreduce_array t ~merge:( +. ) xs
 let allreduce_max_array t xs = allreduce_array t ~merge:Float.max xs
+let allreduce_sum t x = (allreduce_sum_array t [| x |]).(0)
+let allreduce_max t x = (allreduce_max_array t [| x |]).(0)
 
-let bcast t ~root x =
-  let w = t.world in
-  if w.nranks = 1 then x
-  else begin
-    (* A dead root would strand every receiver: substitute the lowest
-       live rank (callers hardcode root 0, which can die). *)
-    let root = if w.failed.(root) then live_root w else root in
-    if t.my_rank = root then begin
-      iter_live w (fun dst ->
-          if dst <> root then send_internal t ~dst ~tag:tag_bcast x);
-      x
-    end
-    else recv_internal t ~src:root ~tag:tag_bcast
-  end
-
-let gather t ~root x =
-  let w = t.world in
-  let root = if w.failed.(root) then live_root w else root in
-  if t.my_rank = root then begin
-    (* Dead ranks' slots stay [||]. *)
-    let out = Array.make w.nranks [||] in
-    out.(root) <- x;
-    iter_live w (fun src ->
-        if src <> root then out.(src) <- recv_internal t ~src ~tag:tag_gather);
-    Some out
-  end
-  else begin
-    send_internal t ~dst:root ~tag:tag_gather x;
-    None
-  end
+(* ------------------------------------------------------------- worlds ---- *)
 
 let run ~ranks f =
   assert (ranks >= 1);
   let world = make_world ranks in
   (* Each domain catches its own failure and poisons the world before
      exiting, so peers blocked on its messages raise [Rank_failed]
-     immediately instead of hanging until some external timeout.  The
-     first (root-cause) exception is re-raised from the caller after all
-     domains are joined; the [Rank_failed] cascades it provoked are
-     discarded. *)
+     immediately instead of hanging.  The first (root-cause) exception
+     is re-raised from the caller after all domains are joined; the
+     [Rank_failed] cascades it provoked are discarded. *)
   let wrap r () =
     try Ok (f { world; my_rank = r })
     with e ->

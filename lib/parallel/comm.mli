@@ -1,34 +1,24 @@
 (** Message-passing runtime: the role MPI plays in the paper, implemented
     over OCaml 5 domains.  Ranks are spawned by {!run}; each gets a handle
-    carrying its rank and the shared world.  Point-to-point messages are
-    float arrays (buffered, non-blocking sends; blocking receives matched
-    on (source, tag) in FIFO order per pair). *)
+    carrying its rank and the shared world.  Two mechanisms carry all
+    traffic: persistent {e ports} for data (ghost fills, folds, movers)
+    and one {e rendezvous} for every collective ({!allgather}, the
+    reductions and {!barrier}). *)
 
 type t
 
 (** {1 Failure semantics}
 
-    A blocking wait ({!port_wait}, {!recv}, {!barrier}, the collectives,
-    and {!port_reserve} back-pressure) can end three ways: with data,
-    with {!Comm_timeout} when the caller supplied a [?deadline] that
-    passed, or with {!Rank_failed} when another rank's domain died by
-    exception.  A dying rank poisons the whole world on its way out
-    (see {!run}), so peers fail fast carrying the culprit's error instead
-    of hanging on a message that will never arrive.  Messages already
-    posted before a death are still delivered. *)
-
-(** A deadline passed with nothing received.  [port] names the stuck
-    endpoint — for exchange ports: block, purpose, axis and direction;
-    for mailbox receives: source and tag. *)
-exception Comm_timeout of { port : string; waited : float }
+    A blocking wait ({!port_wait}, {!port_reserve} back-pressure,
+    {!barrier} and the collectives) ends with data or with {!Rank_failed}
+    when another rank's domain died by exception.  A dying rank poisons
+    the whole world on its way out (see {!run}), so peers fail fast
+    carrying the culprit's error instead of hanging on a message that
+    will never arrive.  Port messages already committed before a death
+    are still delivered. *)
 
 (** Another rank's domain died; [error] is its rendered exception. *)
 exception Rank_failed of { rank : int; error : string }
-
-(** Raised by a blocking operation issued by a rank the world has marked
-    dead (e.g. one accused of hanging by a peer's timeout): the rank must
-    stand down, it is no longer part of any quorum. *)
-exception Excluded of { rank : int }
 
 (** [run ~ranks f] spawns [ranks] domains, runs [f handle] on each and
     returns the per-rank results (index = rank).  If any rank raises, the
@@ -36,11 +26,6 @@ exception Excluded of { rank : int }
     every domain is joined, and the root-cause exception — not the
     [Rank_failed] cascade it provoked — is re-raised here. *)
 val run : ranks:int -> (t -> 'a) -> 'a array
-
-(** Poison the world by hand, as if this rank had died with [error].
-    {!run} does this automatically on an escaping exception; exposed for
-    embeddings that manage domains themselves. *)
-val poison : t -> error:string -> unit
 
 val rank : t -> int
 val size : t -> int
@@ -51,35 +36,28 @@ val size : t -> int
     catch a {!Rank_failed} funnel into {!recover}: a failure-detector
     barrier that completes when every still-live rank has arrived (the
     quorum re-shrinks if further ranks die mid-round).  The last arriver
-    resets the world for the next {e epoch} — the death flag clears, the
-    barrier arrival count re-zeroes, and every message still sitting in
-    a port ring or mailbox queue is invalidated: ports and mailboxes
-    stamp each message with the sender's epoch, and consumers silently
-    discard stamps older than the current epoch, so pre-rollback traffic
-    can never corrupt the recovered run.  Collectives and barriers are
-    survivor-aware throughout: the root is the lowest live rank, only
-    live ranks participate, and a barrier's completion quorum is the
-    live count.  In a world that never lost a rank all of this reduces
-    to the historical root-0, all-ranks behaviour. *)
+    resets the world for the next {e epoch}: the death flag clears, a
+    half-filled rendezvous round is discarded, and every message still
+    sitting in a port ring is invalidated — ports stamp each message
+    with the sender's epoch, and consumers silently discard stamps older
+    than the current epoch, so pre-rollback traffic can never corrupt
+    the recovered run.  Collectives are survivor-aware throughout: a
+    round's quorum is the live count and only the ranks that arrived
+    contribute. *)
 
 (** [recover t] enters the failure-detector barrier and returns the
     agreed (sorted) casualty list once every survivor has arrived.
-    Raises {!Excluded} if this rank is itself on the casualty list.
     Call only after catching a failure; all live ranks must call it. *)
 val recover : t -> int list
 
-(** Mark [peer] dead by hand — the accusation a rank makes when a
-    deadline expired with no recorded death (the peer is presumed hung).
-    Wakes every parked waiter in the world, like any other death. *)
-val accuse : t -> peer:int -> error:string -> unit
-
-(** False once [rank] has died (or been accused) in any epoch. *)
+(** False once [rank] has died in any epoch. *)
 val alive : t -> rank:int -> bool
 
 (** Live ranks, ascending. *)
 val live_ranks : t -> int list
 
-(** The lowest live rank: root of the survivor-aware collectives. *)
+(** The lowest live rank: the one that speaks for the world (prints,
+    commits checkpoint generations). *)
 val root : t -> int
 
 (** Current world epoch (0 until the first completed recovery). *)
@@ -93,17 +71,16 @@ val run_recoverable : ranks:int -> (t -> 'a) -> ('a, exn) result array
 
 (** {1 Persistent ports}
 
-    The steady-state data path.  Each rank registers a fixed array of
-    receive slots once (collectively, in the same order on every rank, so
-    slot indices agree across ranks).  A slot is a small fixed-depth ring of
+    The data path.  Each rank registers a fixed array of receive slots
+    once (collectively, in the same order on every rank, so slot indices
+    agree across ranks).  A slot is a small fixed-depth ring of
     preallocated [Bigarray] Float32 buffers: the sender packs its payload
     straight into the next ring buffer ({!port_reserve} / {!port_commit})
     and never allocates unless the payload has outgrown the registered
-    capacity; a receive runs a callback on the ring buffer in place.  No
-    hashtable, no queue nodes, no per-message arrays — array-indexed
-    slots and two counters per slot.  Each port carries exactly one
-    sender and one consumer (its owner); payload packing and unpacking
-    run with the slot lock released, so the two overlap. *)
+    capacity; a receive runs a callback on the ring buffer in place.
+    Each port carries exactly one sender and one consumer (its owner);
+    payload packing and unpacking run with the slot lock released, so
+    the two overlap. *)
 
 type buf32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -116,7 +93,7 @@ type port
     receive slots owned by this rank (element [i] sized [capacities.(i)]
     floats) and returns their base index.  Must be called collectively in
     the same order on every rank.  [names] (parallel to [capacities])
-    label the slots for {!Comm_timeout} diagnoses and fault injection. *)
+    label the slots for the wait observer. *)
 val port_register : ?names:string array -> t -> capacities:int array -> int
 
 (** [port t ~rank ~index] resolves a slot owned by [rank], blocking until
@@ -138,31 +115,22 @@ val port_commit : port -> len:int -> unit
     payloads already packed elsewhere. *)
 val port_post : port -> buf32 -> len:int -> unit
 
-(** [port_wait p ~f] blocks for the oldest unconsumed message and runs
+(** [port_wait p ~f] parks for the oldest unconsumed message and runs
     [f buffer len] on it in place, then retires the ring entry.  [f] runs
     outside the slot lock; the entry cannot be overwritten while [f]
     reads it (back-pressure).  Single-consumer: only the owning rank may
-    wait on a port.
-
-    [deadline] (seconds) bounds the wait: raises {!Comm_timeout} naming
-    the port once it passes.  Without a deadline the wait parks on a
-    condition variable (no polling); with one it degrades to a sleep-poll,
-    so leave it unset on latency-critical steady-state paths.  Raises
-    {!Rank_failed} if a peer died and nothing is left to drain. *)
-val port_wait : ?deadline:float -> port -> f:(buf32 -> int -> unit) -> unit
-
-(** Like {!port_wait} but returns [false] immediately when nothing is
-    pending. *)
-val port_try_recv : port -> f:(buf32 -> int -> unit) -> bool
+    wait on a port.  Raises {!Rank_failed} if a peer died and nothing is
+    left to drain. *)
+val port_wait : port -> f:(buf32 -> int -> unit) -> unit
 
 (** {1 Wait observation}
 
     A per-domain hook reporting every {!port_wait}: how long the caller
     parked before a message was available ([on_wait], called on success
-    and on failure) and every deadline expiry ([on_timeout], called
-    before the {!Comm_timeout} propagates).  Installed by the telemetry
-    layer to measure the comm-wait fraction; one atomic load per wait
-    when no observer is installed anywhere. *)
+    and on failure).  Nothing calls [on_timeout] any more: no wait is
+    bounded in time.  Installed by the telemetry layer to measure the
+    comm-wait fraction; one atomic load per wait when no observer is
+    installed anywhere. *)
 type wait_observer = {
   on_wait : port:string -> seconds:float -> unit;
   on_timeout : port:string -> unit;
@@ -172,29 +140,23 @@ type wait_observer = {
     The observer runs on the waiting domain, outside the port lock. *)
 val set_wait_observer : wait_observer option -> unit
 
-(** {1 Point-to-point (blocking shim)}
+(** {1 Collectives}
 
-    The original mailbox API, kept for collectives, tests and low-rate
-    control traffic.  Routes through a per-rank hashtable of queues and
-    allocates per message; use ports on any per-step path. *)
+    Every live rank must call each collective, in the same order. *)
 
-(** Non-blocking buffered send.  Raises [Invalid_argument] if [tag] is in
-    the reserved collective range (see {!tag_is_reserved}). *)
-val send : t -> dst:int -> tag:int -> float array -> unit
+(** [allgather t x] returns every rank's contribution, indexed by rank,
+    with [[||]] for a rank that did not take part (dead, or one that
+    contributed [[||]]).  The rows are one snapshot shared by every
+    rank: read them, never write them. *)
+val allgather : t -> float array -> float array array
 
-(** Blocking receive of the oldest message from [src] with [tag].
-    [deadline] (seconds) bounds the wait with {!Comm_timeout}, as in
-    {!port_wait}. *)
-val recv : ?deadline:float -> t -> src:int -> tag:int -> float array
-
-(** True for tags reserved by the collectives (all negative tags). *)
-val tag_is_reserved : int -> bool
-
-(** {1 Collectives} (every rank must participate) *)
-
+(** {!allgather} with nothing to carry. *)
 val barrier : t -> unit
+
+(** The reductions fold the {!allgather} snapshot in ascending rank
+    order, so every rank gets bitwise the same value. *)
+
 val allreduce_sum : t -> float -> float
-val allreduce_min : t -> float -> float
 val allreduce_max : t -> float -> float
 
 (** Element-wise sum of equal-length arrays. *)
@@ -202,9 +164,3 @@ val allreduce_sum_array : t -> float array -> float array
 
 (** Element-wise max of equal-length arrays. *)
 val allreduce_max_array : t -> float array -> float array
-
-(** [bcast t ~root x] returns root's [x] on every rank. *)
-val bcast : t -> root:int -> float array -> float array
-
-(** Gather each rank's array at the root (None elsewhere). *)
-val gather : t -> root:int -> float array -> float array array option

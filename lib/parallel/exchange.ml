@@ -50,7 +50,7 @@ let purpose_name = function
   | _ -> "migrate"
 
 (* Label for slot [gs]: the block it feeds, what travels through it and
-   which way — the diagnosis [Comm_timeout] carries when a peer stalls. *)
+   which way — the port name the wait observer reports. *)
 let slot_name ~nblocks gs =
   let b = gs / nslots and s = gs mod nslots in
   Printf.sprintf "blk%d/%d %s %s->%s" b nblocks

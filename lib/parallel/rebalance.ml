@@ -159,8 +159,8 @@ let adopt ~costs ~prev_owner ~alive =
 
 (* ------------------------------------------------------------- wire ---- *)
 
-(* A shipped block travels as its checkpoint encoding over the float
-   mailbox: 2 payload bytes per float (every value in 0..65535 is exact
+(* A shipped block travels as its checkpoint encoding in one float
+   allgather round: 2 payload bytes per float (every value in 0..65535 is exact
    in f32/f64), with the byte length in slot 0.  Chunky but simple, and
    rebalances are rare events. *)
 
@@ -184,10 +184,3 @@ let bytes_of_floats a =
     if (2 * i) + 1 < n then Bytes.set out ((2 * i) + 1) (Char.chr ((v lsr 8) land 0xff))
   done;
   out
-
-(* Mailbox tag space for shipped blocks, clear of the reserved
-   collective range. *)
-let ship_tag b =
-  let t = 7_000_000 + b in
-  assert (not (Comm.tag_is_reserved t));
-  t

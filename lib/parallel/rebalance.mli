@@ -55,12 +55,10 @@ val adopt :
 
 (** {1 Block shipping wire}
 
-    A relocating block travels as its checkpoint encoding over the
-    float mailbox: 2 payload bytes per float, byte length in slot 0.
-    Exact round-trip (all values are small non-negative integers). *)
+    A relocating block travels as its checkpoint encoding, carried by
+    one {!Comm.allgather} round: 2 payload bytes per float, byte length
+    in slot 0.  Exact round-trip (all values are small non-negative
+    integers). *)
 
 val floats_of_bytes : bytes -> float array
 val bytes_of_floats : float array -> bytes
-
-(** Mailbox tag for shipping block [b] (clear of reserved ranges). *)
-val ship_tag : int -> int

@@ -113,7 +113,7 @@ let velocity_histogram (s : Species.t) ~component ~lo ~hi ~bins =
 
 let electron_rest_kev = 510.99895
 
-let hot_fraction (s : Species.t) ~threshold_kev =
+let hot_weights (s : Species.t) ~threshold_kev =
   let st = s.Species.store in
   let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
   let sw = st.Store.w in
@@ -129,7 +129,11 @@ let hot_fraction (s : Species.t) ~threshold_kev =
     wtot := !wtot +. w;
     if ke > thresh then whot := !whot +. w
   done;
-  if !wtot = 0. then 0. else !whot /. !wtot
+  (!whot, !wtot)
+
+let hot_fraction s ~threshold_kev =
+  let whot, wtot = hot_weights s ~threshold_kev in
+  if wtot = 0. then 0. else whot /. wtot
 
 let mean_velocity (s : Species.t) =
   let st = s.Species.store in

@@ -38,6 +38,9 @@ val velocity_histogram :
     the paper's trapping indicator). *)
 val hot_fraction : Species.t -> threshold_kev:float -> float
 
+(** The raw sums behind {!hot_fraction}: (hot weight, total weight). *)
+val hot_weights : Species.t -> threshold_kev:float -> float * float
+
 (** Mean velocity (weighted). *)
 val mean_velocity : Species.t -> Vpic_util.Vec3.t
 

@@ -83,7 +83,6 @@ val reduce :
 val snapshot_to_json : ?step:int -> snapshot -> string
 
 (** Install a {!Vpic_parallel.Comm} wait observer feeding this domain's
-    default registry: counter ["comm.park_s"] (total parked seconds),
-    histogram ["comm.park"] (per-wait park duration), counter
-    ["comm.timeouts"]. *)
+    default registry: counter ["comm.park_s"] (total parked seconds)
+    and histogram ["comm.park"] (per-wait park duration). *)
 val install_comm_wait_observer : unit -> unit

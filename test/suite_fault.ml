@@ -1,6 +1,6 @@
 (* Fault-tolerance suite: CRC integrity, durable generations with
    corruption fallback, bitwise resume (including the refluxing RNG
-   stream), fault injection, comm deadlines, and the health sentinel. *)
+   stream), fault injection and the health sentinel. *)
 
 open Helpers
 module Simulation = Vpic.Simulation
@@ -669,18 +669,6 @@ let test_text_manifests_typed () =
       malformed "OWNERS 0 r" "0 r" (fun () ->
           Checkpoint.read_gen_owners ~dir ~gen:1 ~nblocks:1))
 
-let test_recv_deadline () =
-  let results =
-    Comm.run ~ranks:2 (fun c ->
-        if Comm.rank c = 0 then (
-          try
-            ignore (Comm.recv ~deadline:0.1 c ~src:1 ~tag:5);
-            false
-          with Comm.Comm_timeout { waited; _ } -> waited >= 0.1)
-        else true)
-  in
-  Array.iter (check_true "recv deadline fires") results
-
 (* ------------------------------------------------------------ sentinel ---- *)
 
 let lax_tols =
@@ -876,7 +864,6 @@ let suite =
       test_corrupt_checkpoint_injection;
     slow_case "fault: 2-rank kill, resume, energy equivalence"
       test_two_rank_kill_resume_energy;
-    case "fault: recv deadline raises Comm_timeout" test_recv_deadline;
     case "fault: sentinel passes healthy run" test_sentinel_healthy_pass;
     case "fault: sentinel detects NaN field" test_sentinel_detects_nan;
     slow_case "fault: poison injection aborts via sentinel"

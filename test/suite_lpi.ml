@@ -5,6 +5,8 @@ module Deck = Vpic_lpi.Deck
 module Trapping = Vpic_lpi.Trapping
 module Sweep = Vpic_lpi.Sweep
 module Simulation = Vpic.Simulation
+module Multiblock = Vpic.Multiblock
+module Comm = Vpic_parallel.Comm
 
 let hohlraum = { Srs_theory.nr = 0.10; uth = sqrt (2.5 /. 510.99895) }
 
@@ -208,6 +210,59 @@ let test_srs_seed_amplification () =
     (Printf.sprintf "pump amplifies the seed (%.3e -> %.3e)" b_weak b_strong)
     (b_strong > 2. *. b_weak)
 
+(* The world's trapping lines, right after build: the same 4 blocks on
+   1 rank and on 2 ranks agree, and the 1-rank value is the one a plain
+   loop over all four blocks' electrons gives. *)
+let test_world_trapping_lines () =
+  let config = { small_deck with Deck.ny = 8 } in
+  let one = Deck.build_over ~blocks:4 config in
+  let hot1, flat1 = Deck.trapping_over one in
+  let two =
+    Comm.run ~ranks:2 (fun c ->
+        Deck.trapping_over (Deck.build_over ~comm:c ~blocks:4 config))
+  in
+  let lo = -0.6 and hi = 0.6 and bins = 240 in
+  let scale = float_of_int bins /. (hi -. lo) in
+  let thresh = 3. *. config.Deck.te_kev /. 510.99895 in
+  let h = Array.make bins 0. and whot = ref 0. and wtot = ref 0. in
+  List.iter
+    (fun (_, sim) ->
+      let s = Simulation.find_species sim "electron" in
+      let st = s.Species.store in
+      for n = 0 to Species.count s - 1 do
+        let ux = st.Store.ux.{n} and uy = st.Store.uy.{n} in
+        let uz = st.Store.uz.{n} and w = st.Store.w.{n} in
+        let u2 = (ux *. ux) +. (uy *. uy) +. (uz *. uz) in
+        let gamma = sqrt (1. +. u2) in
+        wtot := !wtot +. w;
+        if s.Species.m *. u2 /. (gamma +. 1.) > thresh then whot := !whot +. w;
+        let b = int_of_float (Float.floor (((ux *. (1. /. gamma)) -. lo) *. scale)) in
+        if b >= 0 && b < bins then h.(b) <- h.(b) +. w
+      done)
+    (Multiblock.owned_sims one.Deck.mb);
+  let total = Array.fold_left ( +. ) 0. h in
+  let fv =
+    { Trapping.centers =
+        Array.init bins (fun b ->
+            lo +. ((float_of_int b +. 0.5) *. ((hi -. lo) /. float_of_int bins)));
+      f = Array.map (fun x -> x /. total) h }
+  in
+  let flat_ref =
+    Trapping.flattening fv ~v_phase:one.Deck.matching.Srs_theory.v_phase
+      ~uth:one.Deck.plasma.Srs_theory.uth ~width:0.05
+  in
+  check_true "some electrons are hot" (!whot > 0.);
+  check_close ~rtol:1e-12 ~atol:0. "1 rank: hot fraction by hand"
+    (!whot /. !wtot) hot1;
+  check_close ~rtol:1e-12 ~atol:0. "1 rank: flattening by hand" flat_ref flat1;
+  Array.iteri
+    (fun r (hot, flat) ->
+      check_close ~rtol:1e-12 ~atol:0.
+        (Printf.sprintf "2 ranks, rank %d: hot fraction" r) hot1 hot;
+      check_close ~rtol:1e-12 ~atol:0.
+        (Printf.sprintf "2 ranks, rank %d: flattening" r) flat1 flat)
+    two
+
 let suite =
   [ case "theory: matching conservation laws" test_matching_conserves;
     case "theory: hohlraum regime values" test_matching_hohlraum_values;
@@ -223,5 +278,6 @@ let suite =
     case "trapping: maxwellian slope ratio" test_flattening_of_maxwellian_is_unity;
     case "trapping: plateau detection" test_flattening_detects_plateau;
     case "trapping: hot fraction" test_hot_fraction;
+    case "trapping: world lines agree on 1 and 2 ranks" test_world_trapping_lines;
     slow_case "srs: seeded amplification grows with pump"
       test_srs_seed_amplification ]

@@ -9,20 +9,31 @@ module Coupler = Vpic.Coupler
 
 (* --- Collectives ---------------------------------------------------------- *)
 
+(* Contributions whose sum rounds differently in different orders, so
+   an equality with the ascending-rank fold pins the order down. *)
+let contribution r = (0.1 *. float_of_int (r + 1)) +. (1. /. 3.)
+
+let ascending_fold merge xs =
+  List.fold_left merge (List.hd xs) (List.tl xs)
+
 let test_allreduce () =
   let results =
     Comm.run ~ranks:4 (fun c ->
-        let r = float_of_int (Comm.rank c) in
-        ( Comm.allreduce_sum c r,
-          Comm.allreduce_min c r,
-          Comm.allreduce_max c (-.r) ))
+        let x = contribution (Comm.rank c) in
+        (Comm.allreduce_sum c x, Comm.allreduce_max c (-.x)))
   in
+  let xs = List.init 4 contribution in
+  let sum = ascending_fold ( +. ) xs in
+  let max = ascending_fold Float.max (List.map Float.neg xs) in
   Array.iter
-    (fun (s, mn, mx) ->
-      check_close "sum" 6. s;
-      check_close "min" 0. mn;
-      check_close "max" 0. mx)
-    results
+    (fun (s, mx) ->
+      check_close ~rtol:0. ~atol:0. "sum is the ascending-rank fold" sum s;
+      check_close ~rtol:0. ~atol:0. "max" max mx)
+    results;
+  check_true "every rank gets bitwise the same sum"
+    (Array.for_all
+       (fun (s, _) -> Int64.bits_of_float s = Int64.bits_of_float sum)
+       results)
 
 let test_allreduce_array () =
   let results =
@@ -36,38 +47,68 @@ let test_allreduce_array () =
       check_close "slot 1" 6. a.(1))
     results
 
-let test_bcast_gather () =
+let test_allgather () =
   let results =
     Comm.run ~ranks:3 (fun c ->
-        let x = Comm.bcast c ~root:1 [| float_of_int (10 * Comm.rank c) |] in
-        let g = Comm.gather c ~root:0 [| float_of_int (Comm.rank c) |] in
-        (x.(0), g))
+        let r = Comm.rank c in
+        (* rows of different lengths: rank r contributes r + 1 floats *)
+        Comm.allgather c (Array.init (r + 1) (fun i -> float_of_int ((10 * r) + i))))
   in
-  Array.iter (fun (x, _) -> check_close "bcast from rank 1" 10. x) results;
-  (match snd results.(0) with
-  | Some rows ->
-      Array.iteri (fun r row -> check_close "gathered" (float_of_int r) row.(0)) rows
-  | None -> Alcotest.fail "root gather missing");
-  check_true "non-root gets None" (snd results.(1) = None)
+  Array.iter
+    (fun rows ->
+      Alcotest.(check int) "one row per rank" 3 (Array.length rows);
+      Array.iteri
+        (fun r row ->
+          check_true
+            (Printf.sprintf "row %d is rank %d's contribution" r r)
+            (row = Array.init (r + 1) (fun i -> float_of_int ((10 * r) + i))))
+        rows)
+    results
 
-let test_sendrecv_fifo () =
+(* Rank 0 dies and ranks 1 and 2 recover: every collective then runs on
+   the survivors alone, with rank 1 the lowest live rank, and both
+   survivors must get the fold of their two contributions, bitwise
+   alike.  Rank 1 first leaves a contribution in a round that can never
+   close (rank 2 goes straight to recovery): [recover] must discard it. *)
+let test_shrunken_world_collectives () =
   let results =
-    Comm.run ~ranks:2 (fun c ->
-        if Comm.rank c = 0 then begin
-          for i = 1 to 5 do
-            Comm.send c ~dst:1 ~tag:7 [| float_of_int i |]
-          done;
-          Comm.send c ~dst:1 ~tag:8 [| 99. |];
-          [||]
-        end
-        else begin
-          (* tag 8 can be received before tag 7 backlog; tag 7 is FIFO *)
-          let other = Comm.recv c ~src:0 ~tag:8 in
-          let firsts = Array.init 5 (fun _ -> (Comm.recv c ~src:0 ~tag:7).(0)) in
-          Array.append other firsts
-        end)
+    Comm.run_recoverable ~ranks:3 (fun c ->
+        let r = Comm.rank c in
+        if r = 0 then failwith "boom";
+        (if r = 1 then
+           match Comm.allgather c [| 99. |] with
+           | _ -> failwith "a round closed without rank 2"
+           | exception Comm.Rank_failed _ -> ());
+        while Comm.alive c ~rank:0 do
+          Unix.sleepf 1e-4
+        done;
+        let dead = Comm.recover c in
+        let x = contribution r in
+        ( dead,
+          [| Comm.allreduce_sum c x;
+             Comm.allreduce_max c (-.x) |],
+          Comm.allreduce_sum_array c [| x; 2. *. x |],
+          Comm.allreduce_max_array c [| x; -.x |],
+          Comm.allgather c [| x |] ))
   in
-  check_true "fifo per tag" (results.(1) = [| 99.; 1.; 2.; 3.; 4.; 5. |])
+  let x1 = contribution 1 and x2 = contribution 2 in
+  let expected_scalars = [| x1 +. x2; Float.max (-.x1) (-.x2) |] in
+  let expected_sum = [| x1 +. x2; (2. *. x1) +. (2. *. x2) |] in
+  let expected_max = [| Float.max x1 x2; Float.max (-.x1) (-.x2) |] in
+  let bits a = Array.map Int64.bits_of_float a in
+  check_true "rank 0 died" (Result.is_error results.(0));
+  List.iter
+    (fun r ->
+      match results.(r) with
+      | Ok (dead, scalars, sum, max, rows) ->
+          Alcotest.(check (list int)) "casualties" [ 0 ] dead;
+          check_true "scalar reductions" (bits scalars = bits expected_scalars);
+          check_true "sum array" (bits sum = bits expected_sum);
+          check_true "max array" (bits max = bits expected_max);
+          check_true "allgather: dead rank 0 is [||]"
+            (rows = [| [||]; [| x1 |]; [| x2 |] |])
+      | Error e -> Alcotest.failf "rank %d died: %s" r (Printexc.to_string e))
+    [ 1; 2 ]
 
 let test_barrier_generations () =
   (* Barriers must be reusable; interleave with reductions. *)
@@ -549,8 +590,9 @@ let test_uneven_split_migrates () =
 let suite =
   [ case "comm: allreduce" test_allreduce;
     case "comm: allreduce array" test_allreduce_array;
-    case "comm: bcast/gather" test_bcast_gather;
-    case "comm: send/recv fifo per tag" test_sendrecv_fifo;
+    case "comm: allgather" test_allgather;
+    case "comm: collectives over a shrunken world"
+      test_shrunken_world_collectives;
     case "comm: barrier generations" test_barrier_generations;
     case "exchange: fill matches global wrap" test_fill_ghosts_matches_global_wrap;
     case "exchange: fold accumulates across ranks" test_fold_ghosts_accumulates_across;

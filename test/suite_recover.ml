@@ -44,10 +44,10 @@ let with_temp_dir f =
 
 (* Step a 2-rank 4-block world under the recovery supervisor and report
    (recoveries performed, final total energy, final step). *)
-let supervised ?ppc_of ?rebalance_interval ?rebalance_threshold ?cost_model
-    ~dir ~steps c =
+let supervised ?(blocks = 4) ?ppc_of ?rebalance_interval ?rebalance_threshold
+    ?cost_model ~dir ~steps c =
   let mb =
-    Suite_block.mk_world ~comm:c ~blocks:4 ?ppc_of ?rebalance_interval
+    Suite_block.mk_world ~comm:c ~blocks ?ppc_of ?rebalance_interval
       ?rebalance_threshold ?cost_model ()
   in
   let n = Recover.supervise ~dir ~keep:4 ~ckpt_every:5 ~steps mb in
@@ -103,6 +103,27 @@ let test_die_during_rebalance () =
   let run ~dir c =
     supervised
       ~ppc_of:(fun id -> 4 + (6 * id))
+      ~rebalance_interval:7 ~rebalance_threshold:1.01 ~cost_model:`Particles
+      ~dir ~steps c
+  in
+  let clean = (Comm.run ~ranks:2 (fun c -> run ~dir:clean_dir c)).(0) in
+  Fault.enable ~seed:3;
+  Fault.arm (Fault.Kill_in_rebalance { rank = 1 });
+  let results = Comm.run_recoverable ~ranks:2 (fun c -> run ~dir c) in
+  check_survivor ~steps ~clean results
+
+(* A source that dies between two of its own moves: blocks 4..7 (rank
+   1's) carry ten times the load, so the plan ships two of them to rank
+   0, and rank 1 dies right after the first.  Rank 0 may then close the
+   second move's round alone; it must read the missing row as rank 1's
+   death and recover, not decode an empty image. *)
+let test_source_dies_between_moves () =
+  with_temp_dir @@ fun clean_dir ->
+  with_temp_dir @@ fun dir ->
+  let steps = 20 in
+  let run ~dir c =
+    supervised ~blocks:8
+      ~ppc_of:(fun id -> if id >= 4 then 20 else 2)
       ~rebalance_interval:7 ~rebalance_threshold:1.01 ~cost_model:`Particles
       ~dir ~steps c
   in
@@ -267,18 +288,32 @@ let test_supervise_needs_checkpoints () =
 
 (* ------------------------------------------------------ epoch stamps ---- *)
 
-(* A message posted before a recovery must not be delivered after it,
-   even though mailbox delivery is FIFO per (source, tag): rank 1 posts
-   a stale payload, rank 2 dies, the survivors recover (epoch bump),
-   rank 1 re-sends — and rank 0 must receive the fresh payload, the
-   stale one silently discarded by its old epoch stamp. *)
+(* A message committed before a recovery must not be delivered after
+   it, even though a port delivers in commit order: rank 1 commits a
+   stale payload to rank 0's port, rank 2 dies, the survivors recover
+   (epoch bump), rank 1 commits again — and rank 0 must receive the
+   fresh payload, the stale one silently discarded by its old epoch
+   stamp. *)
 let test_epoch_discards_stale_message () =
   (* Each survivor returns what it observed — its barrier outcome, the
      agreed casualty list, the new epoch and the payload — and the
      checks run after [Comm.run_recoverable], on the calling domain
      (Alcotest is not domain-safe). *)
+  let post port v =
+    let buf = Comm.port_reserve port ~len:1 in
+    buf.{0} <- v;
+    Comm.port_commit port ~len:1
+  in
+  let take port =
+    let v = ref nan in
+    Comm.port_wait port ~f:(fun buf _ -> v := buf.{0});
+    !v
+  in
   let results =
     Comm.run_recoverable ~ranks:3 (fun c ->
+        (* one single-float inbound port per rank, slot 0 everywhere *)
+        let slot = Comm.port_register c ~capacities:[| 1 |] in
+        let port_of r = Comm.port c ~rank:r ~index:slot in
         let fail_then_recover () =
           (* Both survivors enter the barrier only once rank 2's death is
              recorded, which makes its outcome deterministic: the first
@@ -299,18 +334,18 @@ let test_epoch_discards_stale_message () =
         | 1 ->
             (* stale payload first, then the go-signal that seals its
                happens-before relation to rank 2's death *)
-            Comm.send c ~dst:0 ~tag:42 [| 1. |];
-            Comm.send c ~dst:2 ~tag:43 [| 0. |];
+            post (port_of 0) 1.;
+            post (port_of 2) 0.;
             let seen = fail_then_recover () in
-            Comm.send c ~dst:0 ~tag:42 [| 2. |];
+            post (port_of 0) 2.;
             Comm.barrier c;
             (seen, 0.)
         | 2 ->
-            ignore (Comm.recv c ~src:1 ~tag:43);
+            ignore (take (port_of 2));
             failwith "boom"
         | _ ->
             let seen = fail_then_recover () in
-            let v = (Comm.recv c ~src:1 ~tag:42).(0) in
+            let v = take (port_of 0) in
             Comm.barrier c;
             (seen, v))
   in
@@ -341,6 +376,8 @@ let suite =
       test_kill_and_recover;
     slow_case "recover: death mid-rebalance replans from the OWNERS table"
       test_die_during_rebalance;
+    slow_case "recover: a source dying between its moves is recovered"
+      test_source_dies_between_moves;
     slow_case "recover: death mid-checkpoint skips the partial generation"
       test_die_during_checkpoint;
     case "recover: retention honours the recovery pin, picking skips partials"
