@@ -669,6 +669,49 @@ let test_text_manifests_typed () =
       malformed "OWNERS 0 r" "0 r" (fun () ->
           Checkpoint.read_gen_owners ~dir ~gen:1 ~nblocks:1))
 
+(* Rank 1 commits one message to rank 0's port and dies.  Rank 0 starts
+   waiting only once the death is recorded: the committed message must
+   still be delivered, and the next wait must raise [Rank_failed] naming
+   rank 1 and carrying its error, instead of parking forever. *)
+let test_port_wait_after_sender_death () =
+  let results =
+    Comm.run_recoverable ~ranks:2 (fun c ->
+        let slot = Comm.port_register c ~capacities:[| 1 |] in
+        let inbox = Comm.port c ~rank:0 ~index:slot in
+        if Comm.rank c = 1 then begin
+          let buf = Comm.port_reserve inbox ~len:1 in
+          buf.{0} <- 7.;
+          Comm.port_commit inbox ~len:1;
+          failwith "boom"
+        end;
+        while Comm.alive c ~rank:1 do
+          Unix.sleepf 1e-4
+        done;
+        let v = ref nan in
+        Comm.port_wait inbox ~f:(fun buf len -> if len = 1 then v := buf.{0});
+        let second =
+          match Comm.port_wait inbox ~f:(fun _ _ -> ()) with
+          | () -> None
+          | exception Comm.Rank_failed { rank; error } -> Some (rank, error)
+        in
+        (!v, second))
+  in
+  check_true "the sender died of its own error"
+    (match results.(1) with Error (Failure _) -> true | _ -> false);
+  match results.(0) with
+  | Ok (v, second) ->
+      check_close ~atol:0. ~rtol:0. "committed message delivered" 7. v;
+      check_true "the empty port names the dead sender"
+        (match second with
+        | Some (1, error) ->
+            let n = String.length error in
+            let rec has i =
+              i + 4 <= n && (String.sub error i 4 = "boom" || has (i + 1))
+            in
+            has 0
+        | _ -> false)
+  | Error e -> Alcotest.failf "rank 0 failed: %s" (Printexc.to_string e)
+
 (* ------------------------------------------------------------ sentinel ---- *)
 
 let lax_tols =
@@ -864,6 +907,8 @@ let suite =
       test_corrupt_checkpoint_injection;
     slow_case "fault: 2-rank kill, resume, energy equivalence"
       test_two_rank_kill_resume_energy;
+    case "fault: a port waiter gets committed data, then Rank_failed"
+      test_port_wait_after_sender_death;
     case "fault: sentinel passes healthy run" test_sentinel_healthy_pass;
     case "fault: sentinel detects NaN field" test_sentinel_detects_nan;
     slow_case "fault: poison injection aborts via sentinel"
