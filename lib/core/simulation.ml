@@ -37,12 +37,14 @@ let sid_sort = Trace.intern "sort"
 
 (* Per-species push workspace, reused across steps so the steady-state
    step allocates nothing on the push/comm path: the mover buffer whose
-   backing store is the migrate wire format, and the deferred-index list
-   of the interior/boundary split. *)
+   backing store is the migrate wire format, the deferred-index list of
+   the interior/boundary split and the boundary pass's kernel
+   workspace. *)
 type push_scratch = {
   movers : Push.Movers.t;
   defer : Push.Defer.t;
-  team : Push.Team_scratch.t;  (* per-tile defers/ledgers of the team push *)
+  team : Push.Team_scratch.t;  (* per-tile workspaces of the team push *)
+  work : Push.Work.t;  (* the boundary pass's *)
 }
 
 (* How the push runs: the block kernel at [width] particles per block,
@@ -89,6 +91,8 @@ type t = {
       (* wall seconds the last step spent in this simulation's push *)
   mutable scratch_rev : (Species.t * push_scratch) list;
   perf : Perf.counters;
+  clean_err : Sf.t;  (* the Marder clean's error mesh, reused by each clean *)
+  rho_slabs : Moments.slabs;  (* the tiled rho deposit's slabs, reused *)
   mutable pool : Vpic_util.Pool.t;
       (* the rank's worker team ([Pool.serial] = the classic one-domain
          rank); mutable so [Multiblock] and checkpoint restore can
@@ -130,6 +134,8 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     push_s = 0.;
     scratch_rev = [];
     perf;
+    clean_err = Sf.create grid;
+    rho_slabs = Moments.slabs ();
     pool }
 
 let interp t = fst (Option.get t.interp_accum)
@@ -164,7 +170,8 @@ let scratch_for t s =
       let sc =
         { movers = Push.Movers.create ();
           defer = Push.Defer.create ();
-          team = Push.Team_scratch.create () }
+          team = Push.Team_scratch.create ();
+          work = Push.Work.create () }
       in
       t.scratch_rev <- (s, sc) :: t.scratch_rev;
       sc
@@ -250,8 +257,8 @@ let phase_push_boundary t species_scratch =
     (fun (s, sc) ->
       let st =
         Push.advance ~perf:t.perf ~region:(`Deferred sc.defer)
-          ~movers:sc.movers ~interp ~accum ~rng:t.push_rng ~width s t.fields
-          t.coupler.Coupler.bc
+          ~movers:sc.movers ~interp ~accum ~rng:t.push_rng ~width
+          ~work:sc.work s t.fields t.coupler.Coupler.bc
       in
       phase := add_stats !phase st)
     species_scratch;
@@ -394,7 +401,7 @@ let deposit_rho_world w sims =
       Em_field.clear_rho t.fields;
       List.iter
         (fun s ->
-          Moments.deposit_rho ~perf:t.perf ~pool:t.pool s
+          Moments.deposit_rho ~perf:t.perf ~pool:t.pool ~slabs:t.rho_slabs s
             ~rho:t.fields.Em_field.rho)
         (species t))
     sims;
@@ -405,14 +412,18 @@ let deposit_rho_world w sims =
   filter_world w sims ~passes:(List.hd sims).current_filter_passes (fun t ->
       [ t.fields.Em_field.rho ])
 
+(* Each simulation's error mesh starts from zero, as a fresh mesh
+   would: its ghosts are only read after [fill_err] writes them, but a
+   zeroed mesh keeps that a property of the fill, not of earlier
+   cleans. *)
 let marder_clean w sims ~passes =
-  let errs = List.map (fun t -> (t, Sf.create t.grid)) sims in
+  List.iter (fun t -> Sf.fill t.clean_err 0.) sims;
   let first = List.hd sims in
   ignore
     (Marder.clean_many ~perf:first.perf ~pool:first.pool ~passes
        ~fill_e:w.fill_e
-       ~fill_err:(fun () -> w.fill_list (fun t -> [ List.assq t errs ]))
-       (List.map (fun (t, err) -> (t.fields, err)) errs))
+       ~fill_err:(fun () -> w.fill_list (fun t -> [ t.clean_err ]))
+       (List.map (fun t -> (t.fields, t.clean_err)) sims))
 
 let mover_metrics pushes =
   if Metrics.enabled () then begin

@@ -28,7 +28,9 @@ type push_scratch = {
   movers : Vpic_particle.Push.Movers.t;
   defer : Vpic_particle.Push.Defer.t;
   team : Vpic_particle.Push.Team_scratch.t;
-      (** per-tile defer lists and perf ledgers of the team push *)
+      (** per-tile defer lists, perf ledgers and workspaces of the team
+          push *)
+  work : Vpic_particle.Push.Work.t;  (** the boundary pass's workspace *)
 }
 
 (** How the push runs: the block kernel at [width] lanes, its interior
@@ -76,6 +78,12 @@ type t = {
           {!Multiblock}'s per-block [`Wall] cost *)
   mutable scratch_rev : (Species.t * push_scratch) list;
   perf : Vpic_util.Perf.counters;
+  clean_err : Vpic_grid.Scalar_field.t;
+      (** the Marder clean's error mesh (div E - rho), zeroed and reused
+          by every clean *)
+  rho_slabs : Vpic_particle.Moments.slabs;
+      (** the private per-tile slabs of the tiled rho deposit, reused by
+          every deposit *)
   mutable pool : Vpic_util.Pool.t;
       (** the rank's worker team; every tiled phase (interior push, sort,
           interpolator load, accumulator reduce, Marder clean, rho

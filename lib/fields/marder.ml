@@ -12,47 +12,68 @@ let local_hooks bc f =
    only its own slots and reads meshes the pass never writes), so they
    tile over interior (j,k) rows with no determinism caveat: any lane
    may take any row.  The row order matches [Grid.iter_interior]
-   (x fastest, then y, then z). *)
-let iter_rows ~(pool : Vpic_util.Pool.t) ~label g do_row =
-  let nj = g.Grid.ny and nk = g.Grid.nz in
-  let rows = nj * nk in
-  pool.Vpic_util.Pool.run ~label ~tiles:pool.Vpic_util.Pool.tiles
-    (fun ~lane:_ ~tile ->
-      let lo, hi =
-        Vpic_util.Pool.split ~total:rows ~tiles:pool.Vpic_util.Pool.tiles
-          ~tile
-      in
-      for r = lo to hi - 1 do
-        do_row (1 + (r mod nj)) (1 + (r / nj))
-      done)
+   (x fastest, then y, then z).  Each row is a direct stride loop over
+   the meshes' data: per-voxel [Sf.get]/[Sf.set] calls would box every
+   float they return or take. *)
+let tiles (pool : Vpic_util.Pool.t) = pool.Vpic_util.Pool.tiles
+
+(* The interior rows [lo, hi) of [tile]. *)
+let rows_of_tile pool g ~tile =
+  Vpic_util.Pool.split ~total:(g.Grid.ny * g.Grid.nz) ~tiles:(tiles pool)
+    ~tile
+
+(* Voxel of node (1, j, k) of row [r]: the row is [v0, v0 + nx). *)
+let row_start g r =
+  Grid.voxel g 1 (1 + (r mod g.Grid.ny)) (1 + (r / g.Grid.ny))
 
 let compute_err ?(pool = Vpic_util.Pool.serial) f err =
   let g = f.Em_field.grid in
   let rx = 1. /. g.Grid.dx and ry = 1. /. g.Grid.dy and rz = 1. /. g.Grid.dz in
+  let ex = Sf.data f.Em_field.ex and ey = Sf.data f.Em_field.ey
+  and ez = Sf.data f.Em_field.ez and rho = Sf.data f.Em_field.rho in
+  let e = Sf.data err in
+  let nx = g.Grid.nx and gx = g.Grid.gx and gxy = g.Grid.gx * g.Grid.gy in
+  let open Bigarray.Array1 in
   (* err = div E - rho on interior nodes *)
-  iter_rows ~pool ~label:"clean" g (fun j k ->
-      for i = 1 to g.Grid.nx do
-        let de =
-          ((Sf.get f.ex i j k -. Sf.get f.ex (i - 1) j k) *. rx)
-          +. ((Sf.get f.ey i j k -. Sf.get f.ey i (j - 1) k) *. ry)
-          +. ((Sf.get f.ez i j k -. Sf.get f.ez i j (k - 1)) *. rz)
-        in
-        Sf.set err i j k (de -. Sf.get f.rho i j k)
+  pool.Vpic_util.Pool.run ~label:"clean" ~tiles:(tiles pool)
+    (fun ~lane:_ ~tile ->
+      let lo, hi = rows_of_tile pool g ~tile in
+      for r = lo to hi - 1 do
+        let v0 = row_start g r in
+        for v = v0 to v0 + nx - 1 do
+          let de =
+            ((unsafe_get ex v -. unsafe_get ex (v - 1)) *. rx)
+            +. ((unsafe_get ey v -. unsafe_get ey (v - gx)) *. ry)
+            +. ((unsafe_get ez v -. unsafe_get ez (v - gxy)) *. rz)
+          in
+          unsafe_set e v (de -. unsafe_get rho v)
+        done
       done)
 
 let apply_err ?(relax = 0.8) ?(pool = Vpic_util.Pool.serial) f err =
   let g = f.Em_field.grid in
   let rx = 1. /. g.Grid.dx and ry = 1. /. g.Grid.dy and rz = 1. /. g.Grid.dz in
   let d = relax *. 0.5 /. ((rx *. rx) +. (ry *. ry) +. (rz *. rz)) in
+  let ex = Sf.data f.Em_field.ex and ey = Sf.data f.Em_field.ey
+  and ez = Sf.data f.Em_field.ez in
+  let e = Sf.data err in
+  let nx = g.Grid.nx and gx = g.Grid.gx and gxy = g.Grid.gx * g.Grid.gy in
+  let open Bigarray.Array1 in
   (* E += d grad err, componentwise on the staggered slots *)
-  iter_rows ~pool ~label:"clean" g (fun j k ->
-      for i = 1 to g.Grid.nx do
-        Sf.add f.ex i j k
-          (d *. rx *. (Sf.get err (i + 1) j k -. Sf.get err i j k));
-        Sf.add f.ey i j k
-          (d *. ry *. (Sf.get err i (j + 1) k -. Sf.get err i j k));
-        Sf.add f.ez i j k
-          (d *. rz *. (Sf.get err i j (k + 1) -. Sf.get err i j k))
+  pool.Vpic_util.Pool.run ~label:"clean" ~tiles:(tiles pool)
+    (fun ~lane:_ ~tile ->
+      let lo, hi = rows_of_tile pool g ~tile in
+      for r = lo to hi - 1 do
+        let v0 = row_start g r in
+        for v = v0 to v0 + nx - 1 do
+          let e0 = unsafe_get e v in
+          unsafe_set ex v
+            (unsafe_get ex v +. (d *. rx *. (unsafe_get e (v + 1) -. e0)));
+          unsafe_set ey v
+            (unsafe_get ey v +. (d *. ry *. (unsafe_get e (v + gx) -. e0)));
+          unsafe_set ez v
+            (unsafe_get ez v +. (d *. rz *. (unsafe_get e (v + gxy) -. e0)))
+        done
       done)
 
 let add_flops ?(perf = Perf.global) ~passes f =

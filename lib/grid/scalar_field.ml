@@ -49,16 +49,52 @@ let set_all t f =
     done
   done
 
-let fold_interior t f init =
-  let acc = ref init in
-  Grid.iter_interior t.g (fun i j k -> acc := f !acc (get t i j k));
+(* The interior reductions are direct stride loops over the data, in
+   [Grid.iter_interior] order (x fastest, then y, then z): a closure
+   called per voxel would box every value it is passed, and the energy
+   diagnostics and the Marder residual run them over whole meshes. *)
+let sum_interior t =
+  let g = t.g in
+  let acc = ref 0. in
+  for k = 1 to g.Grid.nz do
+    for j = 1 to g.Grid.ny do
+      let v0 = Grid.voxel g 1 j k in
+      for v = v0 to v0 + g.Grid.nx - 1 do
+        acc := !acc +. Bigarray.Array1.unsafe_get t.a v
+      done
+    done
+  done;
   !acc
 
-let sum_interior t = fold_interior t ( +. ) 0.
-let sum_sq_interior t = fold_interior t (fun acc x -> acc +. (x *. x)) 0.
+let sum_sq_interior t =
+  let g = t.g in
+  let acc = ref 0. in
+  for k = 1 to g.Grid.nz do
+    for j = 1 to g.Grid.ny do
+      let v0 = Grid.voxel g 1 j k in
+      for v = v0 to v0 + g.Grid.nx - 1 do
+        let x = Bigarray.Array1.unsafe_get t.a v in
+        acc := !acc +. (x *. x)
+      done
+    done
+  done;
+  !acc
 
+(* Over |x| >= 0 this is a [Float.max] fold: the larger value, NaN once
+   any is. *)
 let max_abs_interior t =
-  fold_interior t (fun acc x -> Float.max acc (Float.abs x)) 0.
+  let g = t.g in
+  let m = ref 0. in
+  for k = 1 to g.Grid.nz do
+    for j = 1 to g.Grid.ny do
+      let v0 = Grid.voxel g 1 j k in
+      for v = v0 to v0 + g.Grid.nx - 1 do
+        let x = Float.abs (Bigarray.Array1.unsafe_get t.a v) in
+        if x > !m || Float.is_nan x then m := x
+      done
+    done
+  done;
+  !m
 
 let max_abs_diff_interior a b =
   assert (a.g.Grid.nv = b.g.Grid.nv);
@@ -100,17 +136,29 @@ let iter_plane g ~axis ~index f =
       done);
   ()
 
-(* (first voxel, inner stride, inner count, outer stride, outer count) of
-   a plane, visiting voxels in [iter_plane] slot order.  The per-step
-   plane routines below are direct stride loops over this geometry rather
-   than [iter_plane] closures: a closure call plus [Grid.voxel] per
-   element costs ~10x the loads it wraps. *)
-let plane_geom g ~axis ~index =
-  let gx = g.Grid.gx and gy = g.Grid.gy and gz = g.Grid.gz in
+(* A plane in [iter_plane] slot order: from its first voxel, [outer_count]
+   rows [outer_stride] apart, each of [inner_count] voxels [inner_stride]
+   apart.  The per-step plane routines below are direct stride loops over
+   this geometry rather than [iter_plane] closures (a closure call plus
+   [Grid.voxel] per element costs ~10x the loads it wraps), and read it
+   through five int functions rather than one tuple, which would be
+   allocated on every call. *)
+let plane_start g ~axis ~index =
   match axis with
-  | Axis.X -> (Grid.voxel g index 0 0, gx, gy, gx * gy, gz)
-  | Axis.Y -> (Grid.voxel g 0 index 0, 1, gx, gx * gy, gz)
-  | Axis.Z -> (Grid.voxel g 0 0 index, 1, gx, gx, gy)
+  | Axis.X -> Grid.voxel g index 0 0
+  | Axis.Y -> Grid.voxel g 0 index 0
+  | Axis.Z -> Grid.voxel g 0 0 index
+
+let inner_stride g axis = match axis with Axis.X -> g.Grid.gx | _ -> 1
+
+let inner_count g axis =
+  match axis with Axis.X -> g.Grid.gy | _ -> g.Grid.gx
+
+let outer_stride g axis =
+  match axis with Axis.Z -> g.Grid.gx | _ -> g.Grid.gx * g.Grid.gy
+
+let outer_count g axis =
+  match axis with Axis.Z -> g.Grid.gy | _ -> g.Grid.gz
 
 let extract_plane t ~axis ~index =
   let out = Array.make (plane_size t.g ~axis) 0. in
@@ -124,8 +172,10 @@ let set_plane t ~axis ~index values =
       Bigarray.Array1.unsafe_set t.a v values.(slot))
 
 let copy_plane t ~axis ~src ~dst =
-  let s0, si, ni, so, no = plane_geom t.g ~axis ~index:src in
-  let d0, _, _, _, _ = plane_geom t.g ~axis ~index:dst in
+  let s0 = plane_start t.g ~axis ~index:src
+  and d0 = plane_start t.g ~axis ~index:dst in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   for o = 0 to no - 1 do
     let sb = s0 + (o * so) and db = d0 + (o * so) in
@@ -136,8 +186,10 @@ let copy_plane t ~axis ~src ~dst =
   done
 
 let accumulate_plane t ~axis ~src ~dst =
-  let s0, si, ni, so, no = plane_geom t.g ~axis ~index:src in
-  let d0, _, _, _, _ = plane_geom t.g ~axis ~index:dst in
+  let s0 = plane_start t.g ~axis ~index:src
+  and d0 = plane_start t.g ~axis ~index:dst in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   for o = 0 to no - 1 do
     let sb = s0 + (o * so) and db = d0 + (o * so) in
@@ -152,13 +204,17 @@ let accumulate_plane t ~axis ~src ~dst =
 (* Plane traffic into caller-provided Float32 wire buffers: the comm layer
    owns the storage, these routines only move values (narrowing f64 -> f32
    on pack, widening on unpack).  Same slot order as [iter_plane], so pack
-   on one rank and unpack on its neighbour agree. *)
+   on one rank and unpack on its neighbour agree.  [buf] is annotated: a
+   buffer of unknown kind compiles to the generic Bigarray accessor, a C
+   call that boxes every value it moves. *)
 
 type buf32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let pack_plane t ~axis ~index ~buf ~off =
+let pack_plane t ~axis ~index ~(buf : buf32) ~off =
   assert (off + plane_size t.g ~axis <= Bigarray.Array1.dim buf);
-  let start, si, ni, so, no = plane_geom t.g ~axis ~index in
+  let start = plane_start t.g ~axis ~index in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   let n = ref off in
   for o = 0 to no - 1 do
@@ -170,9 +226,11 @@ let pack_plane t ~axis ~index ~buf ~off =
     done
   done
 
-let unpack_plane t ~axis ~index ~buf ~off =
+let unpack_plane t ~axis ~index ~(buf : buf32) ~off =
   assert (off + plane_size t.g ~axis <= Bigarray.Array1.dim buf);
-  let start, si, ni, so, no = plane_geom t.g ~axis ~index in
+  let start = plane_start t.g ~axis ~index in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   let n = ref off in
   for o = 0 to no - 1 do
@@ -184,9 +242,11 @@ let unpack_plane t ~axis ~index ~buf ~off =
     done
   done
 
-let unpack_plane_add t ~axis ~index ~buf ~off =
+let unpack_plane_add t ~axis ~index ~(buf : buf32) ~off =
   assert (off + plane_size t.g ~axis <= Bigarray.Array1.dim buf);
-  let start, si, ni, so, no = plane_geom t.g ~axis ~index in
+  let start = plane_start t.g ~axis ~index in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   let n = ref off in
   for o = 0 to no - 1 do
@@ -200,7 +260,9 @@ let unpack_plane_add t ~axis ~index ~buf ~off =
   done
 
 let fill_plane t ~axis ~index v =
-  let start, si, ni, so, no = plane_geom t.g ~axis ~index in
+  let start = plane_start t.g ~axis ~index in
+  let si = inner_stride t.g axis and ni = inner_count t.g axis in
+  let so = outer_stride t.g axis and no = outer_count t.g axis in
   let a = t.a in
   for o = 0 to no - 1 do
     let base = start + (o * so) in

@@ -38,11 +38,13 @@ type port = {
 (* One rendezvous round: the contributions of the ranks that arrived,
    indexed by rank ([||] for a rank that has not).  The last arriver
    closes the round; from then on nobody writes to it, so [board] is the
-   immutable snapshot every participant reads. *)
+   immutable snapshot every participant reads.  [death] is the death the
+   round closed under, if any: every participant then raises it. *)
 and round = {
   board : float array array;
   mutable arrived : int;
   mutable closed : bool;
+  mutable death : (int * string) option;
 }
 
 and world = {
@@ -77,7 +79,8 @@ and world = {
 
 type t = { world : world; my_rank : int }
 
-let new_round n = { board = Array.make n [||]; arrived = 0; closed = false }
+let new_round n =
+  { board = Array.make n [||]; arrived = 0; closed = false; death = None }
 
 (* -------------------------------------------------------- rank death ---- *)
 
@@ -374,9 +377,14 @@ let port_wait p ~f =
    still read the board).  The round's quorum is the live count, so a
    shrunken world's collectives keep working without the dead ranks'
    arrivals; the last arriver closes the round and opens the next.  A
-   waiter reads its own round's board, never a later one.  A death
-   before the round closes releases the waiters into [Rank_failed] — a
-   dead rank never arrives — and [recover] discards the half-filled
+   waiter reads its own round's board, never a later one.
+
+   A death recorded and not yet recovered fails the round on every
+   participant alike: a round that closes while [dead] is set closes
+   failed and its closer raises [Rank_failed] too, and a death before
+   the round closes releases the waiters into [Rank_failed] (a dead rank
+   never arrives).  So no rank returns a board — a partial sum — that a
+   peer of the same round saw fail.  [recover] discards the half-filled
    round. *)
 let allgather t x =
   let w = t.world in
@@ -384,23 +392,23 @@ let allgather t x =
   let r = w.round in
   r.board.(t.my_rank) <- Array.copy x;
   r.arrived <- r.arrived + 1;
-  if r.arrived >= live_count_locked w then begin
-    r.closed <- true;
-    w.round <- new_round w.nranks;
-    Condition.broadcast w.bar_cv
-  end
-  else begin
-    while (not r.closed) && w.dead = None do
-      Condition.wait w.bar_cv w.bar_mu
-    done;
-    match w.dead with
-    | Some d when not r.closed ->
-        Mutex.unlock w.bar_mu;
-        raise_dead d
-    | _ -> ()
-  end;
+  let death =
+    if r.arrived >= live_count_locked w then begin
+      r.closed <- true;
+      r.death <- w.dead;
+      w.round <- new_round w.nranks;
+      Condition.broadcast w.bar_cv;
+      r.death
+    end
+    else begin
+      while (not r.closed) && w.dead = None do
+        Condition.wait w.bar_cv w.bar_mu
+      done;
+      if r.closed then r.death else w.dead
+    end
+  in
   Mutex.unlock w.bar_mu;
-  r.board
+  match death with Some d -> raise_dead d | None -> r.board
 
 let barrier t = ignore (allgather t [||])
 

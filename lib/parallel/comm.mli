@@ -147,7 +147,10 @@ val set_wait_observer : wait_observer option -> unit
 (** [allgather t x] returns every rank's contribution, indexed by rank,
     with [[||]] for a rank that did not take part (dead, or one that
     contributed [[||]]).  The rows are one snapshot shared by every
-    rank: read them, never write them. *)
+    rank: read them, never write them.  A round that meets a death not
+    yet absorbed by {!recover} fails alike on every participant: each
+    raises {!Rank_failed}, including the rank whose arrival completed
+    the shrunken quorum, so no rank returns a partial board. *)
 val allgather : t -> float array -> float array array
 
 (** {!allgather} with nothing to carry. *)

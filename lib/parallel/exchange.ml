@@ -78,6 +78,9 @@ type t = {
   mutable fill_bytes : float;
   mutable fold_bytes : float;
   mutable migrate_bytes : float;
+  mover_work : Vpic_particle.Push.Work.t;
+      (* the workspace arriving movers finish their walks in; the sweep
+         finishes them one target at a time on the rank's domain *)
 }
 
 let create ?comm ~nblocks ~owner ~plane () =
@@ -103,7 +106,8 @@ let create ?comm ~nblocks ~owner ~plane () =
     recv_cache = Array.make total None;
     staging = Array.init total (fun _ -> Comm.buf32_create 1);
     sibling_buf = Comm.buf32_create 1;
-    fill_bytes = 0.; fold_bytes = 0.; migrate_bytes = 0. }
+    fill_bytes = 0.; fold_bytes = 0.; migrate_bytes = 0.;
+    mover_work = Vpic_particle.Push.Work.create () }
 
 let my_rank t = match t.comm with None -> 0 | Some c -> Comm.rank c
 let owner_of t b = t.owner.(b)
@@ -361,3 +365,5 @@ let migrate_post t ~dest ~axis ~dir stg ~len =
 
 let migrate_recv t ~block ~axis ~dir =
   recv_of t (gslot ~block ~purpose:purpose_migrate ~axis ~dir)
+
+let mover_work t = t.mover_work

@@ -95,3 +95,7 @@ val migrate_post :
 (** Own receive port for movers arriving at block [block]. *)
 val migrate_recv :
   t -> block:int -> axis:Vpic_grid.Axis.t -> dir:int -> Comm.port
+
+(** The push workspace arriving movers finish their walks in (see
+    {!Vpic_particle.Push.finish_movers}), kept across steps. *)
+val mover_work : t -> Vpic_particle.Push.Work.t

@@ -50,7 +50,8 @@ let exchange ports ~(targets : target option array) =
     received := !received + n;
     let st, ab, _re =
       Push.finish_movers ~movers_out:d.movers ?accum:d.accum ?rng:d.rng
-        d.species d.fields d.bc (Movers.of_wire buf n)
+        ~work:(Exchange.mover_work ports) d.species d.fields d.bc
+        (Movers.of_wire buf n)
     in
     settled := !settled + st;
     absorbed := !absorbed + ab

@@ -102,25 +102,32 @@ let unload ?(perf = Perf.global) t f =
   and jz = Sf.data f.Vpic_field.Em_field.jz in
   let a = t.data in
   let open Bigarray.Array1 in
-  let add (m : Sf.data) idx v = unsafe_set m idx (unsafe_get m idx +. v) in
+  (* Direct read-modify-write sets: a local [add] helper would box each
+     of the 12 slot values of every voxel (no inlining across a closure
+     call on this toolchain). *)
   for k = 1 to g.Grid.nz do
     for j = 1 to g.Grid.ny do
       let vrow = Grid.voxel g 1 j k in
       for i = 0 to g.Grid.nx - 1 do
         let v = vrow + i in
         let o = v * slots_per_voxel in
-        add jx v (unsafe_get a o);
-        add jx (v + gx) (unsafe_get a (o + 1));
-        add jx (v + gxy) (unsafe_get a (o + 2));
-        add jx (v + gx + gxy) (unsafe_get a (o + 3));
-        add jy v (unsafe_get a (o + 4));
-        add jy (v + gxy) (unsafe_get a (o + 5));
-        add jy (v + 1) (unsafe_get a (o + 6));
-        add jy (v + gxy + 1) (unsafe_get a (o + 7));
-        add jz v (unsafe_get a (o + 8));
-        add jz (v + 1) (unsafe_get a (o + 9));
-        add jz (v + gx) (unsafe_get a (o + 10));
-        add jz (v + gx + 1) (unsafe_get a (o + 11));
+        unsafe_set jx v (unsafe_get jx v +. unsafe_get a o);
+        unsafe_set jx (v + gx) (unsafe_get jx (v + gx) +. unsafe_get a (o + 1));
+        unsafe_set jx (v + gxy)
+          (unsafe_get jx (v + gxy) +. unsafe_get a (o + 2));
+        unsafe_set jx (v + gx + gxy)
+          (unsafe_get jx (v + gx + gxy) +. unsafe_get a (o + 3));
+        unsafe_set jy v (unsafe_get jy v +. unsafe_get a (o + 4));
+        unsafe_set jy (v + gxy)
+          (unsafe_get jy (v + gxy) +. unsafe_get a (o + 5));
+        unsafe_set jy (v + 1) (unsafe_get jy (v + 1) +. unsafe_get a (o + 6));
+        unsafe_set jy (v + gxy + 1)
+          (unsafe_get jy (v + gxy + 1) +. unsafe_get a (o + 7));
+        unsafe_set jz v (unsafe_get jz v +. unsafe_get a (o + 8));
+        unsafe_set jz (v + 1) (unsafe_get jz (v + 1) +. unsafe_get a (o + 9));
+        unsafe_set jz (v + gx) (unsafe_get jz (v + gx) +. unsafe_get a (o + 10));
+        unsafe_set jz (v + gx + 1)
+          (unsafe_get jz (v + gx + 1) +. unsafe_get a (o + 11));
         for q = 0 to slots_per_voxel - 1 do
           unsafe_set a (o + q) 0.
         done

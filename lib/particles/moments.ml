@@ -7,8 +7,27 @@ module Perf = Vpic_util.Perf
 (* All moments read the f32 store into f64 registers and accumulate in
    f64 (into f64 fields or scalars) — the mixed-precision contract. *)
 
+(* The tiled deposit's private per-tile slabs, kept across calls like
+   [Accumulator.slab]'s: created zero-filled on the first multi-tile
+   deposit (or when the tile count or grid changes) and zeroed as they
+   are folded, so a steady deposit allocates none. *)
+type slabs = { mutable data : Sf.data array }
+
+let slabs () = { data = [||] }
+
+let slabs_for sl ~tiles ~nv =
+  if Array.length sl.data <> tiles
+     || Bigarray.Array1.dim sl.data.(0) <> nv
+  then
+    sl.data <-
+      Array.init tiles (fun _ ->
+          let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout nv in
+          Bigarray.Array1.fill a 0.;
+          a);
+  sl.data
+
 let deposit_rho ?(perf = Vpic_util.Perf.global)
-    ?(pool = Vpic_util.Pool.serial) (s : Species.t) ~rho =
+    ?(pool = Vpic_util.Pool.serial) ?(slabs = slabs ()) (s : Species.t) ~rho =
   let module P = Vpic_util.Pool in
   let g = s.Species.grid in
   assert (g == Sf.grid rho);
@@ -21,8 +40,9 @@ let deposit_rho ?(perf = Vpic_util.Perf.global)
   let sw = st.Store.w in
   let np = Species.count s in
   let open Bigarray.Array1 in
+  (* direct read-modify-write sets: a local [add] closure would box each
+     of the 8 node weights of every particle *)
   let deposit_range (a : Sf.data) lo hi =
-    let add idx v = unsafe_set a idx (unsafe_get a idx +. v) in
     for n = lo to hi - 1 do
       let v = Int32.to_int (unsafe_get svox n) in
       let fx = unsafe_get sfx n
@@ -30,14 +50,17 @@ let deposit_rho ?(perf = Vpic_util.Perf.global)
       and fz = unsafe_get sfz n in
       let q = s.Species.q *. unsafe_get sw n *. inv_dv in
       let mx = 1. -. fx and my = 1. -. fy and mz = 1. -. fz in
-      add v (q *. mx *. my *. mz);
-      add (v + 1) (q *. fx *. my *. mz);
-      add (v + gx) (q *. mx *. fy *. mz);
-      add (v + gx + 1) (q *. fx *. fy *. mz);
-      add (v + gxy) (q *. mx *. my *. fz);
-      add (v + gxy + 1) (q *. fx *. my *. fz);
-      add (v + gxy + gx) (q *. mx *. fy *. fz);
-      add (v + gxy + gx + 1) (q *. fx *. fy *. fz)
+      let v1 = v + 1 and v2 = v + gx and v3 = v + gx + 1 in
+      let v4 = v + gxy and v5 = v + gxy + 1 in
+      let v6 = v + gxy + gx and v7 = v + gxy + gx + 1 in
+      unsafe_set a v (unsafe_get a v +. (q *. mx *. my *. mz));
+      unsafe_set a v1 (unsafe_get a v1 +. (q *. fx *. my *. mz));
+      unsafe_set a v2 (unsafe_get a v2 +. (q *. mx *. fy *. mz));
+      unsafe_set a v3 (unsafe_get a v3 +. (q *. fx *. fy *. mz));
+      unsafe_set a v4 (unsafe_get a v4 +. (q *. mx *. my *. fz));
+      unsafe_set a v5 (unsafe_get a v5 +. (q *. fx *. my *. fz));
+      unsafe_set a v6 (unsafe_get a v6 +. (q *. mx *. fy *. fz));
+      unsafe_set a v7 (unsafe_get a v7 +. (q *. fx *. fy *. fz))
     done
   in
   if pool.P.tiles <= 1 then deposit_range (Sf.data rho) 0 np
@@ -49,14 +72,7 @@ let deposit_rho ?(perf = Vpic_util.Perf.global)
        worker count). *)
     let tiles = pool.P.tiles in
     let nv = g.Grid.nv in
-    let slabs =
-      Array.init tiles (fun _ ->
-          let a =
-            Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout nv
-          in
-          Bigarray.Array1.fill a 0.;
-          a)
-    in
+    let slabs = slabs_for slabs ~tiles ~nv in
     pool.P.run ~label:"moments.rho" ~tiles (fun ~lane:_ ~tile ->
         let lo, hi = P.split ~total:np ~tiles ~tile in
         deposit_range slabs.(tile) lo hi);
@@ -67,7 +83,8 @@ let deposit_rho ?(perf = Vpic_util.Perf.global)
           let d = slabs.(t) in
           for idx = lo to hi - 1 do
             let v = unsafe_get d idx in
-            if v <> 0. then unsafe_set a idx (unsafe_get a idx +. v)
+            if v <> 0. then unsafe_set a idx (unsafe_get a idx +. v);
+            unsafe_set d idx 0.
           done
         done)
   end;

@@ -5,16 +5,25 @@
 
 module Sf = Vpic_grid.Scalar_field
 
+(** The private per-tile slabs of a multi-tile {!deposit_rho}, reused
+    across calls: created on first use, zeroed as they are folded. *)
+type slabs
+
+val slabs : unit -> slabs
+
 (** Accumulate q w / dV with trilinear node weights into [rho] (adds; the
     caller clears and folds ghosts).  Node (i,j,k) carries weight
     (1-fx)(1-fy)(1-fz) etc, matching the continuity equation of the
     current deposition exactly.  With a multi-tile [pool], particle
     chunks scatter into private per-tile slabs folded into [rho] in
     ascending tile order — bitwise invariant in the worker count (but a
-    different summation order from the serial 1-tile pass). *)
+    different summation order from the serial 1-tile pass).  Pass the
+    same [slabs] to every call to keep those slabs across calls (by
+    default each multi-tile call allocates its own). *)
 val deposit_rho :
   ?perf:Vpic_util.Perf.counters ->
   ?pool:Vpic_util.Pool.t ->
+  ?slabs:slabs ->
   Species.t ->
   rho:Sf.t ->
   unit

@@ -52,7 +52,7 @@ module Movers = struct
     assert (n >= 0 && n * stride <= Bigarray.Array1.dim buf);
     { buf; n }
 
-  let push t ~cell ~wk ~u ~w =
+  let[@inline] push t ~cell ~wk ~u ~w =
     let open Bigarray.Array1 in
     if (t.n + 1) * stride > dim t.buf then begin
       let nbuf = Store.f32_create (2 * dim t.buf) in
@@ -154,81 +154,124 @@ let boris ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
   u.(1) <- uy +. (qdt_2m *. ey);
   u.(2) <- uz +. (qdt_2m *. ez)
 
+(* f32 rounding through a 1-slot Float32 scratch (the caller's own, so
+   concurrent team lanes never share one): a store narrows to the nearest
+   f32 exactly as [Store.round32] does, and the load widens it back.
+   [clamp_offset] is [Store.clamp_offset] over it.  Both are local and
+   [@inline]: a cross-module call boxes its float argument and result on
+   this toolchain (no flambda, and dune's dev profile compiles with
+   -opaque). *)
+let[@inline] round32 (s32 : Store.f32) x =
+  Bigarray.Array1.unsafe_set s32 0 x;
+  Bigarray.Array1.unsafe_get s32 0
+
+let f32_pred_one = Store.f32_pred_one
+
+let[@inline] clamp_offset s32 x =
+  let r = round32 s32 x in
+  if r >= 1. then f32_pred_one else if r < 0. then 0. else r
+
 (* Deposit one straight segment (x1..x2 etc, in-cell coordinates in [0,1])
    of a particle with per-axis current coefficients (cx,cy,cz) into the
    J accumulators of the cell at flat voxel [v].  Villasenor-Buneman
-   first-order, charge-conserving form. *)
-let deposit_segment (jx : Sf.data) (jy : Sf.data) (jz : Sf.data) gx gxy v ~x1
-    ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
+   first-order, charge-conserving form.  Both deposit helpers are
+   [@inline] and written as direct read-modify-write sets: a call, or a
+   local [add] closure, would box every float it is passed. *)
+let[@inline] deposit_segment (jx : Sf.data) (jy : Sf.data) (jz : Sf.data) gx
+    gxy v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
   let open Bigarray.Array1 in
   let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
   let xb = 0.5 *. (x1 +. x2) in
   let yb = 0.5 *. (y1 +. y2) in
   let zb = 0.5 *. (z1 +. z2) in
-  let add a idx v' = unsafe_set a idx (unsafe_get a idx +. v') in
   (* Jx: transverse (y,z) *)
   let qx = cx *. dx in
   if qx <> 0. then begin
     let corr = dy *. dz /. 12. in
-    add jx v (qx *. (((1. -. yb) *. (1. -. zb)) +. corr));
-    add jx (v + gx) (qx *. ((yb *. (1. -. zb)) -. corr));
-    add jx (v + gxy) (qx *. (((1. -. yb) *. zb) -. corr));
-    add jx (v + gx + gxy) (qx *. ((yb *. zb) +. corr))
+    let o1 = v + gx and o2 = v + gxy and o3 = v + gx + gxy in
+    unsafe_set jx v
+      (unsafe_get jx v +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
+    unsafe_set jx o1
+      (unsafe_get jx o1 +. (qx *. ((yb *. (1. -. zb)) -. corr)));
+    unsafe_set jx o2
+      (unsafe_get jx o2 +. (qx *. (((1. -. yb) *. zb) -. corr)));
+    unsafe_set jx o3 (unsafe_get jx o3 +. (qx *. ((yb *. zb) +. corr)))
   end;
   (* Jy: transverse (z,x) *)
   let qy = cy *. dy in
   if qy <> 0. then begin
     let corr = dz *. dx /. 12. in
-    add jy v (qy *. (((1. -. zb) *. (1. -. xb)) +. corr));
-    add jy (v + gxy) (qy *. ((zb *. (1. -. xb)) -. corr));
-    add jy (v + 1) (qy *. (((1. -. zb) *. xb) -. corr));
-    add jy (v + gxy + 1) (qy *. ((zb *. xb) +. corr))
+    let o1 = v + gxy and o2 = v + 1 and o3 = v + gxy + 1 in
+    unsafe_set jy v
+      (unsafe_get jy v +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
+    unsafe_set jy o1
+      (unsafe_get jy o1 +. (qy *. ((zb *. (1. -. xb)) -. corr)));
+    unsafe_set jy o2
+      (unsafe_get jy o2 +. (qy *. (((1. -. zb) *. xb) -. corr)));
+    unsafe_set jy o3 (unsafe_get jy o3 +. (qy *. ((zb *. xb) +. corr)))
   end;
   (* Jz: transverse (x,y) *)
   let qz = cz *. dz in
   if qz <> 0. then begin
     let corr = dx *. dy /. 12. in
-    add jz v (qz *. (((1. -. xb) *. (1. -. yb)) +. corr));
-    add jz (v + 1) (qz *. ((xb *. (1. -. yb)) -. corr));
-    add jz (v + gx) (qz *. (((1. -. xb) *. yb) -. corr));
-    add jz (v + gx + 1) (qz *. ((xb *. yb) +. corr))
+    let o1 = v + 1 and o2 = v + gx and o3 = v + gx + 1 in
+    unsafe_set jz v
+      (unsafe_get jz v +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
+    unsafe_set jz o1
+      (unsafe_get jz o1 +. (qz *. ((xb *. (1. -. yb)) -. corr)));
+    unsafe_set jz o2
+      (unsafe_get jz o2 +. (qz *. (((1. -. xb) *. yb) -. corr)));
+    unsafe_set jz o3 (unsafe_get jz o3 +. (qz *. ((xb *. yb) +. corr)))
   end
 
 (* Same segment, scattered into the cell's 12-slot accumulator block
    instead of the three J meshes: identical arithmetic, identical slot
    semantics (Accumulator.unload folds slot q of voxel v onto the mesh
-   target deposit_segment would have written). *)
-let deposit_segment_acc (acc : Sf.data) v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
+   target deposit_segment would have written).  The zero guards matter
+   bitwise: they keep -0. slots. *)
+let[@inline] deposit_segment_acc (acc : Sf.data) v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2
+    ~cx ~cy ~cz =
   let open Bigarray.Array1 in
   let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
   let xb = 0.5 *. (x1 +. x2) in
   let yb = 0.5 *. (y1 +. y2) in
   let zb = 0.5 *. (z1 +. z2) in
   let o = v * 12 in
-  let add q v' = unsafe_set acc (o + q) (unsafe_get acc (o + q) +. v') in
   let qx = cx *. dx in
   if qx <> 0. then begin
     let corr = dy *. dz /. 12. in
-    add 0 (qx *. (((1. -. yb) *. (1. -. zb)) +. corr));
-    add 1 (qx *. ((yb *. (1. -. zb)) -. corr));
-    add 2 (qx *. (((1. -. yb) *. zb) -. corr));
-    add 3 (qx *. ((yb *. zb) +. corr))
+    unsafe_set acc o
+      (unsafe_get acc o +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
+    unsafe_set acc (o + 1)
+      (unsafe_get acc (o + 1) +. (qx *. ((yb *. (1. -. zb)) -. corr)));
+    unsafe_set acc (o + 2)
+      (unsafe_get acc (o + 2) +. (qx *. (((1. -. yb) *. zb) -. corr)));
+    unsafe_set acc (o + 3)
+      (unsafe_get acc (o + 3) +. (qx *. ((yb *. zb) +. corr)))
   end;
   let qy = cy *. dy in
   if qy <> 0. then begin
     let corr = dz *. dx /. 12. in
-    add 4 (qy *. (((1. -. zb) *. (1. -. xb)) +. corr));
-    add 5 (qy *. ((zb *. (1. -. xb)) -. corr));
-    add 6 (qy *. (((1. -. zb) *. xb) -. corr));
-    add 7 (qy *. ((zb *. xb) +. corr))
+    unsafe_set acc (o + 4)
+      (unsafe_get acc (o + 4) +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
+    unsafe_set acc (o + 5)
+      (unsafe_get acc (o + 5) +. (qy *. ((zb *. (1. -. xb)) -. corr)));
+    unsafe_set acc (o + 6)
+      (unsafe_get acc (o + 6) +. (qy *. (((1. -. zb) *. xb) -. corr)));
+    unsafe_set acc (o + 7)
+      (unsafe_get acc (o + 7) +. (qy *. ((zb *. xb) +. corr)))
   end;
   let qz = cz *. dz in
   if qz <> 0. then begin
     let corr = dx *. dy /. 12. in
-    add 8 (qz *. (((1. -. xb) *. (1. -. yb)) +. corr));
-    add 9 (qz *. ((xb *. (1. -. yb)) -. corr));
-    add 10 (qz *. (((1. -. xb) *. yb) -. corr));
-    add 11 (qz *. ((xb *. yb) +. corr))
+    unsafe_set acc (o + 8)
+      (unsafe_get acc (o + 8) +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
+    unsafe_set acc (o + 9)
+      (unsafe_get acc (o + 9) +. (qz *. ((xb *. (1. -. yb)) -. corr)));
+    unsafe_set acc (o + 10)
+      (unsafe_get acc (o + 10) +. (qz *. (((1. -. xb) *. yb) -. corr)));
+    unsafe_set acc (o + 11)
+      (unsafe_get acc (o + 11) +. (qz *. ((xb *. yb) +. corr)))
   end
 
 type face_action = Wrap | Reflect | Absorb | Reflux of float | Stop
@@ -240,56 +283,186 @@ let face_action = function
   | Bc.Refluxing uth -> Reflux uth
   | Bc.Domain _ -> Stop
 
-(* Everything the walk needs, prepared once per species push. *)
-type walk_env = {
-  g : Grid.t;
-  jxa : Sf.data;
-  jya : Sf.data;
-  jza : Sf.data;
-  gx : int;
-  gxy : int;
+(* Everything one push call works in: the walk's environment and state,
+   the block kernel's lanes, the run-cached interpolator block and the
+   call's counters.  It is kept across calls (one per tile of the team
+   push, one per species for the boundary pass), so a steady push
+   allocates none of it; [prepare] resets it at the start of each call.
+   The call's float parameters live in [fp], a float array, because a
+   float field of a mixed record is boxed on every set. *)
+type work = {
+  mutable jxa : Sf.data;
+  mutable jya : Sf.data;
+  mutable jza : Sf.data;
+  mutable acc : Sf.data option;
+      (* accumulator slots; deposits bypass the J meshes *)
+  mutable rng : Vpic_util.Rng.t option; (* required for Refluxing faces *)
+  mutable gx : int;
+  mutable gy : int;
   actions : face_action array; (* indexed 2*axis + (1 if hi side) *)
   extents : int array;
-  segments : int ref;
-  reflected : int ref;
-  refluxed : int ref;
-  rng : Vpic_util.Rng.t option; (* required for Refluxing faces *)
-  s32 : Store.f32; (* 1-slot scratch: round to f32 without boxing Int32 *)
-  acc : Sf.data option; (* accumulator slots; deposits bypass the J meshes *)
+  s32 : Store.f32; (* 1-slot f32 rounding scratch ([round32]) *)
+  fp : float array; (* qdt_2m, dt, inv_dx, inv_dy, inv_dz, kx, ky, kz *)
+  cq : float array;
+      (* per-axis current coefficients of the particle being walked, set
+         before each [walk]: float array cells, because the arguments of
+         a call that is not inlined are boxed *)
+  (* walk state: wk.(0..2) in-cell position, wk.(3..5) remaining
+     displacement (cell units), cell.(0..2) owning cell, u.(0..2)
+     momentum *)
+  u : float array;
+  wk : float array;
+  cell : int array;
+  (* block kernel lanes (the first [width] of [max_block_width] used) *)
+  bfx : float array;
+  bfy : float array;
+  bfz : float array;
+  bux : float array;
+  buy : float array;
+  buz : float array;
+  brx : float array;
+  bry : float array;
+  brz : float array;
+  (* run-cached interpolator block and the decode of its voxel: sorted
+     populations visit long runs of one voxel, so the 18 coefficients
+     are copied and the two integer divisions paid once per run *)
+  icoef : float array;
+  mutable lvox : int;
+  mutable lci : int;
+  mutable lcj : int;
+  mutable lck : int;
+  mutable lshell : bool;
+  (* counters of the current call *)
+  mutable pushed : int;
+  mutable segments : int;
+  mutable absorbed : int;
+  mutable reflected : int;
+  mutable refluxed : int;
+  mutable outbound : int;
+  mutable block_lanes : int;
+  mutable block_cleanup : int;
+  mutable runs : int;
+  mutable dead : int list; (* removed particles, descending *)
 }
 
-let make_env ?rng ?acc g f bc ~segments ~reflected ~refluxed =
-  { g;
-    jxa = Sf.data f.Vpic_field.Em_field.jx;
-    jya = Sf.data f.Vpic_field.Em_field.jy;
-    jza = Sf.data f.Vpic_field.Em_field.jz;
-    gx = g.Grid.gx;
-    gxy = g.Grid.gx * g.Grid.gy;
-    actions =
-      [| face_action bc.Bc.xlo; face_action bc.Bc.xhi;
-         face_action bc.Bc.ylo; face_action bc.Bc.yhi;
-         face_action bc.Bc.zlo; face_action bc.Bc.zhi |];
-    extents = [| g.Grid.nx; g.Grid.ny; g.Grid.nz |];
-    segments;
-    reflected;
-    refluxed;
-    rng;
-    s32 = Store.f32_create 1;
-    acc }
+let no_data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 
-let round32_env env x =
-  Bigarray.Array1.unsafe_set env.s32 0 x;
-  Bigarray.Array1.unsafe_get env.s32 0
+let create_work () =
+  let lanes () = Array.make max_block_width 0. in
+  { jxa = no_data;
+    jya = no_data;
+    jza = no_data;
+    acc = None;
+    rng = None;
+    gx = 0;
+    gy = 0;
+    actions = Array.make 6 Stop;
+    extents = Array.make 3 0;
+    s32 = Store.f32_create 1;
+    fp = Array.make 8 0.;
+    cq = Array.make 3 0.;
+    u = Array.make 3 0.;
+    wk = Array.make 6 0.;
+    cell = Array.make 3 0;
+    bfx = lanes ();
+    bfy = lanes ();
+    bfz = lanes ();
+    bux = lanes ();
+    buy = lanes ();
+    buz = lanes ();
+    brx = lanes ();
+    bry = lanes ();
+    brz = lanes ();
+    icoef = Array.make Interpolator.coeffs_per_voxel 0.;
+    lvox = min_int;
+    lci = 0;
+    lcj = 0;
+    lck = 0;
+    lshell = false;
+    pushed = 0;
+    segments = 0;
+    absorbed = 0;
+    reflected = 0;
+    refluxed = 0;
+    outbound = 0;
+    block_lanes = 0;
+    block_cleanup = 0;
+    runs = 0;
+    dead = [] }
+
+module Work = struct
+  type t = work
+
+  let create = create_work
+end
+
+(* Point [w] at this call's species, field, boundaries and scatter
+   target, and zero its counters and its run cache. *)
+let prepare w ?rng ?accum (s : Species.t) f bc =
+  let g = s.Species.grid in
+  w.jxa <- Sf.data f.Vpic_field.Em_field.jx;
+  w.jya <- Sf.data f.Vpic_field.Em_field.jy;
+  w.jza <- Sf.data f.Vpic_field.Em_field.jz;
+  w.acc <-
+    (match accum with
+    | Some ac -> Some (Accumulator.data ac)
+    | None -> None);
+  w.rng <- rng;
+  w.gx <- g.Grid.gx;
+  w.gy <- g.Grid.gy;
+  w.actions.(0) <- face_action bc.Bc.xlo;
+  w.actions.(1) <- face_action bc.Bc.xhi;
+  w.actions.(2) <- face_action bc.Bc.ylo;
+  w.actions.(3) <- face_action bc.Bc.yhi;
+  w.actions.(4) <- face_action bc.Bc.zlo;
+  w.actions.(5) <- face_action bc.Bc.zhi;
+  w.extents.(0) <- g.Grid.nx;
+  w.extents.(1) <- g.Grid.ny;
+  w.extents.(2) <- g.Grid.nz;
+  w.lvox <- min_int;
+  w.pushed <- 0;
+  w.segments <- 0;
+  w.absorbed <- 0;
+  w.reflected <- 0;
+  w.refluxed <- 0;
+  w.outbound <- 0;
+  w.block_lanes <- 0;
+  w.block_cleanup <- 0;
+  w.runs <- 0;
+  w.dead <- []
+
+(* The call's float parameters, as [fp] holds them. *)
+let fp_qdt_2m = 0
+let fp_dt = 1
+let fp_inv_dx = 2
+let fp_inv_dy = 3
+let fp_inv_dz = 4
+let fp_kx = 5
+let fp_ky = 6
+let fp_kz = 7
 
 type walk_status = Settled | Absorbed | Outbound
 
+(* One axis's end of a walk segment that covers the fraction [sfrac] of
+   the remaining displacement [r] from [x1a]: the crossing axis snaps to
+   its face, a transverse axis of a crossing segment rounds to f32 and a
+   final segment rounds and clamps (see [walk]). *)
+let[@inline] endpoint s32 ~on_axis ~hi ~crossing x1a r sfrac =
+  if on_axis then if hi then 1. else 0.
+  else if crossing then round32 s32 (x1a +. (sfrac *. r))
+  else clamp_offset s32 (x1a +. (sfrac *. r))
+
+(* Time, as a fraction of the remaining displacement [r], until the
+   in-cell position [x] reaches a face ([infinity] when [r] is zero). *)
+let[@inline] face_time x r =
+  if r > 0. then (1. -. x) /. r else if r < 0. then x /. -.r else infinity
+
 (* Walk a particle through its remaining displacement, splitting at face
-   crossings and depositing each segment.  State arrays:
-   wk.(0..2) in-cell position, wk.(3..5) remaining displacement (cell
-   units, < 1 per axis), cell.(0..2) owning cell, u.(0..2) momentum
-   (mutated by reflections).  On [Outbound], the cell sits in the first
-   ghost layer at the entry face and wk.(3..5) holds what is left of the
-   move -- the receiving rank completes it.
+   crossings and depositing each segment.  The state is [w.wk], [w.cell]
+   and [w.u] (momentum, mutated by reflections); [w.cq] holds the
+   particle's per-axis current coefficients.  On [Outbound], the cell
+   sits in the first ghost layer at the entry face and wk.(3..5) holds
+   what is left of the move -- the receiving rank completes it.
 
    f32 consistency: every deposited segment endpoint is a value the f32
    store can represent, and it is the value carried forward — so the
@@ -297,71 +470,69 @@ type walk_status = Settled | Absorbed | Outbound
    particle ends up stored at (discrete continuity survives the f32
    narrowing).  The crossing axis snaps to its exact face value (0.0 and
    1.0 are f32-exact); transverse axes round to nearest f32; the final
-   segment rounds AND clamps into [0, pred 1.0f32] before depositing. *)
-let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
+   segment rounds AND clamps into [0, pred 1.0f32] before depositing.
+
+   Allocation-free: every helper it calls with floats is [@inline], and
+   it returns a constant constructor. *)
+let walk w =
+  let wk = w.wk and cell = w.cell and u = w.u in
+  let cxc = Array.unsafe_get w.cq 0
+  and cyc = Array.unsafe_get w.cq 1
+  and czc = Array.unsafe_get w.cq 2 in
+  let s32 = w.s32 in
+  let gx = w.gx in
+  let gxy = w.gx * w.gy in
   let status = ref Settled in
   let moving = ref true in
   let guard = ref 0 in
   while !moving && !status = Settled do
     incr guard;
     assert (!guard <= 16);
-    (* Fraction [smin] of the remaining displacement until the first face
-       crossing (crossing code: 2*axis + hi, or -1 for none); ties resolve
-       to the later axis, the remainder handled next iteration as
-       zero-length steps. *)
-    let smin = ref 1.0 in
-    let cross = ref (-1) in
-    for a = 0 to 2 do
-      let r = Array.unsafe_get wk (3 + a) in
-      if r > 0. then begin
-        let t = (1. -. Array.unsafe_get wk a) /. r in
-        if t <= !smin then begin
-          smin := (if t < 0. then 0. else t);
-          cross := (2 * a) + 1
-        end
-      end
-      else if r < 0. then begin
-        let t = Array.unsafe_get wk a /. -.r in
-        if t <= !smin then begin
-          smin := (if t < 0. then 0. else t);
-          cross := 2 * a
-        end
-      end
-    done;
-    let sfrac = !smin in
-    let a_cross = if !cross >= 0 then !cross / 2 else -1 in
-    let hi_cross = !cross >= 0 && !cross land 1 = 1 in
-    let endpoint axis x1a r =
-      if axis = a_cross then if hi_cross then 1. else 0.
-      else if !cross >= 0 then round32_env env (x1a +. (sfrac *. r))
-      else Store.clamp_offset (x1a +. (sfrac *. r))
-    in
-    let x1 = wk.(0) and y1 = wk.(1) and z1 = wk.(2) in
-    let x2 = endpoint 0 x1 wk.(3) in
-    let y2 = endpoint 1 y1 wk.(4) in
-    let z2 = endpoint 2 z1 wk.(5) in
-    let v = Grid.voxel env.g cell.(0) cell.(1) cell.(2) in
-    (match env.acc with
-    | Some a ->
-        deposit_segment_acc a v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc
+    let x1 = Array.unsafe_get wk 0
+    and y1 = Array.unsafe_get wk 1
+    and z1 = Array.unsafe_get wk 2 in
+    let rx = Array.unsafe_get wk 3
+    and ry = Array.unsafe_get wk 4
+    and rz = Array.unsafe_get wk 5 in
+    (* Fraction [sfrac] of the remaining displacement until the first
+       face crossing (crossing code: 2*axis + hi, or -1 for none); ties
+       resolve to the later axis, the remainder handled next iteration
+       as zero-length steps. *)
+    let tx = face_time x1 rx
+    and ty = face_time y1 ry
+    and tz = face_time z1 rz in
+    let cross = if tx <= 1.0 then if rx > 0. then 1 else 0 else -1 in
+    let s1 = if tx <= 1.0 then if tx < 0. then 0. else tx else 1.0 in
+    let cross = if ty <= s1 then if ry > 0. then 3 else 2 else cross in
+    let s2 = if ty <= s1 then if ty < 0. then 0. else ty else s1 in
+    let cross = if tz <= s2 then if rz > 0. then 5 else 4 else cross in
+    let sfrac = if tz <= s2 then if tz < 0. then 0. else tz else s2 in
+    let crossing = cross >= 0 in
+    let a = if crossing then cross / 2 else -1 in
+    let hi = crossing && cross land 1 = 1 in
+    let x2 = endpoint s32 ~on_axis:(a = 0) ~hi ~crossing x1 rx sfrac in
+    let y2 = endpoint s32 ~on_axis:(a = 1) ~hi ~crossing y1 ry sfrac in
+    let z2 = endpoint s32 ~on_axis:(a = 2) ~hi ~crossing z1 rz sfrac in
+    let v = cell.(0) + (gx * (cell.(1) + (w.gy * cell.(2)))) in
+    (match w.acc with
+    | Some acc ->
+        deposit_segment_acc acc v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc
           ~cz:czc
     | None ->
-        deposit_segment env.jxa env.jya env.jza env.gx env.gxy v ~x1 ~y1 ~z1
-          ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc ~cz:czc);
-    incr env.segments;
-    wk.(0) <- x2;
-    wk.(1) <- y2;
-    wk.(2) <- z2;
-    wk.(3) <- (1. -. sfrac) *. wk.(3);
-    wk.(4) <- (1. -. sfrac) *. wk.(4);
-    wk.(5) <- (1. -. sfrac) *. wk.(5);
-    if !cross < 0 then moving := false
+        deposit_segment w.jxa w.jya w.jza gx gxy v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2
+          ~cx:cxc ~cy:cyc ~cz:czc);
+    w.segments <- w.segments + 1;
+    Array.unsafe_set wk 0 x2;
+    Array.unsafe_set wk 1 y2;
+    Array.unsafe_set wk 2 z2;
+    Array.unsafe_set wk 3 ((1. -. sfrac) *. rx);
+    Array.unsafe_set wk 4 ((1. -. sfrac) *. ry);
+    Array.unsafe_set wk 5 ((1. -. sfrac) *. rz);
+    if not crossing then moving := false
     else begin
-      let a = !cross / 2 in
-      let hi = !cross land 1 = 1 in
-      let n_axis = Array.unsafe_get env.extents a in
+      let n_axis = Array.unsafe_get w.extents a in
       let leaving = if hi then cell.(a) = n_axis else cell.(a) = 1 in
-      let action = if leaving then env.actions.(!cross) else Wrap in
+      let action = if leaving then w.actions.(cross) else Wrap in
       match action with
       | Wrap ->
           cell.(a) <-
@@ -379,9 +550,9 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
           wk.(a) <- (if hi then 1. else 0.);
           wk.(3 + a) <- -.wk.(3 + a);
           u.(a) <- -.u.(a);
-          incr env.reflected
+          w.reflected <- w.reflected + 1
       | Reflux uth -> begin
-          match env.rng with
+          match w.rng with
           | None ->
               invalid_arg
                 "Push: refluxing face crossed without an rng (pass ~rng)"
@@ -401,16 +572,312 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
                 else u.(b) <- uth *. Vpic_util.Rng.normal rng;
                 wk.(3 + b) <- 0.
               done;
-              incr env.refluxed
+              w.refluxed <- w.refluxed + 1
         end
       | Absorb -> status := Absorbed
     end
   done;
   !status
 
+(* Store a settled walk's state in slot [n]: [w.wk] holds the offsets
+   the walk rounded and clamped (f32 values in [0, pred 1.0f32]), so
+   those stores are exact; the momenta narrow to f32 here, once.  The
+   same bits [Store.set] would write, without boxing the floats of a
+   call. *)
+let store_settled w (st : Store.t) g n =
+  let open Bigarray.Array1 in
+  let cell = w.cell and wk = w.wk and u = w.u in
+  unsafe_set st.Store.voxel n
+    (Int32.of_int (Grid.voxel g cell.(0) cell.(1) cell.(2)));
+  unsafe_set st.Store.fx n (Array.unsafe_get wk 0);
+  unsafe_set st.Store.fy n (Array.unsafe_get wk 1);
+  unsafe_set st.Store.fz n (Array.unsafe_get wk 2);
+  unsafe_set st.Store.ux n (Array.unsafe_get u 0);
+  unsafe_set st.Store.uy n (Array.unsafe_get u 1);
+  unsafe_set st.Store.uz n (Array.unsafe_get u 2)
+
+(* Per-axis current coefficients of particle weight [wgt] into [w.cq]. *)
+let[@inline] set_current_coeffs w ~q wgt =
+  let qw = q *. wgt in
+  Array.unsafe_set w.cq 0 (qw *. Array.unsafe_get w.fp fp_kx);
+  Array.unsafe_set w.cq 1 (qw *. Array.unsafe_get w.fp fp_ky);
+  Array.unsafe_set w.cq 2 (qw *. Array.unsafe_get w.fp fp_kz)
+
+(* The walk + settle/absorb/outbound tail of a crossing lane: [w.cell],
+   [w.u] and [w.wk] must already hold the run decode, the pushed momenta
+   and the displacements. *)
+let walk_one w (s : Species.t) movers n =
+  let st = s.Species.store in
+  let wgt = Bigarray.Array1.unsafe_get st.Store.w n in
+  set_current_coeffs w ~q:s.Species.q wgt;
+  match walk w with
+  | Settled -> store_settled w st s.Species.grid n
+  | Absorbed ->
+      w.absorbed <- w.absorbed + 1;
+      w.dead <- n :: w.dead
+  | Outbound -> begin
+      match movers with
+      | None ->
+          invalid_arg
+            "Push.advance: domain face crossed without a movers buffer"
+      | Some buf ->
+          Movers.push buf ~cell:w.cell ~wk:w.wk ~u:w.u ~w:wgt;
+          w.outbound <- w.outbound + 1;
+          w.dead <- n :: w.dead
+    end
+
+(* crossing-mask slack: any value >= 1 + 2^-50 works, see pass 2 *)
+let mask_slack = 1. +. 1e-15
+
+(* ---- the block kernel ------------------------------------------------
+   Push the particles [lo, hi) of [s].  Voxel runs are scanned up front
+   and processed in fixed-width lane blocks against the run-cached
+   72-byte interpolator block, in three fused passes: (1) gather + Boris
+   rotate, (2) inverse gamma + displacement + a branch-free
+   cell-crossing mask, (3) an in-order deposit/store pass whose unmasked
+   lanes take one fused full-length segment and whose masked lanes fall
+   out to the walk tail ([walk_one]: the walk/mover machinery), seeded
+   from the scratch lanes so the gather/rotate is never redone.
+
+   Width invariance: every lane's arithmetic is the same expression
+   sequence whatever block it lands in.  For a particle that crosses no
+   face the walk would use sfrac = 1.0, and 1.0 *. r = r exactly, so the
+   fused endpoint [clamp_offset (x1 +. r)] and the deposited segment are
+   bit-identical to the walk's.  The mask is a division-free
+   over-approximation of the walk's crossing predicate (axis face time
+   t <= 1): it can never miss a crossing, and a spurious flag only
+   routes the lane through the (identical) walk.  Lane order equals
+   particle order in pass 3, so f64 accumulator adds happen in particle
+   order for every width.
+
+   Boundary shell: cells whose gather stencil or walk can touch the
+   ghost layer.  The stencil reaches one cell out and the Courant bound
+   keeps a step inside +-1 cell, so only shell particles depend on the
+   ghost fill or can become movers — with [defer], shell runs are
+   recorded there instead of pushed, and interior particles may be
+   pushed while the fill is still in flight. *)
+let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
+  let open Bigarray.Array1 in
+  let g = s.Species.grid in
+  let st = s.Species.store in
+  let svox = st.Store.voxel in
+  let sfx = st.Store.fx and sfy = st.Store.fy and sfz = st.Store.fz in
+  let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
+  let sw = st.Store.w in
+  let sq = s.Species.q in
+  let snx = g.Grid.nx and sny = g.Grid.ny and snz = g.Grid.nz in
+  let fp = w.fp in
+  let qdt_2m = Array.unsafe_get fp fp_qdt_2m
+  and dt = Array.unsafe_get fp fp_dt
+  and inv_dx = Array.unsafe_get fp fp_inv_dx
+  and inv_dy = Array.unsafe_get fp fp_inv_dy
+  and inv_dz = Array.unsafe_get fp fp_inv_dz
+  and kx = Array.unsafe_get fp fp_kx
+  and ky = Array.unsafe_get fp fp_ky
+  and kz = Array.unsafe_get fp fp_kz in
+  let sl = mask_slack in
+  let icoef = w.icoef and s32 = w.s32 and cell = w.cell and u = w.u
+  and wk = w.wk in
+  let bfx = w.bfx and bfy = w.bfy and bfz = w.bfz in
+  let bux = w.bux and buy = w.buy and buz = w.buz in
+  let brx = w.brx and bry = w.bry and brz = w.brz in
+  let n = ref lo in
+  while !n < hi do
+    let vi = Int32.to_int (unsafe_get svox !n) in
+    (* Extent of the voxel run.  Safe to scan ahead: processing only
+       mutates the store slots of already-processed indices, and this
+       run's particles are read after the scan, before any of them is
+       pushed. *)
+    let e = ref (!n + 1) in
+    while !e < hi && Int32.to_int (unsafe_get svox !e) = vi do
+      incr e
+    done;
+    if vi <> w.lvox then begin
+      (* [Grid.cell_of_voxel], without its tuple *)
+      let ci = vi mod g.Grid.gx and r = vi / g.Grid.gx in
+      let cj = r mod g.Grid.gy and ck = r / g.Grid.gy in
+      w.lvox <- vi;
+      w.lci <- ci;
+      w.lcj <- cj;
+      w.lck <- ck;
+      w.lshell <-
+        ci = 1 || ci = snx || cj = 1 || cj = sny || ck = 1 || ck = snz;
+      w.runs <- w.runs + 1;
+      (* A skipped shell voxel's entry may not be loaded yet (the
+         `Interior pass runs before load_boundary); its coefficients
+         are copied but never evaluated. *)
+      let o = vi * Interpolator.coeffs_per_voxel in
+      for q = 0 to Interpolator.coeffs_per_voxel - 1 do
+        Array.unsafe_set icoef q (unsafe_get d (o + q))
+      done
+    end;
+    (match defer with
+    | Some dl when w.lshell -> Defer.add dl !n !e
+    | _ ->
+      (* hoist the run's coefficient block into unboxed locals *)
+      let c0 = Array.unsafe_get icoef 0
+      and c1 = Array.unsafe_get icoef 1
+      and c2 = Array.unsafe_get icoef 2
+      and c3 = Array.unsafe_get icoef 3
+      and c4 = Array.unsafe_get icoef 4
+      and c5 = Array.unsafe_get icoef 5
+      and c6 = Array.unsafe_get icoef 6
+      and c7 = Array.unsafe_get icoef 7
+      and c8 = Array.unsafe_get icoef 8
+      and c9 = Array.unsafe_get icoef 9
+      and c10 = Array.unsafe_get icoef 10
+      and c11 = Array.unsafe_get icoef 11
+      and c12 = Array.unsafe_get icoef 12
+      and c13 = Array.unsafe_get icoef 13
+      and c14 = Array.unsafe_get icoef 14
+      and c15 = Array.unsafe_get icoef 15
+      and c16 = Array.unsafe_get icoef 16
+      and c17 = Array.unsafe_get icoef 17 in
+      let m0 = ref !n in
+      while !m0 < !e do
+        let len = if !e - !m0 < width then !e - !m0 else width in
+        let n0 = !m0 in
+        (* pass 1: gather E/B from the run's block and rotate (Boris);
+           the expressions of Interpolator.gather_into and [boris], in
+           the same order (inlined: cross-module calls box every float
+           argument on this toolchain) *)
+        for lane = 0 to len - 1 do
+          let p = n0 + lane in
+          let fx = unsafe_get sfx p
+          and fy = unsafe_get sfy p
+          and fz = unsafe_get sfz p in
+          let ex = c0 +. (fy *. c1) +. (fz *. (c2 +. (fy *. c3))) in
+          let ey = c4 +. (fz *. c5) +. (fx *. (c6 +. (fz *. c7))) in
+          let ez = c8 +. (fx *. c9) +. (fy *. (c10 +. (fx *. c11))) in
+          let bx = c12 +. (fx *. c13) in
+          let by = c14 +. (fy *. c15) in
+          let bz = c16 +. (fz *. c17) in
+          let ux = unsafe_get sux p +. (qdt_2m *. ex) in
+          let uy = unsafe_get suy p +. (qdt_2m *. ey) in
+          let uz = unsafe_get suz p +. (qdt_2m *. ez) in
+          let gamma_m = sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz)) in
+          let f = qdt_2m /. gamma_m in
+          let tx = f *. bx and ty = f *. by and tz = f *. bz in
+          let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
+          let sx = 2. *. tx /. (1. +. t2) in
+          let sy = 2. *. ty /. (1. +. t2) in
+          let sz = 2. *. tz /. (1. +. t2) in
+          let px = ux +. ((uy *. tz) -. (uz *. ty)) in
+          let py = uy +. ((uz *. tx) -. (ux *. tz)) in
+          let pz = uz +. ((ux *. ty) -. (uy *. tx)) in
+          let ux = ux +. ((py *. sz) -. (pz *. sy)) in
+          let uy = uy +. ((pz *. sx) -. (px *. sz)) in
+          let uz = uz +. ((px *. sy) -. (py *. sx)) in
+          Array.unsafe_set bfx lane fx;
+          Array.unsafe_set bfy lane fy;
+          Array.unsafe_set bfz lane fz;
+          Array.unsafe_set bux lane (ux +. (qdt_2m *. ex));
+          Array.unsafe_set buy lane (uy +. (qdt_2m *. ey));
+          Array.unsafe_set buz lane (uz +. (qdt_2m *. ez))
+        done;
+        (* pass 2: displacement + branch-free crossing mask (the walk's
+           predicate: some axis has face time t <= 1) *)
+        let mask = ref 0 in
+        for lane = 0 to len - 1 do
+          let ux = Array.unsafe_get bux lane
+          and uy = Array.unsafe_get buy lane
+          and uz = Array.unsafe_get buz lane in
+          let inv_gamma =
+            1. /. sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz))
+          in
+          let rx = ux *. inv_gamma *. dt *. inv_dx in
+          let ry = uy *. inv_gamma *. dt *. inv_dy in
+          let rz = uz *. inv_gamma *. dt *. inv_dz in
+          Array.unsafe_set brx lane rx;
+          Array.unsafe_set bry lane ry;
+          Array.unsafe_set brz lane rz;
+          let x = Array.unsafe_get bfx lane
+          and y = Array.unsafe_get bfy lane
+          and z = Array.unsafe_get bfz lane in
+          (* Division-free over-approximation of the walk's crossing
+             predicate (axis face time a /. b <= 1, a >= 0, b > 0): a
+             rounded quotient <= 1 implies exactly a < b*(1+2^-53), and
+             b*(1+2^-53) < fl(b *. sl) for sl >= 1+2^-50, so
+             `a <= b *. sl` can never miss a crossing the walk would
+             take.  The sliver it over-flags (a/b in (1, 1+eps]) only
+             routes those lanes through the walk, which settles them
+             identically.  Positions sit in [0, pred 1.0f32], so the
+             numerators are non-negative. *)
+          let c =
+            Bool.to_int (rx > 0.)
+            land Bool.to_int (1. -. x <= rx *. sl)
+            lor (Bool.to_int (rx < 0.) land Bool.to_int (x <= (-.rx) *. sl))
+            lor (Bool.to_int (ry > 0.)
+                land Bool.to_int (1. -. y <= ry *. sl))
+            lor (Bool.to_int (ry < 0.) land Bool.to_int (y <= (-.ry) *. sl))
+            lor (Bool.to_int (rz > 0.)
+                land Bool.to_int (1. -. z <= rz *. sl))
+            lor (Bool.to_int (rz < 0.) land Bool.to_int (z <= (-.rz) *. sl))
+          in
+          mask := !mask lor (c lsl lane)
+        done;
+        w.block_lanes <- w.block_lanes + len;
+        (* pass 3: deposit + store, lane order = particle order *)
+        let mk = !mask in
+        for lane = 0 to len - 1 do
+          w.pushed <- w.pushed + 1;
+          if (mk lsr lane) land 1 <> 0 then begin
+            (* Cleanup lane: pass 1/2 already computed the pushed momenta
+               and displacements, so seed the walk state from the scratch
+               lanes and run only the walk tail — no redundant
+               gather/rotate.  cell must be re-seeded per lane (a
+               previous lane's walk mutates it). *)
+            w.block_cleanup <- w.block_cleanup + 1;
+            cell.(0) <- w.lci;
+            cell.(1) <- w.lcj;
+            cell.(2) <- w.lck;
+            u.(0) <- Array.unsafe_get bux lane;
+            u.(1) <- Array.unsafe_get buy lane;
+            u.(2) <- Array.unsafe_get buz lane;
+            wk.(0) <- Array.unsafe_get bfx lane;
+            wk.(1) <- Array.unsafe_get bfy lane;
+            wk.(2) <- Array.unsafe_get bfz lane;
+            wk.(3) <- Array.unsafe_get brx lane;
+            wk.(4) <- Array.unsafe_get bry lane;
+            wk.(5) <- Array.unsafe_get brz lane;
+            walk_one w s movers (n0 + lane)
+          end
+          else begin
+            let p = n0 + lane in
+            let x1 = Array.unsafe_get bfx lane
+            and y1 = Array.unsafe_get bfy lane
+            and z1 = Array.unsafe_get bfz lane in
+            let x2 = clamp_offset s32 (x1 +. Array.unsafe_get brx lane) in
+            let y2 = clamp_offset s32 (y1 +. Array.unsafe_get bry lane) in
+            let z2 = clamp_offset s32 (z1 +. Array.unsafe_get brz lane) in
+            let qw = sq *. unsafe_get sw p in
+            let cx = qw *. kx and cy = qw *. ky and cz = qw *. kz in
+            (match w.acc with
+            | Some a ->
+                deposit_segment_acc a vi ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz
+            | None ->
+                deposit_segment w.jxa w.jya w.jza w.gx (w.gx * w.gy) vi ~x1
+                  ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz);
+            w.segments <- w.segments + 1;
+            (* voxel unchanged; the offsets are f32-representable
+               (clamp_offset rounded them), u narrows once, as in
+               [store_settled] *)
+            unsafe_set sfx p x2;
+            unsafe_set sfy p y2;
+            unsafe_set sfz p z2;
+            unsafe_set sux p (Array.unsafe_get bux lane);
+            unsafe_set suy p (Array.unsafe_get buy lane);
+            unsafe_set suz p (Array.unsafe_get buz lane)
+          end
+        done;
+        m0 := !m0 + len
+      done);
+    n := !e
+  done
+
 let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
-    ?rng ?(width = default_block_width) ?(region = `All) (s : Species.t) f bc
-    =
+    ?rng ?(width = default_block_width) ?(region = `All) ?work
+    (s : Species.t) f bc =
   if width < 1 || width > max_block_width then
     invalid_arg
       (Printf.sprintf "Push.advance: block width must be in [1,%d]"
@@ -421,29 +888,22 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
   (match accum with
   | Some ac -> assert (Accumulator.grid ac == g)
   | None -> ());
+  let w = match work with Some w -> w | None -> create_work () in
+  prepare w ?rng ?accum s f bc;
   let dt = g.Grid.dt in
-  let qdt_2m = 0.5 *. s.Species.q *. dt /. s.Species.m in
   let inv_dx = 1. /. g.Grid.dx
   and inv_dy = 1. /. g.Grid.dy
   and inv_dz = 1. /. g.Grid.dz in
+  let fp = w.fp in
+  fp.(fp_qdt_2m) <- 0.5 *. s.Species.q *. dt /. s.Species.m;
+  fp.(fp_dt) <- dt;
+  fp.(fp_inv_dx) <- inv_dx;
+  fp.(fp_inv_dy) <- inv_dy;
+  fp.(fp_inv_dz) <- inv_dz;
   (* Per-axis current coefficients modulo the particle's q*w factor. *)
-  let kx = inv_dy *. inv_dz /. dt in
-  let ky = inv_dz *. inv_dx /. dt in
-  let kz = inv_dx *. inv_dy /. dt in
-  let segments = ref 0 in
-  let reflected = ref 0 in
-  let refluxed = ref 0 in
-  let env =
-    make_env ?rng
-      ?acc:(Option.map Accumulator.data accum)
-      g f bc ~segments ~reflected ~refluxed
-  in
-  let u = Array.make 3 0. in
-  let wk = Array.make 6 0. in
-  let cell = Array.make 3 0 in
-  let absorbed = ref 0 in
-  let outbound = ref 0 in
-  let dead = ref [] in
+  fp.(fp_kx) <- inv_dy *. inv_dz /. dt;
+  fp.(fp_ky) <- inv_dz *. inv_dx /. dt;
+  fp.(fp_kz) <- inv_dx *. inv_dy /. dt;
   let np0 = Species.count s in
   let last =
     match count with
@@ -452,374 +912,29 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
         assert (first >= 0 && first + c <= np0);
         first + c - 1
   in
-  let st = s.Species.store in
-  let svox = st.Store.voxel in
-  let sfx = st.Store.fx and sfy = st.Store.fy and sfz = st.Store.fz in
-  let sux = st.Store.ux and suy = st.Store.uy and suz = st.Store.uz in
-  let sw = st.Store.w in
-  let open Bigarray.Array1 in
-  (* Boundary shell: cells whose gather stencil or walk can touch the
-     ghost layer.  The stencil reaches one cell out and the Courant bound
-     keeps a step inside +-1 cell, so only shell particles depend on the
-     ghost fill or can become movers — interior particles may be pushed
-     while the fill is still in flight. *)
-  let snx = g.Grid.nx and sny = g.Grid.ny and snz = g.Grid.nz in
-  let defer =
-    match region with `Interior d -> Some d | `All | `Deferred _ -> None
-  in
-  let pushed = ref 0 in
   let d = Interpolator.data interp in
-  (* Run-cached interpolator block: the voxel's 18 coefficients are
-     copied once per voxel run, then hoisted into unboxed locals, so
-     gathers within the run are pure register arithmetic on one 72-byte
-     block. *)
-  let icoef = Array.make Interpolator.coeffs_per_voxel 0. in
-  let runs = ref 0 in
-  (* Sorted populations visit long runs of the same voxel: cache the last
-     decode so the two integer divisions in cell_of_voxel are paid once
-     per run, not once per particle. *)
-  let lvox = ref min_int and lci = ref 0 and lcj = ref 0 and lck = ref 0 in
-  let lshell = ref false in
-  (* The walk + settle/absorb/outbound tail of a crossing lane: [cell],
-     [u] and [wk] must already hold the run decode, the pushed momenta
-     and the displacements. *)
-  let walk_one n =
-    let w = unsafe_get sw n in
-    let qw = s.Species.q *. w in
-    let cxc = qw *. kx and cyc = qw *. ky and czc = qw *. kz in
-    match walk env ~wk ~cell ~u ~cxc ~cyc ~czc with
-    | Settled ->
-        (* wk holds f32-representable values (the walk rounded them), so
-           these stores are exact; u narrows to f32 here, once. *)
-        unsafe_set svox n
-          (Int32.of_int (Grid.voxel g cell.(0) cell.(1) cell.(2)));
-        unsafe_set sfx n wk.(0);
-        unsafe_set sfy n wk.(1);
-        unsafe_set sfz n wk.(2);
-        unsafe_set sux n u.(0);
-        unsafe_set suy n u.(1);
-        unsafe_set suz n u.(2)
-    | Absorbed ->
-        incr absorbed;
-        dead := n :: !dead
-    | Outbound -> begin
-        match movers with
-        | None ->
-            invalid_arg
-              "Push.advance: domain face crossed without a movers buffer"
-        | Some buf ->
-            Movers.push buf ~cell ~wk ~u ~w;
-            incr outbound;
-            dead := n :: !dead
-      end
-  in
-  (* ---- the block kernel ------------------------------------------------
-     Voxel runs are scanned up front and processed in fixed-width lane
-     blocks against the run-cached 72-byte interpolator block, in three
-     fused passes: (1) gather + Boris rotate, (2) inverse gamma +
-     displacement + a branch-free cell-crossing mask, (3) an in-order
-     deposit/store pass whose unmasked lanes take one fused full-length
-     segment and whose masked lanes fall out to the walk tail
-     ([walk_one]: the walk/mover machinery), seeded from the scratch
-     lanes so the gather/rotate is never redone.
-
-     Width invariance: every lane's arithmetic is the same expression
-     sequence whatever block it lands in.  For a particle that crosses
-     no face the walk would use sfrac = 1.0, and 1.0 *. r = r exactly,
-     so the fused endpoint [clamp_offset (x1 +. r)] and the deposited
-     segment are bit-identical to the walk's.  The mask is a
-     division-free over-approximation of the walk's crossing predicate
-     (axis face time t <= 1): it can never miss a crossing, and a
-     spurious flag only routes the lane through the (identical) walk.
-     Lane order equals particle order in pass 3, so f64 accumulator adds
-     happen in particle order for every width. *)
-  let block_lanes = ref 0 and block_cleanup = ref 0 in
-  let bfx = Array.make width 0. and bfy = Array.make width 0.
-  and bfz = Array.make width 0. in
-  let bux = Array.make width 0. and buy = Array.make width 0.
-  and buz = Array.make width 0. in
-  let brx = Array.make width 0. and bry = Array.make width 0.
-  and brz = Array.make width 0. in
-  let sq = s.Species.q in
-  let acc = env.acc in
-  (* crossing-mask slack: any value >= 1 + 2^-50 works, see pass 2 *)
-  let sl = 1. +. 1e-15 in
-  (* Push the particles [lo, hi). *)
-  let run_blocks lo hi =
-    let n = ref lo in
-    while !n < hi do
-      let vi = Int32.to_int (unsafe_get svox !n) in
-      (* Extent of the voxel run.  Safe to scan ahead: processing only
-         mutates the store slots of already-processed indices, and this
-         run's particles are read after the scan, before any of them is
-         pushed. *)
-      let e = ref (!n + 1) in
-      while !e < hi && Int32.to_int (unsafe_get svox !e) = vi do
-        incr e
-      done;
-      if vi <> !lvox then begin
-        let ci, cj, ck = Grid.cell_of_voxel g vi in
-        lvox := vi;
-        lci := ci;
-        lcj := cj;
-        lck := ck;
-        lshell :=
-          ci = 1 || ci = snx || cj = 1 || cj = sny || ck = 1 || ck = snz;
-        incr runs;
-        (* A skipped shell voxel's entry may not be loaded yet (the
-           `Interior pass runs before load_boundary); its coefficients
-           are copied but never evaluated. *)
-        let o = vi * Interpolator.coeffs_per_voxel in
-        for q = 0 to Interpolator.coeffs_per_voxel - 1 do
-          Array.unsafe_set icoef q (unsafe_get d (o + q))
-        done
-      end;
-      (match defer with
-      | Some dl when !lshell -> Defer.add dl !n !e
-      | _ ->
-        (* hoist the run's coefficient block into unboxed locals *)
-        let c0 = Array.unsafe_get icoef 0
-        and c1 = Array.unsafe_get icoef 1
-        and c2 = Array.unsafe_get icoef 2
-        and c3 = Array.unsafe_get icoef 3
-        and c4 = Array.unsafe_get icoef 4
-        and c5 = Array.unsafe_get icoef 5
-        and c6 = Array.unsafe_get icoef 6
-        and c7 = Array.unsafe_get icoef 7
-        and c8 = Array.unsafe_get icoef 8
-        and c9 = Array.unsafe_get icoef 9
-        and c10 = Array.unsafe_get icoef 10
-        and c11 = Array.unsafe_get icoef 11
-        and c12 = Array.unsafe_get icoef 12
-        and c13 = Array.unsafe_get icoef 13
-        and c14 = Array.unsafe_get icoef 14
-        and c15 = Array.unsafe_get icoef 15
-        and c16 = Array.unsafe_get icoef 16
-        and c17 = Array.unsafe_get icoef 17 in
-        let o12 = vi * 12 in
-        let m0 = ref !n in
-        while !m0 < !e do
-          let len = if !e - !m0 < width then !e - !m0 else width in
-          let n0 = !m0 in
-          (* pass 1: gather E/B from the run's block and rotate (Boris);
-             the expressions of Interpolator.gather_into and [boris], in
-             the same order (inlined: cross-module calls box every float
-             argument on this toolchain) *)
-          for lane = 0 to len - 1 do
-            let p = n0 + lane in
-            let fx = unsafe_get sfx p
-            and fy = unsafe_get sfy p
-            and fz = unsafe_get sfz p in
-            let ex = c0 +. (fy *. c1) +. (fz *. (c2 +. (fy *. c3))) in
-            let ey = c4 +. (fz *. c5) +. (fx *. (c6 +. (fz *. c7))) in
-            let ez = c8 +. (fx *. c9) +. (fy *. (c10 +. (fx *. c11))) in
-            let bx = c12 +. (fx *. c13) in
-            let by = c14 +. (fy *. c15) in
-            let bz = c16 +. (fz *. c17) in
-            let ux = unsafe_get sux p +. (qdt_2m *. ex) in
-            let uy = unsafe_get suy p +. (qdt_2m *. ey) in
-            let uz = unsafe_get suz p +. (qdt_2m *. ez) in
-            let gamma_m =
-              sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz))
-            in
-            let f = qdt_2m /. gamma_m in
-            let tx = f *. bx and ty = f *. by and tz = f *. bz in
-            let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-            let sx = 2. *. tx /. (1. +. t2) in
-            let sy = 2. *. ty /. (1. +. t2) in
-            let sz = 2. *. tz /. (1. +. t2) in
-            let px = ux +. ((uy *. tz) -. (uz *. ty)) in
-            let py = uy +. ((uz *. tx) -. (ux *. tz)) in
-            let pz = uz +. ((ux *. ty) -. (uy *. tx)) in
-            let ux = ux +. ((py *. sz) -. (pz *. sy)) in
-            let uy = uy +. ((pz *. sx) -. (px *. sz)) in
-            let uz = uz +. ((px *. sy) -. (py *. sx)) in
-            Array.unsafe_set bfx lane fx;
-            Array.unsafe_set bfy lane fy;
-            Array.unsafe_set bfz lane fz;
-            Array.unsafe_set bux lane (ux +. (qdt_2m *. ex));
-            Array.unsafe_set buy lane (uy +. (qdt_2m *. ey));
-            Array.unsafe_set buz lane (uz +. (qdt_2m *. ez))
-          done;
-          (* pass 2: displacement + branch-free crossing mask (the
-             walk's predicate: some axis has face time t <= 1) *)
-          let mask = ref 0 in
-          for lane = 0 to len - 1 do
-            let ux = Array.unsafe_get bux lane
-            and uy = Array.unsafe_get buy lane
-            and uz = Array.unsafe_get buz lane in
-            let inv_gamma =
-              1. /. sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz))
-            in
-            let rx = ux *. inv_gamma *. dt *. inv_dx in
-            let ry = uy *. inv_gamma *. dt *. inv_dy in
-            let rz = uz *. inv_gamma *. dt *. inv_dz in
-            Array.unsafe_set brx lane rx;
-            Array.unsafe_set bry lane ry;
-            Array.unsafe_set brz lane rz;
-            let x = Array.unsafe_get bfx lane
-            and y = Array.unsafe_get bfy lane
-            and z = Array.unsafe_get bfz lane in
-            (* Division-free over-approximation of the walk's crossing
-               predicate (axis face time a /. b <= 1, a >= 0, b > 0):
-               a rounded quotient <= 1 implies exactly a < b*(1+2^-53),
-               and b*(1+2^-53) < fl(b *. sl) for sl >= 1+2^-50, so
-               `a <= b *. sl` can never miss a crossing the walk would
-               take.  The sliver it over-flags (a/b in (1, 1+eps])
-               only routes those lanes through the walk, which
-               settles them identically.  Positions sit in
-               [0, pred 1.0f32], so the numerators are non-negative. *)
-            let c =
-              Bool.to_int (rx > 0.)
-              land Bool.to_int (1. -. x <= rx *. sl)
-              lor (Bool.to_int (rx < 0.)
-                  land Bool.to_int (x <= (-.rx) *. sl))
-              lor (Bool.to_int (ry > 0.)
-                  land Bool.to_int (1. -. y <= ry *. sl))
-              lor (Bool.to_int (ry < 0.)
-                  land Bool.to_int (y <= (-.ry) *. sl))
-              lor (Bool.to_int (rz > 0.)
-                  land Bool.to_int (1. -. z <= rz *. sl))
-              lor (Bool.to_int (rz < 0.)
-                  land Bool.to_int (z <= (-.rz) *. sl))
-            in
-            mask := !mask lor (c lsl lane)
-          done;
-          block_lanes := !block_lanes + len;
-          (* pass 3: deposit + store, lane order = particle order *)
-          let mk = !mask in
-          for lane = 0 to len - 1 do
-            if (mk lsr lane) land 1 <> 0 then begin
-              (* Cleanup lane: pass 1/2 already computed the pushed
-                 momenta and displacements, so seed the walk state from
-                 the scratch lanes and run only the walk tail — no
-                 redundant gather/rotate.  cell must be re-seeded per
-                 lane (a previous lane's walk mutates it). *)
-              incr block_cleanup;
-              incr pushed;
-              cell.(0) <- !lci;
-              cell.(1) <- !lcj;
-              cell.(2) <- !lck;
-              u.(0) <- Array.unsafe_get bux lane;
-              u.(1) <- Array.unsafe_get buy lane;
-              u.(2) <- Array.unsafe_get buz lane;
-              wk.(0) <- Array.unsafe_get bfx lane;
-              wk.(1) <- Array.unsafe_get bfy lane;
-              wk.(2) <- Array.unsafe_get bfz lane;
-              wk.(3) <- Array.unsafe_get brx lane;
-              wk.(4) <- Array.unsafe_get bry lane;
-              wk.(5) <- Array.unsafe_get brz lane;
-              walk_one (n0 + lane)
-            end
-            else begin
-              let p = n0 + lane in
-              incr pushed;
-              let x1 = Array.unsafe_get bfx lane
-              and y1 = Array.unsafe_get bfy lane
-              and z1 = Array.unsafe_get bfz lane in
-              let x2 = Store.clamp_offset (x1 +. Array.unsafe_get brx lane) in
-              let y2 = Store.clamp_offset (y1 +. Array.unsafe_get bry lane) in
-              let z2 = Store.clamp_offset (z1 +. Array.unsafe_get brz lane) in
-              let w = unsafe_get sw p in
-              let qw = sq *. w in
-              let cx = qw *. kx and cy = qw *. ky and cz = qw *. kz in
-              (match acc with
-              | Some a ->
-                  (* the single full-length segment, inlined with
-                     deposit_segment_acc's exact arithmetic (the zero
-                     guards matter bitwise: they keep -0. slots) *)
-                  let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
-                  let xb = 0.5 *. (x1 +. x2) in
-                  let yb = 0.5 *. (y1 +. y2) in
-                  let zb = 0.5 *. (z1 +. z2) in
-                  (* direct read-modify-write sets (no add closure:
-                     a per-lane allocation and 12 indirect calls) *)
-                  let qx = cx *. dx in
-                  if qx <> 0. then begin
-                    let corr = dy *. dz /. 12. in
-                    unsafe_set a o12
-                      (unsafe_get a o12
-                      +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
-                    unsafe_set a (o12 + 1)
-                      (unsafe_get a (o12 + 1)
-                      +. (qx *. ((yb *. (1. -. zb)) -. corr)));
-                    unsafe_set a (o12 + 2)
-                      (unsafe_get a (o12 + 2)
-                      +. (qx *. (((1. -. yb) *. zb) -. corr)));
-                    unsafe_set a (o12 + 3)
-                      (unsafe_get a (o12 + 3)
-                      +. (qx *. ((yb *. zb) +. corr)))
-                  end;
-                  let qy = cy *. dy in
-                  if qy <> 0. then begin
-                    let corr = dz *. dx /. 12. in
-                    unsafe_set a (o12 + 4)
-                      (unsafe_get a (o12 + 4)
-                      +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
-                    unsafe_set a (o12 + 5)
-                      (unsafe_get a (o12 + 5)
-                      +. (qy *. ((zb *. (1. -. xb)) -. corr)));
-                    unsafe_set a (o12 + 6)
-                      (unsafe_get a (o12 + 6)
-                      +. (qy *. (((1. -. zb) *. xb) -. corr)));
-                    unsafe_set a (o12 + 7)
-                      (unsafe_get a (o12 + 7)
-                      +. (qy *. ((zb *. xb) +. corr)))
-                  end;
-                  let qz = cz *. dz in
-                  if qz <> 0. then begin
-                    let corr = dx *. dy /. 12. in
-                    unsafe_set a (o12 + 8)
-                      (unsafe_get a (o12 + 8)
-                      +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
-                    unsafe_set a (o12 + 9)
-                      (unsafe_get a (o12 + 9)
-                      +. (qz *. ((xb *. (1. -. yb)) -. corr)));
-                    unsafe_set a (o12 + 10)
-                      (unsafe_get a (o12 + 10)
-                      +. (qz *. (((1. -. xb) *. yb) -. corr)));
-                    unsafe_set a (o12 + 11)
-                      (unsafe_get a (o12 + 11)
-                      +. (qz *. ((xb *. yb) +. corr)))
-                  end
-              | None ->
-                  deposit_segment env.jxa env.jya env.jza env.gx env.gxy vi
-                    ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz);
-              incr segments;
-              (* voxel unchanged; wk-equivalents are f32-representable
-                 (clamp_offset rounded them), u narrows once, as in
-                 walk_one's Settled arm *)
-              unsafe_set sfx p x2;
-              unsafe_set sfy p y2;
-              unsafe_set sfz p z2;
-              unsafe_set sux p (Array.unsafe_get bux lane);
-              unsafe_set suy p (Array.unsafe_get buy lane);
-              unsafe_set suz p (Array.unsafe_get buz lane)
-            end
-          done;
-          m0 := !m0 + len
-        done);
-      n := !e
-    done
-  in
   (* An `Interior pass never removes particles (movers and walls need a
      shell cell), so the ranges it defers stay valid for the `Deferred
      pass that follows. *)
   (match region with
   | `Deferred dl ->
       for r = 0 to dl.Defer.n - 1 do
-        run_blocks (Defer.lo dl r) (Defer.hi dl r)
+        run_blocks w s ~d ~defer:None ~movers ~width (Defer.lo dl r)
+          (Defer.hi dl r)
       done
-  | `All | `Interior _ -> run_blocks first (last + 1));
+  | `All -> run_blocks w s ~d ~defer:None ~movers ~width first (last + 1)
+  | `Interior dl ->
+      run_blocks w s ~d ~defer:(Some dl) ~movers ~width first (last + 1));
   (* Remove absorbed/outbound particles, highest index first so the
      swap-with-last removals stay valid (dead is in descending order). *)
-  List.iter (fun n -> Species.remove s n) !dead;
-  let advanced = !pushed in
+  List.iter (fun n -> Species.remove s n) w.dead;
+  w.dead <- [];
+  let advanced = w.pushed in
   Perf.add_particle_steps perf (float_of_int advanced);
   Perf.add_flops perf
     ((float_of_int advanced
      *. (Interpolator.flops_per_gather +. flops_per_push))
-    +. (float_of_int !segments *. flops_per_segment));
+    +. (float_of_int w.segments *. flops_per_segment));
   (* Per particle: 32 B read + 32 B written (the store) plus ~96 B of
      current scatter (J meshes or accumulator slots), and one 72 B
      interpolator block per voxel run. *)
@@ -827,36 +942,17 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
     (float_of_int advanced *. (2. *. float_of_int Store.bytes_per_particle));
   Perf.add_bytes perf
     ((float_of_int advanced *. 96.)
-    +. (float_of_int !runs *. Interpolator.bytes_per_voxel));
+    +. (float_of_int w.runs *. Interpolator.bytes_per_voxel));
   { advanced;
-    segments = !segments;
-    absorbed = !absorbed;
-    reflected = !reflected;
-    refluxed = !refluxed;
-    outbound = !outbound;
-    block_lanes = !block_lanes;
-    block_cleanup = !block_cleanup }
+    segments = w.segments;
+    absorbed = w.absorbed;
+    reflected = w.reflected;
+    refluxed = w.refluxed;
+    outbound = w.outbound;
+    block_lanes = w.block_lanes;
+    block_cleanup = w.block_cleanup }
 
 (* ------------------------------------------------------- team driver ---- *)
-
-(* Reusable per-tile workspace of the team interior push: one defer
-   list and one flop ledger per tile, sized on first use to the pool's
-   tile count and kept across steps. *)
-module Team_scratch = struct
-  type t = {
-    mutable defers : Defer.t array;
-    mutable perfs : Perf.counters array;
-  }
-
-  let create () = { defers = [||]; perfs = [||] }
-
-  let sized t tiles =
-    if Array.length t.defers <> tiles then begin
-      t.defers <- Array.init tiles (fun _ -> Defer.create ());
-      t.perfs <- Array.init tiles (fun _ -> Perf.create ())
-    end;
-    Array.iter Defer.clear t.defers
-end
 
 let zero_stats =
   { advanced = 0;
@@ -867,6 +963,29 @@ let zero_stats =
     outbound = 0;
     block_lanes = 0;
     block_cleanup = 0 }
+
+(* Reusable per-tile workspace of the team interior push: one defer
+   list, one flop ledger and one push workspace per tile, sized on first
+   use to the pool's tile count and kept across steps. *)
+module Team_scratch = struct
+  type t = {
+    mutable defers : Defer.t array;
+    mutable perfs : Perf.counters array;
+    mutable works : Work.t array;
+    mutable stats : stats array;
+  }
+
+  let create () = { defers = [||]; perfs = [||]; works = [||]; stats = [||] }
+
+  let sized t tiles =
+    if Array.length t.defers <> tiles then begin
+      t.defers <- Array.init tiles (fun _ -> Defer.create ());
+      t.perfs <- Array.init tiles (fun _ -> Perf.create ());
+      t.works <- Array.init tiles (fun _ -> Work.create ());
+      t.stats <- Array.make tiles zero_stats
+    end;
+    Array.iter Defer.clear t.defers
+end
 
 let sum_stats a b =
   { advanced = a.advanced + b.advanced;
@@ -898,86 +1017,71 @@ let advance_team ?(perf = Perf.global) ~interp ~accum ?rng ?width ~pool
      first use and concurrent first calls would race *)
   ignore (Accumulator.slab accum ~n:tiles ~tile:0);
   let np = Species.count s in
-  let stats = Array.make tiles zero_stats in
+  let stats = scratch.Team_scratch.stats in
   pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
       let lo, hi = P.split ~total:np ~tiles ~tile in
-      if hi > lo then
-        stats.(tile) <-
-          advance
-            ~perf:scratch.Team_scratch.perfs.(tile)
-            ~first:lo ~count:(hi - lo) ~interp
-            ~accum:(Accumulator.slab accum ~n:tiles ~tile)
-            ?rng ?width
-            ~region:(`Interior scratch.Team_scratch.defers.(tile))
-            s f bc);
-  let total = ref zero_stats in
+      stats.(tile) <-
+        (if hi > lo then
+           advance
+             ~perf:scratch.Team_scratch.perfs.(tile)
+             ~first:lo ~count:(hi - lo) ~interp
+             ~accum:(Accumulator.slab accum ~n:tiles ~tile)
+             ?rng ?width
+             ~region:(`Interior scratch.Team_scratch.defers.(tile))
+             ~work:scratch.Team_scratch.works.(tile) s f bc
+         else zero_stats));
   for tile = 0 to tiles - 1 do
     Defer.append defer scratch.Team_scratch.defers.(tile);
     let c = scratch.Team_scratch.perfs.(tile) in
     Perf.merge_into ~dst:perf c;
-    Perf.reset c;
-    total := sum_stats !total stats.(tile)
+    Perf.reset c
   done;
-  !total
+  Array.fold_left sum_stats zero_stats stats
 
-let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
+let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng ?work
     (s : Species.t) f bc (incoming : Movers.t) =
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
   (match accum with
   | Some ac -> assert (Accumulator.grid ac == g)
   | None -> ());
+  let w = match work with Some w -> w | None -> create_work () in
+  prepare w ?rng ?accum s f bc;
   let dt = g.Grid.dt in
-  let kx = 1. /. (g.Grid.dy *. g.Grid.dz *. dt) in
-  let ky = 1. /. (g.Grid.dz *. g.Grid.dx *. dt) in
-  let kz = 1. /. (g.Grid.dx *. g.Grid.dy *. dt) in
-  let segments = ref 0 in
-  let reflected = ref 0 in
-  let refluxed = ref 0 in
-  let env =
-    make_env ?rng
-      ?acc:(Option.map Accumulator.data accum)
-      g f bc ~segments ~reflected ~refluxed
-  in
-  let u = Array.make 3 0. in
-  let wk = Array.make 6 0. in
-  let cell = Array.make 3 0 in
+  w.fp.(fp_kx) <- 1. /. (g.Grid.dy *. g.Grid.dz *. dt);
+  w.fp.(fp_ky) <- 1. /. (g.Grid.dz *. g.Grid.dx *. dt);
+  w.fp.(fp_kz) <- 1. /. (g.Grid.dx *. g.Grid.dy *. dt);
+  let cell = w.cell and wk = w.wk and u = w.u in
   let settled = ref 0 and absorbed = ref 0 and reemitted = ref 0 in
   let b = incoming.Movers.buf in
-  let bget o = Bigarray.Array1.unsafe_get b o in
+  let open Bigarray.Array1 in
   for idx = 0 to incoming.Movers.n - 1 do
     let o = idx * Movers.stride in
-    cell.(0) <- int_of_float (bget o);
-    cell.(1) <- int_of_float (bget (o + 1));
-    cell.(2) <- int_of_float (bget (o + 2));
+    cell.(0) <- int_of_float (unsafe_get b o);
+    cell.(1) <- int_of_float (unsafe_get b (o + 1));
+    cell.(2) <- int_of_float (unsafe_get b (o + 2));
     assert (Grid.is_interior g cell.(0) cell.(1) cell.(2));
-    wk.(0) <- bget (o + 3);
-    wk.(1) <- bget (o + 4);
-    wk.(2) <- bget (o + 5);
-    wk.(3) <- bget (o + 10);
-    wk.(4) <- bget (o + 11);
-    wk.(5) <- bget (o + 12);
-    u.(0) <- bget (o + 6);
-    u.(1) <- bget (o + 7);
-    u.(2) <- bget (o + 8);
-    let w = bget (o + 9) in
-    let qw = s.Species.q *. w in
-    match
-      walk env ~wk ~cell ~u ~cxc:(qw *. kx) ~cyc:(qw *. ky) ~czc:(qw *. kz)
-    with
+    wk.(0) <- unsafe_get b (o + 3);
+    wk.(1) <- unsafe_get b (o + 4);
+    wk.(2) <- unsafe_get b (o + 5);
+    wk.(3) <- unsafe_get b (o + 10);
+    wk.(4) <- unsafe_get b (o + 11);
+    wk.(5) <- unsafe_get b (o + 12);
+    u.(0) <- unsafe_get b (o + 6);
+    u.(1) <- unsafe_get b (o + 7);
+    u.(2) <- unsafe_get b (o + 8);
+    let wgt = unsafe_get b (o + 9) in
+    set_current_coeffs w ~q:s.Species.q wgt;
+    match walk w with
     | Settled ->
         incr settled;
-        Species.append s
-          { i = cell.(0);
-            j = cell.(1);
-            k = cell.(2);
-            fx = wk.(0);
-            fy = wk.(1);
-            fz = wk.(2);
-            ux = u.(0);
-            uy = u.(1);
-            uz = u.(2);
-            w }
+        (* [Species.append], bit for bit: [wgt] is an f32 value already *)
+        let st = s.Species.store in
+        Store.reserve st 1;
+        let n = st.Store.np in
+        st.Store.np <- n + 1;
+        store_settled w st g n;
+        unsafe_set st.Store.w n wgt
     | Absorbed -> incr absorbed
     | Outbound -> begin
         match movers_out with
@@ -986,8 +1090,8 @@ let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
               "Push.finish_movers: further domain crossing without a buffer"
         | Some buf ->
             incr reemitted;
-            Movers.push buf ~cell ~wk ~u ~w
+            Movers.push buf ~cell ~wk ~u ~w:wgt
       end
   done;
-  Perf.add_flops perf (float_of_int !segments *. flops_per_segment);
+  Perf.add_flops perf (float_of_int w.segments *. flops_per_segment);
   (!settled, !absorbed, !reemitted)

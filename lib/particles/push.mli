@@ -93,6 +93,17 @@ module Defer : sig
   val clear : t -> unit
 end
 
+(** The workspace of one push call: the walk state, the block kernel's
+    lanes, the run-cached interpolator block and the call's counters.
+    Keep one per concurrent push (a team tile, a species' boundary
+    pass) and pass it to every call: a steady push then allocates
+    nothing per particle or per call beyond its result. *)
+module Work : sig
+  type t
+
+  val create : unit -> t
+end
+
 type stats = {
   advanced : int;   (** particles pushed *)
   segments : int;   (** deposition segments (>= advanced) *)
@@ -142,6 +153,7 @@ val advance :
   ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
+  ?work:Work.t ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
@@ -163,10 +175,12 @@ val advance :
     recorded range.  Results (store, currents, movers, RNG draws) are
     bitwise invariant in [width]; only speed differs.
     [stats.block_lanes]/[stats.block_cleanup] report its fused-lane and
-    walk-cleanup counts. *)
+    walk-cleanup counts.  [work] is the call's workspace (by default a
+    fresh one); calls that may run concurrently need distinct ones. *)
 
-(** Reusable per-tile workspace (defer lists + flop ledgers) of
-    {!advance_team}.  One per species, kept across steps. *)
+(** Reusable per-tile workspace (defer lists, flop ledgers and push
+    workspaces) of {!advance_team}.  One per species, kept across
+    steps. *)
 module Team_scratch : sig
   type t
 
@@ -210,13 +224,15 @@ val finish_movers :
   ?movers_out:Movers.t ->
   ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
+  ?work:Work.t ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
   Movers.t ->
   int * int * int
 (** [accum] routes the finished movers' deposition into the accumulator
-    (must be the one the step's pushes used, unloaded afterwards). *)
+    (must be the one the step's pushes used, unloaded afterwards).
+    [work] is the call's workspace, as for {!advance}. *)
 
 (** [boris ~u ...] is VPIC's relativistic Boris update (half E kick,
     volume-preserving rotation, half E kick) of (ux,uy,uz) in [u]

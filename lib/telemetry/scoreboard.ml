@@ -54,6 +54,7 @@ type t = {
   mutable prev : cum;
   mutable prev_step : int;
   mutable prev_busy : float array;
+  mutable prev_words : float;  (* [Gc.minor_words] at the last sample *)
 }
 
 let read (metrics : Metrics.t) (perf : Perf.counters) =
@@ -92,7 +93,7 @@ let create ?worker_busy ~metrics ~perf ~nranks ~reduce_sum ~reduce_max () =
     Metrics.gauge_set metrics "team.push_imbalance" 1.
   end;
   { metrics; perf; nranks; reduce_sum; reduce_max; worker_busy; base;
-    prev = base; prev_step = 0; prev_busy }
+    prev = base; prev_step = 0; prev_busy; prev_words = Gc.minor_words () }
 
 type sample = {
   step : int;
@@ -168,7 +169,16 @@ let block_window t (c : cum) =
       (safe_div d_clean d_lanes)
   end
 
+(* Minor-heap words this domain allocated per step over the window.
+   Local; the collective metric reduce takes the max over ranks. *)
+let alloc_window t ~steps =
+  let words = Gc.minor_words () in
+  Metrics.gauge_set t.metrics "gc.minor_words_per_step"
+    (safe_div (words -. t.prev_words) (float_of_int steps));
+  t.prev_words <- words
+
 let sample t ~step =
+  alloc_window t ~steps:(step - t.prev_step);
   let worker_imbalance = worker_window t in
   let ( c, d_wall, d_flops, d_ps, d_vox, _d_push_sum, d_push_max, d_park,
         d_movers, d_mbytes, push_mean ) =

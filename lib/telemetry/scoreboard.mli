@@ -49,7 +49,12 @@ type sample = {
           without a team) *)
 }
 
-(** Collective.  Advances the window. *)
+(** Collective.  Advances the window.  Also publishes the
+    ["gc.minor_words_per_step"] gauge: the minor-heap words this rank's
+    domain allocated per step over the window ([Gc.minor_words] is
+    per-domain in OCaml 5), reduced as a max over ranks like every
+    gauge.  Worker lanes of a team are not counted: their domains
+    allocate on their own minor heaps. *)
 val sample : t -> step:int -> sample
 
 val print : sample -> unit

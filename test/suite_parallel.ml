@@ -110,6 +110,41 @@ let test_shrunken_world_collectives () =
       | Error e -> Alcotest.failf "rank %d died: %s" r (Printexc.to_string e))
     [ 1; 2 ]
 
+(* Rank 2 dies and both survivors enter a sum only once its death is
+   recorded.  Whichever arrives last makes the survivors' quorum and
+   closes the round, but the death is not recovered yet, so the round
+   closes failed: both survivors must raise [Rank_failed] for rank 2,
+   and neither may return the partial sum of ranks 0 and 1.  After they
+   recover, the same sum succeeds on both. *)
+let test_unrecovered_death_fails_round_everywhere () =
+  let results =
+    Comm.run_recoverable ~ranks:3 (fun c ->
+        let r = Comm.rank c in
+        if r = 2 then failwith "boom";
+        while Comm.alive c ~rank:2 do
+          Unix.sleepf 1e-4
+        done;
+        let x = contribution r in
+        let first =
+          match Comm.allreduce_sum c x with
+          | v -> Ok v
+          | exception Comm.Rank_failed { rank; _ } -> Error rank
+        in
+        ignore (Comm.recover c);
+        (first, Comm.allreduce_sum c x))
+  in
+  let x0 = contribution 0 and x1 = contribution 1 in
+  List.iter
+    (fun r ->
+      match results.(r) with
+      | Ok (Error rank, after) ->
+          Alcotest.(check int) "the failed round names rank 2" 2 rank;
+          check_close ~rtol:0. ~atol:0. "the recovered sum" (x0 +. x1) after
+      | Ok (Ok v, _) ->
+          Alcotest.failf "rank %d returned the partial sum %g" r v
+      | Error e -> Alcotest.failf "rank %d died: %s" r (Printexc.to_string e))
+    [ 0; 1 ]
+
 let test_barrier_generations () =
   (* Barriers must be reusable; interleave with reductions. *)
   let results =
@@ -603,4 +638,6 @@ let suite =
     slow_case "parallel: 4-rank smoke" test_four_rank_smoke;
     slow_case "parallel: 2x2 deterministic" test_parallel_2d_decomposition;
     slow_case "parallel: 2x2 matches serial" test_parallel_2d_matches_serial;
-    case "parallel: an uneven split migrates" test_uneven_split_migrates ]
+    case "parallel: an uneven split migrates" test_uneven_split_migrates;
+    case "comm: a round closing on an unrecovered death fails on every rank"
+      test_unrecovered_death_fails_round_everywhere ]

@@ -17,4 +17,5 @@ let () =
       ("lpi", Suite_lpi.suite);
       ("team", Suite_team.suite);
       ("block_push", Suite_block_push.suite);
-      ("campaign", Suite_campaign.suite) ]
+      ("campaign", Suite_campaign.suite);
+      ("alloc", Suite_alloc.suite) ]
