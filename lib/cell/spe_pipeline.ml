@@ -48,11 +48,12 @@ type t = {
   machine : Roadrunner.t;
   block_size : int;
   led : ledger;
+  work : Push.Work.t;  (* every block's push workspace *)
 }
 
 let create ?(block_size = 512) machine =
   assert (block_size > 0);
-  { machine; block_size; led = ledger_create () }
+  { machine; block_size; led = ledger_create (); work = Push.Work.create () }
 
 let ledger t = t.led
 
@@ -69,7 +70,7 @@ let no_absorbing bc =
       match k with Bc.Absorbing | Bc.Refluxing _ -> false | _ -> true)
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
-let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ?accum ?rng
+let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ~accum ?rng
     ?width t s f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
      fixed-count DMA block accounting. *)
@@ -94,7 +95,8 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ?accum ?rng
   while !first < np do
     let count = min t.block_size (np - !first) in
     let st =
-      Push.advance ~perf ~first:!first ~count ~interp ?accum ?rng ?width s f bc
+      Push.advance ~perf ~first:!first ~count ~interp ~accum ?rng ?width
+        ~work:t.work s f bc
     in
     assert (st.Push.absorbed = 0);
     totals := Push.sum_stats !totals st;

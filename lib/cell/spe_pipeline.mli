@@ -53,14 +53,16 @@ val ledger : t -> ledger
 
     [interp]/[accum]/[rng]/[width] pass straight through to
     [Push.advance], so the production block kernel streams through the
-    pipeline.  This is the paper's SPE control flow as a model and a
+    pipeline; every block's call reuses the pipeline's one push
+    workspace.  Currents scatter into [accum] (unload it to see them in
+    the J meshes).  This is the paper's SPE control flow as a model and a
     measurement (bench E5); production steps push through
     [Push.advance_team] and never stream. *)
 val advance_species :
   ?perf:Vpic_util.Perf.counters ->
   ?ppc_hint:float ->
   interp:Vpic_particle.Interpolator.t ->
-  ?accum:Vpic_particle.Accumulator.t ->
+  accum:Vpic_particle.Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   t ->

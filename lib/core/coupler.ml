@@ -96,6 +96,11 @@ let parallel comm bc ~grid =
     fold_rho = (fun f -> fold (only [ f.Em_field.rho ]));
     migrate =
       (fun ?accum s f movers ->
+        let accum =
+          match accum with
+          | Some ac -> ac
+          | None -> invalid_arg "Coupler.parallel: migrate needs ~accum"
+        in
         targets.(rank) <-
           Some
             { Migrate.id = rank; bc; species = s; fields = f; accum;

@@ -34,8 +34,9 @@ type t = {
     Vpic_particle.Push.Movers.t ->
     unit;
       (** ship movers (packed payload), finish their moves (depositing
-          remaining current — into [accum] when given, the J meshes
-          otherwise); collective; asserts no movers when serial *)
+          remaining current into [accum], the step's accumulator);
+          collective; asserts no movers when serial.  The parallel
+          coupler raises [Invalid_argument] without [accum]. *)
   reduce_sum : float -> float;
   reduce_max : float -> float;
   barrier : unit -> unit;

@@ -147,7 +147,7 @@ let migrate_blocks t pushes =
               bc = sim.Simulation.coupler.Coupler.bc;
               species = s;
               fields = sim.Simulation.fields;
-              accum = Option.map snd sim.Simulation.interp_accum;
+              accum = snd (Option.get sim.Simulation.interp_accum);
               rng = sim.Simulation.coupler.Coupler.migrate_rng;
               movers = sc.Simulation.movers })
       pushes;

@@ -226,7 +226,7 @@ let phase_push_interior t species_scratch =
     (fun (s, sc) ->
       let st =
         Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
-          ~defer:sc.defer ~interp ~accum ~rng:t.push_rng ~width s t.fields
+          ~defer:sc.defer ~interp ~accum ~width s t.fields
           t.coupler.Coupler.bc
       in
       phase := add_stats !phase st)

@@ -12,7 +12,7 @@ type target = {
   bc : Bc.t;
   species : Species.t;
   fields : Vpic_field.Em_field.t;
-  accum : Vpic_particle.Accumulator.t option;
+  accum : Vpic_particle.Accumulator.t;
   rng : Vpic_util.Rng.t option;
   movers : Movers.t;
 }
@@ -49,7 +49,7 @@ let exchange ports ~(targets : target option array) =
     done;
     received := !received + n;
     let st, ab, _re =
-      Push.finish_movers ~movers_out:d.movers ?accum:d.accum ?rng:d.rng
+      Push.finish_movers ~movers_out:d.movers ~accum:d.accum ?rng:d.rng
         ~work:(Exchange.mover_work ports) d.species d.fields d.bc
         (Movers.of_wire buf n)
     in

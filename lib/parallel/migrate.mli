@@ -30,16 +30,15 @@ type stats = {
 }
 
 (** One species' state on one owned block; [bc] faces carry neighbour
-    {e block} ids.  [accum] routes the finished movers' remaining
-    deposition into the step's current accumulator instead of the J
-    meshes (pass the one the pushes used); [rng] is needed only when
-    some face is [Refluxing]. *)
+    {e block} ids.  The finished movers' remaining deposition goes into
+    [accum], the step's current accumulator (pass the one the pushes
+    used); [rng] is needed only when some face is [Refluxing]. *)
 type target = {
   id : int;
   bc : Vpic_grid.Bc.t;
   species : Vpic_particle.Species.t;
   fields : Vpic_field.Em_field.t;
-  accum : Vpic_particle.Accumulator.t option;
+  accum : Vpic_particle.Accumulator.t;
   rng : Vpic_util.Rng.t option;
   movers : Vpic_particle.Push.Movers.t;  (** pending buffer, consumed *)
 }

@@ -8,15 +8,15 @@ module Perf = Vpic_util.Perf
    block, independent of the J-mesh stride, and is folded into
    Em_field.jx/jy/jz once per step by [unload].
 
-   Per-voxel slot -> J-mesh target (matching Push.deposit_segment's
-   stencil exactly):
+   Per-voxel slot -> J-mesh target of one Villasenor-Buneman segment
+   (the stencil Push.deposit_segment scatters in):
 
      jx: 0 -> v   1 -> v+gx   2 -> v+gxy   3 -> v+gx+gxy
      jy: 4 -> v   5 -> v+gxy  6 -> v+1     7 -> v+gxy+1
      jz: 8 -> v   9 -> v+1   10 -> v+gx   11 -> v+gx+1
 
-   Slots are float64 (the accumulate precision of the direct deposit):
-   unload reproduces the direct path up to addition reordering.  Every
+   Slots are float64: unload reproduces a segment-by-segment deposit
+   into the J meshes up to addition reordering.  Every
    walk segment originates in an interior cell (outbound particles stop
    at the face; finished movers re-enter interior), so only interior
    voxels ever hold charge and unload never indexes past the mesh even
@@ -47,8 +47,8 @@ let data t = t.data
 let clear t = Bigarray.Array1.fill t.data 0.
 
 (* Each slab is itself an accumulator (same grid, its own slot array),
-   so the push scatters into a slab through the unchanged [?accum]
-   interface.  Slabs are views: they never have slabs of their own.
+   so the push scatters into a slab through its usual [~accum]
+   argument.  Slabs are views: they never have slabs of their own.
    The one slab of a 1-tile split is [t] itself: a serial push scatters
    straight into the base slots and leaves [reduce] nothing to fold. *)
 let slab t ~n ~tile =

@@ -1,15 +1,16 @@
 (** VPIC's current accumulator array: 12 float64 current components per
     voxel in one flat Bigarray — the 4 Jx + 4 Jy + 4 Jz targets of one
-    Villasenor–Buneman deposition segment, in {!Push.deposit_segment}'s
-    stencil order — so the particle walk's scatter writes one contiguous
-    block per voxel instead of three strided J meshes.  [unload] folds
-    every interior voxel's block into [Em_field.jx/jy/jz] once per step
-    (and zeroes it for the next step); migration's remote-mover deposits
-    target the same blocks.
+    Villasenor–Buneman deposition segment — so the particle walk's
+    scatter writes one contiguous block per voxel instead of three
+    strided J meshes.  It is the push's one scatter target: every push
+    and every finished mover deposits here, and [unload] folds every
+    interior voxel's block into [Em_field.jx/jy/jz] once per step (and
+    zeroes it for the next step).
 
-    Slots accumulate in f64, the same precision as the direct deposit:
-    after [unload] the J meshes match the direct path up to floating
-    addition reordering. *)
+    Slots accumulate in f64: after [unload] the J meshes equal a
+    segment-by-segment deposit straight into them up to floating
+    addition reordering (the test suite keeps that deposit as the
+    oracle). *)
 
 type t
 
@@ -38,8 +39,8 @@ val unload : ?perf:Vpic_util.Perf.counters -> t -> Vpic_field.Em_field.t -> unit
 
     [slab t ~n ~tile] returns tile [tile]'s private accumulator out of
     [n] (created zero-filled on first use at count [n], cached on [t]):
-    an ordinary accumulator on the same grid, handed to [Push.advance
-    ?accum] so each tile of the split interior push scatters with no
+    an ordinary accumulator on the same grid, handed to the push as
+    [~accum] so each tile of the split interior push scatters with no
     write sharing.  [reduce t] then folds every slab into [t] (and
     zeroes the slabs) {e in ascending tile order at each slot}, so the
     summed currents are bitwise invariant in the worker count; call it

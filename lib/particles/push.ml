@@ -112,6 +112,9 @@ module Defer = struct
       t.n <- t.n + 1
     end
 
+  (* The list of a pass that defers nothing: never appended to. *)
+  let none = create ~capacity:1 ()
+
   (* Append [src]'s ranges to [dst] — how the team push merges its
      per-tile defer lists back into the step's one, in tile order. *)
   let append dst src =
@@ -173,64 +176,14 @@ let[@inline] clamp_offset s32 x =
 
 (* Deposit one straight segment (x1..x2 etc, in-cell coordinates in [0,1])
    of a particle with per-axis current coefficients (cx,cy,cz) into the
-   J accumulators of the cell at flat voxel [v].  Villasenor-Buneman
-   first-order, charge-conserving form.  Both deposit helpers are
+   12-slot accumulator block of the cell at flat voxel [v]
+   (Villasenor-Buneman first-order, charge-conserving form; slot q of
+   the block is the J-mesh target Accumulator.unload folds it onto).
    [@inline] and written as direct read-modify-write sets: a call, or a
-   local [add] closure, would box every float it is passed. *)
-let[@inline] deposit_segment (jx : Sf.data) (jy : Sf.data) (jz : Sf.data) gx
-    gxy v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
-  let open Bigarray.Array1 in
-  let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
-  let xb = 0.5 *. (x1 +. x2) in
-  let yb = 0.5 *. (y1 +. y2) in
-  let zb = 0.5 *. (z1 +. z2) in
-  (* Jx: transverse (y,z) *)
-  let qx = cx *. dx in
-  if qx <> 0. then begin
-    let corr = dy *. dz /. 12. in
-    let o1 = v + gx and o2 = v + gxy and o3 = v + gx + gxy in
-    unsafe_set jx v
-      (unsafe_get jx v +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
-    unsafe_set jx o1
-      (unsafe_get jx o1 +. (qx *. ((yb *. (1. -. zb)) -. corr)));
-    unsafe_set jx o2
-      (unsafe_get jx o2 +. (qx *. (((1. -. yb) *. zb) -. corr)));
-    unsafe_set jx o3 (unsafe_get jx o3 +. (qx *. ((yb *. zb) +. corr)))
-  end;
-  (* Jy: transverse (z,x) *)
-  let qy = cy *. dy in
-  if qy <> 0. then begin
-    let corr = dz *. dx /. 12. in
-    let o1 = v + gxy and o2 = v + 1 and o3 = v + gxy + 1 in
-    unsafe_set jy v
-      (unsafe_get jy v +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
-    unsafe_set jy o1
-      (unsafe_get jy o1 +. (qy *. ((zb *. (1. -. xb)) -. corr)));
-    unsafe_set jy o2
-      (unsafe_get jy o2 +. (qy *. (((1. -. zb) *. xb) -. corr)));
-    unsafe_set jy o3 (unsafe_get jy o3 +. (qy *. ((zb *. xb) +. corr)))
-  end;
-  (* Jz: transverse (x,y) *)
-  let qz = cz *. dz in
-  if qz <> 0. then begin
-    let corr = dx *. dy /. 12. in
-    let o1 = v + 1 and o2 = v + gx and o3 = v + gx + 1 in
-    unsafe_set jz v
-      (unsafe_get jz v +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
-    unsafe_set jz o1
-      (unsafe_get jz o1 +. (qz *. ((xb *. (1. -. yb)) -. corr)));
-    unsafe_set jz o2
-      (unsafe_get jz o2 +. (qz *. (((1. -. xb) *. yb) -. corr)));
-    unsafe_set jz o3 (unsafe_get jz o3 +. (qz *. ((xb *. yb) +. corr)))
-  end
-
-(* Same segment, scattered into the cell's 12-slot accumulator block
-   instead of the three J meshes: identical arithmetic, identical slot
-   semantics (Accumulator.unload folds slot q of voxel v onto the mesh
-   target deposit_segment would have written).  The zero guards matter
-   bitwise: they keep -0. slots. *)
-let[@inline] deposit_segment_acc (acc : Sf.data) v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2
-    ~cx ~cy ~cz =
+   local [add] closure, would box every float it is passed.  The zero
+   guards matter bitwise: they keep -0. slots. *)
+let[@inline] deposit_segment (acc : Sf.data) v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx
+    ~cy ~cz =
   let open Bigarray.Array1 in
   let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
   let xb = 0.5 *. (x1 +. x2) in
@@ -286,16 +239,13 @@ let face_action = function
 (* Everything one push call works in: the walk's environment and state,
    the block kernel's lanes, the run-cached interpolator block and the
    call's counters.  It is kept across calls (one per tile of the team
-   push, one per species for the boundary pass), so a steady push
-   allocates none of it; [prepare] resets it at the start of each call.
-   The call's float parameters live in [fp], a float array, because a
-   float field of a mixed record is boxed on every set. *)
+   push, one per species for the boundary pass, one per SPE pipeline),
+   so a steady push allocates none of it; [prepare] resets it at the
+   start of each call.  The call's float parameters live in [fp], a
+   float array, because a float field of a mixed record is boxed on
+   every set. *)
 type work = {
-  mutable jxa : Sf.data;
-  mutable jya : Sf.data;
-  mutable jza : Sf.data;
-  mutable acc : Sf.data option;
-      (* accumulator slots; deposits bypass the J meshes *)
+  mutable acc : Sf.data; (* the accumulator slots every segment scatters into *)
   mutable rng : Vpic_util.Rng.t option; (* required for Refluxing faces *)
   mutable gx : int;
   mutable gy : int;
@@ -349,10 +299,7 @@ let no_data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 
 let create_work () =
   let lanes () = Array.make max_block_width 0. in
-  { jxa = no_data;
-    jya = no_data;
-    jza = no_data;
-    acc = None;
+  { acc = no_data;
     rng = None;
     gx = 0;
     gy = 0;
@@ -396,17 +343,13 @@ module Work = struct
   let create = create_work
 end
 
-(* Point [w] at this call's species, field, boundaries and scatter
-   target, and zero its counters and its run cache. *)
-let prepare w ?rng ?accum (s : Species.t) f bc =
+(* Point [w] at this call's species, boundaries and accumulator, and
+   zero its counters and its run cache. *)
+let prepare w ?rng ~accum (s : Species.t) f bc =
   let g = s.Species.grid in
-  w.jxa <- Sf.data f.Vpic_field.Em_field.jx;
-  w.jya <- Sf.data f.Vpic_field.Em_field.jy;
-  w.jza <- Sf.data f.Vpic_field.Em_field.jz;
-  w.acc <-
-    (match accum with
-    | Some ac -> Some (Accumulator.data ac)
-    | None -> None);
+  assert (g == f.Vpic_field.Em_field.grid);
+  assert (Accumulator.grid accum == g);
+  w.acc <- Accumulator.data accum;
   w.rng <- rng;
   w.gx <- g.Grid.gx;
   w.gy <- g.Grid.gy;
@@ -481,7 +424,6 @@ let walk w =
   and czc = Array.unsafe_get w.cq 2 in
   let s32 = w.s32 in
   let gx = w.gx in
-  let gxy = w.gx * w.gy in
   let status = ref Settled in
   let moving = ref true in
   let guard = ref 0 in
@@ -514,13 +456,7 @@ let walk w =
     let y2 = endpoint s32 ~on_axis:(a = 1) ~hi ~crossing y1 ry sfrac in
     let z2 = endpoint s32 ~on_axis:(a = 2) ~hi ~crossing z1 rz sfrac in
     let v = cell.(0) + (gx * (cell.(1) + (w.gy * cell.(2)))) in
-    (match w.acc with
-    | Some acc ->
-        deposit_segment_acc acc v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc
-          ~cz:czc
-    | None ->
-        deposit_segment w.jxa w.jya w.jza gx gxy v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2
-          ~cx:cxc ~cy:cyc ~cz:czc);
+    deposit_segment w.acc v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc ~cz:czc;
     w.segments <- w.segments + 1;
     Array.unsafe_set wk 0 x2;
     Array.unsafe_set wk 1 y2;
@@ -653,9 +589,9 @@ let mask_slack = 1. +. 1e-15
    Boundary shell: cells whose gather stencil or walk can touch the
    ghost layer.  The stencil reaches one cell out and the Courant bound
    keeps a step inside +-1 cell, so only shell particles depend on the
-   ghost fill or can become movers — with [defer], shell runs are
-   recorded there instead of pushed, and interior particles may be
-   pushed while the fill is still in flight. *)
+   ghost fill or can become movers — unless [defer] is [Defer.none],
+   shell runs are recorded there instead of pushed, and interior
+   particles may be pushed while the fill is still in flight. *)
 let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
   let open Bigarray.Array1 in
   let g = s.Species.grid in
@@ -677,7 +613,7 @@ let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
   and kz = Array.unsafe_get fp fp_kz in
   let sl = mask_slack in
   let icoef = w.icoef and s32 = w.s32 and cell = w.cell and u = w.u
-  and wk = w.wk in
+  and wk = w.wk and acc = w.acc in
   let bfx = w.bfx and bfy = w.bfy and bfz = w.bfz in
   let bux = w.bux and buy = w.buy and buz = w.buz in
   let brx = w.brx and bry = w.bry and brz = w.brz in
@@ -711,9 +647,8 @@ let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
         Array.unsafe_set icoef q (unsafe_get d (o + q))
       done
     end;
-    (match defer with
-    | Some dl when w.lshell -> Defer.add dl !n !e
-    | _ ->
+    if w.lshell && defer != Defer.none then Defer.add defer !n !e
+    else begin
       (* hoist the run's coefficient block into unboxed locals *)
       let c0 = Array.unsafe_get icoef 0
       and c1 = Array.unsafe_get icoef 1
@@ -852,12 +787,7 @@ let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
             let z2 = clamp_offset s32 (z1 +. Array.unsafe_get brz lane) in
             let qw = sq *. unsafe_get sw p in
             let cx = qw *. kx and cy = qw *. ky and cz = qw *. kz in
-            (match w.acc with
-            | Some a ->
-                deposit_segment_acc a vi ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz
-            | None ->
-                deposit_segment w.jxa w.jya w.jza w.gx (w.gx * w.gy) vi ~x1
-                  ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz);
+            deposit_segment acc vi ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz;
             w.segments <- w.segments + 1;
             (* voxel unchanged; the offsets are f32-representable
                (clamp_offset rounded them), u narrows once, as in
@@ -871,25 +801,14 @@ let run_blocks w (s : Species.t) ~(d : Store.f32) ~defer ~movers ~width lo hi =
           end
         done;
         m0 := !m0 + len
-      done);
+      done
+    end;
     n := !e
   done
 
-let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
-    ?rng ?(width = default_block_width) ?(region = `All) ?work
-    (s : Species.t) f bc =
-  if width < 1 || width > max_block_width then
-    invalid_arg
-      (Printf.sprintf "Push.advance: block width must be in [1,%d]"
-         max_block_width);
+(* The push's float parameters into [w.fp]. *)
+let set_params w (s : Species.t) =
   let g = s.Species.grid in
-  assert (g == f.Vpic_field.Em_field.grid);
-  assert (Interpolator.grid interp == g);
-  (match accum with
-  | Some ac -> assert (Accumulator.grid ac == g)
-  | None -> ());
-  let w = match work with Some w -> w | None -> create_work () in
-  prepare w ?rng ?accum s f bc;
   let dt = g.Grid.dt in
   let inv_dx = 1. /. g.Grid.dx
   and inv_dy = 1. /. g.Grid.dy
@@ -903,7 +822,44 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
   (* Per-axis current coefficients modulo the particle's q*w factor. *)
   fp.(fp_kx) <- inv_dy *. inv_dz /. dt;
   fp.(fp_ky) <- inv_dz *. inv_dx /. dt;
-  fp.(fp_kz) <- inv_dx *. inv_dy /. dt;
+  fp.(fp_kz) <- inv_dx *. inv_dy /. dt
+
+let check_width width =
+  if width < 1 || width > max_block_width then
+    invalid_arg
+      (Printf.sprintf "Push.advance: block width must be in [1,%d]"
+         max_block_width)
+
+(* Charge [perf] with [w]'s counters and return them as [stats].  Per
+   particle: 32 B read + 32 B written (the store) plus ~96 B of
+   accumulator scatter, and one 72 B interpolator block per voxel run. *)
+let charged_stats perf w =
+  let advanced = float_of_int w.pushed in
+  Perf.add_particle_steps perf advanced;
+  Perf.add_flops perf
+    ((advanced *. (Interpolator.flops_per_gather +. flops_per_push))
+    +. (float_of_int w.segments *. flops_per_segment));
+  Perf.add_bytes perf
+    (advanced *. (2. *. float_of_int Store.bytes_per_particle));
+  Perf.add_bytes perf
+    ((advanced *. 96.) +. (float_of_int w.runs *. Interpolator.bytes_per_voxel));
+  { advanced = w.pushed;
+    segments = w.segments;
+    absorbed = w.absorbed;
+    reflected = w.reflected;
+    refluxed = w.refluxed;
+    outbound = w.outbound;
+    block_lanes = w.block_lanes;
+    block_cleanup = w.block_cleanup }
+
+let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ~accum
+    ?rng ?(width = default_block_width) ?(region = `All) ?work
+    (s : Species.t) f bc =
+  check_width width;
+  assert (Interpolator.grid interp == s.Species.grid);
+  let w = match work with Some w -> w | None -> create_work () in
+  prepare w ?rng ~accum s f bc;
+  set_params w s;
   let np0 = Species.count s in
   let last =
     match count with
@@ -919,38 +875,16 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ?accum
   (match region with
   | `Deferred dl ->
       for r = 0 to dl.Defer.n - 1 do
-        run_blocks w s ~d ~defer:None ~movers ~width (Defer.lo dl r)
+        run_blocks w s ~d ~defer:Defer.none ~movers ~width (Defer.lo dl r)
           (Defer.hi dl r)
       done
-  | `All -> run_blocks w s ~d ~defer:None ~movers ~width first (last + 1)
-  | `Interior dl ->
-      run_blocks w s ~d ~defer:(Some dl) ~movers ~width first (last + 1));
+  | `All -> run_blocks w s ~d ~defer:Defer.none ~movers ~width first (last + 1)
+  | `Interior dl -> run_blocks w s ~d ~defer:dl ~movers ~width first (last + 1));
   (* Remove absorbed/outbound particles, highest index first so the
      swap-with-last removals stay valid (dead is in descending order). *)
   List.iter (fun n -> Species.remove s n) w.dead;
   w.dead <- [];
-  let advanced = w.pushed in
-  Perf.add_particle_steps perf (float_of_int advanced);
-  Perf.add_flops perf
-    ((float_of_int advanced
-     *. (Interpolator.flops_per_gather +. flops_per_push))
-    +. (float_of_int w.segments *. flops_per_segment));
-  (* Per particle: 32 B read + 32 B written (the store) plus ~96 B of
-     current scatter (J meshes or accumulator slots), and one 72 B
-     interpolator block per voxel run. *)
-  Perf.add_bytes perf
-    (float_of_int advanced *. (2. *. float_of_int Store.bytes_per_particle));
-  Perf.add_bytes perf
-    ((float_of_int advanced *. 96.)
-    +. (float_of_int w.runs *. Interpolator.bytes_per_voxel));
-  { advanced;
-    segments = w.segments;
-    absorbed = w.absorbed;
-    reflected = w.reflected;
-    refluxed = w.refluxed;
-    outbound = w.outbound;
-    block_lanes = w.block_lanes;
-    block_cleanup = w.block_cleanup }
+  charged_stats perf w
 
 (* ------------------------------------------------------- team driver ---- *)
 
@@ -965,24 +899,17 @@ let zero_stats =
     block_cleanup = 0 }
 
 (* Reusable per-tile workspace of the team interior push: one defer
-   list, one flop ledger and one push workspace per tile, sized on first
-   use to the pool's tile count and kept across steps. *)
+   list and one push workspace per tile, sized on first use to the
+   pool's tile count and kept across steps. *)
 module Team_scratch = struct
-  type t = {
-    mutable defers : Defer.t array;
-    mutable perfs : Perf.counters array;
-    mutable works : Work.t array;
-    mutable stats : stats array;
-  }
+  type t = { mutable defers : Defer.t array; mutable works : Work.t array }
 
-  let create () = { defers = [||]; perfs = [||]; works = [||]; stats = [||] }
+  let create () = { defers = [||]; works = [||] }
 
   let sized t tiles =
     if Array.length t.defers <> tiles then begin
       t.defers <- Array.init tiles (fun _ -> Defer.create ());
-      t.perfs <- Array.init tiles (fun _ -> Perf.create ());
-      t.works <- Array.init tiles (fun _ -> Work.create ());
-      t.stats <- Array.make tiles zero_stats
+      t.works <- Array.init tiles (fun _ -> Work.create ())
     end;
     Array.iter Defer.clear t.defers
 end
@@ -997,56 +924,66 @@ let sum_stats a b =
     block_lanes = a.block_lanes + b.block_lanes;
     block_cleanup = a.block_cleanup + b.block_cleanup }
 
+(* Add [w]'s call counters into [into]'s. *)
+let add_counters ~into w =
+  into.pushed <- into.pushed + w.pushed;
+  into.segments <- into.segments + w.segments;
+  into.absorbed <- into.absorbed + w.absorbed;
+  into.reflected <- into.reflected + w.reflected;
+  into.refluxed <- into.refluxed + w.refluxed;
+  into.outbound <- into.outbound + w.outbound;
+  into.block_lanes <- into.block_lanes + w.block_lanes;
+  into.block_cleanup <- into.block_cleanup + w.block_cleanup;
+  into.runs <- into.runs + w.runs
+
 (* The `Interior pass over [pool.tiles] contiguous particle chunks.
    Safe to fan out: an interior particle cannot reach a wall or a
    domain face (the shell is deferred before walking), so no tile
-   removes particles, consumes the RNG or needs a mover buffer; store
+   removes particles, consumes an RNG or needs a mover buffer; store
    writes are disjoint per tile and each tile scatters currents into
    its private accumulator slab.  Determinism: the chunk decomposition
    is a function of the tile count alone and every merge below (defer
-   lists, perf ledgers, stats, slab reduction at unload) runs in
-   ascending tile order, so results are bitwise invariant in the lane
-   count.  A 1-tile pool's one slab is [accum] itself, so it deposits
-   in particle order with nothing to reduce. *)
-let advance_team ?(perf = Perf.global) ~interp ~accum ?rng ?width ~pool
-    ~scratch ~defer (s : Species.t) f bc =
+   lists, counters, slab reduction at unload) runs in ascending tile
+   order, so results are bitwise invariant in the lane count.  A 1-tile
+   pool's one slab is [accum] itself, so it deposits in particle order
+   with nothing to reduce.  The counters sum into tile 0's workspace
+   and are charged once: every Perf term is an integer-valued float, so
+   the ledger equals per-tile charging exactly. *)
+let advance_team ?(perf = Perf.global) ~interp ~accum
+    ?(width = default_block_width) ~pool ~scratch ~defer (s : Species.t) f bc
+    =
   let module P = Vpic_util.Pool in
+  check_width width;
+  assert (Interpolator.grid interp == s.Species.grid);
   let tiles = pool.P.tiles in
   Team_scratch.sized scratch tiles;
   (* allocate all slabs before the fork: [slab] caches the array on
      first use and concurrent first calls would race *)
   ignore (Accumulator.slab accum ~n:tiles ~tile:0);
   let np = Species.count s in
-  let stats = scratch.Team_scratch.stats in
+  let d = Interpolator.data interp in
+  let works = scratch.Team_scratch.works
+  and defers = scratch.Team_scratch.defers in
   pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
-      let lo, hi = P.split ~total:np ~tiles ~tile in
-      stats.(tile) <-
-        (if hi > lo then
-           advance
-             ~perf:scratch.Team_scratch.perfs.(tile)
-             ~first:lo ~count:(hi - lo) ~interp
-             ~accum:(Accumulator.slab accum ~n:tiles ~tile)
-             ?rng ?width
-             ~region:(`Interior scratch.Team_scratch.defers.(tile))
-             ~work:scratch.Team_scratch.works.(tile) s f bc
-         else zero_stats));
+      let w = works.(tile) in
+      prepare w ~accum:(Accumulator.slab accum ~n:tiles ~tile) s f bc;
+      set_params w s;
+      run_blocks w s ~d ~defer:defers.(tile) ~movers:None ~width
+        (P.chunk_start ~total:np ~tiles ~tile)
+        (P.chunk_start ~total:np ~tiles ~tile:(tile + 1)));
+  let w0 = works.(0) in
   for tile = 0 to tiles - 1 do
-    Defer.append defer scratch.Team_scratch.defers.(tile);
-    let c = scratch.Team_scratch.perfs.(tile) in
-    Perf.merge_into ~dst:perf c;
-    Perf.reset c
+    assert (works.(tile).dead = []);
+    Defer.append defer defers.(tile);
+    if tile > 0 then add_counters ~into:w0 works.(tile)
   done;
-  Array.fold_left sum_stats zero_stats stats
+  charged_stats perf w0
 
-let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng ?work
+let finish_movers ?(perf = Perf.global) ?movers_out ~accum ?rng ?work
     (s : Species.t) f bc (incoming : Movers.t) =
   let g = s.Species.grid in
-  assert (g == f.Vpic_field.Em_field.grid);
-  (match accum with
-  | Some ac -> assert (Accumulator.grid ac == g)
-  | None -> ());
   let w = match work with Some w -> w | None -> create_work () in
-  prepare w ?rng ?accum s f bc;
+  prepare w ?rng ~accum s f bc;
   let dt = g.Grid.dt in
   w.fp.(fp_kx) <- 1. /. (g.Grid.dy *. g.Grid.dz *. dt);
   w.fp.(fp_ky) <- 1. /. (g.Grid.dz *. g.Grid.dx *. dt);

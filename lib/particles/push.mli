@@ -2,7 +2,8 @@
     species, gather E and B, apply the relativistic Boris rotation, move
     the particle — splitting its trajectory at every cell-face crossing —
     and scatter charge-conserving Villasenor–Buneman currents into the
-    field's J accumulators.
+    per-voxel blocks of an {!Accumulator} — the one scatter target; the
+    step unloads it into the J meshes once.
 
     Mixed precision: particles live in the 32-byte f32 {!Store}; the
     kernel reads them into f64 registers, computes and deposits in f64,
@@ -25,10 +26,11 @@
       {!finish_movers}.  (This is VPIC's scheme; it also guarantees
       deposition never reaches past the single ghost layer.)
 
-    Requires valid EM ghosts (both sides) before the call.  Currents are
-    deposited into interior and first-ghost-layer slots; fold them {e
-    after} migration completes (the neighbour's finished movers deposit
-    into its ghost slots too).
+    Requires valid EM ghosts (both sides) before the call.  Every
+    segment starts in an interior cell, so it lands in an interior
+    voxel's accumulator block; once unloaded, its J targets reach the
+    first ghost layer.  Unload and fold them {e after} migration
+    completes (the neighbour's finished movers deposit too).
 
     Stability: per-axis displacement must stay below one cell per step,
     guaranteed by the Courant limit since |v| < c = 1. *)
@@ -96,8 +98,9 @@ end
 (** The workspace of one push call: the walk state, the block kernel's
     lanes, the run-cached interpolator block and the call's counters.
     Keep one per concurrent push (a team tile, a species' boundary
-    pass) and pass it to every call: a steady push then allocates
-    nothing per particle or per call beyond its result. *)
+    pass, a streamed pipeline) and pass it to every call: a steady push
+    then allocates nothing per particle or per call beyond its
+    result. *)
 module Work : sig
   type t
 
@@ -149,7 +152,7 @@ val advance :
   ?count:int ->
   ?movers:Movers.t ->
   interp:Interpolator.t ->
-  ?accum:Accumulator.t ->
+  accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
@@ -162,9 +165,8 @@ val advance :
     coefficients (one run-cached 72-byte block per occupied voxel,
     VPIC's expansion); the caller must have [load]ed the relevant voxels
     from the field the particles should feel.  Currents scatter into
-    the J meshes of the field argument, or, with [accum], into the
-    {!Accumulator}'s per-voxel slots (identical arithmetic; the caller
-    unloads once per step).
+    [accum]'s per-voxel slots (the caller unloads once per step); the
+    field argument supplies only the grid.
 
     There is one particle loop, the block kernel: each voxel run
     streams in [width]-lane blocks (default {!default_block_width};
@@ -178,9 +180,8 @@ val advance :
     walk-cleanup counts.  [work] is the call's workspace (by default a
     fresh one); calls that may run concurrently need distinct ones. *)
 
-(** Reusable per-tile workspace (defer lists, flop ledgers and push
-    workspaces) of {!advance_team}.  One per species, kept across
-    steps. *)
+(** Reusable per-tile workspace (defer lists and push workspaces) of
+    {!advance_team}.  One per species, kept across steps. *)
 module Team_scratch : sig
   type t
 
@@ -190,21 +191,23 @@ end
 (** [advance_team ~pool ~scratch ~defer s f bc] is the worker-team form
     of [advance ~region:(`Interior defer)]: the species splits into
     [pool.tiles] contiguous particle chunks, each pushed (possibly on a
-    different worker lane) with its own defer list, perf ledger and
-    private {!Accumulator.slab} as the scatter target; the per-tile
-    outputs merge back in ascending tile order, so the result — defer
-    order included — is bitwise invariant in the worker count at a
-    fixed tile count.  The interior region never deletes particles,
-    creates movers or consumes [rng], which is what makes the fan-out
-    safe.  The caller must run {!Accumulator.reduce} on [accum] before
-    unloading it.  A 1-tile pool takes the same driver: its one slab is
-    [accum] itself, so it deposits in particle order, exactly as
+    different worker lane) by the block kernel in its own workspace,
+    with its own defer list and private {!Accumulator.slab} as the
+    scatter target; the defer lists merge back and the workspaces'
+    counters sum in ascending tile order into one result and one
+    [perf] charge, so the result — defer order included — is bitwise
+    invariant in the worker count at a fixed tile count, and the call
+    allocates nothing per tile.  The interior region never deletes
+    particles, creates movers or reaches a refluxing wall, which is
+    what makes the fan-out safe (and why it takes no [rng]).  The
+    caller must run {!Accumulator.reduce} on [accum] before unloading
+    it.  A 1-tile pool takes the same driver: its one slab is [accum]
+    itself, so it deposits in particle order, exactly as
     [advance ~region:(`Interior defer)] would. *)
 val advance_team :
   ?perf:Vpic_util.Perf.counters ->
   interp:Interpolator.t ->
   accum:Accumulator.t ->
-  ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   pool:Vpic_util.Pool.t ->
   scratch:Team_scratch.t ->
@@ -222,7 +225,7 @@ val advance_team :
 val finish_movers :
   ?perf:Vpic_util.Perf.counters ->
   ?movers_out:Movers.t ->
-  ?accum:Accumulator.t ->
+  accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?work:Work.t ->
   Species.t ->
@@ -230,8 +233,8 @@ val finish_movers :
   Vpic_grid.Bc.t ->
   Movers.t ->
   int * int * int
-(** [accum] routes the finished movers' deposition into the accumulator
-    (must be the one the step's pushes used, unloaded afterwards).
+(** The finished movers deposit into [accum], like every push (pass the
+    one the step's pushes used; it is unloaded afterwards).
     [work] is the call's workspace, as for {!advance}. *)
 
 (** [boris ~u ...] is VPIC's relativistic Boris update (half E kick,

@@ -10,127 +10,65 @@ let voxel_of (s : Species.t) n =
    offsets; then each tile walks its chunk in order and scatters all
    eight attributes to disjoint slots.  A particle's slot is
    #(voxel' < voxel) + #(same voxel in earlier tiles) + #(same voxel
-   earlier in this tile) — exactly the serial stable slot, so the
-   output is bitwise identical to the serial sort for any tile count
-   (and, tiles being fixed, for any worker count). *)
-let by_voxel_tiled ~perf ~(pool : Vpic_util.Pool.t) (s : Species.t) =
-  let module P = Vpic_util.Pool in
-  let np = Species.count s in
-  let st = s.Species.store in
-  let nv = s.Species.grid.Grid.nv in
-  let tiles = pool.P.tiles in
-  let tc =
-    let ok =
-      Array.length st.Store.sort_tile_counts = tiles
-      && Array.length st.Store.sort_tile_counts.(0) >= nv + 1
-    in
-    if ok then st.Store.sort_tile_counts
-    else begin
-      let c = Array.init tiles (fun _ -> Array.make (nv + 1) 0) in
-      st.Store.sort_tile_counts <- c;
-      c
-    end
-  in
-  pool.P.run ~label:"sort" ~tiles (fun ~lane:_ ~tile ->
-      let counts = tc.(tile) in
-      Array.fill counts 0 (nv + 1) 0;
-      let lo, hi = P.split ~total:np ~tiles ~tile in
-      for n = lo to hi - 1 do
-        let v = voxel_of s n in
-        counts.(v) <- counts.(v) + 1
-      done);
-  let running = ref 0 in
-  for v = 0 to nv - 1 do
-    for t = 0 to tiles - 1 do
-      let c = Array.unsafe_get tc t in
-      let k = Array.unsafe_get c v in
-      Array.unsafe_set c v !running;
-      running := !running + k
-    done
-  done;
-  let sc = Store.sort_scratch st in
-  pool.P.run ~label:"sort" ~tiles (fun ~lane:_ ~tile ->
-      let off = tc.(tile) in
-      let lo, hi = P.split ~total:np ~tiles ~tile in
-      let open Bigarray.Array1 in
-      for n = lo to hi - 1 do
-        let v = voxel_of s n in
-        let d = Array.unsafe_get off v in
-        Array.unsafe_set off v (d + 1);
-        unsafe_set sc.Store.voxel d (unsafe_get st.Store.voxel n);
-        unsafe_set sc.Store.fx d (unsafe_get st.Store.fx n);
-        unsafe_set sc.Store.fy d (unsafe_get st.Store.fy n);
-        unsafe_set sc.Store.fz d (unsafe_get st.Store.fz n);
-        unsafe_set sc.Store.ux d (unsafe_get st.Store.ux n);
-        unsafe_set sc.Store.uy d (unsafe_get st.Store.uy n);
-        unsafe_set sc.Store.uz d (unsafe_get st.Store.uz n);
-        unsafe_set sc.Store.w d (unsafe_get st.Store.w n)
-      done);
-  Store.swap_buffers st sc;
-  Perf.add_bytes perf
-    (float_of_int np *. float_of_int Store.bytes_per_particle *. 2.)
-
+   earlier in this tile) — its stable slot, whatever the tile count, so
+   the output is the same for any tile or worker count and a 1-tile
+   pool is the serial sort.  All workspace lives on the store and is
+   reused: steady-state sorting allocates nothing. *)
 let by_voxel ?(perf = Perf.global) ?(pool = Vpic_util.Pool.serial)
     (s : Species.t) =
+  let module P = Vpic_util.Pool in
   let np = Species.count s in
-  if np > 1 && pool.Vpic_util.Pool.tiles > 1 then
-    by_voxel_tiled ~perf ~pool s
-  else if np > 1 then begin
+  if np > 1 then begin
     let st = s.Species.store in
     let nv = s.Species.grid.Grid.nv in
-    (* All workspace lives on the store and is reused: steady-state
-       sorting allocates nothing. *)
-    let counts =
-      if Array.length st.Store.sort_counts >= nv + 1 then st.Store.sort_counts
+    let tiles = pool.P.tiles in
+    let tc =
+      let ok =
+        Array.length st.Store.sort_tile_counts = tiles
+        && Array.length st.Store.sort_tile_counts.(0) >= nv + 1
+      in
+      if ok then st.Store.sort_tile_counts
       else begin
-        let c = Array.make (nv + 1) 0 in
-        st.Store.sort_counts <- c;
+        let c = Array.init tiles (fun _ -> Array.make (nv + 1) 0) in
+        st.Store.sort_tile_counts <- c;
         c
       end
     in
-    Array.fill counts 0 (nv + 1) 0;
-    for n = 0 to np - 1 do
-      let v = voxel_of s n in
-      counts.(v + 1) <- counts.(v + 1) + 1
-    done;
-    for v = 1 to nv do
-      counts.(v) <- counts.(v) + counts.(v - 1)
-    done;
-    (* Destination slot of each particle: one pass over the (linear)
-       voxel buffer, then a gather per attribute into the double
-       buffer. *)
-    let dst =
-      if Array.length st.Store.sort_dst >= np then st.Store.sort_dst
-      else begin
-        let d = Array.make st.Store.cap 0 in
-        st.Store.sort_dst <- d;
-        d
-      end
-    in
-    for n = 0 to np - 1 do
-      let v = voxel_of s n in
-      Array.unsafe_set dst n counts.(v);
-      counts.(v) <- counts.(v) + 1
+    pool.P.run ~label:"sort" ~tiles (fun ~lane:_ ~tile ->
+        let counts = tc.(tile) in
+        Array.fill counts 0 (nv + 1) 0;
+        let lo, hi = P.split ~total:np ~tiles ~tile in
+        for n = lo to hi - 1 do
+          let v = voxel_of s n in
+          counts.(v) <- counts.(v) + 1
+        done);
+    let running = ref 0 in
+    for v = 0 to nv - 1 do
+      for t = 0 to tiles - 1 do
+        let c = Array.unsafe_get tc t in
+        let k = Array.unsafe_get c v in
+        Array.unsafe_set c v !running;
+        running := !running + k
+      done
     done;
     let sc = Store.sort_scratch st in
-    let open Bigarray.Array1 in
-    let permute_f32 (a : Store.f32) (out : Store.f32) =
-      for n = 0 to np - 1 do
-        unsafe_set out (Array.unsafe_get dst n) (unsafe_get a n)
-      done
-    in
-    for n = 0 to np - 1 do
-      unsafe_set sc.Store.voxel
-        (Array.unsafe_get dst n)
-        (unsafe_get st.Store.voxel n)
-    done;
-    permute_f32 st.Store.fx sc.Store.fx;
-    permute_f32 st.Store.fy sc.Store.fy;
-    permute_f32 st.Store.fz sc.Store.fz;
-    permute_f32 st.Store.ux sc.Store.ux;
-    permute_f32 st.Store.uy sc.Store.uy;
-    permute_f32 st.Store.uz sc.Store.uz;
-    permute_f32 st.Store.w sc.Store.w;
+    pool.P.run ~label:"sort" ~tiles (fun ~lane:_ ~tile ->
+        let off = tc.(tile) in
+        let lo, hi = P.split ~total:np ~tiles ~tile in
+        let open Bigarray.Array1 in
+        for n = lo to hi - 1 do
+          let v = voxel_of s n in
+          let d = Array.unsafe_get off v in
+          Array.unsafe_set off v (d + 1);
+          unsafe_set sc.Store.voxel d (unsafe_get st.Store.voxel n);
+          unsafe_set sc.Store.fx d (unsafe_get st.Store.fx n);
+          unsafe_set sc.Store.fy d (unsafe_get st.Store.fy n);
+          unsafe_set sc.Store.fz d (unsafe_get st.Store.fz n);
+          unsafe_set sc.Store.ux d (unsafe_get st.Store.ux n);
+          unsafe_set sc.Store.uy d (unsafe_get st.Store.uy n);
+          unsafe_set sc.Store.uz d (unsafe_get st.Store.uz n);
+          unsafe_set sc.Store.w d (unsafe_get st.Store.w n)
+        done);
     (* The permuted copy becomes the live data by pointer swap; the old
        buffers become the next sort's scratch. *)
     Store.swap_buffers st sc;

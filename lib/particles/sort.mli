@@ -5,18 +5,16 @@
     the Cell SPE streaming in the paper and still a large cache win on
     conventional CPUs (benchmarked in bench/main.ml, experiment E5). *)
 
-(** Sort ascending by flat voxel index.  O(np + nv) time.  Stable within
-    a voxel.  The O(np + nv) workspace (a double-buffered attribute set,
-    a histogram and a destination array) lives on the species' store and
-    is reused: after the first call, sorting a steady-state population
-    allocates nothing.
-
-    With a multi-tile [pool] the sort runs as a two-pass tiled counting
-    sort — parallel per-tile histograms over contiguous particle
+(** Sort ascending by flat voxel index.  O(np + tiles * nv) time.
+    Stable within a voxel.  One counting sort serves every [pool]: a
+    two-pass tiled sort — per-tile histograms over contiguous particle
     chunks, a serial voxel-major/tile-minor scan into per-tile write
-    offsets, and a parallel scatter to disjoint slots — whose output is
-    {e bitwise identical} to the serial sort for any tile or worker
-    count. *)
+    offsets, and a scatter to disjoint slots — whose output is the
+    stable order for any tile or worker count; the default serial pool
+    is its 1-tile case.  The workspace (a double-buffered attribute set
+    and the per-tile histograms) lives on the species' store and is
+    reused: after the first call, sorting a steady-state population
+    allocates nothing. *)
 val by_voxel :
   ?perf:Vpic_util.Perf.counters ->
   ?pool:Vpic_util.Pool.t ->

@@ -22,13 +22,11 @@ type t = {
   mutable uz : f32;
   mutable w : f32;
   (* Reusable sort workspace (Sort.by_voxel): a second attribute buffer
-     the counting sort permutes into — then swapped wholesale with the
-     live arrays — plus the histogram and destination-slot arrays.
-     Created on first sort, so a never-sorted store pays nothing;
-     steady-state sorting allocates nothing. *)
+     the counting sort scatters into — then swapped wholesale with the
+     live arrays — plus the per-tile histograms.  Created on first sort,
+     so a never-sorted store pays nothing; steady-state sorting
+     allocates nothing. *)
   mutable sort_buf : t option;
-  mutable sort_counts : int array;
-  mutable sort_dst : int array;
   mutable sort_tile_counts : int array array;
 }
 
@@ -58,8 +56,6 @@ let create ?(capacity = 1024) () =
     uz = f32_create capacity;
     w = f32_create capacity;
     sort_buf = None;
-    sort_counts = [||];
-    sort_dst = [||];
     sort_tile_counts = [||] }
 
 let count t = t.np

@@ -32,10 +32,8 @@ type t = {
   mutable sort_buf : t option;
       (** {!Sort.by_voxel}'s double buffer (created on first sort, reused
           for every later one, excluded from {!footprint_bytes}) *)
-  mutable sort_counts : int array;  (** reusable sort histogram *)
-  mutable sort_dst : int array;  (** reusable destination slots *)
   mutable sort_tile_counts : int array array;
-      (** the tiled sort's per-tile histograms (one row per tile) *)
+      (** {!Sort.by_voxel}'s per-tile histograms (one row per tile) *)
 }
 
 val f32_create : int -> f32

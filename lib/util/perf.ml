@@ -8,18 +8,6 @@ type counters = {
 let create () =
   { flops = 0.; bytes_moved = 0.; particle_steps = 0.; voxel_updates = 0. }
 
-let reset c =
-  c.flops <- 0.;
-  c.bytes_moved <- 0.;
-  c.particle_steps <- 0.;
-  c.voxel_updates <- 0.
-
-let merge_into ~dst c =
-  dst.flops <- dst.flops +. c.flops;
-  dst.bytes_moved <- dst.bytes_moved +. c.bytes_moved;
-  dst.particle_steps <- dst.particle_steps +. c.particle_steps;
-  dst.voxel_updates <- dst.voxel_updates +. c.voxel_updates
-
 let add_flops c n = c.flops <- c.flops +. n
 let add_bytes c n = c.bytes_moved <- c.bytes_moved +. n
 let add_particle_steps c n = c.particle_steps <- c.particle_steps +. n

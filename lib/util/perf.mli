@@ -2,7 +2,12 @@
     wall clock.  The kernels in [vpic_particle] and [vpic_field] report
     their analytic operation counts here; the Roadrunner performance
     model in [vpic_cell] consumes the resulting per-particle and
-    per-voxel costs.  Phase timing lives in [Vpic_telemetry.Trace]. *)
+    per-voxel costs.  Phase timing lives in [Vpic_telemetry.Trace].
+
+    Counters are plain mutable fields, so no two domains may add into
+    one ledger: the team push counts in its tiles' workspaces and
+    charges their sum once, after the fan-out (every term is an
+    integer-valued float, so the sum is exact). *)
 
 type counters = {
   mutable flops : float;          (** floating-point operations *)
@@ -12,8 +17,6 @@ type counters = {
 }
 
 val create : unit -> counters
-val reset : counters -> unit
-val merge_into : dst:counters -> counters -> unit
 
 val add_flops : counters -> float -> unit
 val add_bytes : counters -> float -> unit

@@ -15,10 +15,11 @@ let serial =
 
 let default_tiles = 16
 
+let chunk_start ~total ~tiles ~tile =
+  let q = total / tiles and r = total mod tiles in
+  (tile * q) + min tile r
+
 let split ~total ~tiles ~tile =
   if tiles <= 0 then invalid_arg "Pool.split: tiles must be >= 1";
   if tile < 0 || tile >= tiles then invalid_arg "Pool.split: tile out of range";
-  let q = total / tiles and r = total mod tiles in
-  let lo = (tile * q) + min tile r in
-  let hi = lo + q + (if tile < r then 1 else 0) in
-  (lo, hi)
+  (chunk_start ~total ~tiles ~tile, chunk_start ~total ~tiles ~tile:(tile + 1))

@@ -40,3 +40,10 @@ val default_tiles : int
     integer arithmetic, so the decomposition depends only on [total]
     and [tiles]).  Empty ranges ([lo = hi]) are valid. *)
 val split : total:int -> tiles:int -> tile:int -> int * int
+
+(** [chunk_start ~total ~tiles ~tile] is [fst (split ~total ~tiles
+    ~tile)], unchecked, for any [tile] in [0, tiles] ([total] at
+    [tiles]): tile [tile]'s range ends at [chunk_start] of [tile + 1].
+    Two calls give a range without allocating a pair — for a kernel
+    that must allocate nothing per tile. *)
+val chunk_start : total:int -> tiles:int -> tile:int -> int

@@ -13,6 +13,7 @@ module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
 module Interpolator = Vpic_particle.Interpolator
+module Accumulator = Vpic_particle.Accumulator
 module Moments = Vpic_particle.Moments
 module Loader = Vpic_particle.Loader
 module Rng = Vpic_util.Rng
@@ -34,9 +35,17 @@ let loaded_interp (f : Em_field.t) =
   ip
 
 (* [Push.advance] gathering through an interpolator freshly loaded from
-   [f] — the push every simulation runs. *)
+   [f] — the push every simulation runs.  Without [accum] it scatters
+   into a fresh accumulator and unloads it into [f]'s J meshes. *)
 let push ?movers ?rng ?accum s f bc =
-  Push.advance ?movers ?rng ?accum ~interp:(loaded_interp f) s f bc
+  let interp = loaded_interp f in
+  match accum with
+  | Some accum -> Push.advance ?movers ?rng ~interp ~accum s f bc
+  | None ->
+      let accum = Accumulator.create f.Em_field.grid in
+      let st = Push.advance ?movers ?rng ~interp ~accum s f bc in
+      Accumulator.unload accum f;
+      st
 
 (* What the f32 store turns a boxed particle into: offsets clamped into
    [0, pred 1.0f32], momentum and weight rounded to single precision.

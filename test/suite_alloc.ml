@@ -13,6 +13,8 @@
 module Deck = Vpic_lpi.Deck
 module Simulation = Vpic.Simulation
 module Team = Vpic_parallel.Team
+module Pool = Vpic_util.Pool
+module Sort = Vpic_particle.Sort
 open Helpers
 
 (* Fixed per-step work (span bookkeeping, fill and reduction plumbing,
@@ -75,6 +77,47 @@ let test_steady_step () =
        the ppc %.0f, srs_team deck on a 1-lane team %.0f"
       ceiling push push2 team
 
+(* Minor words per [Push.advance_team] call on one sorted species, with
+   the interior pass cut into [tiles] chunks on this domain. *)
+let team_push_words ~tiles =
+  let g = small_grid ~n:8 ~l:8. () in
+  let f = Em_field.create g in
+  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  ignore (Loader.maxwellian (Rng.of_int 5) s ~ppc:8 ~uth:0.1 ());
+  Sort.by_voxel s;
+  let interp = loaded_interp f and accum = Accumulator.create g in
+  let pool = { Pool.serial with Pool.tiles } in
+  let scratch = Push.Team_scratch.create () and defer = Push.Defer.create () in
+  let perf = Vpic_util.Perf.create () in
+  let call () =
+    Push.Defer.clear defer;
+    ignore
+      (Push.advance_team ~perf ~interp ~accum ~pool ~scratch ~defer s f
+         Bc.periodic)
+  in
+  for _ = 1 to 3 do
+    call ()
+  done;
+  let calls = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    call ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+(* A tile's workspace, defer list and slab live on the scratch and the
+   accumulator, and the call sums the tiles' counters in place: cutting
+   the pass into 16 tiles allocates no more than running it whole. *)
+let test_team_push_per_tile () =
+  let one = team_push_words ~tiles:1 in
+  let sixteen = team_push_words ~tiles:16 in
+  if sixteen > one then
+    Alcotest.failf
+      "minor words per team push call: %.1f at 1 tile, %.1f at 16 tiles" one
+      sixteen
+
 let suite =
   [ slow_case "alloc: a steady step allocates nothing per particle or voxel"
-      test_steady_step ]
+      test_steady_step;
+    case "alloc: the team push allocates nothing per tile"
+      test_team_push_per_tile ]

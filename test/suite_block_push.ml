@@ -132,7 +132,7 @@ let test_lane_matches_public_chain () =
   done;
   Sort.by_voxel s;
   let before = Array.init (Species.count s) (Species.get s) in
-  let st = Push.advance ~interp s f Bc.periodic in
+  let st = Push.advance ~interp ~accum:(Accumulator.create g) s f Bc.periodic in
   Alcotest.(check int) "no lane crossed" 0 st.Push.block_cleanup;
   let dt = g.Grid.dt in
   let qdt_2m = 0.5 *. -1. *. dt /. 1. in

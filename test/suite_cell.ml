@@ -107,9 +107,11 @@ let test_pipeline_equivalent_to_direct () =
   (* identical setups; push one directly and one through the pipeline *)
   ignore (push s1 f1 Bc.periodic);
   let pipe = Spe_pipeline.create ~block_size:128 Roadrunner.full in
+  let accum = Accumulator.create f2.Em_field.grid in
   ignore
-    (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f2) s2 f2
-       Bc.periodic);
+    (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f2) ~accum s2
+       f2 Bc.periodic);
+  Accumulator.unload accum f2;
   Alcotest.(check int) "same count" (Species.count s1) (Species.count s2);
   check_close ~atol:0. ~rtol:0. "identical currents" 0.
     (List.fold_left2
@@ -127,7 +129,7 @@ let test_pipeline_ledger () =
   let np = Species.count s in
   ignore
     (Spe_pipeline.advance_species pipe ~ppc_hint:20. ~interp:(loaded_interp f)
-       s f Bc.periodic);
+       ~accum:(Accumulator.create f.Em_field.grid) s f Bc.periodic);
   let led = Spe_pipeline.ledger pipe in
   Alcotest.(check int) "blocks" ((np + block - 1) / block) led.Spe_pipeline.blocks;
   Alcotest.(check int) "particles" np led.Spe_pipeline.particles;
@@ -156,7 +158,8 @@ let test_pipeline_rejects_absorbing () =
   check_true "raises"
     (try
        ignore
-         (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f) s f
+         (Spe_pipeline.advance_species pipe ~interp:(loaded_interp f)
+            ~accum:(Accumulator.create f.Em_field.grid) s f
             (Bc.uniform Bc.Absorbing));
        false
      with Invalid_argument _ -> true)

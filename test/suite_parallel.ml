@@ -349,7 +349,7 @@ let test_migration_conserves () =
         let targets = Array.make 2 None in
         targets.(rank) <-
           Some
-            { Migrate.id = rank; bc; species = s; fields = f; accum = None;
+            { Migrate.id = rank; bc; species = s; fields = f; accum = Accumulator.create grid;
               rng = None; movers };
         let mig = Migrate.exchange ports ~targets in
         let all_interior = ref true in

@@ -75,7 +75,8 @@ let test_pusher_selection_in_advance () =
       ignore (Loader.maxwellian (Rng.of_int 3) s ~ppc:4 ~uth:0.1 ());
       let ke0 = Species.kinetic_energy s in
       ignore
-        (Push.advance ~interp:(loaded_interp f) ~width s f Bc.periodic);
+        (Push.advance ~interp:(loaded_interp f) ~accum:(Accumulator.create g)
+           ~width s f Bc.periodic);
       check_close ~rtol:1e-12
         (Printf.sprintf "block%d free streaming keeps KE" width)
         ke0 (Species.kinetic_energy s))

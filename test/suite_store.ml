@@ -132,6 +132,7 @@ let test_f32_vs_f64_push_divergence () =
       uz.(n) <- p.Particle.uz);
   let qdt_2m = 0.5 *. (-1.) *. dt /. 1. in
   let ip = loaded_interp f in
+  let accum = Accumulator.create g in
   let out = Array.make 6 0. in
   let u = Array.make 3 0. in
   let wrap frac cell ncell =
@@ -165,7 +166,7 @@ let test_f32_vs_f64_push_divergence () =
   in
   for _ = 1 to 100 do
     shadow_step ();
-    ignore (Push.advance ~interp:ip s f Bc.periodic)
+    ignore (Push.advance ~interp:ip ~accum s f Bc.periodic)
   done;
   let worst_x = ref 0. and worst_u = ref 0. in
   let fnx = float_of_int nx in

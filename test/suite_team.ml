@@ -52,7 +52,7 @@ let test_srs_worker_invariance () =
   let e4 = srs_energies ~workers:4 ~steps:20 in
   check_energies_bitwise "1 vs 4 workers" e1 e4
 
-(* --- tiled two-pass counting sort == serial counting sort --- *)
+(* --- the tiled counting sort gives the stable voxel order --- *)
 
 let shuffled_species g ~ppc ~seed =
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
@@ -68,21 +68,44 @@ let shuffled_species g ~ppc ~seed =
 
 let particles s = List.init (Species.count s) (Species.get s)
 
+let same_bits (a : Particle.t) (b : Particle.t) =
+  let fields (p : Particle.t) =
+    [ p.Particle.fx; p.Particle.fy; p.Particle.fz; p.Particle.ux;
+      p.Particle.uy; p.Particle.uz; p.Particle.w ]
+  in
+  (a.Particle.i, a.Particle.j, a.Particle.k)
+  = (b.Particle.i, b.Particle.j, b.Particle.k)
+  && List.for_all2 (fun x y -> bits x = bits y) (fields a) (fields b)
+
 let test_tiled_sort_equivalence () =
   let g = small_grid ~n:6 ~l:3. () in
   let mk () = shuffled_species g ~ppc:7 ~seed:42 in
-  let s_serial = mk () and s_tiled = mk () and s_team = mk () in
-  check_true "shuffled input is unsorted" (not (Sort.is_sorted s_serial));
-  Sort.by_voxel s_serial;
+  let input = mk () in
+  check_true "shuffled input is unsorted" (not (Sort.is_sorted input));
+  (* The oracle: the input's particles in the stable order of (voxel,
+     original index). *)
+  let expected =
+    List.mapi (fun n p -> (Species.voxel input n, p)) (particles input)
+    |> List.stable_sort (fun (va, _) (vb, _) -> compare va vb)
+    |> List.map snd
+  in
+  let sorted pool =
+    let s = mk () in
+    Sort.by_voxel ~pool s;
+    particles s
+  in
+  let check label ps =
+    check_true label
+      (List.length ps = List.length expected
+      && List.for_all2 same_bits ps expected)
+  in
+  check "1-tile sort == stable order" (sorted Pool.serial);
   (* Inline execution but a multi-tile decomposition: pins the tiled
      algorithm itself, independent of any domain scheduling. *)
-  Sort.by_voxel ~pool:{ Pool.serial with Pool.tiles = 5 } s_tiled;
-  Team.with_team ~workers:3 (fun tm ->
-      Sort.by_voxel ~pool:(Team.pool tm) s_team);
-  check_true "serial result is sorted" (Sort.is_sorted s_serial);
-  let ps = particles s_serial in
-  check_true "tiled(5) sort == serial sort" (particles s_tiled = ps);
-  check_true "team(3 workers) sort == serial sort" (particles s_team = ps)
+  check "tiled(5) sort == stable order"
+    (sorted { Pool.serial with Pool.tiles = 5 });
+  check "team(3 workers) sort == stable order"
+    (Team.with_team ~workers:3 (fun tm -> sorted (Team.pool tm)))
 
 (* --- private-slab current reduction vs direct scatter --- *)
 
