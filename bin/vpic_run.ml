@@ -568,7 +568,7 @@ let srs_cmd =
                    Every run is this one world: resume, the sentinel, \
                    checkpoints, rebalance and recovery work at any N.  \
                    The cut is remainder-safe (ny need not divide by N); \
-                   ny is widened to 2N if smaller.  Per-block RNGs make \
+                   ny is widened to 2N if smaller.  Per-block loading RNGs make \
                    results independent of the rank count and of any \
                    mid-run block relocation.")
   in

@@ -70,8 +70,8 @@ let no_absorbing bc =
       match k with Bc.Absorbing | Bc.Refluxing _ -> false | _ -> true)
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
-let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ~accum ?rng
-    ?width t s f bc =
+let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ~accum ?width t
+    s f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
      fixed-count DMA block accounting. *)
   if not (no_absorbing bc) then
@@ -95,7 +95,7 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ~interp ~accum ?rng
   while !first < np do
     let count = min t.block_size (np - !first) in
     let st =
-      Push.advance ~perf ~first:!first ~count ~interp ~accum ?rng ?width
+      Push.advance ~perf ~first:!first ~count ~interp ~accum ?width
         ~work:t.work s f bc
     in
     assert (st.Push.absorbed = 0);

@@ -51,7 +51,7 @@ val ledger : t -> ledger
     particles per voxel used to amortise interpolator/accumulator traffic
     (defaults to the species' actual average over occupied voxels).
 
-    [interp]/[accum]/[rng]/[width] pass straight through to
+    [interp]/[accum]/[width] pass straight through to
     [Push.advance], so the production block kernel streams through the
     pipeline; every block's call reuses the pipeline's one push
     workspace.  Currents scatter into [accum] (unload it to see them in
@@ -63,7 +63,6 @@ val advance_species :
   ?ppc_hint:float ->
   interp:Vpic_particle.Interpolator.t ->
   accum:Vpic_particle.Accumulator.t ->
-  ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   t ->
   Vpic_particle.Species.t ->

@@ -8,7 +8,7 @@ module Rng = Vpic_util.Rng
 module Fault = Vpic_util.Fault
 module A1 = Bigarray.Array1
 
-let format_version = 10
+let format_version = 11
 
 exception Corrupt of { path : string; reason : string }
 exception Version_mismatch of { path : string; found : int; expected : int }
@@ -29,10 +29,9 @@ type grid_snap = {
 }
 
 (* Everything needed to rebuild an identical [Simulation.make] call plus
-   the step counter and both RNG streams, so a restored run continues
-   bitwise — including [Refluxing]-face re-emission, whose draws come
-   from [push_rng] (serial and local crossings) and [migrate_rng]
-   (crossings finished on the neighbour rank). *)
+   the step counter, so a restored run continues bitwise.  No generator
+   state: [Refluxing]-face re-emission draws are a pure function of the
+   crossing particle's bits (see [Push]). *)
 type meta_snap = {
   nstep : int;
   grid : grid_snap;
@@ -42,8 +41,6 @@ type meta_snap = {
   current_filter_passes : int;
   absorber_thickness : int;
   absorber_strength : float;
-  push_rng : Rng.state;
-  migrate_rng : Rng.state option;
   (* Over-decomposition identity.  Classic per-rank checkpoints carry
      (0, 1); a per-block file records which of how many blocks it holds,
      so a restore (or a rebalance receive) can sanity-check the wire
@@ -68,8 +65,6 @@ type meta_snap = {
      meta     nstep; nx ny nz; lx ly lz dt x0 y0 z0; sort_interval;
               clean_div_interval; marder_passes; current_filter_passes;
               absorber_thickness; absorber_strength;
-              push RNG {st; sp; has_sp (u8)};
-              migrate RNG presence byte, then its state if present;
               block_id; nblocks; workers
      fields   component count (int32), then per component its name, its
               voxel count and that many float64 values
@@ -86,7 +81,6 @@ type meta_snap = {
 let magic = "VPICCKPT"
 let header_bytes = String.length magic + 4
 let section_header_bytes = 8
-let rng_bytes = 8 + 8 + 1
 
 (* Unchecked native-order accesses for the bulk arrays (see [bulk]);
    [le32]/[le64] make them little-endian.  The checked
@@ -118,10 +112,6 @@ type cursor = { buf : Bytes.t; mutable pos : int; lim : int; path : string }
 
 (* --------------------------------------------------------- encoding ---- *)
 
-let put_u8 w v =
-  Bytes.set w.buf w.pos (Char.chr v);
-  w.pos <- w.pos + 1
-
 let put_i32 w v =
   Bytes.set_int32_le w.buf w.pos (Int32.of_int v);
   w.pos <- w.pos + 4
@@ -133,19 +123,12 @@ let put_int64 w v =
 let put_i64 w v = put_int64 w (Int64.of_int v)
 let put_f64 w x = put_int64 w (Int64.bits_of_float x)
 
-let put_bool w b = put_u8 w (if b then 1 else 0)
-
 let put_name w s =
   put_i32 w (String.length s);
   Bytes.blit_string s 0 w.buf w.pos (String.length s);
   w.pos <- w.pos + String.length s
 
 let name_bytes s = 4 + String.length s
-
-let put_rng w (s : Rng.state) =
-  put_int64 w s.Rng.st;
-  put_f64 w s.Rng.sp;
-  put_bool w s.Rng.has_sp
 
 (* Bulk arrays: a run of [n] elements of [size] bytes is bounds-checked
    once, against the section and the bigarray's [dim], and then copied
@@ -196,17 +179,12 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     current_filter_passes = t.Simulation.current_filter_passes;
     absorber_thickness = t.Simulation.absorber_thickness;
     absorber_strength = t.Simulation.absorber_strength;
-    push_rng = Rng.state t.Simulation.push_rng;
-    migrate_rng =
-      Option.map Rng.state t.Simulation.coupler.Coupler.migrate_rng;
     block_id;
     nblocks;
     workers = (Simulation.pool t).Vpic_util.Pool.lanes }
 
-let meta_bytes m =
-  (* 12 ints, 7 grid floats + absorber_strength, 1 flag byte *)
-  (12 * 8) + (8 * 8) + 1 + rng_bytes
-  + (match m.migrate_rng with Some _ -> rng_bytes | None -> 0)
+(* 12 ints, 7 grid floats + absorber_strength *)
+let meta_bytes = (12 * 8) + (8 * 8)
 
 let put_meta w m =
   let g = m.grid in
@@ -217,12 +195,6 @@ let put_meta w m =
     [ m.sort_interval; m.clean_div_interval; m.marder_passes;
       m.current_filter_passes; m.absorber_thickness ];
   put_f64 w m.absorber_strength;
-  put_rng w m.push_rng;
-  (match m.migrate_rng with
-  | Some s ->
-      put_bool w true;
-      put_rng w s
-  | None -> put_bool w false);
   List.iter (put_i64 w) [ m.block_id; m.nblocks; m.workers ]
 
 let fields_bytes comps =
@@ -282,7 +254,7 @@ let encode ?(block_id = 0) ?(nblocks = 1) (t : Simulation.t) =
   let meta = snap_meta ~block_id ~nblocks t in
   let comps = Em_field.named_components t.Simulation.fields in
   let species = Simulation.species t in
-  let meta_len = meta_bytes meta
+  let meta_len = meta_bytes
   and fields_len = fields_bytes comps
   and species_len = species_bytes species in
   let total =
@@ -394,12 +366,6 @@ let need r n what =
     corrupt r.path "%s needs %d bytes, %d remain in the section" what n
       (r.lim - r.pos)
 
-let get_u8 r what =
-  need r 1 what;
-  let v = Char.code (Bytes.get r.buf r.pos) in
-  r.pos <- r.pos + 1;
-  v
-
 let get_i32 r what =
   need r 4 what;
   let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) in
@@ -420,12 +386,6 @@ let get_int r what =
 
 let get_f64 r what = Int64.float_of_bits (get_i64 r what)
 
-let get_bool r what =
-  match get_u8 r what with
-  | 0 -> false
-  | 1 -> true
-  | v -> corrupt r.path "%s flag byte %d" what v
-
 (* A count of items of [unit] bytes each that must all fit in what is
    left of the section. *)
 let get_count r ~get ~unit what =
@@ -440,12 +400,6 @@ let get_name r what =
   let s = Bytes.sub_string r.buf r.pos n in
   r.pos <- r.pos + n;
   s
-
-let get_rng r what =
-  let st = get_i64 r what in
-  let sp = get_f64 r what in
-  let has_sp = get_bool r what in
-  { Rng.st; sp; has_sp }
 
 let expect_end r what =
   if r.pos <> r.lim then
@@ -471,10 +425,6 @@ let get_meta r =
   let current_filter_passes = int "current_filter_passes" in
   let absorber_thickness = int "absorber_thickness" in
   let absorber_strength = flt "absorber_strength" in
-  let push_rng = get_rng r "push_rng" in
-  let migrate_rng =
-    if get_bool r "migrate_rng" then Some (get_rng r "migrate_rng") else None
-  in
   let block_id = int "block_id" in
   let nblocks = int "nblocks" in
   let workers = int "workers" in
@@ -505,8 +455,6 @@ let get_meta r =
     current_filter_passes;
     absorber_thickness;
     absorber_strength;
-    push_rng;
-    migrate_rng;
     block_id;
     nblocks;
     workers }
@@ -618,10 +566,6 @@ let decode_image ?expect_block ?perf ~coupler ~path data =
   t.Simulation.nstep <- meta.nstep;
   (* meta.workers is a provenance note only — the restoring driver owns
      the live team (Simulation.set_pool); do not resurrect it here. *)
-  Rng.set_state t.Simulation.push_rng meta.push_rng;
-  (match (coupler.Coupler.migrate_rng, meta.migrate_rng) with
-  | Some r, Some st -> Rng.set_state r st
-  | _ -> ());
   get_fields fields_r t;
   get_species species_r t;
   t

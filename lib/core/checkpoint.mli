@@ -1,12 +1,11 @@
 (** Durable checkpoint / restart.
 
     Serialises the full simulation state (step counter, every field
-    component, every species, both RNG streams) to a single file
-    (format v10): a magic, a format version and three sections (meta,
-    fields, species), each with its length and CRC-32.  The payloads are
-    an explicit little-endian encoding, not [Marshal]:
-    - meta: each field in turn — ints as int64, floats as IEEE-754 bits,
-      the RNG states field by field, options behind a presence byte;
+    component, every species) to a single file (format v11): a magic, a
+    format version and three sections (meta, fields, species), each with
+    its length and CRC-32.  The payloads are an explicit little-endian
+    encoding, not [Marshal]:
+    - meta: each field in turn — ints as int64, floats as IEEE-754 bits;
     - fields: per component a length-prefixed name, the voxel count and
       the float64 values, read straight from the field's bigarray;
     - species: per species its name, [q], [m] and [np], then the int32
@@ -20,10 +19,11 @@
     into the stores and fields of a fresh simulation, so a restart is
     bitwise identical.  Writes are atomic: the bytes land under a
     temporary name and are renamed into place, so a crash mid-save never
-    clobbers the previous checkpoint.  Both the push RNG and (in parallel
-    runs) the coupler's refluxing re-emission RNG are saved and restored
-    in place, so a resumed run is bitwise identical to an uninterrupted
-    one.
+    clobbers the previous checkpoint.  There is no generator state to
+    save: the step draws from no stream (refluxing re-emission is a pure
+    function of the crossing particle's bits, see {!Vpic_particle.Push}),
+    so a resumed run is bitwise identical to an uninterrupted one.  An
+    image of any other format version is a {!Version_mismatch}.
 
     Limitation (stated, not hidden): laser antennas are closures and are
     not saved — re-attach them after {!load}; the coupler is

@@ -23,7 +23,6 @@ type t = {
   reduce_max : float -> float;
   barrier : unit -> unit;
   comm_bytes : unit -> float;
-  migrate_rng : Vpic_util.Rng.t option;
   rank : int;
   nranks : int;
 }
@@ -46,7 +45,6 @@ let local bc =
     reduce_max = (fun x -> x);
     barrier = (fun () -> ());
     comm_bytes = (fun () -> 0.);
-    migrate_rng = None;
     rank = 0;
     nranks = 1 }
 
@@ -82,7 +80,6 @@ let parallel comm bc ~grid =
   let ems = memo1 (fun f -> only (Em_field.em_components f)) in
   let es = memo1 (fun f -> only (Em_field.e_components f)) in
   let js = memo1 (fun f -> only (Em_field.j_components f)) in
-  let migrate_rng = Vpic_util.Rng.of_int (0x5EED + rank) in
   let targets = Array.make nranks None in
   { bc;
     fill_em = (fun f -> fill (ems f));
@@ -103,8 +100,7 @@ let parallel comm bc ~grid =
         in
         targets.(rank) <-
           Some
-            { Migrate.id = rank; bc; species = s; fields = f; accum;
-              rng = Some migrate_rng; movers };
+            { Migrate.id = rank; bc; species = s; fields = f; accum; movers };
         ignore (Migrate.exchange ports ~targets));
     reduce_sum = (fun x -> Comm.allreduce_sum comm x);
     reduce_max = (fun x -> Comm.allreduce_max comm x);
@@ -113,7 +109,6 @@ let parallel comm bc ~grid =
       (fun () ->
         let f, fo, m = Exchange.byte_counts ports in
         f +. fo +. m);
-    migrate_rng = Some migrate_rng;
     rank;
     nranks }
 

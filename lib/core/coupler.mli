@@ -42,11 +42,6 @@ type t = {
   barrier : unit -> unit;
   comm_bytes : unit -> float;
       (** cumulative payload bytes this rank has posted (0 when serial) *)
-  migrate_rng : Vpic_util.Rng.t option;
-      (** the refluxing re-emission stream used while finishing migrated
-          movers ([None] when serial — serial refluxing goes through the
-          simulation's own stream).  Exposed so checkpoints can save and
-          restore its state: the closures above capture the same handle. *)
   rank : int;
   nranks : int;
 }

@@ -5,10 +5,12 @@
    [Simulation.t] whose coupler does no communication at all — the
    owned blocks step through [Simulation.step_world] under a world
    whose fills, folds, migration and reductions are fused across them
-   here.  Because a block's push RNG is salted by
-   its *block id* (its coupler "rank"), trajectories are independent of
-   which rank happens to step it, which is what lets the rebalancer
-   ship blocks mid-run without perturbing the physics. *)
+   here.  A block loads its particles from streams salted by its *block
+   id* (its coupler "rank") and its push draws from no stream at all
+   (reflux draws are a function of the crossing particle's bits), so
+   trajectories are independent of which rank happens to step it, which
+   is what lets the rebalancer ship blocks mid-run without perturbing
+   the physics. *)
 
 module Bc = Vpic_grid.Bc
 module Sf = Vpic_grid.Scalar_field
@@ -68,8 +70,8 @@ type t = {
 
 (* A block's coupler performs no communication: ghost traffic, mover
    routing and reductions all run in the driver, fused across blocks.
-   Its [rank] is the *block id*, making the push RNG salt — and thus
-   every trajectory — independent of block ownership. *)
+   Its [rank] is the *block id*, which the world routes by and which
+   does not change with ownership. *)
 let block_coupler layout ~global_bc ~id =
   let no_route what _ =
     failwith ("Multiblock: block coupler does not route " ^ what)
@@ -89,7 +91,6 @@ let block_coupler layout ~global_bc ~id =
     reduce_max = Fun.id;
     barrier = (fun () -> ());
     comm_bytes = (fun () -> 0.);
-    migrate_rng = Some (Vpic_util.Rng.of_int (0x5EED + id));
     rank = id;
     nranks = Block.count layout }
 
@@ -148,7 +149,6 @@ let migrate_blocks t pushes =
               species = s;
               fields = sim.Simulation.fields;
               accum = snd (Option.get sim.Simulation.interp_accum);
-              rng = sim.Simulation.coupler.Coupler.migrate_rng;
               movers = sc.Simulation.movers })
       pushes;
     ignore (Migrate.exchange t.ports ~targets)
@@ -427,10 +427,10 @@ let save_generation t ~dir ~gen ~keep =
 
 (* Collective (over the surviving ranks).  Discard every in-memory block,
    force the ownership table to [owner] (the adoption plan), and reload
-   this rank's share of generation [gen] from disk.  Because block push
-   RNGs are salted by block id, the reloaded world's trajectory is the
-   checkpointed trajectory regardless of which survivor adopted which
-   block. *)
+   this rank's share of generation [gen] from disk.  Because a block's
+   step does not depend on its owner, the reloaded world's trajectory is
+   the checkpointed trajectory regardless of which survivor adopted
+   which block. *)
 let rollback_to t ~dir ~gen ~owner =
   let nb = nblocks t in
   Array.fill t.blocks 0 nb None;

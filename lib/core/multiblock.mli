@@ -6,8 +6,10 @@
     here, fused across the owned blocks and routed by the block
     ownership table through {!Vpic_parallel.Exchange}.
 
-    A block's push RNG is salted by its block id (not its rank), so
-    trajectories are independent of ownership: the greedy rebalancer
+    A block's step does not depend on its owner (its particles load
+    from streams salted by its block id, and the push draws from no
+    stream), so trajectories are independent of ownership: the greedy
+    rebalancer
     ({!Vpic_parallel.Rebalance}) can ship whole blocks between ranks
     mid-run — over the checkpoint wire image — without perturbing the
     physics.  Every rank watches the same allreduced per-block push-cost
@@ -32,7 +34,8 @@ module Comm = Vpic_parallel.Comm
 type t
 
 (** The coupler every block simulation must be built with: its [rank]
-    is the block id (RNG salts are ownership-independent) and its
+    is the block id (the world routes by it; ownership never changes
+    it) and its
     fill/fold closures raise — the driver routes all traffic, filter
     passes included, for any block count. *)
 val block_coupler : Block.t -> global_bc:Bc.t -> id:int -> Coupler.t
@@ -153,7 +156,8 @@ val resume : t -> dir:string -> int option
     reloads this rank's share of generation [gen] from disk; worker
     teams and laser antennas are re-installed through the same
     [set_pool]/[reattach] hooks a rebalance arrival uses, and the step
-    counter rewinds to the restored simulations'.  Block-id-salted RNGs
-    make the resumed trajectory identical to an uninterrupted run from
-    that checkpoint, whoever adopted which block. *)
+    counter rewinds to the restored simulations'.  A block's step does
+    not depend on its owner, so the resumed trajectory is identical to
+    an uninterrupted run from that checkpoint, whoever adopted which
+    block. *)
 val rollback_to : t -> dir:string -> gen:int -> owner:int array -> unit

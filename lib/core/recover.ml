@@ -5,9 +5,9 @@
    failure-detector barrier), agree on the newest fully-valid checkpoint
    generation, re-plan block ownership over the shrunken rank set,
    adopt the dead ranks' blocks from their on-disk images, and resume
-   the step loop.  Because block push RNGs are salted by block id, the
-   recovered trajectory equals an uninterrupted run from that
-   checkpoint to round-off.
+   the step loop.  Because a block's step does not depend on its owner
+   (see [Multiblock]), the recovered trajectory equals an uninterrupted
+   run from that checkpoint to round-off.
 
    Agreement without broadcast.  Every decision is a pure function of
    data all survivors share:

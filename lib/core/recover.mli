@@ -20,8 +20,9 @@
       their per-block images; teams and lasers re-attach through the
       rebalance hooks), and resume the step loop.
 
-    Block-id-salted RNGs make the recovered trajectory match an
-    uninterrupted run from the same checkpoint to round-off.
+    A block's step does not depend on its owner, so the recovered
+    trajectory matches an uninterrupted run from the same checkpoint to
+    round-off.
 
     What is {e not} survivable: a rank's own death sentence (it must
     stand down), a world with no valid checkpoint generation, and — by

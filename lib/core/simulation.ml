@@ -84,7 +84,6 @@ type t = {
          current-accumulator blocks; always [Some] (read via [interp] and
          [accum]) *)
   smoothed : Em_field.t option;  (* gather copy when filtering *)
-  push_rng : Vpic_util.Rng.t;  (* refluxing-wall re-emission stream *)
   mutable nstep : int;
   mutable push_stats : Push.stats;
   mutable push_s : float;
@@ -128,7 +127,6 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     interp_accum = Some (Interpolator.create grid, Accumulator.create grid);
     smoothed =
       (if current_filter_passes > 0 then Some (Em_field.create grid) else None);
-    push_rng = Vpic_util.Rng.of_int (0x7EED1 + (31 * coupler.Coupler.rank));
     nstep = 0;
     push_stats = zero_stats;
     push_s = 0.;
@@ -247,7 +245,8 @@ let phase_load_boundary t =
 
 (* Boundary pass: the deferred shell particles, now that their gather
    stencils see fresh ghosts.  Only these can become movers.  Serial:
-   refluxing faces draw [push_rng] in particle order. *)
+   the shell scatters into the base accumulator, not the team's tile
+   slabs. *)
 let phase_push_boundary t species_scratch =
   let interp = interp t and accum = accum t in
   let width = width_of t.push_backend in
@@ -257,7 +256,7 @@ let phase_push_boundary t species_scratch =
     (fun (s, sc) ->
       let st =
         Push.advance ~perf:t.perf ~region:(`Deferred sc.defer)
-          ~movers:sc.movers ~interp ~accum ~rng:t.push_rng ~width
+          ~movers:sc.movers ~interp ~accum ~width
           ~work:sc.work s t.fields t.coupler.Coupler.bc
       in
       phase := add_stats !phase st)

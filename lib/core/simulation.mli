@@ -69,7 +69,6 @@ type t = {
           coefficient blocks and current-accumulator blocks, threaded
           through the push and migration each step.  Always [Some]. *)
   smoothed : Em_field.t option;
-  push_rng : Vpic_util.Rng.t;
   mutable nstep : int;
   mutable push_stats : Vpic_particle.Push.stats;
   mutable push_s : float;

@@ -308,9 +308,9 @@ let build_over ?comm ?pool ?push_backend ?(rebalance_interval = 10)
         max 1 (int_of_float (Float.round (float_of_int c.ppc *. tilt)))
       end
     in
-    (* Salted by block id, not rank: loading — like the push RNG the
-       coupler carries — must be independent of which rank builds or
-       later owns the block, or relocation would perturb the physics. *)
+    (* Salted by block id, not rank: loading must be independent of
+       which rank builds or later owns the block, or relocation would
+       perturb the physics. *)
     build_domain c ~matching ~perf ?push_backend ~grid ~coupler ~salt:id ~ppc
       ()
   in

@@ -92,7 +92,7 @@ val suggested_steps : config -> int
     The same deck split into [blocks] relocatable y-slabs stepped by a
     {!Vpic.Multiblock} driver — more blocks than ranks, so the greedy
     rebalancer can move load mid-run (pair with [y_skew] to create
-    some).  Per-block RNGs are salted by {e block id}, so results are
+    some).  Per-block loading RNGs are salted by {e block id}, so results are
     independent of the rank count and of any relocations; a
     [blocks = 1] serial build steps bitwise-identically to {!build}. *)
 

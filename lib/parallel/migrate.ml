@@ -13,7 +13,6 @@ type target = {
   species : Species.t;
   fields : Vpic_field.Em_field.t;
   accum : Vpic_particle.Accumulator.t;
-  rng : Vpic_util.Rng.t option;
   movers : Movers.t;
 }
 
@@ -36,22 +35,23 @@ let exchange ports ~(targets : target option array) =
   let stride = Movers.stride in
   let me = Exchange.my_rank ports in
   let open Bigarray.Array1 in
-  (* Finish [n] movers of [buf] that travelled along [axis] in direction
-     [dir] into block [d], after rebasing their axis cell to [d]'s grid:
-     toward lo they enter its last cell, toward hi its first. *)
-  let finish_into (d : target) ~axis ~dir buf n =
+  (* Finish the movers in the first [len] floats of [buf] that
+     travelled along [axis] in direction [dir] into block [d], after
+     rebasing their axis cell to [d]'s grid: toward lo they enter its
+     last cell, toward hi its first. *)
+  let finish_into (d : target) ~axis ~dir buf len =
+    let incoming = Movers.of_wire buf len in
     let ax = Axis.index axis in
     let cell =
       float_of_int (if dir = 0 then interior_extent d.species.Species.grid axis else 1)
     in
-    for idx = 0 to n - 1 do
+    for idx = 0 to incoming.Movers.n - 1 do
       unsafe_set buf ((idx * stride) + ax) cell
     done;
-    received := !received + n;
+    received := !received + incoming.Movers.n;
     let st, ab, _re =
-      Push.finish_movers ~movers_out:d.movers ~accum:d.accum ?rng:d.rng
-        ~work:(Exchange.mover_work ports) d.species d.fields d.bc
-        (Movers.of_wire buf n)
+      Push.finish_movers ~movers_out:d.movers ~accum:d.accum
+        ~work:(Exchange.mover_work ports) d.species d.fields d.bc incoming
     in
     settled := !settled + st;
     absorbed := !absorbed + ab
@@ -104,7 +104,7 @@ let exchange ports ~(targets : target option array) =
         sent := !sent + !nsend;
         if Exchange.owner_of ports nbr = me then begin
           match targets.(nbr) with
-          | Some d -> finish_into d ~axis ~dir stg !nsend
+          | Some d -> finish_into d ~axis ~dir stg (!nsend * stride)
           | None -> assert false
         end
         else
@@ -120,9 +120,7 @@ let exchange ports ~(targets : target option array) =
         let dir = match side with `Lo -> 1 | `Hi -> 0 in
         Comm.port_wait
           (Exchange.migrate_recv ports ~block:t.id ~axis ~dir)
-          ~f:(fun rbuf len ->
-            assert (len mod stride = 0);
-            finish_into t ~axis ~dir rbuf (len / stride))
+          ~f:(fun rbuf len -> finish_into t ~axis ~dir rbuf len)
     | _ -> ()
   in
   for _sweep = 1 to 3 do

@@ -32,16 +32,19 @@ type stats = {
 (** One species' state on one owned block; [bc] faces carry neighbour
     {e block} ids.  The finished movers' remaining deposition goes into
     [accum], the step's current accumulator (pass the one the pushes
-    used); [rng] is needed only when some face is [Refluxing]. *)
+    used).  A refluxing face's draws need no generator: they are a pure
+    function of the mover's bits and the wall (see {!Vpic_particle.Push}). *)
 type target = {
   id : int;
   bc : Vpic_grid.Bc.t;
   species : Vpic_particle.Species.t;
   fields : Vpic_field.Em_field.t;
   accum : Vpic_particle.Accumulator.t;
-  rng : Vpic_util.Rng.t option;
   movers : Vpic_particle.Push.Movers.t;  (** pending buffer, consumed *)
 }
 
-(** [targets] is indexed by block id ([Some] = owned on this rank). *)
+(** [targets] is indexed by block id ([Some] = owned on this rank).
+    An arriving batch that does not decode (a length that is not a whole
+    number of movers, or a mover outside its receiving block) raises
+    [Vpic_particle.Push.Movers.Corrupt] before any of it is finished. *)
 val exchange : Exchange.t -> targets:target option array -> stats

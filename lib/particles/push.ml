@@ -2,6 +2,7 @@ module Grid = Vpic_grid.Grid
 module Sf = Vpic_grid.Scalar_field
 module Bc = Vpic_grid.Bc
 module Perf = Vpic_util.Perf
+module Rng = Vpic_util.Rng
 
 let flops_per_push = 70.
 let flops_per_segment = 57.
@@ -46,11 +47,22 @@ module Movers = struct
   let count t = t.n
   let clear t = t.n <- 0
 
-  (* View [n] movers in a comm buffer in place (no copy; the view is only
-     read while the buffer is valid). *)
-  let of_wire buf n =
-    assert (n >= 0 && n * stride <= Bigarray.Array1.dim buf);
-    { buf; n }
+  exception Corrupt of { mover : int; reason : string }
+
+  let fields =
+    [| "cell i"; "cell j"; "cell k"; "fx"; "fy"; "fz"; "ux"; "uy"; "uz"; "w";
+       "rx"; "ry"; "rz" |]
+
+  let corrupt mover fmt =
+    Printf.ksprintf (fun reason -> raise (Corrupt { mover; reason })) fmt
+
+  (* View the movers in the first [len] floats of a comm buffer in place
+     (no copy; the view is only read while the buffer is valid). *)
+  let of_wire buf len =
+    if len < 0 || len > Bigarray.Array1.dim buf || len mod stride <> 0 then
+      corrupt (len / stride) "%d floats is not a whole number of %d-float movers"
+        len stride;
+    { buf; n = len / stride }
 
   let[@inline] push t ~cell ~wk ~u ~w =
     let open Bigarray.Array1 in
@@ -246,11 +258,12 @@ let face_action = function
    every set. *)
 type work = {
   mutable acc : Sf.data; (* the accumulator slots every segment scatters into *)
-  mutable rng : Vpic_util.Rng.t option; (* required for Refluxing faces *)
   mutable gx : int;
   mutable gy : int;
   actions : face_action array; (* indexed 2*axis + (1 if hi side) *)
   extents : int array;
+  origin : int array; (* the grid's low corner in global cells *)
+  mutable species_key : int; (* the species' part of a reflux draw's key *)
   s32 : Store.f32; (* 1-slot f32 rounding scratch ([round32]) *)
   fp : float array; (* qdt_2m, dt, inv_dx, inv_dy, inv_dz, kx, ky, kz *)
   cq : float array;
@@ -300,11 +313,12 @@ let no_data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 let create_work () =
   let lanes () = Array.make max_block_width 0. in
   { acc = no_data;
-    rng = None;
     gx = 0;
     gy = 0;
     actions = Array.make 6 Stop;
     extents = Array.make 3 0;
+    origin = Array.make 3 0;
+    species_key = 0;
     s32 = Store.f32_create 1;
     fp = Array.make 8 0.;
     cq = Array.make 3 0.;
@@ -345,12 +359,15 @@ end
 
 (* Point [w] at this call's species, boundaries and accumulator, and
    zero its counters and its run cache. *)
-let prepare w ?rng ~accum (s : Species.t) f bc =
+let prepare w ~accum (s : Species.t) f bc =
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
   assert (Accumulator.grid accum == g);
   w.acc <- Accumulator.data accum;
-  w.rng <- rng;
+  w.species_key <- Hashtbl.hash s.Species.name;
+  w.origin.(0) <- int_of_float (Float.round (g.Grid.x0 /. g.Grid.dx));
+  w.origin.(1) <- int_of_float (Float.round (g.Grid.y0 /. g.Grid.dy));
+  w.origin.(2) <- int_of_float (Float.round (g.Grid.z0 /. g.Grid.dz));
   w.gx <- g.Grid.gx;
   w.gy <- g.Grid.gy;
   w.actions.(0) <- face_action bc.Bc.xlo;
@@ -385,6 +402,42 @@ let fp_ky = 6
 let fp_kz = 7
 
 type walk_status = Settled | Absorbed | Outbound
+
+let reflux_salt = 0x7EF1_0C5EL
+
+(* The f32 bits of [x], as a key part. *)
+let f32_bits x = Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xFFFF_FFFFL
+
+(* Re-emit the particle walking in [w] from a thermal bath at the
+   refluxing face [face] (2*axis + hi) it has just reached: Rayleigh
+   inward normal, Maxwellian tangentials, the rest of the step
+   forfeited.  The draw is stateless (see push.mli): a key hashed from
+   a salt, the species, the wall's global cell and face and the f32
+   bits of the crossing's in-plane offsets and momenta.  Never inlined,
+   so [walk]'s fast path stays as it is. *)
+let[@inline never] reflux w ~face uth =
+  let cell = w.cell and wk = w.wk and u = w.u and o = w.origin in
+  let a = face / 2 and hi = face land 1 = 1 in
+  let b = (a + 1) mod 3 and c = (a + 2) mod 3 in
+  let mix h x = Rng.mix64 (Int64.logxor h x) in
+  let pair x y = Int64.logor (Int64.shift_left (f32_bits x) 32) (f32_bits y) in
+  let h = mix reflux_salt (Int64.of_int w.species_key) in
+  let h = mix h (Int64.of_int (cell.(0) + o.(0))) in
+  let h = mix h (Int64.of_int (cell.(1) + o.(1))) in
+  let h = mix h (Int64.of_int (cell.(2) + o.(2))) in
+  let h = mix h (Int64.of_int face) in
+  let h = mix h (pair wk.(b) wk.(c)) in
+  let h = mix h (pair u.(0) u.(1)) in
+  let key = mix h (f32_bits u.(2)) in
+  let rayleigh i = sqrt (-2. *. log (Float.max 1e-300 (Rng.uniform_at key i))) in
+  let r = uth *. rayleigh 1 and theta = 2. *. Float.pi *. Rng.uniform_at key 2 in
+  u.(a) <- (if hi then -.uth else uth) *. rayleigh 0;
+  u.(b) <- r *. cos theta;
+  u.(c) <- r *. sin theta;
+  wk.(a) <- (if hi then 1. else 0.);
+  wk.(3) <- 0.;
+  wk.(4) <- 0.;
+  wk.(5) <- 0.
 
 (* One axis's end of a walk segment that covers the fraction [sfrac] of
    the remaining displacement [r] from [x1a]: the crossing axis snaps to
@@ -487,29 +540,9 @@ let walk w =
           wk.(3 + a) <- -.wk.(3 + a);
           u.(a) <- -.u.(a);
           w.reflected <- w.reflected + 1
-      | Reflux uth -> begin
-          match w.rng with
-          | None ->
-              invalid_arg
-                "Push: refluxing face crossed without an rng (pass ~rng)"
-          | Some rng ->
-              (* Re-emit from a thermal bath at the wall: inward normal
-                 momentum is flux-weighted (Rayleigh), tangentials are
-                 Maxwellian; the rest of the step is forfeited (the wall
-                 swallowed the outgoing particle). *)
-              let inward = if hi then -1. else 1. in
-              let un =
-                inward *. uth
-                *. sqrt (-2. *. log (Float.max 1e-300 (Vpic_util.Rng.uniform rng)))
-              in
-              wk.(a) <- (if hi then 1. else 0.);
-              for b = 0 to 2 do
-                if b = a then u.(b) <- un
-                else u.(b) <- uth *. Vpic_util.Rng.normal rng;
-                wk.(3 + b) <- 0.
-              done;
-              w.refluxed <- w.refluxed + 1
-        end
+      | Reflux uth ->
+          reflux w ~face:cross uth;
+          w.refluxed <- w.refluxed + 1
       | Absorb -> status := Absorbed
     end
   done;
@@ -853,12 +886,12 @@ let charged_stats perf w =
     block_cleanup = w.block_cleanup }
 
 let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ~interp ~accum
-    ?rng ?(width = default_block_width) ?(region = `All) ?work
-    (s : Species.t) f bc =
+    ?(width = default_block_width) ?(region = `All) ?work (s : Species.t) f
+    bc =
   check_width width;
   assert (Interpolator.grid interp == s.Species.grid);
   let w = match work with Some w -> w | None -> create_work () in
-  prepare w ?rng ~accum s f bc;
+  prepare w ~accum s f bc;
   set_params w s;
   let np0 = Species.count s in
   let last =
@@ -939,7 +972,7 @@ let add_counters ~into w =
 (* The `Interior pass over [pool.tiles] contiguous particle chunks.
    Safe to fan out: an interior particle cannot reach a wall or a
    domain face (the shell is deferred before walking), so no tile
-   removes particles, consumes an RNG or needs a mover buffer; store
+   removes particles, reaches a wall or needs a mover buffer; store
    writes are disjoint per tile and each tile scatters currents into
    its private accumulator slab.  Determinism: the chunk decomposition
    is a function of the tile count alone and every merge below (defer
@@ -979,11 +1012,33 @@ let advance_team ?(perf = Perf.global) ~interp ~accum
   done;
   charged_stats perf w0
 
-let finish_movers ?(perf = Perf.global) ?movers_out ~accum ?rng ?work
+(* Refuse a damaged arriving batch before any of it is finished: each
+   mover's cell must be an interior cell (exact integers), its offsets
+   in [0, 1], its displacement within one cell (the Courant bound; a
+   longer walk would overrun [walk]'s crossing guard) and its momentum
+   and weight finite. *)
+let check_wire (g : Grid.t) (m : Movers.t) =
+  for idx = 0 to m.Movers.n - 1 do
+    for q = 0 to Movers.stride - 1 do
+      let x = Bigarray.Array1.unsafe_get m.Movers.buf ((idx * Movers.stride) + q) in
+      let ok =
+        if q < 3 then
+          let n = if q = 0 then g.Grid.nx else if q = 1 then g.Grid.ny else g.Grid.nz in
+          Float.is_integer x && x >= 1. && x <= float_of_int n
+        else if q < 6 then x >= 0. && x <= 1.
+        else if q < 10 then Float.is_finite x
+        else Float.abs x <= 1.
+      in
+      if not ok then Movers.corrupt idx "%s is %g, out of range" Movers.fields.(q) x
+    done
+  done
+
+let finish_movers ?(perf = Perf.global) ?movers_out ~accum ?work
     (s : Species.t) f bc (incoming : Movers.t) =
   let g = s.Species.grid in
+  check_wire g incoming;
   let w = match work with Some w -> w | None -> create_work () in
-  prepare w ?rng ~accum s f bc;
+  prepare w ~accum s f bc;
   let dt = g.Grid.dt in
   w.fp.(fp_kx) <- 1. /. (g.Grid.dy *. g.Grid.dz *. dt);
   w.fp.(fp_ky) <- 1. /. (g.Grid.dz *. g.Grid.dx *. dt);
@@ -997,7 +1052,6 @@ let finish_movers ?(perf = Perf.global) ?movers_out ~accum ?rng ?work
     cell.(0) <- int_of_float (unsafe_get b o);
     cell.(1) <- int_of_float (unsafe_get b (o + 1));
     cell.(2) <- int_of_float (unsafe_get b (o + 2));
-    assert (Grid.is_interior g cell.(0) cell.(1) cell.(2));
     wk.(0) <- unsafe_get b (o + 3);
     wk.(1) <- unsafe_get b (o + 4);
     wk.(2) <- unsafe_get b (o + 5);

@@ -17,8 +17,8 @@
     - [Conducting] faces reflect it (specularly);
     - [Absorbing] faces delete it (currents up to the wall are kept);
     - [Refluxing uth] faces re-emit it from a thermal bath at the wall
-      (flux-weighted normal momentum, Maxwellian tangentials; requires
-      [rng]); the remainder of the step is forfeited;
+      (flux-weighted normal momentum, Maxwellian tangentials); the
+      remainder of the step is forfeited;
     - [Domain] faces stop the walk {e at the face}: the particle becomes a
       mover — removed from the species, carrying its remaining
       displacement in a packed {!Movers} buffer — to be shipped by
@@ -33,7 +33,18 @@
     completes (the neighbour's finished movers deposit too).
 
     Stability: per-axis displacement must stay below one cell per step,
-    guaranteed by the Courant limit since |v| < c = 1. *)
+    guaranteed by the Courant limit since |v| < c = 1.
+
+    Reflux draws are stateless and order-free.  The re-emitted momentum
+    is a pure function of a key hashed (SplitMix64, {!Vpic_util.Rng.mix64})
+    from a fixed salt, the species name, the wall's {e global} cell (the
+    local cell plus the grid origin in cells) and face, and the f32 bits
+    of the crossing's two in-plane offsets and three momenta.  It does
+    not depend on particle order, on the pass, tile or team lane that
+    pushes the particle, on the block or rank that owns it, or on the
+    step; a push carries no generator and a checkpoint saves none.  The
+    contract: two particles with identical bits at the same wall get
+    the same draw. *)
 
 (** Analytic flop counts for the perf ledger. *)
 val flops_per_push : float
@@ -78,8 +89,14 @@ module Movers : sig
   val count : t -> int
   val clear : t -> unit
 
-  (** [of_wire buf n] views [n] movers at the start of a received port
-      buffer, in place: only valid while the buffer is. *)
+  (** A mover wire that cannot be decoded: [mover] is the index of the
+      offending mover (for a bad length, the number of whole movers). *)
+  exception Corrupt of { mover : int; reason : string }
+
+  (** [of_wire buf len] views the movers in the first [len] floats of a
+      received port buffer, in place: only valid while the buffer is.
+      Raises {!Corrupt} unless [len] is a whole number of movers within
+      [buf]. *)
   val of_wire : Store.f32 -> int -> t
 end
 
@@ -153,7 +170,6 @@ val advance :
   ?movers:Movers.t ->
   interp:Interpolator.t ->
   accum:Accumulator.t ->
-  ?rng:Vpic_util.Rng.t ->
   ?width:int ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
   ?work:Work.t ->
@@ -174,8 +190,8 @@ val advance :
     gather/rotate/advance/deposit passes with a branch-free
     cell-crossing mask; flagged lanes fall out to the face-crossing
     walk.  Every region runs it — the [`Deferred] pass over each
-    recorded range.  Results (store, currents, movers, RNG draws) are
-    bitwise invariant in [width]; only speed differs.
+    recorded range.  Results (store, currents, movers, reflux draws)
+    are bitwise invariant in [width]; only speed differs.
     [stats.block_lanes]/[stats.block_cleanup] report its fused-lane and
     walk-cleanup counts.  [work] is the call's workspace (by default a
     fresh one); calls that may run concurrently need distinct ones. *)
@@ -198,8 +214,8 @@ end
     [perf] charge, so the result — defer order included — is bitwise
     invariant in the worker count at a fixed tile count, and the call
     allocates nothing per tile.  The interior region never deletes
-    particles, creates movers or reaches a refluxing wall, which is
-    what makes the fan-out safe (and why it takes no [rng]).  The
+    particles, creates movers or reaches a wall, which is what makes
+    the fan-out safe.  The
     caller must run {!Accumulator.reduce} on [accum] before unloading
     it.  A 1-tile pool takes the same driver: its one slab is [accum]
     itself, so it deposits in particle order, exactly as
@@ -221,12 +237,16 @@ val advance_team :
     indices already rebased to this rank, interior at the entry face).
     Settled particles are appended to the species; movers that stop at a
     further domain face go to [movers_out]; absorbed ones are dropped.
-    Returns (settled, absorbed, re-emitted). *)
+    Returns (settled, absorbed, re-emitted).
+
+    The batch is checked before any mover is finished: raises
+    {!Movers.Corrupt} on a cell that is not an interior cell of this
+    grid (or not an exact integer), an offset outside [0, 1], a
+    displacement beyond one cell, or a non-finite momentum or weight. *)
 val finish_movers :
   ?perf:Vpic_util.Perf.counters ->
   ?movers_out:Movers.t ->
   accum:Accumulator.t ->
-  ?rng:Vpic_util.Rng.t ->
   ?work:Work.t ->
   Species.t ->
   Vpic_field.Em_field.t ->

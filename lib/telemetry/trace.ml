@@ -1,4 +1,5 @@
 module Perf = Vpic_util.Perf
+module Json = Vpic_util.Json
 
 (* ------------------------------------------------------ name intern ---- *)
 
@@ -239,27 +240,34 @@ let tid e = if e.worker = 0 then e.rank else e.rank + (e.worker * 4096)
 let earliest es =
   List.fold_left (fun acc e -> Float.min acc e.t0) Float.infinity es
 
+let num_i i = Json.Num (float_of_int i)
+let put_json oc v = output_string oc (Json.to_string v)
+
+(* Streamed one event at a time, so exporting a full ring never holds
+   more than one event's tree. *)
 let export_chrome oc =
   let es = entries () in
   let t_min = match es with [] -> 0. | _ -> earliest es in
   output_string oc "{\"traceEvents\":[";
   List.iteri
     (fun i e ->
-      if i > 0 then output_char oc ',';
-      Printf.fprintf oc
-        "\n{\"name\":%s,\"cat\":\"vpic\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-        (Vpic_util.Json.quote e.name)
-        ((e.t0 -. t_min) *. 1e6)
-        ((e.t1 -. e.t0) *. 1e6)
-        (tid e))
+      output_string oc (if i > 0 then ",\n" else "\n");
+      put_json oc
+        (Json.Obj
+           [ ("name", Json.Str e.name); ("cat", Json.Str "vpic"); ("ph", Json.Str "X");
+             ("ts", Json.Num ((e.t0 -. t_min) *. 1e6));
+             ("dur", Json.Num ((e.t1 -. e.t0) *. 1e6));
+             ("pid", num_i 0); ("tid", num_i (tid e)) ]))
     es;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 let export_jsonl oc =
   List.iter
     (fun e ->
-      Printf.fprintf oc
-        "{\"rank\":%d,\"worker\":%d,\"name\":%s,\"t0\":%.9f,\"t1\":%.9f,\"dur\":%.9f,\"depth\":%d}\n"
-        e.rank e.worker (Vpic_util.Json.quote e.name) e.t0 e.t1
-        (e.t1 -. e.t0) e.depth)
+      put_json oc
+        (Json.Obj
+           [ ("rank", num_i e.rank); ("worker", num_i e.worker); ("name", Json.Str e.name);
+             ("t0", Json.Num e.t0); ("t1", Json.Num e.t1);
+             ("dur", Json.Num (e.t1 -. e.t0)); ("depth", num_i e.depth) ]);
+      output_char oc '\n')
     (entries ())

@@ -22,13 +22,6 @@ let escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  escape_into buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* Integral values print as integers (53-bit exact), everything else in
    round-trippable %.17g; non-finite renders as null so the output is
    always parseable JSON. *)

@@ -1,10 +1,10 @@
 (** Minimal JSON (RFC 8259): a value type, a strict parser and a
     printer.
 
-    Built for the campaign service's durable artifacts — job files,
-    result rows, status documents — where hand-rolled [Printf] emission
-    (the telemetry idiom) is fine for writing but reading requires a
-    real parser.  Numbers are [float] throughout (like JavaScript);
+    Every JSON document the project writes or reads goes through it:
+    the campaign service's durable artifacts (job files, result rows,
+    status documents) and the telemetry exports.  Numbers are [float]
+    throughout (like JavaScript);
     integers survive a round-trip exactly up to 2^53.  The printer
     renders integral numbers without an exponent or decimal point, and
     non-finite numbers as [null], so emitted documents are always valid
@@ -38,6 +38,3 @@ val to_float_opt : t -> float option
 val to_int_opt : t -> int option
 val to_string_opt : t -> string option
 val to_list : t -> t list
-
-(** Escaped-and-quoted rendering of a bare string. *)
-val quote : string -> string

@@ -25,6 +25,12 @@ let uniform t =
   let b = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float b *. 0x1.0p-53
 
+(* What [uniform] returns on the [i+1]th draw of [create key], without
+   the stream. *)
+let uniform_at key i =
+  let z = mix64 (Int64.add key (Int64.mul (Int64.of_int (i + 1)) golden_gamma)) in
+  Int64.to_float (Int64.shift_right_logical z 11) *. 0x1.0p-53
+
 let uniform_in t a b = a +. ((b -. a) *. uniform t)
 
 let int t n =
@@ -52,24 +58,6 @@ let normal t =
     t.has_spare <- true;
     r *. cos theta
   end
-
-let gaussian t ~mean ~sigma = mean +. (sigma *. normal t)
-
-let exponential t =
-  let u = ref (uniform t) in
-  while !u <= 1e-300 do
-    u := uniform t
-  done;
-  -.log !u
-
-type state = { st : int64; sp : float; has_sp : bool }
-
-let state t = { st = t.state; sp = t.spare; has_sp = t.has_spare }
-
-let set_state t s =
-  t.state <- s.st;
-  t.spare <- s.sp;
-  t.has_spare <- s.has_sp
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -16,9 +16,6 @@ val of_int : int -> t
 (** Derive an independent stream; deterministic in [t]'s state and [i]. *)
 val split : t -> int -> t
 
-(** Next raw 64 bits. *)
-val bits64 : t -> int64
-
 (** Uniform float in [0, 1). *)
 val uniform : t -> float
 
@@ -31,24 +28,18 @@ val int : t -> int -> int
 (** Standard normal deviate (Box–Muller, cached spare). *)
 val normal : t -> float
 
-(** Normal with given mean and standard deviation. *)
-val gaussian : t -> mean:float -> sigma:float -> float
-
-(** Exponential deviate with unit mean. *)
-val exponential : t -> float
-
 (** Fisher–Yates shuffle of an array, in place. *)
 val shuffle : t -> 'a array -> unit
 
-(** {1 Stream state} (checkpoint/restart)
+(** {1 Stateless draws}
 
-    The full generator state — including the cached Box–Muller spare, so
-    a restored stream replays bitwise even mid-pair. *)
+    Counter-based, as in Random123: a draw is a pure function of a key,
+    so it does not depend on the order in which draws are made. *)
 
-type state = { st : int64; sp : float; has_sp : bool }
+(** The SplitMix64 finaliser: a bijective 64-bit mix.  Hash a key by
+    folding its parts through it. *)
+val mix64 : int64 -> int64
 
-val state : t -> state
-
-(** Overwrite [t]'s state in place (the handle keeps its identity, so
-    closures capturing it see the restored stream). *)
-val set_state : t -> state -> unit
+(** [uniform_at key i] is a uniform float in [0, 1): the [i]th draw
+    ([i >= 0]) of the stream [create key], without the stream. *)
+val uniform_at : int64 -> int -> float

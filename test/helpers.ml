@@ -37,13 +37,13 @@ let loaded_interp (f : Em_field.t) =
 (* [Push.advance] gathering through an interpolator freshly loaded from
    [f] — the push every simulation runs.  Without [accum] it scatters
    into a fresh accumulator and unloads it into [f]'s J meshes. *)
-let push ?movers ?rng ?accum s f bc =
+let push ?movers ?accum s f bc =
   let interp = loaded_interp f in
   match accum with
-  | Some accum -> Push.advance ?movers ?rng ~interp ~accum s f bc
+  | Some accum -> Push.advance ?movers ~interp ~accum s f bc
   | None ->
       let accum = Accumulator.create f.Em_field.grid in
-      let st = Push.advance ?movers ?rng ~interp ~accum s f bc in
+      let st = Push.advance ?movers ~interp ~accum s f bc in
       Accumulator.unload accum f;
       st
 

@@ -228,8 +228,8 @@ let stepped_energies ?comm ?filter ?rebalance_threshold ?cost_model ~blocks
   (List.rev !out, Multiblock.total_particles mb, migrations)
 
 (* The same 4-block world on 1 rank and on 2, unfiltered and with one
-   binomial filter pass: block-id-salted RNGs make the physics
-   rank-count independent — sibling faces quantize through the same f32
+   binomial filter pass: a block's step does not depend on its owner,
+   so the physics is rank-count independent — sibling faces quantize through the same f32
    scratch the cross-rank wire uses, and the filter passes fill through
    the same world, so only f64 reduction order distinguishes the two
    placements. *)
@@ -275,7 +275,7 @@ let test_forced_rebalance_parity () =
 (* Both routings of one decomposition: 2 blocks on one rank through the
    fused block ports, and the same 2 slabs as 2 classic ranks through
    [Coupler.parallel].  Sibling faces cross the same f32 wire and the
-   RNGs share their salts, but a sibling's movers finish straight into
+   loading salts agree, but a sibling's movers finish straight into
    its neighbour in ship order, while wire arrivals finish lo face
    first: particle order, and so summation order, differs at the last
    bit.  The energies agree to round-off, not bitwise. *)

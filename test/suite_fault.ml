@@ -1,6 +1,7 @@
 (* Fault-tolerance suite: CRC integrity, durable generations with
-   corruption fallback, bitwise resume (including the refluxing RNG
-   stream), fault injection and the health sentinel. *)
+   corruption fallback, bitwise resume (refluxing walls included),
+   decoder fuzz (checkpoint images and the mover wire), fault injection
+   and the health sentinel. *)
 
 open Helpers
 module Simulation = Vpic.Simulation
@@ -327,6 +328,83 @@ let test_decoder_fuzz () =
   check_true "current filter with the Marder clean decodes"
     (decodes [ filter_passes 1 ])
 
+(* ------------------------------------------------------- mover wire fuzz ---- *)
+
+(* A mover batch as it arrives: the movers a push stopped at the six
+   domain faces of a 6-cell block, each ghost cell rebased into the
+   block as a periodic neighbour would (ghost 0 -> n, ghost n+1 -> 1). *)
+let arriving_movers () =
+  let g = small_grid ~n:6 ~l:3. () in
+  let domain = Bc.Domain 0 in
+  let bc =
+    { Bc.xlo = domain; xhi = domain; ylo = domain; yhi = domain;
+      zlo = domain; zhi = domain }
+  in
+  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  ignore (Loader.maxwellian (Rng.of_int 3) s ~ppc:4 ~uth:0.4 ());
+  let movers = Push.Movers.create () in
+  ignore (push ~movers s (Em_field.create g) bc);
+  let n = Push.Movers.count movers in
+  let wire = Bigarray.Array1.sub movers.Push.Movers.buf 0 (n * Push.Movers.stride) in
+  for m = 0 to n - 1 do
+    for q = 0 to 2 do
+      let o = (m * Push.Movers.stride) + q in
+      let c = int_of_float wire.{o} in
+      if c = 0 then wire.{o} <- 6. else if c = 7 then wire.{o} <- 1.
+    done
+  done;
+  (g, wire)
+
+(* Only [Push.Movers.Corrupt] may escape the mover decoder; anything
+   else propagates and fails the test.  [true] = rejected. *)
+let mover_rejected g wire len =
+  let bc = { Bc.periodic with Bc.ylo = Bc.Refluxing 0.1; zhi = Bc.Absorbing } in
+  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  match
+    Push.finish_movers ~movers_out:(Push.Movers.create ())
+      ~accum:(Accumulator.create g) s (Em_field.create g) bc
+      (Push.Movers.of_wire wire len)
+  with
+  | _ -> false
+  | exception Push.Movers.Corrupt _ -> true
+
+let test_mover_wire_fuzz () =
+  let g, wire = arriving_movers () in
+  let len = Bigarray.Array1.dim wire and stride = Push.Movers.stride in
+  check_true "a batch arrived" (len >= 8 * stride);
+  check_true "the pristine batch finishes" (not (mover_rejected g wire len));
+  (* truncations: a whole number of movers decodes, any other length is
+     refused, and so is a length past the buffer *)
+  for cut = 0 to len do
+    let short = Bigarray.Array1.sub wire 0 cut in
+    Alcotest.(check bool)
+      (Printf.sprintf "truncated to %d floats" cut)
+      (cut mod stride <> 0) (mover_rejected g short cut)
+  done;
+  check_true "a length past the buffer is refused"
+    (mover_rejected g wire (len + stride));
+  (* single-bit flips: every bit of the first three movers and a seeded
+     sample of the rest; each batch finishes or is refused *)
+  let rng = Rng.of_int 12 in
+  let bits =
+    List.init (3 * stride * 32) Fun.id
+    @ List.init 400 (fun _ -> Rng.int rng (32 * len))
+  in
+  let accepted = ref 0 and refused = ref 0 in
+  List.iter
+    (fun bit ->
+      let img = Store.f32_create len in
+      Bigarray.Array1.blit wire img;
+      let o = bit / 32 in
+      img.{o} <-
+        Int32.float_of_bits
+          (Int32.logxor (Int32.bits_of_float img.{o})
+             (Int32.shift_left 1l (bit mod 32)));
+      if mover_rejected g img len then incr refused else incr accepted)
+    bits;
+  check_true "some flips still decode" (!accepted > 0);
+  check_true "some flips are refused" (!refused > 0)
+
 let test_v7_header_is_version_mismatch () =
   let image = srs_image () in
   let previous = Checkpoint.format_version - 1 in
@@ -396,9 +474,9 @@ let test_fallback_and_resume_equivalence () =
       | _ -> Alcotest.fail "expected fallback to generation 10")
 
 let test_refluxing_rng_resumes_bitwise () =
-  (* Refluxing walls draw from the push RNG on re-emission; a resumed
-     run only matches bitwise if the stream state round-trips (the old
-     format restarted it from the seed). *)
+  (* Refluxing walls re-emit with a draw that is a pure function of the
+     crossing particle's bits; a resumed run matches bitwise with no
+     generator state in the image. *)
   let bc =
     Bc.with_face
       (Bc.with_face Bc.periodic Axis.X `Lo (Bc.Refluxing 0.08))
@@ -926,4 +1004,5 @@ let suite =
                resume bitwise"
       test_four_blocks_two_ranks_resume_bitwise;
     slow_case "fault: sentinel on a 2-rank world aborts both ranks"
-      test_sentinel_two_rank_world_aborts_both ]
+      test_sentinel_two_rank_world_aborts_both;
+    case "fault: mover wire fuzz raises only typed errors" test_mover_wire_fuzz ]

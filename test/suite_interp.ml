@@ -284,8 +284,8 @@ let test_occupancy () =
 
 (* [`Interior d] then [`Deferred d] on one population against a single
    [`All] push of a copy: the shell pass replays the recorded index
-   ranges through the same block kernel, so stores, movers and RNG draws
-   match bit for bit and the stats sum to the fused ones.  Only the
+   ranges through the same block kernel, so stores, movers and reflux
+   draws match bit for bit and the stats sum to the fused ones.  Only the
    accumulator's per-slot addition order differs (interior crossers into
    shell voxels land before the shell's own particles), hence [close]. *)
 let check_split_equals_fused ~label ?(steps = 3) ?(movers = false)
@@ -294,7 +294,6 @@ let check_split_equals_fused ~label ?(steps = 3) ?(movers = false)
   let interp = loaded_interp f in
   let sa = make_species () and sb = make_species () in
   let aa = Accumulator.create g and ab = Accumulator.create g in
-  let ra = Rng.of_int 41 and rb = Rng.of_int 41 in
   let ma = Push.Movers.create () and mb = Push.Movers.create () in
   let movers_of m = if movers then Some m else None in
   let defer = Push.Defer.create ~capacity:defer_capacity () in
@@ -304,15 +303,15 @@ let check_split_equals_fused ~label ?(steps = 3) ?(movers = false)
     Push.Movers.clear ma;
     Push.Movers.clear mb;
     let fused =
-      Push.advance ?movers:(movers_of ma) ~rng:ra ~interp ~accum:aa sa f bc
+      Push.advance ?movers:(movers_of ma) ~interp ~accum:aa sa f bc
     in
     Push.Defer.clear defer;
     let inner =
-      Push.advance ?movers:(movers_of mb) ~rng:rb ~interp ~accum:ab
+      Push.advance ?movers:(movers_of mb) ~interp ~accum:ab
         ~region:(`Interior defer) sb f bc
     in
     let shell =
-      Push.advance ?movers:(movers_of mb) ~rng:rb ~interp ~accum:ab
+      Push.advance ?movers:(movers_of mb) ~interp ~accum:ab
         ~region:(`Deferred defer) sb f bc
     in
     check_true (label ^ ": interior pass deletes nothing")
@@ -335,8 +334,6 @@ let check_split_equals_fused ~label ?(steps = 3) ?(movers = false)
     done;
     total := Push.sum_stats !total fused
   done;
-  check_true (label ^ ": reflux draws agree")
-    (Rng.uniform ra = Rng.uniform rb);
   let da = Accumulator.data aa and db = Accumulator.data ab in
   for q = 0 to Bigarray.Array1.dim da - 1 do
     check_close (Printf.sprintf "%s: accumulator slot %d" label q)
@@ -451,6 +448,167 @@ let test_movers_growth () =
     Alcotest.(check int) "stopped in hi-x ghost" (g.Grid.nx + 1) gi
   done
 
+(* --- Reflux draws: stateless, so order-free ----------------------------- *)
+
+(* Both x walls reflux and y, z are periodic: no particle is ever removed,
+   so every particle keeps its store index through a push. *)
+let reflux_bc =
+  Bc.with_face
+    (Bc.with_face Bc.periodic Axis.X `Lo (Bc.Refluxing 0.1))
+    Axis.X `Hi (Bc.Refluxing 0.1)
+
+(* Heads into the hi-x wall this step (6-cell grid, 0.34-cell move). *)
+let reflux_probe : Particle.t =
+  { i = 6; j = 3; k = 2; fx = 0.97; fy = 0.31; fz = 0.77; ux = 0.8;
+    uy = -0.2; uz = 0.1; w = 0.25 }
+
+(* Particle [n]'s stored voxel and the bits of its seven f32 fields. *)
+let particle_bits (s : Species.t) n =
+  let st = s.Species.store in
+  let open Bigarray.Array1 in
+  Int32.to_int (get st.Store.voxel n)
+  :: List.map
+       (fun (a : Store.f32) -> Int32.to_int (Int32.bits_of_float (get a n)))
+       Store.[ st.fx; st.fy; st.fz; st.ux; st.uy; st.uz; st.w ]
+
+(* 999 thermal particles (many of them refluxing too) and the probe, in
+   an order shuffled by [seed]; returns the probe's index. *)
+let shuffled_crowd s ~seed =
+  let g = s.Species.grid in
+  let rng = Rng.of_int seed in
+  let crowd =
+    Array.init 1000 (fun m ->
+        if m = 0 then reflux_probe
+        else
+          { Particle.i = 1 + Rng.int rng g.Grid.nx;
+            j = 1 + Rng.int rng g.Grid.ny;
+            k = 1 + Rng.int rng g.Grid.nz;
+            fx = Rng.uniform rng;
+            fy = Rng.uniform rng;
+            fz = Rng.uniform rng;
+            ux = 0.4 *. Rng.normal rng;
+            uy = 0.4 *. Rng.normal rng;
+            uz = 0.4 *. Rng.normal rng;
+            w = 0.25 })
+  in
+  Rng.shuffle rng crowd;
+  Array.iter (Species.append s) crowd;
+  let at = ref (-1) in
+  Array.iteri (fun n p -> if p == reflux_probe then at := n) crowd;
+  !at
+
+(* A refluxed particle's new momentum is a function of its own crossing
+   alone: pushed alone, at any index of a shuffled crowd, through the
+   fused or the split push, or after a checkpoint round-trip of the
+   crowd, the probe lands on the same bits. *)
+let test_reflux_draw_is_order_free () =
+  let module Checkpoint = Vpic.Checkpoint in
+  let g = small_grid ~n:6 ~l:3. () in
+  let sim = Simulation.make ~grid:g ~coupler:(Coupler.local reflux_bc) () in
+  let f = sim.Simulation.fields in
+  let rng = Rng.of_int 5 in
+  List.iter
+    (fun sf -> Sf.map_inplace sf (fun _ -> 0.1 *. (Rng.uniform rng -. 0.5)))
+    (Em_field.em_components f);
+  Boundary.fill_em reflux_bc f;
+  let interp = loaded_interp f in
+  let fresh () = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  let alone = fresh () in
+  Species.append alone reflux_probe;
+  let st =
+    Push.advance ~interp ~accum:(Accumulator.create g) alone f reflux_bc
+  in
+  Alcotest.(check int) "the probe refluxes" 1 st.Push.refluxed;
+  check_true "re-emitted inward" ((Species.get alone 0).Particle.ux < 0.);
+  let expected = particle_bits alone 0 in
+  let same label s n =
+    Alcotest.(check (list int)) label expected (particle_bits s n)
+  in
+  List.iter
+    (fun seed ->
+      let fused = fresh () in
+      let at = shuffled_crowd fused ~seed in
+      let st =
+        Push.advance ~interp ~accum:(Accumulator.create g) fused f reflux_bc
+      in
+      check_true "the crowd refluxes too" (st.Push.refluxed > 1);
+      same (Printf.sprintf "fused push, probe at %d" at) fused at;
+      let split = fresh () in
+      ignore (shuffled_crowd split ~seed);
+      let accum = Accumulator.create g and defer = Push.Defer.create () in
+      List.iter
+        (fun region ->
+          ignore (Push.advance ~interp ~accum ~region split f reflux_bc))
+        [ `Interior defer; `Deferred defer ];
+      same (Printf.sprintf "split push, probe at %d" at) split at)
+    [ 1; 2; 3; 4 ];
+  let at = shuffled_crowd (Simulation.add_species sim ~name:"e" ~q:(-1.) ~m:1.) ~seed:9 in
+  let r =
+    Checkpoint.decode ~coupler:(Coupler.local reflux_bc) (Checkpoint.encode sim)
+  in
+  let rf = r.Simulation.fields in
+  let restored = List.hd (Simulation.species r) in
+  ignore
+    (Push.advance ~interp:(loaded_interp rf)
+       ~accum:(Accumulator.create r.Simulation.grid) restored rf reflux_bc);
+  same (Printf.sprintf "after a checkpoint round-trip, probe at %d" at)
+    restored at
+
+(* The same crossing finished by [Push.finish_movers] on the receiving
+   block draws the same, whatever ids the blocks carry: block A (x in
+   [0, 2)) ships the probe to block B (x in [2, 4)), where it crosses
+   B's refluxing hi-y wall. *)
+let test_mover_reflux_draw_ignores_block_id () =
+  let module Exchange = Vpic_parallel.Exchange in
+  let module Migrate = Vpic_parallel.Migrate in
+  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
+  let grid x0 = Grid.make ~nx:4 ~ny:4 ~nz:4 ~lx:2. ~ly:2. ~lz:2. ~dt ~x0 () in
+  let walls = { Bc.periodic with Bc.ylo = Bc.Refluxing 0.1; yhi = Bc.Refluxing 0.1 } in
+  let draw ~nblocks ~a ~b =
+    let target id g bc =
+      let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+      { Migrate.id; bc; species = s; fields = Em_field.create g;
+        accum = Accumulator.create g; movers = Push.Movers.create () }
+    in
+    let ta =
+      target a (grid 0.)
+        { walls with Bc.xlo = Bc.Absorbing; xhi = Bc.Domain b }
+    and tb =
+      target b (grid 2.)
+        { walls with Bc.xlo = Bc.Domain a; xhi = Bc.Absorbing }
+    in
+    (* crosses x first (0.005 from the face, against 0.01 in y), so it
+       reaches B's y wall while B finishes its move *)
+    Species.append ta.Migrate.species
+      { i = 4; j = 4; k = 2; fx = 0.995; fy = 0.99; fz = 0.5; ux = 0.7;
+        uy = 0.7; uz = 0.; w = 1. };
+    let st =
+      Push.advance ~movers:ta.Migrate.movers
+        ~interp:(loaded_interp ta.Migrate.fields) ~accum:ta.Migrate.accum
+        ta.Migrate.species ta.Migrate.fields ta.Migrate.bc
+    in
+    Alcotest.(check int) "the probe leaves A" 1 st.Push.outbound;
+    let targets = Array.make nblocks None in
+    targets.(a) <- Some ta;
+    targets.(b) <- Some tb;
+    let ports =
+      Exchange.create ~nblocks ~owner:(Array.make nblocks 0)
+        ~plane:(fun _ _ -> 0) ()
+    in
+    let mig = Migrate.exchange ports ~targets in
+    Alcotest.(check int) "settled in B" 1 mig.Migrate.settled;
+    let s = tb.Migrate.species in
+    check_true "re-emitted from B's hi-y wall" ((Species.get s 0).Particle.uy < 0.);
+    particle_bits s 0
+  in
+  let expected = draw ~nblocks:2 ~a:0 ~b:1 in
+  List.iter
+    (fun (nblocks, a, b) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "A = block %d, B = block %d of %d" a b nblocks)
+        expected (draw ~nblocks ~a ~b))
+    [ (2, 1, 0); (3, 0, 2); (3, 2, 1) ]
+
 let suite =
   [ case "interpolator matches direct gather at staggered midpoints"
       test_gather_matches_direct_at_midpoints;
@@ -466,4 +624,7 @@ let suite =
     case "defer list grows over an unsorted population"
       test_defer_grows_over_unsorted;
     case "movers grow from capacity 1 without losing payload"
-      test_movers_growth ]
+      test_movers_growth;
+    case "push: a reflux draw is order-free" test_reflux_draw_is_order_free;
+    case "push: a finished mover's reflux draw ignores the block ids"
+      test_mover_reflux_draw_ignores_block_id ]

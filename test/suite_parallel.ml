@@ -349,8 +349,8 @@ let test_migration_conserves () =
         let targets = Array.make 2 None in
         targets.(rank) <-
           Some
-            { Migrate.id = rank; bc; species = s; fields = f; accum = Accumulator.create grid;
-              rng = None; movers };
+            { Migrate.id = rank; bc; species = s; fields = f;
+              accum = Accumulator.create grid; movers };
         let mig = Migrate.exchange ports ~targets in
         let all_interior = ref true in
         Species.iter s (fun n ->

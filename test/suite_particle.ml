@@ -318,8 +318,7 @@ let test_mover_reflux () =
   let bc = Bc.with_face Bc.periodic Axis.X `Hi (Bc.Refluxing uth) in
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
   Species.append s p;
-  let rng = Rng.of_int 99 in
-  let stats = push ~rng s f bc in
+  let stats = push s f bc in
   Alcotest.(check int) "refluxed once" 1 stats.Push.refluxed;
   Alcotest.(check int) "not absorbed" 0 stats.Push.absorbed;
   Alcotest.(check int) "kept" 1 (Species.count s);
@@ -329,37 +328,26 @@ let test_mover_reflux () =
   check_true "thermal speed scale" (Float.abs q.Particle.ux < 10. *. uth);
   check_true "at the wall" (q.Particle.fx > 0.99)
 
-let test_mover_reflux_needs_rng () =
-  let p : Particle.t =
-    { i = 8; j = 4; k = 4; fx = 0.99; fy = 0.5; fz = 0.5;
-      ux = 1.0; uy = 0.; uz = 0.; w = 1. }
-  in
-  let g = small_grid () in
-  let f = Em_field.create g in
-  let bc = Bc.with_face Bc.periodic Axis.X `Hi (Bc.Refluxing 0.05) in
-  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
-  Species.append s p;
-  check_true "raises without rng"
-    (try
-       ignore (push s f bc);
-       false
-     with Invalid_argument _ -> true)
-
 let test_mover_reflux_bath_statistics () =
   (* Many refluxed particles: inward-normal flux distribution has
-     <|u_n|> = uth sqrt(pi/2); tangential mean 0 with spread uth. *)
+     <|u_n|> = uth sqrt(pi/2); tangential mean 0 with spread uth.  A
+     reflux draw is a function of the crossing's bits, so the particles
+     get distinct in-plane offsets: identical ones in a cell would share
+     one draw. *)
   let g = small_grid () in
   let f = Em_field.create g in
   let uth = 0.05 in
   let bc = Bc.with_face Bc.periodic Axis.X `Hi (Bc.Refluxing uth) in
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  let rng = Rng.of_int 7 in
   for n = 0 to 4999 do
+    let fy = Rng.uniform rng in
+    let fz = Rng.uniform rng in
     Species.append s
       { i = 8; j = 1 + (n mod 8); k = 1 + (n / 8 mod 8); fx = 0.99;
-        fy = 0.5; fz = 0.5; ux = 0.9; uy = 0.; uz = 0.; w = 1. }
+        fy; fz; ux = 0.9; uy = 0.; uz = 0.; w = 1. }
   done;
-  let rng = Rng.of_int 7 in
-  let stats = push ~rng s f bc in
+  let stats = push s f bc in
   Alcotest.(check int) "all refluxed" 5000 stats.Push.refluxed;
   let mean_un = ref 0. and mean_ut = ref 0. and var_ut = ref 0. in
   Species.iter s (fun n ->
@@ -573,7 +561,6 @@ let suite =
     case "mover: conducting reflect" test_mover_reflect;
     case "mover: absorbing removes" test_mover_absorb;
     case "mover: refluxing re-emits" test_mover_reflux;
-    case "mover: reflux requires rng" test_mover_reflux_needs_rng;
     case "mover: reflux bath statistics" test_mover_reflux_bath_statistics;
     case "mover: free streaming exact" test_mover_free_streaming;
     case "deposit: discrete continuity equation" test_charge_conservation_random;

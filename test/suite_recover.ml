@@ -3,9 +3,9 @@
    The contract under test: a rank death mid-run is absorbed, not fatal.
    Survivors agree on the casualty list, roll back to the newest valid
    checkpoint generation, adopt the dead ranks' blocks from their
-   on-disk images and re-step — and because block RNGs are salted by
-   block id, the recovered trajectory matches an uninterrupted run to
-   round-off.  The satellites ride along: bounded-retry checkpoint I/O,
+   on-disk images and re-step — and because a block's step does not
+   depend on its owner, the recovered trajectory matches an
+   uninterrupted run to round-off.  The satellites ride along: bounded-retry checkpoint I/O,
    retention pruning that respects an in-progress recovery's pin, the
    recoveries-exhausted exit path, and the epoch stamp that keeps stale
    pre-rollback messages out of the recovered run. *)

@@ -80,6 +80,23 @@ let test_rng_shuffle_permutes () =
     (List.sort compare (Array.to_list b) = Array.to_list a);
   check_true "actually shuffled" (b <> a)
 
+(* A stateless draw is the stream's draw at the same position, bit for
+   bit, and its moments are a uniform's. *)
+let test_rng_uniform_at_is_the_stream () =
+  let key = 0x1234_5678_9ABCL in
+  let stream = Rng.create key in
+  for i = 0 to 99 do
+    let x = Rng.uniform stream in
+    if Int64.bits_of_float x <> Int64.bits_of_float (Rng.uniform_at key i) then
+      Alcotest.failf "draw %d: %h <> %h" i x (Rng.uniform_at key i)
+  done;
+  let st = Stats.create () in
+  for k = 0 to 99_999 do
+    Stats.add st (Rng.uniform_at (Rng.mix64 (Int64.of_int k)) 0)
+  done;
+  check_close ~rtol:0.01 "mean 1/2" 0.5 (Stats.mean st);
+  check_close ~rtol:0.02 "var 1/12" (1. /. 12.) (Stats.variance st)
+
 (* --- Stats ----------------------------------------------------------------- *)
 
 let test_stats_welford_matches_direct () =
@@ -325,4 +342,6 @@ let suite =
     qcheck_rng_unit_interval;
     qcheck_stats_merge;
     qcheck_erf_odd_monotone;
-    qcheck_faddeeva_conj_symmetry ]
+    qcheck_faddeeva_conj_symmetry;
+    case "rng: a stateless draw is the stream's draw"
+      test_rng_uniform_at_is_the_stream ]
